@@ -323,7 +323,7 @@ def cmd_fit(args) -> int:
     import numpy as np
 
     from . import io
-    from .errors import DataFormatError
+    from .errors import DataFormatError, DomainError
     from .hvb import HvbConfig, draw_posterior_missing, hvb_fit
     from .models import ModelKind, Priors
     from .variational import FitConfig, draw_posterior, vb_fit
@@ -340,6 +340,8 @@ def cmd_fit(args) -> int:
             f"{args.data} has {data.n_missing} missing responses; "
             "rerun with method=hvb")
     n_draws = settings.get("n_draws", int)
+    if n_draws < 1:
+        raise DomainError(f"n_draws must be at least 1, got {n_draws}")
     fit_kwargs = dict(
         n_factors=settings.get("n_factors", int),
         max_iters=settings.get("max_iters", int), seed=settings.seed,

@@ -26,8 +26,8 @@ from .model_select import PosteriorSamples, phi_names_for
 from .spatial import ConditionalGaussian, Partition, conditional_gaussian
 from .transforms import yj_forward, yj_inverse
 from .variational import (AdadeltaState, FitConfig, FitResult,
-                          VariationalParams, adadelta_step, init_lambda,
-                          log_q0, reparam_grads, sample_q)
+                          VariationalParams, _check_finite_grad, adadelta_step,
+                          init_lambda, log_q0, reparam_grads, sample_q)
 
 __all__ = ["BlockScheme", "HvbConfig", "propose_yu", "mh_accept_ratio",
            "mcmc_nob", "mcmc_allb", "hvb_fit", "draw_posterior_missing"]
@@ -316,12 +316,7 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
             raise NumericalError(f"target evaluation failed: {exc}",
                                  iteration=t) from exc
         g = g_h - grad_log_q0(lam, theta)
-        bad = ~np.isfinite(g)
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
-            raise NumericalError(
-                f"non-finite gradient in coordinate {layout.names()[idx]}",
-                iteration=t, coordinate=idx)
+        _check_finite_grad(g, t, layout)
         d_mu, d_vech, d_d = reparam_grads(lam, eta, eps, g)
         step, state = adadelta_step(state, np.concatenate([d_mu, d_vech, d_d]))
         lam = lam.with_step(step)

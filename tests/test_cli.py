@@ -128,6 +128,17 @@ class TestFit:
         assert rc == 3
         assert "method=hvb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_draws", ["0", "-1"])
+    def test_rejects_nonpositive_n_draws(self, tmp_path, capsys, n_draws):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        out = tmp_path / "fit"
+        args = self.fit_args(sim, out)
+        args[args.index("--n-draws") + 1] = n_draws
+        assert main(args) == 3
+        assert "n_draws must be at least 1" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_hvb_artifacts(self, tmp_path):
         sim = tmp_path / "sim"
         run_simulate(sim)

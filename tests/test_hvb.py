@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from semvb.errors import DimensionError, DomainError
+from semvb.errors import DimensionError, DomainError, NumericalError
 from semvb import hvb
 from semvb.likelihoods import Dataset, layout_missing, log_p_m
 from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
@@ -389,6 +389,23 @@ class TestHvbFit:
         assert res.layout.with_psi
         assert res.acceptance.shape == (0, 4)
         assert res.n_iters == 25
+
+    def test_nonfinite_gradient_names_coordinate(self, monkeypatch):
+        inst = random_instance(ModelKind.SEM_GAU, seed=19, missing_frac=0.25)
+        idx = inst["layout"].names().index("rho_z")
+        real_grad = hvb.grad_log_h_missing
+
+        def nan_in_rho(*args):
+            g = real_grad(*args)
+            g[idx] = np.nan
+            return g
+
+        monkeypatch.setattr(hvb, "grad_log_h_missing", nan_in_rho)
+        with pytest.raises(NumericalError) as err:
+            hvb.hvb_fit(ModelKind.SEM_GAU, inst["data"], Priors(),
+                        hvb.HvbConfig(max_iters=5, seed=0, n1=2))
+        assert str(err.value) == "non-finite gradient in coordinate rho_z"
+        assert err.value.iteration == 1 and err.value.coordinate == idx
 
     def test_requires_missingness_design(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=17)

@@ -6,6 +6,7 @@ import pytest
 from semvb.errors import DimensionError, DomainError, SingularityError
 from semvb.models import ModelKind
 from semvb import spatial
+from semvb.variational import _submatrix_weights
 
 from oracles import dense_M, fd_derivative, schur_conditional
 
@@ -143,6 +144,148 @@ class TestTrace:
         for rho in (-0.5, 0.3, 0.8):
             fd = fd_derivative(lambda r: spatial.logdet_A(W, r), rho, h=1e-6)
             assert -fd == pytest.approx(spatial.trace_AinvW(W, rho), rel=1e-6)
+
+
+def weighted_symmetric_c() -> spatial.SpatialWeights:
+    """Row-standardized D^-1 C for a random sparse symmetric C."""
+    rng = np.random.default_rng(11)
+    n = 30
+    c = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.15), 1)
+    c += c.T
+    c[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # no empty rows
+    c[(np.arange(n) + 1) % n, np.arange(n)] += 0.5
+    w = c / c.sum(axis=1, keepdims=True)
+    r, k = np.nonzero(w)
+    return spatial.SpatialWeights(n=n, rows=r, cols=k, weights=w[r, k],
+                                  row_standardized=True)
+
+
+def lattice_restriction() -> spatial.SpatialWeights:
+    keep = np.flatnonzero(np.random.default_rng(4).random(49) < 0.6)
+    return _submatrix_weights(spatial.build_rook_lattice(7, 7), keep)
+
+
+def reversed_ratio_lattice() -> spatial.SpatialWeights:
+    """5x5 row-standardized lattice with W_01 and W_10 swapped.
+
+    The swap inverts one edge ratio on the 4-cycle 0-1-6-5, so no positive h
+    with h_i W_ij = h_j W_ji exists; row sums stay within 7/6.
+    """
+    W = spatial.build_rook_lattice(5, 5)
+    w = W.weights.copy()
+    a = np.flatnonzero((W.rows == 0) & (W.cols == 1))[0]
+    b = np.flatnonzero((W.rows == 1) & (W.cols == 0))[0]
+    w[a], w[b] = w[b], w[a]
+    return spatial.SpatialWeights(n=W.n, rows=W.rows, cols=W.cols, weights=w)
+
+
+SYMMETRIZABLE = {
+    "row-standardized lattice": (lambda: spatial.build_rook_lattice(6, 7),
+                                 (-0.9, -0.3, 0.4, 0.95)),
+    "binary lattice": (lambda: spatial.build_rook_lattice(5, 6, False),
+                       (-0.2, 0.05, 0.2)),
+    "lattice restriction": (lattice_restriction, (-0.8, 0.3, 0.9)),
+    "weighted symmetric C": (weighted_symmetric_c, (-0.95, -0.2, 0.6, 0.9)),
+}
+
+
+class TestSymmetrizer:
+    @pytest.mark.parametrize("name", sorted(SYMMETRIZABLE))
+    def test_balances_every_entry(self, name):
+        W = SYMMETRIZABLE[name][0]()
+        h = W.symmetrizer
+        assert h is not None and np.all(h > 0)
+        hw = h[:, None] * W.csr.toarray()
+        np.testing.assert_allclose(hw, hw.T, rtol=1e-12, atol=0.0)
+        assert W.eigenvalues.dtype == np.float64
+
+    def test_row_standardized_lattice_is_degree(self):
+        W = spatial.build_rook_lattice(4, 5)
+        degree = np.bincount(W.rows, minlength=W.n)
+        np.testing.assert_allclose(W.symmetrizer / W.symmetrizer[0],
+                                   degree / degree[0], rtol=1e-14)
+
+    def test_eigenvalues_match_general_route(self):
+        W = weighted_symmetric_c()
+        general = np.sort(np.linalg.eigvals(W.csr.toarray()).real)
+        np.testing.assert_allclose(np.sort(W.eigenvalues), general, atol=1e-12)
+
+    def test_none_without_balance(self):
+        cycle = spatial.SpatialWeights(n=3, rows=[0, 1, 2], cols=[1, 2, 0],
+                                       weights=[1.0, 1.0, 1.0])
+        assert cycle.symmetrizer is None
+        assert np.iscomplexobj(cycle.eigenvalues)
+        assert reversed_ratio_lattice().symmetrizer is None
+
+
+class TestBandedRoute:
+    """Past the eigen cap, lowered here below n, for symmetrizable W."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIZABLE))
+    def test_matches_eigen_route(self, name, monkeypatch):
+        make, rhos = SYMMETRIZABLE[name]
+        W_eig = make()
+        expected = [(spatial.logdet_A(W_eig, r), spatial.trace_AinvW(W_eig, r))
+                    for r in rhos]
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        W = make()
+        assert W.eigenvalues is None and W.sym_band is not None
+        for rho, (ld, tr) in zip(rhos, expected):
+            assert spatial._banded_cholesky(W, rho) is not None
+            assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-10)
+            assert spatial.trace_AinvW(W, rho) == pytest.approx(tr, abs=1e-10)
+
+    def test_trace_is_derivative_of_logdet(self, monkeypatch):
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        W = spatial.build_rook_lattice(6, 5)
+        for rho in (-0.6, 0.3, 0.85):
+            fd = fd_derivative(lambda r: spatial.logdet_A(W, r), rho, h=1e-6)
+            assert -fd == pytest.approx(spatial.trace_AinvW(W, rho), rel=1e-6)
+
+    def test_not_positive_definite_falls_back(self, monkeypatch):
+        # eigenvalues of W are +-2: I - 0.6 S is indefinite and det < 0
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 1)
+        W = spatial.SpatialWeights(n=2, rows=[0, 1], cols=[1, 0],
+                                   weights=[2.0, 2.0])
+        assert spatial._banded_cholesky(W, 0.6) is None
+        with pytest.raises(SingularityError):
+            spatial.logdet_A(W, 0.6)
+        with pytest.raises(SingularityError):
+            spatial.logdet_A(W, 0.5)  # exactly singular
+        with pytest.raises(SingularityError):
+            spatial.trace_AinvW(W, 0.5)
+
+
+class TestSparseLuRoute:
+    """Past the eigen cap for W without a symmetrizer."""
+
+    def test_directed_cycle_hand_values(self, monkeypatch):
+        # det(I - rho P) = 1 - rho^3 for the 3-cycle permutation P
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 2)
+        W = spatial.SpatialWeights(n=3, rows=[0, 1, 2], cols=[1, 2, 0],
+                                   weights=[1.0, 1.0, 1.0])
+        assert W.eigenvalues is None and W.sym_band is None
+        for rho in (-0.7, 0.4):
+            assert spatial.logdet_A(W, rho) == pytest.approx(
+                np.log(1.0 - rho ** 3), abs=1e-12)
+            assert spatial.trace_AinvW(W, rho) == pytest.approx(
+                3.0 * rho ** 2 / (1.0 - rho ** 3), abs=1e-12)
+
+    def test_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        W = reversed_ratio_lattice()
+        assert W.eigenvalues is None and W.sym_band is None
+        dense = W.csr.toarray()
+        for rho in (-0.7, 0.2, 0.8):
+            A = np.eye(W.n) - rho * dense
+            sign, ld = np.linalg.slogdet(A)
+            assert sign > 0
+            assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-10)
+            tr = spatial.trace_AinvW(W, rho)
+            assert tr == pytest.approx(np.trace(np.linalg.solve(A, dense)),
+                                       abs=1e-10)
+            fd = fd_derivative(lambda r: spatial.logdet_A(W, r), rho, h=1e-6)
+            assert -fd == pytest.approx(tr, rel=1e-6)
 
 
 class TestQuadForm:
