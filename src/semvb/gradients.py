@@ -14,6 +14,7 @@ from scipy.special import digamma
 
 from .errors import DimensionError, SingularityError
 from .likelihoods import Dataset, layout_full, layout_missing
+from .missingness import expit
 from .models import ModelKind, Priors, ThetaLayout, link_inverse
 from .spatial import apply_A, apply_At, trace_AinvW
 from .transforms import (dgamma_dlink, drho_dlink, yj_dgamma,
@@ -104,20 +105,11 @@ def grad_log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
 
     _, _, psi = link_inverse(kind, layout, theta)
     eta = data.Xstar @ psi.psi_x + psi.psi_y * y_complete
-    resid = data.missing.astype(float) - _expit(eta)
+    resid = data.missing.astype(float) - expit(eta)
     grad[layout.psi] = np.concatenate([
         data.Xstar.T @ resid, [float(resid @ y_complete)]
     ]) - theta[layout.psi] / priors.var_psi
     return grad
-
-
-def _expit(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def grad_log_q0(lam, theta: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Hybrid VB for responses missing not at random.
 
-The outer loop is the same stochastic-gradient ascent as the complete-data
-routine, but each iteration first imputes the unobserved responses with a
-short Metropolis-Hastings run. The independence proposal is the exact
-conditional Gaussian of the spatial model given everything conditioned on,
-so the model likelihood cancels from the acceptance ratio and only the
-missingness likelihood remains. Two inner kernels exist: one updating the
-whole unobserved vector at once, and a blocked sweep that keeps acceptance
-rates workable when many responses are missing.
+The outer loop is the complete-data routine's SGA driver
+(`variational._sga`), run on a target that first imputes the unobserved
+responses with a short Metropolis-Hastings run. The independence proposal
+is the exact conditional Gaussian of the spatial model given everything
+conditioned on, so the model likelihood cancels from the acceptance ratio
+and only the missingness likelihood remains. Two inner kernels exist: one
+updating the whole unobserved vector at once, and a blocked sweep that keeps
+acceptance rates workable when many responses are missing.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError, SingularityError
-from .gradients import grad_log_h_missing, grad_log_q0
+from .errors import DimensionError, DomainError
+from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, layout_missing, log_h_missing, log_p_m
 from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
-from .model_select import PosteriorSamples, phi_names_for
+from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .spatial import ConditionalGaussian, Partition, conditional_gaussian
 from .transforms import yj_forward, yj_inverse
-from .variational import (AdadeltaState, FitConfig, FitResult,
-                          VariationalParams, _check_finite_grad, adadelta_step,
-                          init_lambda, log_q0, reparam_grads, sample_q)
+from .variational import (FitConfig, FitResult, VariationalParams, _sga,
+                          init_lambda, sample_q)
 
 __all__ = ["BlockScheme", "HvbConfig", "propose_yu", "mh_accept_ratio",
            "mcmc_nob", "mcmc_allb", "hvb_fit", "draw_posterior_missing"]
@@ -96,7 +95,6 @@ class HvbConfig(FitConfig):
     n1: int = 10
     kernel: str = "auto"   # auto | nob | allb
     block_fraction: float = 0.1
-    scheme: BlockScheme | None = None
     warm_start: bool = False
 
     def __post_init__(self):
@@ -112,6 +110,14 @@ class HvbConfig(FitConfig):
         if self.kernel != "auto":
             return self.kernel
         return "nob" if n_unobserved <= _NOB_MAX_NU else "allb"
+
+    def block_scheme(self, data: Dataset) -> BlockScheme | None:
+        """The blocks of the resolved kernel over data's unobserved sites;
+        None for the whole-vector kernel."""
+        if self.resolve_kernel(data.n_missing) == "nob":
+            return None
+        return BlockScheme.from_fraction(data.partition.unobserved_idx,
+                                         self.block_fraction)
 
 
 def _build_conditional(kind: ModelKind, data: Dataset, params: ModelParams,
@@ -265,83 +271,47 @@ def mcmc_allb(kind: ModelKind, data: Dataset, theta: np.ndarray,
     return y_curr, accepts
 
 
+def _impute(kind: ModelKind, data: Dataset, theta: np.ndarray,
+            scheme: BlockScheme | None, y_u_init: np.ndarray | None, n1: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One MH pass by mcmc_nob (scheme None) or mcmc_allb; returns the
+    imputation and the accept counts per block."""
+    if scheme is None:
+        y_u, accepts = mcmc_nob(kind, data, theta, y_u_init, n1, rng)
+        return y_u, np.array([accepts])
+    return mcmc_allb(kind, data, theta, scheme, y_u_init, n1, rng)
+
+
 def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
             config: HvbConfig, rng: np.random.Generator | None = None
             ) -> FitResult:
     """Hybrid fit for data with missing-not-at-random responses.
 
-    Per iteration: draw (xi, psi) from the variational family, impute y_u
-    with the configured MH kernel, take one ADADELTA step on the gradient of
-    the completed-data ELBO. Acceptance statistics are collected as rows
+    The SGA loop on the completed-data target: each iteration imputes y_u
+    with the configured MH kernel at the drawn (xi, psi) before the
+    gradient of log h is taken. Acceptance statistics are collected as rows
     (iteration, block, accepts, proposals).
     """
     t_start = time.perf_counter()
     layout = layout_missing(kind, data)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     lam = init_lambda(kind, data, config, rng=rng, with_psi=True)
-    n_u = data.n_missing
-    kernel = config.resolve_kernel(n_u)
-    scheme = config.scheme
-    if kernel == "allb" and scheme is None:
-        scheme = BlockScheme.from_fraction(data.partition.unobserved_idx,
-                                           config.block_fraction)
+    scheme = config.block_scheme(data)
+    acc_rows: list[tuple[int, int, int, int]] = []
+    y_u = np.empty(0)   # the last imputation: a warm start's chain start
 
-    state = AdadeltaState.zeros(lam.flat().size)
-    trace_rows, trace_iters, acc_rows = [], [], []
-    elbo = np.empty(config.max_iters)
-    recent_moves: list[float] = []
-    y_u_prev: np.ndarray | None = None
-    t = 0
-    for t in range(1, config.max_iters + 1):
-        theta, eta, eps = sample_q(lam, rng)
-        try:
-            if n_u:
-                init = y_u_prev if config.warm_start else None
-                if kernel == "nob":
-                    y_u, acc = mcmc_nob(kind, data, theta, init, config.n1,
-                                        rng)
-                    acc_rows.append((t, 0, acc, config.n1))
-                else:
-                    y_u, accs = mcmc_allb(kind, data, theta, scheme, init,
-                                          config.n1, rng)
-                    acc_rows.extend((t, j, int(a), config.n1)
-                                    for j, a in enumerate(accs))
-                y_u_prev = y_u
-            else:
-                y_u = np.empty(0)
-            g_h = grad_log_h_missing(kind, data, theta, y_u, priors)
-            elbo[t - 1] = log_h_missing(kind, data, theta, y_u, priors) \
-                - log_q0(lam, theta)
-        except (DomainError, SingularityError) as exc:
-            raise NumericalError(f"target evaluation failed: {exc}",
-                                 iteration=t) from exc
-        g = g_h - grad_log_q0(lam, theta)
-        _check_finite_grad(g, t, layout)
-        d_mu, d_vech, d_d = reparam_grads(lam, eta, eps, g)
-        step, state = adadelta_step(state, np.concatenate([d_mu, d_vech, d_d]))
-        lam = lam.with_step(step)
-        if t % config.trace_every == 0:
-            trace_rows.append(lam.mu.copy())
-            trace_iters.append(t)
-        if config.stop_window > 0:
-            recent_moves.append(float(np.max(np.abs(step[:lam.s]))))
-            if len(recent_moves) > config.stop_window:
-                recent_moves.pop(0)
-            if (len(recent_moves) == config.stop_window
-                    and max(recent_moves) < config.stop_tol):
-                break
-    if t and (not trace_iters or trace_iters[-1] != t):
-        trace_rows.append(lam.mu.copy())
-        trace_iters.append(t)
-    return FitResult(
-        lam=lam, layout=layout,
-        mu_trace=(np.asarray(trace_rows) if trace_rows
-                  else np.empty((0, lam.s))),
-        trace_iters=np.asarray(trace_iters, dtype=int),
-        elbo_trace=elbo[:t], n_iters=t,
-        wall_time=time.perf_counter() - t_start, seed=config.seed,
-        acceptance=(np.asarray(acc_rows, dtype=int) if acc_rows
-                    else np.empty((0, 4), dtype=int)))
+    def target(theta, t):
+        nonlocal y_u
+        if data.n_missing:
+            init = y_u if config.warm_start and t > 1 else None
+            y_u, accs = _impute(kind, data, theta, scheme, init, config.n1,
+                                rng)
+            acc_rows.extend((t, j, int(a), config.n1)
+                            for j, a in enumerate(accs))
+        return (grad_log_h_missing(kind, data, theta, y_u, priors),
+                log_h_missing(kind, data, theta, y_u, priors))
+
+    return _sga(lam, layout, config, rng, target, t_start, acc_rows)
 
 
 def draw_posterior_missing(kind: ModelKind, data: Dataset,
@@ -358,11 +328,7 @@ def draw_posterior_missing(kind: ModelKind, data: Dataset,
     if lam.s != layout.size:
         raise DimensionError("lambda size does not match the layout")
     config = HvbConfig(n1=max(n1, 1)) if config is None else config
-    kernel = config.resolve_kernel(data.n_missing)
-    scheme = config.scheme
-    if kernel == "allb" and scheme is None:
-        scheme = BlockScheme.from_fraction(data.partition.unobserved_idx,
-                                           config.block_fraction)
+    scheme = config.block_scheme(data)
     names = phi_names_for(kind, layout.n_beta)
     phi = np.empty((n_draws, len(names)))
     psi_rows = np.empty((n_draws, layout.n_psi_x + 1))
@@ -371,17 +337,8 @@ def draw_posterior_missing(kind: ModelKind, data: Dataset,
         theta, _, _ = sample_q(lam, rng)
         params, _, psi = link_inverse(kind, layout, theta)
         if data.n_missing:
-            if kernel == "nob":
-                y_u, _ = mcmc_nob(kind, data, theta, None, n1, rng)
-            else:
-                y_u, _ = mcmc_allb(kind, data, theta, scheme, None, n1, rng)
-            y_u_rows[i] = y_u
-        row = list(params.beta) + [params.sigma2, params.rho]
-        if kind.student_t:
-            row.append(params.nu)
-        if kind.yeo_johnson:
-            row.append(params.gamma)
-        phi[i] = row
+            y_u_rows[i], _ = _impute(kind, data, theta, scheme, None, n1, rng)
+        phi[i] = phi_row(params)
         psi_rows[i] = psi.stacked
     return PosteriorSamples(phi=phi, phi_names=names, psi=psi_rows,
                             y_u=y_u_rows)

@@ -373,6 +373,8 @@ def write_summary(path, names: list[str], draws: np.ndarray) -> None:
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if draws.shape[1] != len(names):
         raise DataFormatError("summary names do not match draw columns")
+    if draws.shape[0] == 0:
+        raise DataFormatError("a summary needs at least one draw")
     f, w = _open_writer(path)
     with f:
         w.writerow(["param", "mean", "q025", "q975"])

@@ -12,23 +12,22 @@ import numpy as np
 from .errors import DimensionError
 from .models import MissingnessParams
 
-__all__ = ["missing_prob", "simulate_missing"]
-
-# beyond this the linear predictor's tail is handled in exp space directly
-_CUTOVER = 35.0
+__all__ = ["expit", "missing_prob", "simulate_missing"]
 
 
-def _stable_probs(eta: np.ndarray) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
+def expit(eta: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + e^-eta), with no overflow in e^|eta|."""
     out = np.empty_like(eta)
-    lo = eta <= -_CUTOVER
-    hi = eta >= _CUTOVER
-    mid = ~(lo | hi)
-    out[lo] = np.exp(eta[lo])               # 1 + e^eta is 1 to working precision
-    out[hi] = 1.0 - np.exp(-eta[hi])
-    out[mid] = 1.0 / (1.0 + np.exp(-eta[mid]))
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _probs(eta: np.ndarray) -> np.ndarray:
     # keep strictly inside (0, 1) even when exp underflows
-    return np.clip(out, 1e-300, 1.0 - 1e-16)
+    return np.clip(expit(eta), 1e-300, 1.0 - 1e-16)
 
 
 def missing_prob(y_i: float, xstar_i: np.ndarray,
@@ -38,7 +37,7 @@ def missing_prob(y_i: float, xstar_i: np.ndarray,
     if xstar_i.shape != psi.psi_x.shape:
         raise DimensionError("xstar_i length does not match psi_x")
     eta = float(xstar_i @ psi.psi_x + psi.psi_y * y_i)
-    return float(_stable_probs(np.array([eta]))[0])
+    return float(_probs(np.array([eta]))[0])
 
 
 def simulate_missing(y: np.ndarray, Xstar: np.ndarray,
@@ -49,5 +48,5 @@ def simulate_missing(y: np.ndarray, Xstar: np.ndarray,
     Xstar = np.asarray(Xstar, dtype=float)
     if Xstar.shape != (y.shape[0], psi.psi_x.shape[0]):
         raise DimensionError("y, Xstar, psi dimensions disagree")
-    probs = _stable_probs(Xstar @ psi.psi_x + psi.psi_y * y)
+    probs = _probs(Xstar @ psi.psi_x + psi.psi_y * y)
     return rng.random(y.shape[0]) < probs

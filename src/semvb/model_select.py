@@ -20,7 +20,7 @@ from . import transforms as tr
 
 __all__ = ["PosteriorSamples", "dic1", "dic2", "dic5",
            "phi_loglik_fn", "phi_logprior_fn", "joint_loglik_fn",
-           "phi_names_for", "params_from_row"]
+           "phi_names_for", "phi_row", "params_from_row"]
 
 
 def phi_names_for(kind: ModelKind, n_beta: int) -> tuple[str, ...]:
@@ -30,6 +30,17 @@ def phi_names_for(kind: ModelKind, n_beta: int) -> tuple[str, ...]:
     if kind.yeo_johnson:
         names.append("gamma")
     return tuple(names)
+
+
+def phi_row(params: ModelParams) -> np.ndarray:
+    """One constrained sample row (beta, sigma2, rho[, nu][, gamma]); the
+    inverse of params_from_row."""
+    row = list(params.beta) + [params.sigma2, params.rho]
+    if params.nu is not None:
+        row.append(params.nu)
+    if params.gamma is not None:
+        row.append(params.gamma)
+    return np.array(row)
 
 
 def params_from_row(kind: ModelKind, names: tuple[str, ...],

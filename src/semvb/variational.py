@@ -1,9 +1,11 @@
-"""Factor-covariance Gaussian variational approximation and the SGA loop.
+"""Factor-covariance Gaussian variational approximation and the SGA driver.
 
 The variational family is N(mu, B B^T + D^2) with B an s x p
 lower-triangular factor loading matrix and D = diag(d). One reparameterised
 draw theta = mu + B eta + d * eps per iteration yields unbiased ELBO
-gradients, stepped through ADADELTA learning rates.
+gradients, stepped through ADADELTA learning rates. `_sga` is the one
+stochastic-gradient ascent: `vb_fit` runs it on the complete-data target,
+and `hvb.hvb_fit` on a target that first imputes the missing responses.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericalError, SingularityError
 from .gradients import grad_log_h_full, grad_log_q0
 from .likelihoods import Dataset, layout_full, layout_missing, log_h_full
-from .models import ModelKind, Priors, ThetaLayout
-from .model_select import PosteriorSamples, phi_names_for
+from .models import ModelKind, Priors, ThetaLayout, link_inverse
+from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .simulate import draw_inverse_gamma
 from .spatial import SpatialWeights, apply_A, logdet_A
 from .transforms import gamma_link
-from .models import link_inverse
 
 __all__ = [
     "VariationalParams", "AdadeltaState", "FitConfig", "FitResult",
@@ -273,30 +274,16 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
     return VariationalParams(mu=mu, B=B, d=np.full(s, 0.01))
 
 
-def _check_finite_grad(g: np.ndarray, iteration: int,
-                       layout: ThetaLayout) -> None:
-    bad = ~np.isfinite(g)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise NumericalError(
-            f"non-finite gradient in coordinate {layout.names()[idx]}",
-            iteration=iteration, coordinate=idx)
+def _sga(lam: VariationalParams, layout: ThetaLayout, config: FitConfig,
+         rng: np.random.Generator, target, t_start: float,
+         acceptance: list | None = None) -> FitResult:
+    """The SGA loop shared by vb_fit and hvb_fit.
 
-
-def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
-           rng: np.random.Generator | None = None) -> FitResult:
-    """Stochastic-gradient VB on complete data.
-
-    Per iteration: one reparameterised draw, analytic gradients of log h and
-    log q, ELBO gradient assembly, ADADELTA step. Runs to max_iters or until
-    the optional plateau rule fires.
+    Per iteration: one reparameterised draw theta, target(theta, t) ->
+    (grad log h, log h), ELBO gradient assembly, ADADELTA step. Runs to
+    max_iters or until the optional plateau rule fires. acceptance holds the
+    (iteration, block, accepts, proposals) rows a hybrid target appends.
     """
-    t_start = time.perf_counter()
-    data.require_complete()
-    layout = layout_full(kind, data)
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    lam = init_lambda(kind, data, config, rng=rng)
-
     state = AdadeltaState.zeros(lam.flat().size)
     trace_rows, trace_iters = [], []
     elbo = np.empty(config.max_iters)
@@ -305,14 +292,17 @@ def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
     for t in range(1, config.max_iters + 1):
         theta, eta, eps = sample_q(lam, rng)
         try:
-            g_h = grad_log_h_full(kind, data, theta, priors)
-            elbo[t - 1] = log_h_full(kind, data, theta, priors) \
-                - log_q0(lam, theta)
+            g_h, log_h = target(theta, t)
+            elbo[t - 1] = log_h - log_q0(lam, theta)
         except (DomainError, SingularityError) as exc:
             raise NumericalError(f"target evaluation failed: {exc}",
                                  iteration=t) from exc
         g = g_h - grad_log_q0(lam, theta)
-        _check_finite_grad(g, t, layout)
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise NumericalError(
+                f"non-finite gradient in coordinate {layout.names()[bad[0]]}",
+                iteration=t, coordinate=int(bad[0]))
         d_mu, d_vech, d_d = reparam_grads(lam, eta, eps, g)
         step, state = adadelta_step(state, np.concatenate([d_mu, d_vech, d_d]))
         lam = lam.with_step(step)
@@ -335,7 +325,25 @@ def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
                   else np.empty((0, lam.s))),
         trace_iters=np.asarray(trace_iters, dtype=int),
         elbo_trace=elbo[:t], n_iters=t,
-        wall_time=time.perf_counter() - t_start, seed=config.seed)
+        wall_time=time.perf_counter() - t_start, seed=config.seed,
+        acceptance=(None if acceptance is None
+                    else np.asarray(acceptance, dtype=int).reshape(-1, 4)))
+
+
+def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
+           rng: np.random.Generator | None = None) -> FitResult:
+    """Stochastic-gradient VB on complete data: the SGA loop on log h_full."""
+    t_start = time.perf_counter()
+    data.require_complete()
+    layout = layout_full(kind, data)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    lam = init_lambda(kind, data, config, rng=rng)
+
+    def target(theta, t):
+        return (grad_log_h_full(kind, data, theta, priors),
+                log_h_full(kind, data, theta, priors))
+
+    return _sga(lam, layout, config, rng, target, t_start)
 
 
 def draw_posterior(lam: VariationalParams, layout: ThetaLayout, n_draws: int,
@@ -353,15 +361,7 @@ def draw_posterior(lam: VariationalParams, layout: ThetaLayout, n_draws: int,
     for i in range(n_draws):
         theta, _, _ = sample_q(lam, rng)
         params, _, psi_i = link_inverse(kind, layout, theta)
-        row = list(params.beta) + [params.sigma2, params.rho]
-        if kind.student_t:
-            row.append(params.nu)
-        if kind.yeo_johnson:
-            row.append(params.gamma)
-        phi[i] = row
+        phi[i] = phi_row(params)
         if psi is not None:
             psi[i] = psi_i.stacked
-    if n_draws == 0:
-        phi = np.empty((0, len(names)))
-        psi = np.empty((0, layout.n_psi_x + 1)) if layout.with_psi else None
     return PosteriorSamples(phi=phi, phi_names=names, psi=psi)

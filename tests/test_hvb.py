@@ -78,6 +78,20 @@ class TestHvbConfig:
         assert cfg.resolve_kernel(501) == "allb"
         assert hvb.HvbConfig(kernel="allb").resolve_kernel(3) == "allb"
 
+    def test_auto_block_scheme_follows_the_cap(self, monkeypatch):
+        inst = random_instance(ModelKind.SEM_GAU, seed=21, missing_frac=0.4)
+        data = inst["data"]
+        cfg = hvb.HvbConfig(block_fraction=0.5)
+        monkeypatch.setattr(hvb, "_NOB_MAX_NU", data.n_missing)
+        assert cfg.block_scheme(data) is None
+        monkeypatch.setattr(hvb, "_NOB_MAX_NU", data.n_missing - 1)
+        scheme = cfg.block_scheme(data)
+        want = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+                                             0.5)
+        assert scheme.n_blocks == want.n_blocks == 2
+        for got, block in zip(scheme.blocks, want.blocks):
+            np.testing.assert_array_equal(got, block)
+
 
 class TestProposeYu:
     def test_rho_zero_independent_sites(self):
@@ -368,6 +382,23 @@ class TestHvbFit:
         assert np.all(res.acceptance[:, 3] == 4)
         assert np.all((res.acceptance[:, 2] >= 0)
                       & (res.acceptance[:, 2] <= 4))
+
+    def test_plateau_rule_stops_early(self):
+        inst = random_instance(ModelKind.SEM_GAU, seed=13, missing_frac=0.25)
+        cfg = hvb.HvbConfig(max_iters=5000, seed=2, n1=2, stop_window=20,
+                            stop_tol=1e30)  # absurd tol fires immediately
+        res = hvb.hvb_fit(ModelKind.SEM_GAU, inst["data"], Priors(), cfg)
+        assert res.n_iters == 20
+        assert res.trace_iters[-1] == 20
+        assert res.acceptance[:, 0].max() == 20
+
+    def test_trace_row_count(self):
+        inst = random_instance(ModelKind.SEM_GAU, seed=7, missing_frac=0.25)
+        cfg = hvb.HvbConfig(max_iters=45, seed=0, n1=2, trace_every=20)
+        res = hvb.hvb_fit(ModelKind.SEM_GAU, inst["data"], Priors(), cfg)
+        np.testing.assert_array_equal(res.trace_iters, [20, 40, 45])
+        assert res.mu_trace.shape == (3, res.lam.s)
+        assert res.elbo_trace.shape == (45,)
 
     def test_allb_acceptance_rows_per_block(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=15, missing_frac=0.4)

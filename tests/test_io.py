@@ -351,3 +351,9 @@ class TestSummary:
     def test_name_count_mismatch(self, tmp_path):
         with pytest.raises(DataFormatError):
             io.write_summary(tmp_path / "s.csv", ["a"], np.ones((3, 2)))
+
+    def test_zero_draws_rejected_before_writing(self, tmp_path):
+        p = tmp_path / "s.csv"
+        with pytest.raises(DataFormatError):
+            io.write_summary(p, ["a", "b"], np.empty((0, 2)))
+        assert not p.exists()
