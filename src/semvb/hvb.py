@@ -5,9 +5,15 @@ The outer loop is the complete-data routine's SGA driver
 responses with a short Metropolis-Hastings run. The independence proposal
 is the exact conditional Gaussian of the spatial model given everything
 conditioned on, so the model likelihood cancels from the acceptance ratio
-and only the missingness likelihood remains. Two inner kernels exist: one
-updating the whole unobserved vector at once, and a blocked sweep that keeps
-acceptance rates workable when many responses are missing.
+and only the missingness likelihood remains. That likelihood factorizes over
+sites, so a step's ratio is taken over the sites it updates.
+
+Both inner kernels run one sweep (`_mh_sweep`) over blocks of unobserved
+sites: the blocked kernel, which keeps acceptance rates workable when many
+responses are missing, and the whole-vector kernel as its one-block case.
+A sweep builds A and factors each block's conditional precision once per
+chain, at the drawn parameters; a block's mean offset is recomputed only
+after another block has moved.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, layout_missing, log_h_missing, log_p_m
 from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
-from .spatial import ConditionalGaussian, Partition, conditional_gaussian
+from .spatial import (ConditionalGaussian, Partition, block_conditionals,
+                      conditional_gaussian)
 from .transforms import yj_forward, yj_inverse
 from .variational import (FitConfig, FitResult, VariationalParams, _sga,
                           init_lambda, sample_q)
@@ -120,25 +127,9 @@ class HvbConfig(FitConfig):
                                          self.block_fraction)
 
 
-def _build_conditional(kind: ModelKind, data: Dataset, params: ModelParams,
-                       tau: np.ndarray | None, partition: Partition,
-                       y_known: np.ndarray
-                       ) -> tuple[ConditionalGaussian, np.ndarray]:
-    """Conditional of the unknown block's transformed responses.
-
-    Returns the residual-scale conditional and the regression mean X_u beta;
-    y_known holds untransformed responses over partition.observed_idx.
-    """
-    y_known = np.asarray(y_known, dtype=float)
-    if y_known.shape != (partition.observed_idx.size,):
-        raise DimensionError("y_known must match the known block size")
-    ystar = (yj_forward(y_known, params.gamma) if kind.yeo_johnson
-             else y_known)
-    r_known = ystar - data.X[partition.observed_idx] @ params.beta
-    cond = conditional_gaussian(kind, data.W, params.rho, tau, partition,
-                                r_known)
-    mean_u = data.X[partition.unobserved_idx] @ params.beta
-    return cond, mean_u
+def _ystar(kind: ModelKind, y: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Responses on the model's scale: Yeo-Johnson transformed for YJ kinds."""
+    return yj_forward(y, params.gamma) if kind.yeo_johnson else y
 
 
 def _draw_proposal(kind: ModelKind, params: ModelParams,
@@ -165,8 +156,14 @@ def propose_yu(kind: ModelKind, data: Dataset, params: ModelParams,
     N(X_u beta + offset, sigma2 M_uu^-1); YJ kinds draw on the transformed
     scale and map back through the inverse transform.
     """
-    cond, mean_u = _build_conditional(kind, data, params, tau, partition,
-                                      current_known_values)
+    y_known = np.asarray(current_known_values, dtype=float)
+    if y_known.shape != (partition.observed_idx.size,):
+        raise DimensionError("y_known must match the known block size")
+    r_known = (_ystar(kind, y_known, params)
+               - data.X[partition.observed_idx] @ params.beta)
+    cond = conditional_gaussian(kind, data.W, params.rho, tau, partition,
+                                r_known)
+    mean_u = data.X[partition.unobserved_idx] @ params.beta
     return _draw_proposal(kind, params, cond, mean_u, rng)
 
 
@@ -176,7 +173,9 @@ def mh_accept_ratio(m: np.ndarray, y_proposed_complete: np.ndarray,
     """min(1, p(m | y_proposed, psi) / p(m | y_current, psi)), in log space.
 
     The conditional-Gaussian proposal equals the response model's own
-    conditional, so it cancels and only the missingness pmf remains.
+    conditional, so it cancels and only the missingness pmf remains. The pmf
+    factorizes over sites, so the arguments may be restricted to the sites
+    where the two vectors differ.
     """
     delta = (log_p_m(m, y_proposed_complete, Xstar, psi)
              - log_p_m(m, y_current_complete, Xstar, psi))
@@ -189,38 +188,81 @@ def _split_theta(kind: ModelKind, data: Dataset, theta: np.ndarray):
     return params, tau, psi
 
 
+def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
+              blocks: tuple[np.ndarray, ...], y_u_init: np.ndarray | None,
+              n1: int, rng: np.random.Generator
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """n1 sweeps of independence MH steps, one per block in order.
+
+    blocks partition the unobserved sites (not checked here). The chain
+    starts from a draw of the whole unobserved vector's conditional unless
+    y_u_init is given. Each block's M_uu is factored once per call; its mean
+    offset is recomputed only after another block has moved, so a single
+    block computes it once. The acceptance ratio is taken over the block's
+    own sites: every other factor of p(m | y, psi) cancels.
+    Returns the final imputation and per-block acceptance counts.
+    """
+    params, tau, psi = _split_theta(kind, data, theta)
+    part = data.partition
+    obs, u_idx = part.observed_idx, part.unobserved_idx
+    mean = data.X @ params.beta
+    y = data.y.copy()
+    r = np.zeros(data.n)   # residual on the model's scale
+    r[obs] = _ystar(kind, y[obs], params) - mean[obs]
+    start = None
+    if y_u_init is None:
+        start = conditional_gaussian(kind, data.W, params.rho, tau, part,
+                                     r[obs])
+        y[u_idx] = _draw_proposal(kind, params, start, mean[u_idx], rng)
+    else:
+        y_u_init = np.asarray(y_u_init, dtype=float)
+        if y_u_init.shape != (u_idx.size,):
+            raise DimensionError("y_u_init must match the unobserved count")
+        y[u_idx] = y_u_init
+    r[u_idx] = _ystar(kind, y[u_idx], params) - mean[u_idx]
+    if start is not None and len(blocks) == 1:
+        conds = [start]   # the one block is the whole unobserved vector
+    else:
+        conds = block_conditionals(kind, data.W, params.rho, tau, blocks, r)
+    means = [mean[b] for b in blocks]
+    m = [data.missing[b] for b in blocks]
+    Xstar = [data.Xstar[b] for b in blocks]
+    stale = np.zeros(len(blocks), dtype=bool)
+    accepts = np.zeros(len(blocks), dtype=int)
+    for _ in range(n1):
+        for j, b in enumerate(blocks):
+            if stale[j]:
+                conds[j] = conds[j].given(r)
+                stale[j] = False
+            y_prop = _draw_proposal(kind, params, conds[j], means[j], rng)
+            u = rng.uniform()
+            if np.all(np.isfinite(y_prop)):
+                a = mh_accept_ratio(m[j], y_prop, y[b], Xstar[j], psi)
+            else:
+                a = 0.0
+            if a > u:
+                y[b] = y_prop
+                r[b] = _ystar(kind, y_prop, params) - means[j]
+                stale[:] = True
+                stale[j] = False
+                accepts[j] += 1
+    return y[u_idx], accepts
+
+
 def mcmc_nob(kind: ModelKind, data: Dataset, theta: np.ndarray,
              y_u_init: np.ndarray | None, n1: int,
              rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Whole-vector MH pass: n1 independence-proposal steps.
 
-    The chain starts from a fresh conditional draw unless y_u_init is given.
-    Returns the final imputation and the acceptance count.
+    The one-block case of the blocked sweep: the conditional is factored
+    and its mean offset computed once. The chain starts from a fresh
+    conditional draw unless y_u_init is given. Returns the final imputation
+    and the acceptance count.
     """
-    params, tau, psi = _split_theta(kind, data, theta)
-    part = data.partition
-    cond, mean_u = _build_conditional(kind, data, params, tau, part,
-                                      data.y[part.observed_idx])
-    if y_u_init is None:
-        y_curr = _draw_proposal(kind, params, cond, mean_u, rng)
-    else:
-        y_curr = np.asarray(y_u_init, dtype=float)
-        if y_curr.shape != (part.unobserved_idx.size,):
-            raise DimensionError("y_u_init must match the unobserved count")
-    m = data.missing
-    accepts = 0
-    for _ in range(n1):
-        y_prop = _draw_proposal(kind, params, cond, mean_u, rng)
-        u = rng.uniform()
-        if np.all(np.isfinite(y_prop)):
-            a = mh_accept_ratio(m, data.complete(y_prop),
-                                data.complete(y_curr), data.Xstar, psi)
-        else:
-            a = 0.0
-        if a > u:
-            y_curr = y_prop
-            accepts += 1
-    return y_curr, accepts
+    y_u, accepts = _mh_sweep(kind, data, theta,
+                             (data.partition.unobserved_idx,), y_u_init, n1,
+                             rng)
+    return y_u, int(accepts[0])
 
 
 def mcmc_allb(kind: ModelKind, data: Dataset, theta: np.ndarray,
@@ -229,46 +271,15 @@ def mcmc_allb(kind: ModelKind, data: Dataset, theta: np.ndarray,
     """Blocked MH pass: n1 sweeps, each updating the blocks in order.
 
     Block proposals condition on the observed responses and the current
-    values of every other block; acceptance compares the full missingness
-    likelihood of the completed vectors. Returns the final imputation and
-    per-block acceptance counts.
+    values of every other block. The acceptance ratio is that of the full
+    missingness likelihood of the completed vectors, computed over the
+    block's sites, where the two vectors differ. Each block's factor is
+    built once per call and its mean offset refreshed only after another
+    block has moved. Returns the final imputation and per-block acceptance
+    counts.
     """
-    params, tau, psi = _split_theta(kind, data, theta)
-    part = data.partition
-    u_idx = part.unobserved_idx
-    blocks.validate_covering(u_idx)
-    if y_u_init is None:
-        cond, mean_u = _build_conditional(kind, data, params, tau, part,
-                                          data.y[part.observed_idx])
-        y_curr = _draw_proposal(kind, params, cond, mean_u, rng)
-    else:
-        y_curr = np.asarray(y_u_init, dtype=float)
-        if y_curr.shape != (u_idx.size,):
-            raise DimensionError("y_u_init must match the unobserved count")
-    # map a site index to its slot in y_u
-    slot = {int(site): k for k, site in enumerate(u_idx)}
-    all_idx = np.arange(data.n)
-    m = data.missing
-    accepts = np.zeros(blocks.n_blocks, dtype=int)
-    for _ in range(n1):
-        for j, block in enumerate(blocks.blocks):
-            known_idx = np.setdiff1d(all_idx, block, assume_unique=True)
-            part_j = Partition(observed_idx=known_idx, unobserved_idx=block)
-            y_full = data.complete(y_curr)
-            prop_block = propose_yu(kind, data, params, tau, part_j,
-                                    y_full[known_idx], rng)
-            u = rng.uniform()
-            if np.all(np.isfinite(prop_block)):
-                y_prop = y_curr.copy()
-                y_prop[[slot[int(s)] for s in block]] = prop_block
-                a = mh_accept_ratio(m, data.complete(y_prop), y_full,
-                                    data.Xstar, psi)
-            else:
-                a = 0.0
-            if a > u:
-                y_curr = y_prop
-                accepts[j] += 1
-    return y_curr, accepts
+    blocks.validate_covering(data.partition.unobserved_idx)
+    return _mh_sweep(kind, data, theta, blocks.blocks, y_u_init, n1, rng)
 
 
 def _impute(kind: ModelKind, data: Dataset, theta: np.ndarray,

@@ -4,7 +4,9 @@ Everything the model family needs from the spatial side lives here: rook
 lattice construction, matrix-vector products with A and A^T, log-determinants
 and quadratic forms in M (A^T A for Gaussian error kinds, A^T Sigma_tau^-1 A
 for Student-t kinds), and the conditional-Gaussian partitioning used both by
-oracle tests and by the missing-data samplers.
+oracle tests and by the missing-data samplers. The samplers take one
+conditional per block (`block_conditionals`), factored once, and re-condition
+it on the other blocks' new values with `ConditionalGaussian.given`.
 
 log|det A| and tr(A^-1 W) are computed exactly. The route depends on whether
 W is diagonally similar to a symmetric matrix, that is whether some positive
@@ -33,7 +35,7 @@ few dozen log-dets (a DIC run) is faster on the banded route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +51,7 @@ __all__ = [
     "SpatialWeights", "Partition", "ConditionalGaussian",
     "build_rook_lattice", "apply_A", "apply_At",
     "logdet_A", "trace_AinvW", "logdet_M", "quad_form_M",
-    "conditional_gaussian",
+    "conditional_gaussian", "block_conditionals",
 ]
 
 # Largest n for which the eigenvalues of W are precomputed densely.
@@ -471,10 +473,17 @@ class ConditionalGaussian:
     For the joint N(mu, sigma^2 M^-1) the unknown block u given the known
     block o is N(mu_u + mean_offset, sigma^2 M_uu^-1), with mean_offset =
     -M_uu^-1 M_uo r_known. `chol_lower` is the lower Cholesky factor of M_uu.
+    The remaining fields (the unknown sites, A = I - rho W, the transpose
+    A_u^T of its unknown columns and the diagonal s of Sigma_tau^-1) let
+    `given` re-condition on a new known residual with the same factor.
     """
 
     mean_offset: np.ndarray
     chol_lower: np.ndarray
+    unknown_idx: np.ndarray = field(repr=False)
+    A: sp.csc_matrix = field(repr=False)
+    A_ut: sp.csr_matrix = field(repr=False)
+    s: np.ndarray = field(repr=False)
 
     def covariance(self, sigma2: float) -> np.ndarray:
         """Dense sigma^2 M_uu^-1 (intended for tests and small blocks)."""
@@ -486,6 +495,51 @@ class ConditionalGaussian:
         """mean_offset + sigma L^-T z, a draw with covariance sigma^2 M_uu^-1."""
         return self.mean_offset + np.sqrt(sigma2) * sla.solve_triangular(
             self.chol_lower, z, trans="T", lower=True)
+
+    def given(self, r: np.ndarray) -> "ConditionalGaussian":
+        """The same block conditioned on the residual r over all n sites.
+
+        r's entries at the unknown sites are not read; the factor is reused.
+        """
+        r_known = np.array(r, dtype=float)
+        r_known[self.unknown_idx] = 0.0
+        # M_uo r_known = A_u^T diag(s) A r_known, zeros in the unknown slots
+        m_uo_r = self.A_ut @ (self.s * (self.A @ r_known))
+        offset = -sla.cho_solve((self.chol_lower, True), m_uo_r)
+        return replace(self, mean_offset=offset)
+
+
+def block_conditionals(kind: ModelKind, W: SpatialWeights, rho: float,
+                       tau: np.ndarray | None,
+                       blocks: tuple[np.ndarray, ...], r: np.ndarray
+                       ) -> list[ConditionalGaussian]:
+    """The conditional of each block of sites given all the other sites.
+
+    blocks are disjoint ascending index arrays and r the residual over all n
+    sites; a block's own entries of r are not read for its conditional. A is
+    built once and each block's M_uu factored once, so a sampler that moves
+    one block re-conditions the others with `ConditionalGaussian.given`.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.shape != (W.n,):
+        raise DimensionError("r must have one entry per site")
+    inv_tau = _inv_tau(kind, W, tau)
+    s = inv_tau if inv_tau is not None else np.ones(W.n)
+    A = a_matrix(W, rho).tocsc()
+    out = []
+    for block in blocks:
+        A_u = A[:, block]
+        A_ut = A_u.T
+        # M_uu = A_u^T diag(s) A_u, dense at block size
+        M_uu = (A_ut @ sp.diags(s) @ A_u).toarray()
+        try:
+            chol = sla.cholesky(M_uu, lower=True)
+        except sla.LinAlgError as exc:
+            raise SingularityError("M_uu is not positive definite") from exc
+        cond = ConditionalGaussian(mean_offset=np.empty(0), chol_lower=chol,
+                                   unknown_idx=block, A=A, A_ut=A_ut, s=s)
+        out.append(cond.given(r))
+    return out
 
 
 def conditional_gaussian(kind: ModelKind, W: SpatialWeights, rho: float,
@@ -502,19 +556,7 @@ def conditional_gaussian(kind: ModelKind, W: SpatialWeights, rho: float,
     r_known = np.asarray(r_known, dtype=float)
     if r_known.shape != (partition.observed_idx.size,):
         raise DimensionError("r_known must match the observed block size")
-    inv_tau = _inv_tau(kind, W, tau)
-    s = inv_tau if inv_tau is not None else np.ones(W.n)
-    A = a_matrix(W, rho).tocsc()
-    A_u = A[:, partition.unobserved_idx]
-    # M_uu = A_u^T diag(s) A_u, dense at block size
-    M_uu = (A_u.T @ sp.diags(s) @ A_u).toarray()
-    # M_uo r_known = A_u^T diag(s) A r_embedded with zeros in the unknown slots
     r_full = np.zeros(W.n)
     r_full[partition.observed_idx] = r_known
-    m_uo_r = A_u.T @ (s * (A @ r_full))
-    try:
-        chol = sla.cholesky(M_uu, lower=True)
-    except sla.LinAlgError as exc:
-        raise SingularityError("M_uu is not positive definite") from exc
-    offset = -sla.cho_solve((chol, True), m_uo_r)
-    return ConditionalGaussian(mean_offset=offset, chol_lower=chol)
+    return block_conditionals(kind, W, rho, tau, (partition.unobserved_idx,),
+                              r_full)[0]

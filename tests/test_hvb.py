@@ -8,13 +8,13 @@ from semvb.errors import DimensionError, DomainError, NumericalError
 from semvb import hvb
 from semvb.likelihoods import Dataset, layout_missing, log_p_m
 from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
-                          link_forward)
+                          link_forward, link_inverse)
 from semvb.spatial import (Partition, build_rook_lattice,
                            conditional_gaussian)
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
 from oracles import dense_M, discrete_mh_transition, schur_conditional, sem_cov
-from util import random_instance
+from util import ALL_KINDS, random_instance
 
 
 def theta_for(inst, psi_zero=False):
@@ -321,6 +321,38 @@ class TestMcmcAllb:
         assert accs.shape == (scheme.n_blocks,)
         assert np.all((accs >= 0) & (accs <= 6))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_hand_built_reference_sweep(self, kind):
+        # with psi = 0 every finite proposal is accepted, so each block must
+        # condition on the values the blocks before it just took; a stale
+        # mean offset breaks the match
+        inst = random_instance(kind, seed=13, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        u_idx = data.partition.unobserved_idx
+        theta = theta_for(inst, psi_zero=True)
+        params, tau, _ = link_inverse(kind, inst["layout"], theta)
+        scheme = hvb.BlockScheme.from_fraction(u_idx, 0.34)
+        assert scheme.n_blocks == 3
+        y_u_init = inst["y_u"] + 0.25
+        got, accs = hvb.mcmc_allb(kind, data, theta, scheme, y_u_init, 2,
+                                  np.random.default_rng(14))
+
+        rng = np.random.default_rng(14)
+        want = y_u_init.copy()
+        for _ in range(2):
+            for block in scheme.blocks:
+                known = np.setdiff1d(np.arange(data.n), block)
+                part = Partition(observed_idx=known, unobserved_idx=block)
+                y_full = data.complete(want)
+                prop = hvb.propose_yu(kind, data, params, tau, part,
+                                      y_full[known], rng)
+                rng.uniform()
+                assert np.all(np.isfinite(prop))
+                want[np.searchsorted(u_idx, block)] = prop
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(accs, [2, 2, 2])
+
     def test_blocks_must_cover(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=12, missing_frac=0.25)
         bad = hvb.BlockScheme(
@@ -328,6 +360,65 @@ class TestMcmcAllb:
         with pytest.raises(DomainError):
             hvb.mcmc_allb(ModelKind.SEM_GAU, inst["data"], theta_for(inst),
                           bad, None, 1, np.random.default_rng(0))
+
+
+class TestBlockRatio:
+    def test_block_sites_give_the_full_vector_ratio(self):
+        # p(m | y, psi) factorizes over sites, so the sites outside the
+        # updated block cancel from the ratio
+        inst = random_instance(ModelKind.YJ_SEM_GAU, seed=15, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        u_idx = data.partition.unobserved_idx
+        psi = MissingnessParams(psi_x=inst["psi"].psi_x, psi_y=-0.8)
+        slots = np.arange(2, 6)
+        block = u_idx[slots]
+        rng = np.random.default_rng(16)
+        y_curr = 2.0 * rng.standard_normal(u_idx.size)
+        ratios = []
+        for _ in range(20):
+            y_prop = y_curr.copy()
+            y_prop[slots] = 2.0 * rng.standard_normal(slots.size)
+            # both directions, so that half the ratios fall below one
+            for new, old in ((y_prop, y_curr), (y_curr, y_prop)):
+                full = hvb.mh_accept_ratio(data.missing, data.complete(new),
+                                           data.complete(old), data.Xstar,
+                                           psi)
+                sliced = hvb.mh_accept_ratio(data.missing[block], new[slots],
+                                             old[slots], data.Xstar[block],
+                                             psi)
+                assert np.log(sliced) == pytest.approx(np.log(full),
+                                                       abs=1e-12)
+                ratios.append(full)
+        assert min(ratios) < 0.1 and max(ratios) == 1.0
+
+    def test_nonfinite_proposal_rejected_after_its_uniform(self, monkeypatch):
+        inst = random_instance(ModelKind.YJ_SEM_GAU, seed=17, lattice=(5, 5),
+                               missing_frac=0.3)
+        data = inst["data"]
+        scheme = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+                                               0.5)
+        draw = hvb._draw_proposal
+
+        def with_inf(*args):
+            y = draw(*args)
+            y[0] = np.inf
+            return y
+
+        monkeypatch.setattr(hvb, "_draw_proposal", with_inf)
+        init = inst["y_u"].copy()
+        rng = np.random.default_rng(18)
+        # psi = 0 would accept any finite proposal
+        y_u, accs = hvb.mcmc_allb(ModelKind.YJ_SEM_GAU, data,
+                                  theta_for(inst, psi_zero=True), scheme,
+                                  init, 1, rng)
+        np.testing.assert_array_equal(y_u, init)
+        np.testing.assert_array_equal(accs, [0, 0])
+        ref = np.random.default_rng(18)
+        for block in scheme.blocks:
+            ref.standard_normal(block.size)
+            ref.uniform()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestStationarity:
