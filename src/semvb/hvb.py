@@ -11,9 +11,11 @@ sites, so a step's ratio is taken over the sites it updates.
 Both inner kernels run one sweep (`_mh_sweep`) over blocks of unobserved
 sites: the blocked kernel, which keeps acceptance rates workable when many
 responses are missing, and the whole-vector kernel as its one-block case.
-A sweep builds A and factors each block's conditional precision once per
-chain, at the drawn parameters; a block's mean offset is recomputed only
-after another block has moved.
+A sweep factors each block's conditional precision once per chain, at the
+drawn parameters, by a banded Cholesky in the block's site order, from a
+band map that `spatial` caches per block; no sparse matrix is built per
+chain. A block's mean offset is recomputed only after another block has
+moved, and its missingness log-pmf only when it accepts a proposal.
 """
 
 from __future__ import annotations
@@ -177,8 +179,12 @@ def mh_accept_ratio(m: np.ndarray, y_proposed_complete: np.ndarray,
     factorizes over sites, so the arguments may be restricted to the sites
     where the two vectors differ.
     """
-    delta = (log_p_m(m, y_proposed_complete, Xstar, psi)
-             - log_p_m(m, y_current_complete, Xstar, psi))
+    return _accept_prob(log_p_m(m, y_proposed_complete, Xstar, psi)
+                        - log_p_m(m, y_current_complete, Xstar, psi))
+
+
+def _accept_prob(delta: float) -> float:
+    """min(1, exp(delta)) for a log ratio delta, without overflow."""
     return min(1.0, float(np.exp(min(delta, 0.0))))
 
 
@@ -199,7 +205,9 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     y_u_init is given. Each block's M_uu is factored once per call; its mean
     offset is recomputed only after another block has moved, so a single
     block computes it once. The acceptance ratio is taken over the block's
-    own sites: every other factor of p(m | y, psi) cancels.
+    own sites: every other factor of p(m | y, psi) cancels. Each block's
+    current log p(m_b | y_b, psi) is kept and replaced on acceptance, so a
+    step evaluates the missingness pmf once, at its proposal.
     Returns the final imputation and per-block acceptance counts.
     """
     params, tau, psi = _split_theta(kind, data, theta)
@@ -227,6 +235,8 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     means = [mean[b] for b in blocks]
     m = [data.missing[b] for b in blocks]
     Xstar = [data.Xstar[b] for b in blocks]
+    log_pm = [log_p_m(m_b, y[b], x_b, psi)
+              for m_b, b, x_b in zip(m, blocks, Xstar)]
     stale = np.zeros(len(blocks), dtype=bool)
     accepts = np.zeros(len(blocks), dtype=int)
     for _ in range(n1):
@@ -236,11 +246,12 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
                 stale[j] = False
             y_prop = _draw_proposal(kind, params, conds[j], means[j], rng)
             u = rng.uniform()
+            a = 0.0
             if np.all(np.isfinite(y_prop)):
-                a = mh_accept_ratio(m[j], y_prop, y[b], Xstar[j], psi)
-            else:
-                a = 0.0
+                log_pm_prop = log_p_m(m[j], y_prop, Xstar[j], psi)
+                a = _accept_prob(log_pm_prop - log_pm[j])
             if a > u:
+                log_pm[j] = log_pm_prop
                 y[b] = y_prop
                 r[b] = _ystar(kind, y_prop, params) - means[j]
                 stale[:] = True

@@ -8,6 +8,15 @@ oracle tests and by the missing-data samplers. The samplers take one
 conditional per block (`block_conditionals`), factored once, and re-condition
 it on the other blocks' new values with `ConditionalGaussian.given`.
 
+A block's precision M_uu = A_u^T diag(s) A_u is a banded GMRF precision
+(Rue & Held 2005, ch. 2). Its lower band, in the block's own ascending site
+order, is linear in the site weights s (1, or 1/tau for Student-t kinds), so
+a sparse map from s to the band is built once per weight matrix and block and
+cached on `SpatialWeights`. Each conditional then costs one sparse product
+and one LAPACK banded Cholesky (`pbtrf`), O(k b^2) for k sites and site-order
+bandwidth b; b is k - 1 when the block's sites follow no spatial order. The
+mean offset needs only products with W and W^T, so A is never formed there.
+
 log|det A| and tr(A^-1 W) are computed exactly. The route depends on whether
 W is diagonally similar to a symmetric matrix, that is whether some positive
 h satisfies h_i W_ij = h_j W_ji (`SpatialWeights.symmetrizer`). Symmetric W
@@ -60,6 +69,9 @@ _EIGEN_MAX_N = 2048
 _SINGULAR_TOL = 1e-10
 # Relative tolerance of h_i W_ij = h_j W_ji in the symmetrizer check.
 _SYM_TOL = 1e-12
+# LAPACK banded Cholesky, its solve, and the banded triangular solve.
+_pbtrf, _pbtrs, _tbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
+                                               (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -192,6 +204,21 @@ class SpatialWeights:
         band = np.zeros((int(k.max(initial=0)) + 1, self.n))
         band[k, s.col[low]] = s.data[low]
         return band
+
+    @cached_property
+    def _block_plans(self) -> dict[bytes, "_BlockPlan"]:
+        """`_BlockPlan` memo keyed by the block's int64 bytes; one entry per
+        distinct block conditioned on, for the life of the weights."""
+        return {}
+
+    def _block_plan(self, block: np.ndarray) -> "_BlockPlan":
+        """The cached map from site weights to the band of this block's M_uu."""
+        block = np.asarray(block, dtype=np.int64)
+        key = block.tobytes()
+        plan = self._block_plans.get(key)
+        if plan is None:
+            plan = self._block_plans[key] = _build_block_plan(self, block)
+        return plan
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.csr @ v
@@ -467,46 +494,107 @@ def quad_form_M(kind: ModelKind, W: SpatialWeights, rho: float,
 
 
 @dataclass(frozen=True)
+class _BlockPlan:
+    """Sparse map from the site weights to the lower band of a block's M_uu.
+
+    For A_u = E_u - rho W_u (the block's columns of A) and S = diag(s),
+    M_uu = E_u^T S E_u - rho (E_u^T S W_u + W_u^T S E_u) + rho^2 W_u^T S W_u
+    is linear in s at fixed rho. `G` stacks the three maps side by side, so
+    G @ [s, -rho s, rho^2 s] is the band, stored so that its reshape to
+    (k, width + 1) and transpose is the Fortran-ordered LAPACK lower band
+    (row d holds the d-th subdiagonal) in the block's site order.
+    """
+
+    width: int
+    G: sp.csr_matrix
+
+
+def _build_block_plan(W: SpatialWeights, block: np.ndarray) -> _BlockPlan:
+    n, k = W.n, block.size
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[block] = np.arange(k)
+    # E_u^T S E_u: s at the diagonal. Entry e of the map puts
+    # vals[e] * (its column's weight) at M_uu[lo_a[e], lo_c[e]], lo_a >= lo_c
+    lo_a, lo_c = [np.arange(k)], [np.arange(k)]
+    cols, vals = [block], [np.ones(k)]
+    # E_u^T S W_u + W_u^T S E_u: a stored W_ij with i, j in the block adds
+    # s_i W_ij at (slot i, slot j) and at its mirror
+    coo = W.csr.tocoo()
+    inner = (slot[coo.row] >= 0) & (slot[coo.col] >= 0)
+    a, c = slot[coo.row[inner]], slot[coo.col[inner]]
+    lo_a.append(np.maximum(a, c))
+    lo_c.append(np.minimum(a, c))
+    cols.append(n + coo.row[inner])
+    vals.append(coo.data[inner])
+    # W_u^T S W_u: every pair of block columns stored in one row i of W
+    # adds s_i W_ia W_ic. `left` repeats each stored entry once per entry
+    # of its row, and `right` runs over those row partners.
+    wu = W.csr[:, block].tocsr()
+    counts = np.diff(wu.indptr)
+    row_of = np.repeat(np.arange(n), counts)
+    reps = counts[row_of]
+    left = np.repeat(np.arange(wu.nnz), reps)
+    right = (np.repeat(wu.indptr[row_of], reps) + np.arange(left.size)
+             - np.repeat(np.cumsum(reps) - reps, reps))
+    a, c = wu.indices[left], wu.indices[right]
+    keep = a >= c
+    lo_a.append(a[keep])
+    lo_c.append(c[keep])
+    cols.append(2 * n + row_of[left[keep]])
+    vals.append(wu.data[left[keep]] * wu.data[right[keep]])
+    lo_a, lo_c = np.concatenate(lo_a), np.concatenate(lo_c)
+    width = int(np.max(lo_a - lo_c, initial=0))
+    G = sp.csr_matrix((np.concatenate(vals),
+                       (lo_c * (width + 1) + lo_a - lo_c, np.concatenate(cols))),
+                      shape=(k * (width + 1), 3 * n))
+    return _BlockPlan(width=width, G=G)
+
+
+@dataclass(frozen=True)
 class ConditionalGaussian:
     """Conditional distribution of the unknown block given the known block.
 
     For the joint N(mu, sigma^2 M^-1) the unknown block u given the known
     block o is N(mu_u + mean_offset, sigma^2 M_uu^-1), with mean_offset =
-    -M_uu^-1 M_uo r_known. `chol_lower` is the lower Cholesky factor of M_uu.
-    The remaining fields (the unknown sites, A = I - rho W, the transpose
-    A_u^T of its unknown columns and the diagonal s of Sigma_tau^-1) let
-    `given` re-condition on a new known residual with the same factor.
+    -M_uu^-1 M_uo r_known. `chol_lower` is the lower Cholesky factor of M_uu
+    in LAPACK band storage (row d holds the d-th subdiagonal, in the order
+    of `unknown_idx`). The remaining fields (the unknown sites, W, rho and
+    the diagonal s of Sigma_tau^-1) let `given` re-condition on a new known
+    residual with the same factor.
     """
 
     mean_offset: np.ndarray
     chol_lower: np.ndarray
     unknown_idx: np.ndarray = field(repr=False)
-    A: sp.csc_matrix = field(repr=False)
-    A_ut: sp.csr_matrix = field(repr=False)
+    W: SpatialWeights = field(repr=False)
+    rho: float = field(repr=False)
     s: np.ndarray = field(repr=False)
 
     def covariance(self, sigma2: float) -> np.ndarray:
         """Dense sigma^2 M_uu^-1 (intended for tests and small blocks)."""
-        k = self.chol_lower.shape[0]
-        inv = sla.cho_solve((self.chol_lower, True), np.eye(k))
+        k = self.chol_lower.shape[1]
+        inv, _ = _pbtrs(self.chol_lower, np.eye(k), lower=1)
         return sigma2 * inv
 
     def sample(self, sigma2: float, z: np.ndarray) -> np.ndarray:
         """mean_offset + sigma L^-T z, a draw with covariance sigma^2 M_uu^-1."""
-        return self.mean_offset + np.sqrt(sigma2) * sla.solve_triangular(
-            self.chol_lower, z, trans="T", lower=True)
+        x, _ = _tbtrs(self.chol_lower, z, uplo="L", trans="T")
+        return self.mean_offset + np.sqrt(sigma2) * x
 
     def given(self, r: np.ndarray) -> "ConditionalGaussian":
         """The same block conditioned on the residual r over all n sites.
 
         r's entries at the unknown sites are not read; the factor is reused.
         """
+        u, rho = self.unknown_idx, self.rho
         r_known = np.array(r, dtype=float)
-        r_known[self.unknown_idx] = 0.0
-        # M_uo r_known = A_u^T diag(s) A r_known, zeros in the unknown slots
-        m_uo_r = self.A_ut @ (self.s * (self.A @ r_known))
-        offset = -sla.cho_solve((self.chol_lower, True), m_uo_r)
-        return replace(self, mean_offset=offset)
+        r_known[u] = 0.0
+        # M_uo r_known = A_u^T diag(s) A r_known = t_u - rho (W^T t)_u for
+        # t = s * (A r_known)
+        t = self.s * (r_known - rho * (self.W.csr @ r_known))
+        m_uo_r = t[u] - rho * (self.W.csr_t @ t)[u]
+        x, _ = _pbtrs(self.chol_lower, m_uo_r, lower=1)
+        return replace(self, mean_offset=-x)
 
 
 def block_conditionals(kind: ModelKind, W: SpatialWeights, rho: float,
@@ -516,28 +604,30 @@ def block_conditionals(kind: ModelKind, W: SpatialWeights, rho: float,
     """The conditional of each block of sites given all the other sites.
 
     blocks are disjoint ascending index arrays and r the residual over all n
-    sites; a block's own entries of r are not read for its conditional. A is
-    built once and each block's M_uu factored once, so a sampler that moves
-    one block re-conditions the others with `ConditionalGaussian.given`.
+    sites; a block's own entries of r are not read for its conditional. Each
+    block's M_uu is assembled from its cached `_BlockPlan` and factored
+    once by a banded Cholesky in site order, O(k b^2) for k sites and
+    bandwidth b (full, b = k - 1, for sites in no spatial order), so a
+    sampler that moves one block re-conditions the others with
+    `ConditionalGaussian.given`.
     """
+    _check_rho(rho)
     r = np.asarray(r, dtype=float)
     if r.shape != (W.n,):
         raise DimensionError("r must have one entry per site")
     inv_tau = _inv_tau(kind, W, tau)
     s = inv_tau if inv_tau is not None else np.ones(W.n)
-    A = a_matrix(W, rho).tocsc()
+    weights = np.concatenate([s, -rho * s, (rho * rho) * s])
     out = []
     for block in blocks:
-        A_u = A[:, block]
-        A_ut = A_u.T
-        # M_uu = A_u^T diag(s) A_u, dense at block size
-        M_uu = (A_ut @ sp.diags(s) @ A_u).toarray()
-        try:
-            chol = sla.cholesky(M_uu, lower=True)
-        except sla.LinAlgError as exc:
-            raise SingularityError("M_uu is not positive definite") from exc
+        plan = W._block_plan(block)
+        band = (plan.G @ weights).reshape(block.size, plan.width + 1).T
+        chol, info = _pbtrf(band, lower=1, overwrite_ab=1)
+        # a NaN pivot passes pbtrf's test, so check the diagonal as well
+        if info or not np.all(chol[0] > 0.0):
+            raise SingularityError("M_uu is not positive definite")
         cond = ConditionalGaussian(mean_offset=np.empty(0), chol_lower=chol,
-                                   unknown_idx=block, A=A, A_ut=A_ut, s=s)
+                                   unknown_idx=block, W=W, rho=rho, s=s)
         out.append(cond.given(r))
     return out
 
@@ -548,8 +638,8 @@ def conditional_gaussian(kind: ModelKind, W: SpatialWeights, rho: float,
     """Partition M = A^T Sigma_tau^-1 A and condition on the known block.
 
     r_known is the residual over partition.observed_idx (in that order).
-    Returns the mean offset -M_uu^-1 M_uo r_known and the Cholesky factor of
-    M_uu; the caller adds X_u beta and scales by sigma^2.
+    Returns the mean offset -M_uu^-1 M_uo r_known and the banded Cholesky
+    factor of M_uu; the caller adds X_u beta and scales by sigma^2.
     """
     if partition.n != W.n:
         raise DimensionError("partition does not cover this weight matrix")

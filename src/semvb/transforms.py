@@ -44,6 +44,19 @@ def _check_gamma(gamma, y_or_z) -> None:
         raise DomainError("gamma = 2 is only defined on the nonnegative branch")
 
 
+def _sides(x: np.ndarray):
+    """The mask x >= 0 and x's elements on each side of it.
+
+    For 0-d x the element is a numpy scalar, whose power can differ from
+    the array loop's in the last bit, and the other side is empty.
+    """
+    pos = x >= 0
+    if x.ndim:
+        return pos, x[pos], x[~pos]
+    none = np.empty(0)
+    return (pos, x[()], none) if pos else (pos, none, x[()])
+
+
 def yj_forward(y, gamma):
     """Yeo-Johnson transform t_gamma(y).
 
@@ -53,10 +66,13 @@ def yj_forward(y, gamma):
     _check_gamma(gamma, y)
     y = np.asarray(y, dtype=float)
     g = float(gamma)
-    pos = ((1.0 + np.maximum(y, 0.0)) ** g - 1.0) / g
-    # 2 - g > 0 is guaranteed whenever this branch is reached
-    neg = -(((1.0 - np.minimum(y, 0.0)) ** (2.0 - g) - 1.0) / (2.0 - g)) if g < 2.0 else np.zeros_like(y)
-    out = np.where(y >= 0, pos, neg)
+    pos, y_pos, y_neg = _sides(y)
+    out = np.empty_like(y)
+    out[pos] = ((1.0 + y_pos) ** g - 1.0) / g
+    # 2 - g > 0 whenever a negative y passed _check_gamma; a NaN maps to 0
+    # at g = 2, where no branch holds it
+    out[~pos] = (-(((1.0 - y_neg) ** (2.0 - g) - 1.0) / (2.0 - g))
+                 if g < 2.0 else 0.0)
     return out if out.ndim else float(out)
 
 
@@ -69,18 +85,19 @@ def yj_inverse(z, gamma):
     _check_gamma(gamma, z)
     z = np.asarray(z, dtype=float)
     g = float(gamma)
-    base_pos = np.maximum(z, 0.0) * g + 1.0
-    pos = base_pos ** (1.0 / g) - 1.0
+    pos, z_pos, z_neg = _sides(z)
+    out = np.empty_like(z)
     if g < 2.0:
-        base_neg = -(2.0 - g) * np.minimum(z, 0.0) + 1.0
-        if np.any(np.where(z < 0, base_neg, 1.0) < _INVERSE_GUARD):
+        base_neg = -(2.0 - g) * z_neg + 1.0
+        if np.any(base_neg < _INVERSE_GUARD):
             raise DomainError("argument outside the image of yj_forward")
-        neg = 1.0 - base_neg ** (1.0 / (2.0 - g))
+        out[~pos] = 1.0 - base_neg ** (1.0 / (2.0 - g))
     else:
-        neg = np.zeros_like(z)
-    if np.any(np.where(z >= 0, base_pos, 1.0) < _INVERSE_GUARD):
+        out[~pos] = 0.0
+    base_pos = z_pos * g + 1.0
+    if np.any(base_pos < _INVERSE_GUARD):
         raise DomainError("argument outside the image of yj_forward")
-    out = np.where(z >= 0, pos, neg)
+    out[pos] = base_pos ** (1.0 / g) - 1.0
     return out if out.ndim else float(out)
 
 

@@ -10,6 +10,7 @@ and `hvb.hvb_fit` on a target that first imputes the missing responses.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,14 @@ __all__ = [
     "sample_q", "log_q0", "reparam_grads", "adadelta_step",
     "init_lambda", "vb_fit", "draw_posterior",
 ]
+
+
+@functools.cache
+def _tril_indices(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(s, 0, p), built once per shape and shared read-only."""
+    i, j = np.tril_indices(s, 0, p)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,7 @@ class VariationalParams:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(B))
                 and np.all(np.isfinite(d))):
             raise DomainError("variational parameters must be finite")
-        i, j = np.triu_indices(s, k=1, m=B.shape[1])
-        if np.any(B[i, j] != 0.0):
+        if np.any(np.triu(B, 1)):
             raise DomainError("B must have a zero strict upper triangle")
 
     @property
@@ -71,7 +79,8 @@ class VariationalParams:
         return self.B @ self.B.T + np.diag(self.d * self.d)
 
     def tril(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.tril_indices(self.s, 0, self.p)
+        """Read-only row and column indices of B's lower triangle."""
+        return _tril_indices(self.s, self.p)
 
     def flat(self) -> np.ndarray:
         """Stack (mu, vech(B), d) into the lambda vector ADADELTA steps."""
@@ -269,7 +278,7 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
     if p > s:
         raise DomainError(f"n_factors = {p} exceeds parameter count {s}")
     B = np.zeros((s, p))
-    i, j = np.tril_indices(s, 0, p)
+    i, j = _tril_indices(s, p)
     B[i, j] = 0.01
     return VariationalParams(mu=mu, B=B, d=np.full(s, 0.01))
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from semvb.errors import DimensionError, DomainError, NumericalError
-from semvb import hvb
+from semvb import hvb, spatial
 from semvb.likelihoods import Dataset, layout_missing, log_p_m
 from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
                           link_forward, link_inverse)
@@ -352,6 +352,29 @@ class TestMcmcAllb:
                 want[np.searchsorted(u_idx, block)] = prop
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
         np.testing.assert_array_equal(accs, [2, 2, 2])
+
+    def test_block_plans_built_once_per_block(self, monkeypatch):
+        inst = random_instance(ModelKind.SEM_T, seed=19, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        scheme = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+                                               0.34)
+        built = []
+        make = spatial._build_block_plan
+
+        def counted(W, block):
+            built.append(block.tobytes())
+            return make(W, block)
+
+        monkeypatch.setattr(spatial, "_build_block_plan", counted)
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            hvb.mcmc_allb(ModelKind.SEM_T, data, theta_for(inst), scheme,
+                          None, 2, rng)
+        # each block, plus the whole unobserved set for the chain start
+        want = [data.partition.unobserved_idx.tobytes()]
+        want += [b.tobytes() for b in scheme.blocks]
+        assert sorted(built) == sorted(want)
 
     def test_blocks_must_cover(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=12, missing_frac=0.25)

@@ -360,3 +360,78 @@ class TestConditionalGaussian:
         with pytest.raises(DimensionError):
             spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.2, None, part,
                                          np.zeros(2))
+
+
+def _relabelled(W: spatial.SpatialWeights, perm: np.ndarray
+                ) -> spatial.SpatialWeights:
+    """W with site i renamed perm[i]."""
+    return spatial.SpatialWeights(n=W.n, rows=perm[W.rows], cols=perm[W.cols],
+                                  weights=W.weights,
+                                  row_standardized=W.row_standardized)
+
+
+def _weighted(W: spatial.SpatialWeights, seed: int) -> spatial.SpatialWeights:
+    """D^-1 C for a random symmetric C on W's edges: unequal row entries."""
+    c = np.random.default_rng(seed).uniform(0.5, 2.0, size=(W.n, W.n))
+    c = (c + c.T)[W.rows, W.cols]
+    w = c / np.bincount(W.rows, weights=c, minlength=W.n)[W.rows]
+    return spatial.SpatialWeights(n=W.n, rows=W.rows, cols=W.cols, weights=w,
+                                  row_standardized=True)
+
+
+class TestBandedConditional:
+    """The banded block conditional against the dense Schur complement."""
+
+    LATTICE = spatial.build_rook_lattice(6, 6)
+    PERM = np.random.default_rng(0).permutation(36)
+    ROWS = np.array([7, 8, 9, 10, 13, 14, 16, 19, 20, 21, 22, 26])
+    # (weights, unknown block, bandwidth of its M_uu in site order)
+    CASES = {
+        "row-major": (LATTICE, ROWS, 7),
+        "weighted": (_weighted(LATTICE, 4), ROWS, 7),
+        # sites in no spatial order: a full band
+        "shuffled": (_relabelled(LATTICE, PERM), np.sort(PERM[ROWS]), 11),
+        # sites three steps apart share no neighbour
+        "isolated": (LATTICE, np.array([0, 3, 18, 21]), 0),
+        "one-site": (LATTICE, np.array([14]), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("rho", [0.6, -0.4])
+    def test_against_schur_oracle(self, case, kind, rho):
+        W, unknown, width = self.CASES[case]
+        rng = np.random.default_rng(11)
+        n = W.n
+        tau = rng.gamma(2.0, 1.0, size=n) if kind.student_t else None
+        known = np.setdiff1d(np.arange(n), unknown)
+        part = spatial.Partition(observed_idx=known, unobserved_idx=unknown)
+        r_known = rng.standard_normal(known.size)
+
+        cond = spatial.conditional_gaussian(kind, W, rho, tau, part, r_known)
+
+        assert W._block_plan(unknown).width == width
+        cov = 0.7 * np.linalg.inv(dense_M(W.csr.toarray(), rho, tau))
+        om, oc = schur_conditional(np.zeros(n), cov, known, unknown, r_known)
+        np.testing.assert_allclose(cond.mean_offset, om, atol=1e-10)
+        np.testing.assert_allclose(cond.covariance(0.7), oc, atol=1e-10)
+        # sample is mean_offset + sigma L^-T z: its columns over unit z
+        # carry the covariance
+        cols = np.stack([cond.sample(0.7, e) - cond.mean_offset
+                         for e in np.eye(unknown.size)], axis=1)
+        np.testing.assert_allclose(cols @ cols.T, oc, atol=1e-10)
+
+    def test_plan_memoized_per_block(self):
+        W, unknown, _ = self.CASES["row-major"]
+        plan = W._block_plan(unknown)
+        assert W._block_plan(unknown.copy()) is plan
+        assert W._block_plan(unknown[:-1]) is not plan
+
+    def test_not_positive_definite_raises(self):
+        # without neighbours M_uu = 1 / tau_u, which tau_u = inf zeroes
+        W = spatial.SpatialWeights(n=3, rows=[], cols=[], weights=[])
+        part = spatial.Partition(observed_idx=[0, 2], unobserved_idx=[1])
+        with pytest.raises(SingularityError):
+            spatial.conditional_gaussian(ModelKind.SEM_T, W, 0.3,
+                                         np.array([1.0, np.inf, 1.0]), part,
+                                         np.zeros(2))

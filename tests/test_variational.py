@@ -39,6 +39,16 @@ class TestVariationalParams:
         np.testing.assert_array_equal(same.B, lam.B)
         np.testing.assert_array_equal(same.d, lam.d)
 
+    def test_tril_indices_shared_read_only(self):
+        lam = small_lam()
+        i, j = lam.tril()
+        want_i, want_j = np.tril_indices(lam.s, 0, lam.p)
+        np.testing.assert_array_equal(i, want_i)
+        np.testing.assert_array_equal(j, want_j)
+        assert lam.with_step(np.zeros(lam.flat().size)).tril()[0] is i
+        with pytest.raises(ValueError):
+            i[0] = 1
+
     def test_step_keeps_mask(self):
         lam = small_lam()
         rng = np.random.default_rng(1)
