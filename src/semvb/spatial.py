@@ -17,24 +17,27 @@ and one LAPACK banded Cholesky (`pbtrf`), O(k b^2) for k sites and site-order
 bandwidth b; b is k - 1 when the block's sites follow no spatial order. The
 mean offset needs only products with W and W^T, so A is never formed there.
 
-log|det A| and tr(A^-1 W) are computed exactly. The route depends on whether
-W is diagonally similar to a symmetric matrix, that is whether some positive
-h satisfies h_i W_ij = h_j W_ji (`SpatialWeights.symmetrizer`). Symmetric W
-and row-standardized W = D^-1 C with symmetric C both are. For such W,
-S = H^1/2 W H^-1/2 is symmetric with det(I - rho W) = det(I - rho S) and
-tr(A^-1 W) = tr((I - rho S)^-1 S):
+log|det A| and tr(A^-1 W) are computed exactly. The route depends on n and
+on whether W is diagonally similar to a symmetric matrix, that is whether
+some positive h satisfies h_i W_ij = h_j W_ji
+(`SpatialWeights.symmetrizer`). Symmetric W and row-standardized
+W = D^-1 C with symmetric C both are. For such W, S = H^1/2 W H^-1/2 is
+symmetric with det(I - rho W) = det(I - rho S) and
+tr(A^-1 W) = tr((I - rho S)^-1 S).
 
-- n <= _EIGEN_MAX_N: the real eigenvalues of S (`eigvalsh`, once per weight
-  matrix) make both quantities O(n) per rho.
-- n > _EIGEN_MAX_N: a reverse Cuthill-McKee ordering and the band of S are
-  cached once; each rho runs one banded Cholesky of I - rho S (log-det from
-  its diagonal) and, for the trace, Takahashi's selected inversion over the
-  band, O(n b^2) for bandwidth b.
-
-Any other W takes the general complex `eigvals` below the cap and a sparse
-LU with sign tracking (plus blocked solves for the trace) past it. So does a
-rho at which I - rho S is not safely positive definite, which keeps the
-SingularityError semantics of the LU route.
+- n <= _EIGEN_MAX_N: the eigenvalues of W, once per weight matrix, make
+  both quantities O(n) per rho. They are real (`eigvalsh` of S) for
+  symmetrizable W and the general complex `eigvals` otherwise.
+- n > _EIGEN_MAX_N, log-det: a reverse Cuthill-McKee ordering and the band
+  of S are cached once, and each rho runs one banded Cholesky of
+  I - rho S, O(n b^2) for bandwidth b; the log-det is read off its
+  diagonal.
+- n > _EIGEN_MAX_N, everything else: one sparse LU of I - (rho + ih) W in
+  complex arithmetic (`_lu_route`) gives the log-det, the sign of the
+  determinant and, by the complex step, the trace. It serves the trace for
+  every W, and the log-det where W has no symmetrizer or I - rho S is not
+  safely positive definite, which keeps the SingularityError semantics
+  there.
 
 The cap stays at 2048 although the banded route is exact at any n: at
 n = 2116 one eigvalsh takes about 1 s at one thread, the cost of several
@@ -67,6 +70,9 @@ __all__ = [
 _EIGEN_MAX_N = 2048
 # |1 - rho*lambda| below this is treated as a singular A.
 _SINGULAR_TOL = 1e-10
+# Imaginary step h of the complex-step LU: far below the rounding of rho, so
+# the real part of the factor is that of I - rho W, yet far above underflow.
+_COMPLEX_STEP = 1e-30
 # Relative tolerance of h_i W_ij = h_j W_ji in the symmetrizer check.
 _SYM_TOL = 1e-12
 # LAPACK banded Cholesky, its solve, and the banded triangular solve.
@@ -192,7 +198,7 @@ class SpatialWeights:
 
         Row k holds the k-th subdiagonal, band[k, j] = S[j + k, j] (the
         `scipy.linalg.cholesky_banded` layout). A symmetric permutation
-        changes neither det(I - rho S) nor tr((I - rho S)^-1 S).
+        does not change det(I - rho S).
         """
         if self.symmetrizer is None:
             return None
@@ -324,40 +330,43 @@ def a_matrix(W: SpatialWeights, rho: float) -> sp.csr_matrix:
 
 
 def _perm_sign(perm: np.ndarray) -> int:
-    """Sign of a permutation via cycle decomposition."""
+    """Sign of a permutation, (-1)^(n - c) for its c cycles.
+
+    The cycles are the weakly connected components of the graph i -> perm[i].
+    """
     perm = np.asarray(perm)
-    seen = np.zeros(perm.size, dtype=bool)
-    sign = 1
-    for start in range(perm.size):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    n = perm.size
+    graph = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    cycles, _ = csgraph.connected_components(graph, directed=True,
+                                             connection="weak")
+    return -1 if (n - cycles) % 2 else 1
 
 
-def _splu_A(W: SpatialWeights, rho: float) -> spla.SuperLU:
+def _lu_route(W: SpatialWeights, rho: float) -> tuple[float, int, float]:
+    """log|det A|, the sign of det A and tr(A^-1 W) from one sparse LU.
+
+    The LU runs in complex arithmetic on I - (rho + ih) W with
+    h = _COMPLEX_STEP. By the complex-step derivative (Squire & Trapp 1998;
+    Martins, Sturdza & Alonso 2003),
+    log det A(rho + ih) = log det A(rho) - ih tr(A^-1 W) + O(h^2),
+    so with u the diagonal of U, log|det A| = sum log|Re u_j| and
+    tr(A^-1 W) = -sum Im u_j / (h Re u_j). No difference is taken, so both
+    are exact to the LU's own rounding. Complex SuperLU does not flag an
+    exactly singular A (its pivot keeps an imaginary part of order h),
+    hence the check on Re u_j.
+    """
+    a = sp.identity(W.n, format="csr") - (rho + 1j * _COMPLEX_STEP) * W.csr
     try:
-        return spla.splu(a_matrix(W, rho).tocsc())
+        lu = spla.splu(a.tocsc())
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularityError(f"A = I - rho W is singular at rho = {rho}") from exc
-
-
-def _logdet_A_splu(W: SpatialWeights, rho: float) -> float:
-    lu = _splu_A(W, rho)
     diag = lu.U.diagonal()
-    if np.any(np.abs(diag) < _SINGULAR_TOL):
+    re = diag.real
+    if np.any(np.abs(re) < _SINGULAR_TOL):
         raise SingularityError(f"A = I - rho W is singular at rho = {rho}")
-    sign = _perm_sign(lu.perm_r) * _perm_sign(lu.perm_c) * int(np.prod(np.sign(diag)))
-    if sign <= 0:
-        raise SingularityError(f"det(I - rho W) is not positive at rho = {rho}")
-    return float(np.sum(np.log(np.abs(diag))))
+    sign = _perm_sign(lu.perm_r) * _perm_sign(lu.perm_c) * int(np.prod(np.sign(re)))
+    trace = -float(np.sum(diag.imag / re)) / _COMPLEX_STEP
+    return float(np.sum(np.log(np.abs(re)))), sign, trace
 
 
 def _banded_cholesky(W: SpatialWeights, rho: float) -> np.ndarray | None:
@@ -382,41 +391,18 @@ def _banded_cholesky(W: SpatialWeights, rho: float) -> np.ndarray | None:
     return chol
 
 
-def _selected_inverse_trace(chol: np.ndarray, band: np.ndarray) -> float:
-    """tr(Q^-1 S) for Q = L L^T, from the banded factor L and the band of S.
-
-    Takahashi's recursion (Rue & Held 2005, ch. 2) gives the entries of
-    Sigma = Q^-1 inside the band, last row first:
-    Sigma_ij = delta_ij / L_ii^2 - sum_{k>i} L_ki Sigma_kj / L_ii for j >= i.
-    Only those entries meet the nonzeros of S, whose diagonal is zero, so
-    tr(Sigma S) = 2 sum_{i<j} Sigma_ij S_ij. `win` holds the dense block
-    Sigma[i:i+b+1, i:i+b+1] as i moves up.
-    """
-    b, n = chol.shape[0] - 1, chol.shape[1]
-    win = np.zeros((b + 1, b + 1))
-    total = 0.0
-    for i in range(n - 1, -1, -1):
-        m = min(b, n - 1 - i)
-        win[1:, 1:] = win[:-1, :-1]
-        d = chol[0, i]
-        col = chol[1:m + 1, i]
-        row = win[1:m + 1, 1:m + 1] @ col / -d
-        win[0, 1:m + 1] = row
-        win[1:m + 1, 0] = row
-        win[0, 0] = (1.0 / d - col @ row) / d
-        total += row @ band[1:m + 1, i]
-    return 2.0 * total
-
-
 def logdet_A(W: SpatialWeights, rho: float) -> float:
     """log det(I - rho W); raises SingularityError on a nonpositive determinant."""
     _check_rho(rho)
     lam = W.eigenvalues
     if lam is None:
         chol = _banded_cholesky(W, rho)
-        if chol is None:
-            return _logdet_A_splu(W, rho)
-        return 2.0 * float(np.sum(np.log(chol[0])))
+        if chol is not None:
+            return 2.0 * float(np.sum(np.log(chol[0])))
+        logdet, sign, _ = _lu_route(W, rho)
+        if sign <= 0:
+            raise SingularityError(f"det(I - rho W) is not positive at rho = {rho}")
+        return logdet
     factors = 1.0 - rho * lam
     if np.any(np.abs(factors) < _SINGULAR_TOL):
         raise SingularityError(f"A = I - rho W is singular at rho = {rho}")
@@ -429,22 +415,6 @@ def logdet_A(W: SpatialWeights, rho: float) -> float:
     return float(np.sum(np.log(np.abs(factors))))
 
 
-def _trace_AinvW_splu(W: SpatialWeights, rho: float) -> float:
-    """tr(A^-1 W) from one sparse LU and blocked solves against columns of W."""
-    lu = _splu_A(W, rho)
-    total = 0.0
-    block = 256
-    dense_w = None
-    for start in range(0, W.n, block):
-        stop = min(start + block, W.n)
-        if dense_w is None or dense_w.shape[1] != stop - start:
-            dense_w = np.empty((W.n, stop - start))
-        dense_w[:] = W.csr[:, start:stop].toarray()
-        sol = lu.solve(dense_w)
-        total += float(np.sum(sol[np.arange(start, stop), np.arange(stop - start)]))
-    return total
-
-
 def trace_AinvW(W: SpatialWeights, rho: float) -> float:
     """tr(A^-1 W), the derivative -d log det(I - rho W)/d rho."""
     _check_rho(rho)
@@ -454,10 +424,7 @@ def trace_AinvW(W: SpatialWeights, rho: float) -> float:
         if np.any(np.abs(factors) < _SINGULAR_TOL):
             raise SingularityError(f"A = I - rho W is singular at rho = {rho}")
         return float(np.real(np.sum(lam / factors)))
-    chol = _banded_cholesky(W, rho)
-    if chol is None:
-        return _trace_AinvW_splu(W, rho)
-    return _selected_inverse_trace(chol, W.sym_band)
+    return _lu_route(W, rho)[2]
 
 
 def _inv_tau(kind: ModelKind, W: SpatialWeights, tau: np.ndarray | None) -> np.ndarray | None:

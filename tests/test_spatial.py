@@ -109,8 +109,10 @@ class TestLogdet:
     def test_splu_path_matches_eigen_path(self):
         W = spatial.build_rook_lattice(6, 7)
         for rho in (-0.7, 0.2, 0.9):
-            assert spatial._logdet_A_splu(W, rho) == pytest.approx(
-                spatial.logdet_A(W, rho), abs=1e-9)
+            logdet, sign, trace = spatial._lu_route(W, rho)
+            assert sign == 1
+            assert logdet == pytest.approx(spatial.logdet_A(W, rho), abs=1e-9)
+            assert trace == pytest.approx(spatial.trace_AinvW(W, rho), abs=1e-9)
 
     def test_singular_a_raises(self):
         # doubled weights push an eigenvalue to 2, so A is singular at 0.5
@@ -121,7 +123,38 @@ class TestLogdet:
         with pytest.raises(SingularityError):
             spatial.logdet_A(W, 0.6)  # determinant has gone negative
         with pytest.raises(SingularityError):
-            spatial._logdet_A_splu(W, 0.6)
+            spatial._lu_route(W, 0.5)
+        assert spatial._lu_route(W, 0.6)[1] == -1  # logdet_A rejects it
+
+    def test_indefinite_past_cap_takes_lu_value(self, monkeypatch):
+        # two disjoint pairs with weight 2: eigenvalues 2, 2, -2, -2, so
+        # I - 0.6 S is indefinite but det(A) = 0.04 * 4.84 > 0
+        def make():
+            return spatial.SpatialWeights(n=4, rows=[0, 1, 2, 3],
+                                          cols=[1, 0, 3, 2],
+                                          weights=[2.0, 2.0, 2.0, 2.0])
+        W_eig, rho = make(), 0.6
+        dense = W_eig.csr.toarray()
+        A = np.eye(4) - rho * dense
+        sign, ld = np.linalg.slogdet(A)
+        assert sign > 0 and ld == pytest.approx(np.log(0.1936), abs=1e-12)
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 1)
+        W = make()
+        assert W.eigenvalues is None and W.sym_band is not None
+        assert spatial._banded_cholesky(W, rho) is None
+        assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-12)
+        assert spatial.logdet_A(W, rho) == pytest.approx(
+            spatial.logdet_A(W_eig, rho), abs=1e-12)
+        assert spatial.trace_AinvW(W, rho) == pytest.approx(
+            np.trace(np.linalg.solve(A, dense)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 50])
+    def test_perm_sign_matches_det(self, n):
+        rng = np.random.default_rng(n)
+        perms = [np.arange(n)] + [rng.permutation(n) for _ in range(20)]
+        for perm in perms:
+            expected = np.linalg.det(np.eye(n)[perm])
+            assert spatial._perm_sign(perm) == round(expected)
 
     def test_tau_required_and_positive(self):
         W = two_node_raw()
