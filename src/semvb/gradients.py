@@ -1,5 +1,12 @@
 """Analytic gradients of the log h targets and of the variational density.
 
+`grad_log_h_full` and `grad_log_h_missing` return the gradient and the value
+of log h from one pass: the link inverse, the residual with its Yeo-Johnson
+transform, A r and the missingness predictor eta are computed once per draw
+and serve both, and the log-det comes from `spatial.logdet_M`. That value is
+the one implementation of log h. `grad_log_q0` and `variational.log_q0` share
+one Woodbury core, `_log_q0_and_grad`, which the SGA loop calls once a draw.
+
 Every gradient here is the exact chain-rule derivative of the corresponding
 implemented target over the unconstrained vector theta, and the test suite
 certifies each block against central finite differences of that target. The
@@ -13,10 +20,11 @@ import numpy as np
 from scipy.special import digamma
 
 from .errors import DimensionError, SingularityError
-from .likelihoods import Dataset, layout_full, layout_missing
+from .likelihoods import (Dataset, _log_p_m_eta, _loglik_shell, layout_full,
+                          layout_missing, log_prior, residual_r)
 from .missingness import expit
-from .models import ModelKind, Priors, ThetaLayout, link_inverse
-from .spatial import apply_A, apply_At, trace_AinvW
+from .models import ModelKind, ModelParams, Priors, ThetaLayout, link_inverse
+from .spatial import apply_A, apply_At, logdet_M, trace_AinvW
 from .transforms import (dgamma_dlink, drho_dlink, yj_dgamma,
                          yj_dlogdy_dgamma)
 
@@ -24,13 +32,11 @@ __all__ = ["grad_log_h_full", "grad_log_h_missing", "grad_log_q0"]
 
 
 def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
-               theta: np.ndarray, priors: Priors, y_complete: np.ndarray,
-               grad: np.ndarray) -> None:
-    """Fill the likelihood + prior gradient blocks shared by both targets."""
-    from .likelihoods import residual_r
-    from .transforms import yj_dy
-
-    params, tau, _ = link_inverse(kind, layout, theta)
+               theta: np.ndarray, params: ModelParams,
+               tau: np.ndarray | None, priors: Priors,
+               y_complete: np.ndarray, grad: np.ndarray) -> float:
+    """Fill the likelihood + prior gradient blocks shared by both targets
+    and return the complete-data log-likelihood at y_complete."""
     W = data.W
     n = data.n
     inv_sig2 = 1.0 / params.sigma2
@@ -41,6 +47,8 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
     s_ar = s * ar if s is not None else ar
     mr = apply_At(W, params.rho, s_ar)          # M r
     quad = float(ar @ s_ar)                     # r^T M r
+    ll = _loglik_shell(n, params.sigma2, logdet_M(kind, W, params.rho, tau),
+                       quad)
 
     grad[layout.beta] = inv_sig2 * (data.X.T @ mr) \
         - theta[layout.beta] / priors.var_beta
@@ -67,56 +75,72 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
                             + half_nu * (exp_neg - 1.0))
 
     if kind.yeo_johnson:
+        # log dt/dy is linear in gamma on each branch, so the log-Jacobian
+        # sum log dt/dy is (gamma - 1) times its gamma-derivative
+        dlogjac = float(np.sum(yj_dlogdy_dgamma(y_complete)))
         dll_dgamma = (-inv_sig2 * float(mr @ yj_dgamma(y_complete, params.gamma))
-                      + float(np.sum(yj_dlogdy_dgamma(y_complete))))
+                      + dlogjac)
         grad[layout.gamma] = (dll_dgamma * dgamma_dlink(theta[layout.gamma])
                               - theta[layout.gamma] / priors.var_gamma)
+        ll += (params.gamma - 1.0) * dlogjac
+    return ll
 
 
 def grad_log_h_full(kind: ModelKind, data: Dataset, theta: np.ndarray,
-                    priors: Priors) -> np.ndarray:
-    """Gradient of the complete-data log h with respect to theta."""
+                    priors: Priors) -> tuple[np.ndarray, float]:
+    """Gradient of the complete-data log h with respect to theta, and log h
+    (loglik + log prior) from the same pass."""
     data.require_complete()
     layout = layout_full(kind, data)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (layout.size,):
         raise DimensionError("theta does not match the full-data layout")
+    params, tau, _ = link_inverse(kind, layout, theta)
     grad = np.empty(layout.size)
-    _grad_core(kind, data, layout, theta, priors, data.y, grad)
-    return grad
+    ll = _grad_core(kind, data, layout, theta, params, tau, priors, data.y,
+                    grad)
+    return grad, ll + log_prior(layout, theta, priors)
 
 
 def grad_log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
-                       y_u: np.ndarray, priors: Priors) -> np.ndarray:
-    """Gradient of the missing-data log h with respect to theta.
+                       y_u: np.ndarray, priors: Priors
+                       ) -> tuple[np.ndarray, float]:
+    """Gradient of the missing-data log h with respect to theta, and log h
+    (completed-data loglik + log p(m | y, psi) + log prior) from the same
+    pass.
 
     The likelihood blocks are the complete-data gradients evaluated at the
     completed response; the psi block is sum_i (m_i - p_i) z_i minus the
     prior pull, with z_i = (x*_i, y_i) and p_i the logistic missingness
-    probability.
+    probability. The missingness pmf reuses that block's predictor eta.
     """
     layout = layout_missing(kind, data)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (layout.size,):
         raise DimensionError("theta does not match the missing-data layout")
     y_complete = data.complete(y_u)
+    params, tau, psi = link_inverse(kind, layout, theta)
     grad = np.empty(layout.size)
-    _grad_core(kind, data, layout, theta, priors, y_complete, grad)
+    ll = _grad_core(kind, data, layout, theta, params, tau, priors,
+                    y_complete, grad)
 
-    _, _, psi = link_inverse(kind, layout, theta)
+    m = data.missing.astype(float)
     eta = data.Xstar @ psi.psi_x + psi.psi_y * y_complete
-    resid = data.missing.astype(float) - expit(eta)
+    resid = m - expit(eta)
     grad[layout.psi] = np.concatenate([
         data.Xstar.T @ resid, [float(resid @ y_complete)]
     ]) - theta[layout.psi] / priors.var_psi
-    return grad
+    log_h = ll + float(_log_p_m_eta(m, eta)) + log_prior(layout, theta, priors)
+    return grad, log_h
 
 
-def grad_log_q0(lam, theta: np.ndarray) -> np.ndarray:
-    """Gradient of log q_lambda at theta: -(B B^T + D^2)^{-1} (theta - mu).
+def _log_q0_and_grad(lam, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """log q_lambda(theta) and its gradient from one Woodbury core.
 
-    Uses the Woodbury identity on the factor structure, so cost is
-    O(s p^2) rather than O(s^3).
+    With Sigma = B B^T + D^2 and core = I + B^T D^-2 B,
+    Sigma^-1 v = u - D^-2 B core^-1 B^T u for u = D^-2 v, and
+    log|Sigma| = sum log d^2 + log|core|, so the cost is O(s p^2) rather
+    than O(s^3).
     """
     theta = np.asarray(theta, dtype=float)
     d2 = lam.d * lam.d
@@ -128,4 +152,15 @@ def grad_log_q0(lam, theta: np.ndarray) -> np.ndarray:
     p = lam.B.shape[1]
     core = np.eye(p) + lam.B.T @ (lam.B / d2[:, None])
     x = np.linalg.solve(core, BtU)
-    return -(u - (lam.B @ x) / d2)
+    grad = -(u - (lam.B @ x) / d2)
+    sign, logdet_core = np.linalg.slogdet(core)
+    if sign <= 0:
+        raise SingularityError("variational covariance is not positive definite")
+    logdet = float(np.sum(np.log(d2)) + logdet_core)
+    quad = float(-v @ grad)
+    return -0.5 * (v.size * np.log(2.0 * np.pi) + logdet + quad), grad
+
+
+def grad_log_q0(lam, theta: np.ndarray) -> np.ndarray:
+    """Gradient of log q_lambda at theta: -(B B^T + D^2)^{-1} (theta - mu)."""
+    return _log_q0_and_grad(lam, theta)[1]

@@ -16,6 +16,12 @@ drawn parameters, by a banded Cholesky in the block's site order, from a
 band map that `spatial` caches per block; no sparse matrix is built per
 chain. A block's mean offset is recomputed only after another block has
 moved, and its missingness log-pmf only when it accepts a proposal.
+
+A chain of one block has a conditional that no step changes, so its
+proposals do not depend on the chain state. It draws, transforms and scores
+all n1 proposals in one batch, and only the accept/reject decisions run
+step by step (the independence-sampler scheme of Jacob, Robert & Smith
+2011), with the random numbers drawn in the step-by-step order.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .gradients import grad_log_h_missing
-from .likelihoods import Dataset, layout_missing, log_h_missing, log_p_m
+from .likelihoods import Dataset, _log_p_m_eta, layout_missing, log_p_m
 from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .spatial import (ConditionalGaussian, Partition, block_conditionals,
@@ -137,7 +143,14 @@ def _ystar(kind: ModelKind, y: np.ndarray, params: ModelParams) -> np.ndarray:
 def _draw_proposal(kind: ModelKind, params: ModelParams,
                    cond: ConditionalGaussian, mean_u: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(mean_u.size)
+    return _proposal(kind, params, cond, mean_u,
+                     rng.standard_normal(mean_u.size))
+
+
+def _proposal(kind: ModelKind, params: ModelParams, cond: ConditionalGaussian,
+              mean_u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The proposal for standard normals z; one proposal per row when z
+    stacks them as rows."""
     ystar_u = mean_u + cond.sample(params.sigma2, z)
     if not kind.yeo_johnson:
         return ystar_u
@@ -203,12 +216,14 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     blocks partition the unobserved sites (not checked here). The chain
     starts from a draw of the whole unobserved vector's conditional unless
     y_u_init is given. Each block's M_uu is factored once per call; its mean
-    offset is recomputed only after another block has moved, so a single
-    block computes it once. The acceptance ratio is taken over the block's
-    own sites: every other factor of p(m | y, psi) cancels. Each block's
-    current log p(m_b | y_b, psi) is kept and replaced on acceptance, so a
-    step evaluates the missingness pmf once, at its proposal.
-    Returns the final imputation and per-block acceptance counts.
+    offset is recomputed only after another block has moved. The acceptance
+    ratio is taken over the block's own sites: every other factor of
+    p(m | y, psi) cancels. Each block's current log p(m_b | y_b, psi) is
+    kept and replaced on acceptance, so a step evaluates the missingness pmf
+    once, at its proposal. A single block's chain runs as one batch
+    (`_one_block_chain`), with the same draws, decisions and result as the
+    step-by-step sweep. Returns the final imputation and per-block
+    acceptance counts.
     """
     params, tau, psi = _split_theta(kind, data, theta)
     part = data.partition
@@ -227,11 +242,18 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
         if y_u_init.shape != (u_idx.size,):
             raise DimensionError("y_u_init must match the unobserved count")
         y[u_idx] = y_u_init
+    if len(blocks) == 1:
+        # the one block is the whole unobserved vector, and its conditional
+        # reads no unobserved residual
+        if start is None:
+            start, = block_conditionals(kind, data.W, params.rho, tau, blocks,
+                                        r)
+        y_u, accepts = _one_block_chain(
+            kind, params, psi, start, mean[u_idx], data.missing[u_idx],
+            data.Xstar[u_idx], y[u_idx], n1, rng)
+        return y_u, np.array([accepts])
     r[u_idx] = _ystar(kind, y[u_idx], params) - mean[u_idx]
-    if start is not None and len(blocks) == 1:
-        conds = [start]   # the one block is the whole unobserved vector
-    else:
-        conds = block_conditionals(kind, data.W, params.rho, tau, blocks, r)
+    conds = block_conditionals(kind, data.W, params.rho, tau, blocks, r)
     means = [mean[b] for b in blocks]
     m = [data.missing[b] for b in blocks]
     Xstar = [data.Xstar[b] for b in blocks]
@@ -260,15 +282,49 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     return y[u_idx], accepts
 
 
+def _one_block_chain(kind: ModelKind, params: ModelParams,
+                     psi: MissingnessParams, cond: ConditionalGaussian,
+                     mean_u: np.ndarray, m: np.ndarray, Xstar: np.ndarray,
+                     y_u: np.ndarray, n1: int, rng: np.random.Generator
+                     ) -> tuple[np.ndarray, int]:
+    """n1 independence MH steps on one block whose conditional is fixed.
+
+    The n1 (z, u) pairs are drawn in the step-by-step order. One banded
+    solve with n1 right-hand sides, one inverse transform and one pass of
+    log p(m | y, psi) then give every proposal and its score; a row that is
+    not finite gets no score and is rejected after its uniform. Only the
+    accept/reject decisions run as a loop. Returns the final imputation,
+    starting from y_u, and the acceptance count.
+    """
+    z = np.empty((n1, mean_u.size))
+    u = np.empty(n1)
+    for i in range(n1):
+        z[i] = rng.standard_normal(mean_u.size)
+        u[i] = rng.uniform()
+    props = _proposal(kind, params, cond, mean_u, z)
+    finite = np.all(np.isfinite(props), axis=1)
+    scores = np.empty(n1)
+    scores[finite] = _log_p_m_eta(
+        m, Xstar @ psi.psi_x + psi.psi_y * props[finite])
+    log_pm = log_p_m(m, y_u, Xstar, psi)
+    current, accepts = None, 0
+    for i in range(n1):
+        if finite[i] and _accept_prob(scores[i] - log_pm) > u[i]:
+            log_pm, current = scores[i], i
+            accepts += 1
+    return (y_u if current is None else props[current].copy()), accepts
+
+
 def mcmc_nob(kind: ModelKind, data: Dataset, theta: np.ndarray,
              y_u_init: np.ndarray | None, n1: int,
              rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Whole-vector MH pass: n1 independence-proposal steps.
 
     The one-block case of the blocked sweep: the conditional is factored
-    and its mean offset computed once. The chain starts from a fresh
-    conditional draw unless y_u_init is given. Returns the final imputation
-    and the acceptance count.
+    and its mean offset computed once, and the n1 proposals are drawn and
+    scored as one batch before the accept/reject decisions run in order.
+    The chain starts from a fresh conditional draw unless y_u_init is
+    given. Returns the final imputation and the acceptance count.
     """
     y_u, accepts = _mh_sweep(kind, data, theta,
                              (data.partition.unobserved_idx,), y_u_init, n1,
@@ -311,8 +367,9 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
 
     The SGA loop on the completed-data target: each iteration imputes y_u
     with the configured MH kernel at the drawn (xi, psi) before the
-    gradient of log h is taken. Acceptance statistics are collected as rows
-    (iteration, block, accepts, proposals).
+    gradient and value of log h are taken in one pass. Acceptance
+    statistics are collected as rows (iteration, block, accepts,
+    proposals).
     """
     t_start = time.perf_counter()
     layout = layout_missing(kind, data)
@@ -330,8 +387,7 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
                                 rng)
             acc_rows.extend((t, j, int(a), config.n1)
                             for j, a in enumerate(accs))
-        return (grad_log_h_missing(kind, data, theta, y_u, priors),
-                log_h_missing(kind, data, theta, y_u, priors))
+        return grad_log_h_missing(kind, data, theta, y_u, priors)
 
     return _sga(lam, layout, config, rng, target, t_start, acc_rows)
 

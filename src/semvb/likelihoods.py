@@ -10,6 +10,10 @@ log h is the unnormalized posterior over the unconstrained parameter vector
 theta: the likelihood plus Gaussian prior kernels on the link scale, plus the
 inverse-gamma mixing density (with its log-Jacobian) for the Student-t scale
 block, plus the logistic missingness term when responses are missing.
+
+log h has one implementation: `log_h_full` and `log_h_missing` return the
+value that `gradients.grad_log_h_*` computes with the gradient in one pass.
+`loglik`, which DIC evaluates per draw, stays standalone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
 from .models import (MissingnessParams, ModelKind, ModelParams, Priors,
-                     ThetaLayout, link_inverse)
+                     ThetaLayout)
 from .spatial import Partition, SpatialWeights, logdet_M, quad_form_M
 from .transforms import yj_dy, yj_forward
 
@@ -142,16 +146,23 @@ def residual_r(kind: ModelKind, y_complete: np.ndarray, X: np.ndarray,
     return y_complete - X @ beta
 
 
+def _loglik_shell(n: int, sigma2: float, logdet_m: float, quad: float
+                  ) -> float:
+    """The shared shell without the YJ log-Jacobian: the Gaussian log
+    density of r with precision M / sigma^2, given log|M| and r^T M r."""
+    return (-0.5 * n * _LOG_2PI - 0.5 * n * np.log(sigma2)
+            + 0.5 * logdet_m - quad / (2.0 * sigma2))
+
+
 def loglik(kind: ModelKind, data: Dataset, params: ModelParams,
            tau: np.ndarray | None = None) -> float:
     """Complete-data log-likelihood, additive constants included."""
     data.require_complete()
     params.require_kind(kind)
     r = residual_r(kind, data.y, data.X, params.beta, params.gamma)
-    n = data.n
-    out = (-0.5 * n * _LOG_2PI - 0.5 * n * np.log(params.sigma2)
-           + 0.5 * logdet_M(kind, data.W, params.rho, tau)
-           - quad_form_M(kind, data.W, params.rho, tau, r) / (2.0 * params.sigma2))
+    out = _loglik_shell(data.n, params.sigma2,
+                        logdet_M(kind, data.W, params.rho, tau),
+                        quad_form_M(kind, data.W, params.rho, tau, r))
     if kind.yeo_johnson:
         out += float(np.sum(np.log(yj_dy(data.y, params.gamma))))
     return float(out)
@@ -191,8 +202,14 @@ def log_p_m(m: np.ndarray, y_complete: np.ndarray, Xstar: np.ndarray,
     if m.shape != y_complete.shape or Xstar.shape[0] != m.shape[0]:
         raise DimensionError("m, y, Xstar dimensions disagree")
     eta = Xstar @ psi.psi_x + psi.psi_y * y_complete
+    return float(_log_p_m_eta(m, eta))
+
+
+def _log_p_m_eta(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """sum of m eta - log(1 + e^eta) over the last axis: log p(m | y) from
+    the logistic predictor eta, one value per row of a stack of eta."""
     # log(1 + e^eta) via logaddexp keeps both tails exact
-    return float(np.sum(m * eta - np.logaddexp(0.0, eta)))
+    return np.sum(m * eta - np.logaddexp(0.0, eta), axis=-1)
 
 
 def _tau_prior_block(nu: float, tau_z: np.ndarray) -> float:
@@ -232,10 +249,13 @@ def log_prior(layout: ThetaLayout, theta: np.ndarray, priors: Priors) -> float:
 
 def log_h_full(kind: ModelKind, data: Dataset, theta: np.ndarray,
                priors: Priors) -> float:
-    """Complete-data target: loglik + log prior at the unconstrained theta."""
-    layout = layout_full(kind, data)
-    params, tau, _ = link_inverse(kind, layout, theta)
-    return loglik(kind, data, params, tau) + log_prior(layout, theta, priors)
+    """Complete-data target: loglik + log prior at the unconstrained theta.
+
+    This is the value of `gradients.grad_log_h_full`'s one pass, which
+    takes the gradient as well.
+    """
+    from .gradients import grad_log_h_full  # gradients imports this module
+    return grad_log_h_full(kind, data, theta, priors)[1]
 
 
 def log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
@@ -243,11 +263,8 @@ def log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
     """Missing-data target: completed-data log h plus the missingness pmf.
 
     theta carries the psi block; y_u fills the unobserved response slots.
+    This is the value of `gradients.grad_log_h_missing`'s one pass, which
+    takes the gradient as well.
     """
-    layout = layout_missing(kind, data)
-    params, tau, psi = link_inverse(kind, layout, theta)
-    y_complete = data.complete(y_u)
-    completed = data.with_y(y_complete)
-    return (loglik(kind, completed, params, tau)
-            + log_p_m(data.missing, y_complete, data.Xstar, psi)
-            + log_prior(layout, theta, priors))
+    from .gradients import grad_log_h_missing  # gradients imports this module
+    return grad_log_h_missing(kind, data, theta, y_u, priors)[1]

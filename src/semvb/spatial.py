@@ -544,9 +544,17 @@ class ConditionalGaussian:
         return sigma2 * inv
 
     def sample(self, sigma2: float, z: np.ndarray) -> np.ndarray:
-        """mean_offset + sigma L^-T z, a draw with covariance sigma^2 M_uu^-1."""
-        x, _ = _tbtrs(self.chol_lower, z, uplo="L", trans="T")
-        return self.mean_offset + np.sqrt(sigma2) * x
+        """mean_offset + sigma L^-T z, a draw with covariance sigma^2 M_uu^-1.
+
+        z may stack standard-normal vectors as rows; the draws then come
+        back as rows from one banded solve with a right-hand side per row,
+        each bit for bit the draw of its row alone.
+        """
+        if not z.size:
+            # tbtrs corrupts the heap when it is given no right-hand side
+            return np.empty(z.shape)
+        x, _ = _tbtrs(self.chol_lower, z.T, uplo="L", trans="T")
+        return self.mean_offset + np.sqrt(sigma2) * x.T
 
     def given(self, r: np.ndarray) -> "ConditionalGaussian":
         """The same block conditioned on the residual r over all n sites.

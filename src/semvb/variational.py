@@ -6,6 +6,11 @@ draw theta = mu + B eta + d * eps per iteration yields unbiased ELBO
 gradients, stepped through ADADELTA learning rates. `_sga` is the one
 stochastic-gradient ascent: `vb_fit` runs it on the complete-data target,
 and `hvb.hvb_fit` on a target that first imputes the missing responses.
+
+Each iteration takes one pass per density: the target returns the gradient
+and the value of log h together, and one Woodbury core of q gives log q and
+its gradient (`gradients._log_q0_and_grad`). The value feeds only the ELBO
+trace.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError, SingularityError
-from .gradients import grad_log_h_full, grad_log_q0
-from .likelihoods import Dataset, layout_full, layout_missing, log_h_full
+from .gradients import _log_q0_and_grad, grad_log_h_full
+from .likelihoods import Dataset, layout_full, layout_missing
 from .models import ModelKind, Priors, ThetaLayout, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .simulate import draw_inverse_gamma
-from .spatial import SpatialWeights, apply_A, logdet_A
+from .spatial import SpatialWeights, logdet_A
 from .transforms import gamma_link
 
 __all__ = [
@@ -60,9 +65,7 @@ class VariationalParams:
             raise DimensionError("mu, B, d dimensions disagree")
         if not 1 <= B.shape[1] <= s:
             raise DimensionError("factor count must lie in 1..s")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(B))
-                and np.all(np.isfinite(d))):
-            raise DomainError("variational parameters must be finite")
+        _require_finite(mu, B, d)
         if np.any(np.triu(B, 1)):
             raise DomainError("B must have a zero strict upper triangle")
 
@@ -88,16 +91,29 @@ class VariationalParams:
         return np.concatenate([self.mu, self.B[i, j], self.d])
 
     def with_step(self, step: np.ndarray) -> "VariationalParams":
-        """Apply an additive step on the flattened parameterization."""
+        """Apply an additive step on the flattened parameterization.
+
+        The step writes only B's lower triangle, and the shapes are this
+        lambda's, so of __post_init__'s checks only finiteness is repeated.
+        """
         s = self.s
         i, j = self.tril()
         nv = i.size
         if step.shape != (2 * s + nv,):
             raise DimensionError("step length does not match lambda")
-        B = self.B.copy()
+        mu, B, d = self.mu + step[:s], self.B.copy(), self.d + step[s + nv:]
         B[i, j] += step[s:s + nv]
-        return VariationalParams(mu=self.mu + step[:s], B=B,
-                                 d=self.d + step[s + nv:])
+        _require_finite(mu, B, d)
+        out = object.__new__(VariationalParams)
+        for name, value in (("mu", mu), ("B", B), ("d", d)):
+            object.__setattr__(out, name, value)
+        return out
+
+
+def _require_finite(mu: np.ndarray, B: np.ndarray, d: np.ndarray) -> None:
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(B))
+            and np.all(np.isfinite(d))):
+        raise DomainError("variational parameters must be finite")
 
 
 def sample_q(lam: VariationalParams, rng: np.random.Generator
@@ -111,16 +127,7 @@ def sample_q(lam: VariationalParams, rng: np.random.Generator
 
 def log_q0(lam: VariationalParams, theta: np.ndarray) -> float:
     """Log density of the variational Gaussian at theta."""
-    g_q = grad_log_q0(lam, theta)
-    diff = theta - lam.mu
-    quad = float(-diff @ g_q)
-    d2 = lam.d * lam.d
-    core = np.eye(lam.p) + lam.B.T @ (lam.B / d2[:, None])
-    sign, logdet_core = np.linalg.slogdet(core)
-    if sign <= 0:
-        raise SingularityError("variational covariance is not positive definite")
-    logdet = float(np.sum(np.log(d2)) + logdet_core)
-    return -0.5 * (lam.s * np.log(2.0 * np.pi) + logdet + quad)
+    return _log_q0_and_grad(lam, theta)[0]
 
 
 def reparam_grads(lam: VariationalParams, eta: np.ndarray, eps: np.ndarray,
@@ -228,13 +235,14 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     if n <= X.shape[1]:
         raise DomainError("too few observed responses to initialize")
     best = None
+    Wy, WX = W.csr @ y, W.csr @ X
     for rho in np.linspace(-0.99, 0.99, 199):
         try:
             ld = logdet_A(W, rho)
         except SingularityError:
             continue
-        ay = apply_A(W, rho, y)
-        ax = X - rho * (W.csr @ X)
+        ay = y - rho * Wy
+        ax = X - rho * WX
         beta, *_ = np.linalg.lstsq(ax, ay, rcond=None)
         resid = ay - ax @ beta
         sigma2 = max(float(resid @ resid) / n, 1e-12)
@@ -289,7 +297,8 @@ def _sga(lam: VariationalParams, layout: ThetaLayout, config: FitConfig,
     """The SGA loop shared by vb_fit and hvb_fit.
 
     Per iteration: one reparameterised draw theta, target(theta, t) ->
-    (grad log h, log h), ELBO gradient assembly, ADADELTA step. Runs to
+    (grad log h, log h), log q and its gradient from one Woodbury core,
+    ELBO gradient assembly, ADADELTA step. Runs to
     max_iters or until the optional plateau rule fires. acceptance holds the
     (iteration, block, accepts, proposals) rows a hybrid target appends.
     """
@@ -302,11 +311,12 @@ def _sga(lam: VariationalParams, layout: ThetaLayout, config: FitConfig,
         theta, eta, eps = sample_q(lam, rng)
         try:
             g_h, log_h = target(theta, t)
-            elbo[t - 1] = log_h - log_q0(lam, theta)
+            log_q, g_q = _log_q0_and_grad(lam, theta)
         except (DomainError, SingularityError) as exc:
             raise NumericalError(f"target evaluation failed: {exc}",
                                  iteration=t) from exc
-        g = g_h - grad_log_q0(lam, theta)
+        elbo[t - 1] = log_h - log_q
+        g = g_h - g_q
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise NumericalError(
@@ -349,8 +359,7 @@ def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
     lam = init_lambda(kind, data, config, rng=rng)
 
     def target(theta, t):
-        return (grad_log_h_full(kind, data, theta, priors),
-                log_h_full(kind, data, theta, priors))
+        return grad_log_h_full(kind, data, theta, priors)
 
     return _sga(lam, layout, config, rng, target, t_start)
 

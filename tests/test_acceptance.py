@@ -64,12 +64,12 @@ def test_criterion_1_gradient_oracle():
             d, theta = inst["data"], inst["theta"]
             if frac:
                 y_u = inst["y_u"]
-                analytic = gr.grad_log_h_missing(kind, d, theta, y_u, pri)
+                analytic, _ = gr.grad_log_h_missing(kind, d, theta, y_u, pri)
                 fd = fd_gradient(
                     lambda t: lk.log_h_missing(kind, d, t, y_u, pri),
                     theta, h=1e-5)
             else:
-                analytic = gr.grad_log_h_full(kind, d, theta, pri)
+                analytic, _ = gr.grad_log_h_full(kind, d, theta, pri)
                 fd = fd_gradient(
                     lambda t: lk.log_h_full(kind, d, t, pri), theta, h=1e-5)
             err = np.abs(analytic - fd) - (1e-6 + 1e-4 * np.abs(fd))

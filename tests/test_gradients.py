@@ -6,8 +6,9 @@ from scipy.special import gammaln
 
 from semvb import gradients as gr
 from semvb import likelihoods as lk
+from semvb import spatial
 from semvb.errors import SingularityError
-from semvb.models import ModelKind, Priors
+from semvb.models import ModelKind, Priors, link_inverse
 from semvb.transforms import gamma_link
 
 from oracles import fd_derivative, fd_gradient
@@ -21,7 +22,7 @@ class TestFullDataFD:
         for seed in range(5):
             inst = random_instance(kind, seed=seed)
             d, theta = inst["data"], inst["theta"]
-            analytic = gr.grad_log_h_full(kind, d, theta, pri)
+            analytic, _ = gr.grad_log_h_full(kind, d, theta, pri)
             fd = fd_gradient(lambda t: lk.log_h_full(kind, d, t, pri),
                              theta, h=1e-5)
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-6)
@@ -34,16 +35,16 @@ class TestFullDataFD:
         beta_hat, *_ = np.linalg.lstsq(d.X, d.y, rcond=None)
         theta = np.zeros(layout.size)
         theta[layout.beta] = beta_hat
-        g = gr.grad_log_h_full(ModelKind.SEM_GAU, d, theta, Priors())
+        g, _ = gr.grad_log_h_full(ModelKind.SEM_GAU, d, theta, Priors())
         np.testing.assert_allclose(g[layout.beta], -beta_hat / 100.0, atol=1e-9)
 
     def test_zero_beta_has_no_prior_pull(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=10)
         d, layout, theta = inst["data"], inst["layout"], inst["theta"].copy()
         theta[layout.beta] = 0.0
-        g = gr.grad_log_h_full(ModelKind.SEM_GAU, d, theta, Priors())
+        g, _ = gr.grad_log_h_full(ModelKind.SEM_GAU, d, theta, Priors())
         wide = Priors(var_beta=1e12)
-        g_wide = gr.grad_log_h_full(ModelKind.SEM_GAU, d, theta, wide)
+        g_wide, _ = gr.grad_log_h_full(ModelKind.SEM_GAU, d, theta, wide)
         np.testing.assert_allclose(g[layout.beta], g_wide[layout.beta],
                                    atol=1e-12)
 
@@ -65,8 +66,8 @@ class TestFullDataFD:
         if kind.student_t:
             theta_yj[lay_yj.nu] = theta_base[lay_base.nu]
             theta_yj[lay_yj.tau] = theta_base[lay_base.tau]
-        g_yj = gr.grad_log_h_full(kind, d, theta_yj, Priors())
-        g_base = gr.grad_log_h_full(base, d, theta_base, Priors())
+        g_yj, _ = gr.grad_log_h_full(kind, d, theta_yj, Priors())
+        g_base, _ = gr.grad_log_h_full(base, d, theta_base, Priors())
         np.testing.assert_allclose(g_yj[lay_yj.beta], g_base[lay_base.beta],
                                    atol=1e-10)
         assert g_yj[lay_yj.omega] == pytest.approx(g_base[lay_base.omega],
@@ -85,7 +86,7 @@ class TestMissingDataFD:
         for seed in range(5):
             inst = random_instance(kind, seed=seed, missing_frac=0.25)
             d, theta, y_u = inst["data"], inst["theta"], inst["y_u"]
-            analytic = gr.grad_log_h_missing(kind, d, theta, y_u, pri)
+            analytic, _ = gr.grad_log_h_missing(kind, d, theta, y_u, pri)
             fd = fd_gradient(
                 lambda t: lk.log_h_missing(kind, d, t, y_u, pri), theta, h=1e-5)
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-6)
@@ -95,7 +96,7 @@ class TestMissingDataFD:
         d, layout, y_u = inst["data"], inst["layout"], inst["y_u"]
         theta = inst["theta"].copy()
         theta[layout.psi] = 0.0
-        g = gr.grad_log_h_missing(ModelKind.SEM_GAU, d, theta, y_u, Priors())
+        g, _ = gr.grad_log_h_missing(ModelKind.SEM_GAU, d, theta, y_u, Priors())
         yc = d.complete(y_u)
         Z = np.column_stack([d.Xstar, yc])
         expected = Z.T @ (d.missing.astype(float) - 0.5)
@@ -109,9 +110,54 @@ class TestMissingDataFD:
                        Xstar=np.ones((2, 1)))
         layout = lk.layout_missing(ModelKind.SEM_GAU, d)
         theta = np.zeros(layout.size)
-        g = gr.grad_log_h_missing(ModelKind.SEM_GAU, d, theta,
+        g, _ = gr.grad_log_h_missing(ModelKind.SEM_GAU, d, theta,
                                   np.array([3.0]), Priors())
         assert g[layout.psi_y] > 0
+
+
+class TestFusedValue:
+    """The value half of the fused pass is log h as the likelihood module
+    assembles it, on the eigen route and past the cap."""
+
+    @pytest.mark.parametrize("past_cap", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_full_value_is_loglik_plus_prior(self, kind, past_cap,
+                                             monkeypatch):
+        if past_cap:
+            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        pri = Priors()
+        for seed in range(3):
+            inst = random_instance(kind, seed=40 + seed)
+            d, layout, theta = inst["data"], inst["layout"], inst["theta"]
+            assert (d.W.eigenvalues is None) == past_cap
+            params, tau, _ = link_inverse(kind, layout, theta)
+            want = (lk.loglik(kind, d, params, tau)
+                    + lk.log_prior(layout, theta, pri))
+            g, got = gr.grad_log_h_full(kind, d, theta, pri)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert lk.log_h_full(kind, d, theta, pri) == got
+            np.testing.assert_array_equal(
+                g, gr.grad_log_h_full(kind, d, theta, pri)[0])
+
+    @pytest.mark.parametrize("past_cap", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_missing_value_adds_log_p_m(self, kind, past_cap, monkeypatch):
+        if past_cap:
+            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        pri = Priors()
+        for seed in range(3):
+            inst = random_instance(kind, seed=50 + seed, missing_frac=0.25)
+            d, layout, theta = inst["data"], inst["layout"], inst["theta"]
+            assert (d.W.eigenvalues is None) == past_cap
+            y_u = inst["y_u"]
+            params, tau, psi = link_inverse(kind, layout, theta)
+            yc = d.complete(y_u)
+            want = (lk.loglik(kind, d.with_y(yc), params, tau)
+                    + lk.log_p_m(d.missing, yc, d.Xstar, psi)
+                    + lk.log_prior(layout, theta, pri))
+            _, got = gr.grad_log_h_missing(kind, d, theta, y_u, pri)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert lk.log_h_missing(kind, d, theta, y_u, pri) == got
 
 
 class TestGradLogQ0:

@@ -11,6 +11,7 @@ from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
                           link_forward, link_inverse)
 from semvb.spatial import (Partition, build_rook_lattice,
                            conditional_gaussian)
+from semvb.transforms import yj_forward
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
 from oracles import dense_M, discrete_mh_transition, schur_conditional, sem_cov
@@ -272,6 +273,85 @@ class TestMcmcNob:
         pos = np.searchsorted(np.sort(chain), ref[order], side="right")
         ks = np.max(np.abs(pos / chain.size - cdf_ref))
         assert ks < 0.05
+
+
+def step_by_step_nob(kind, data, theta, y_u_init, n1, rng):
+    """The whole-vector chain one step at a time, from the proposal and
+    ratio helpers; returns the imputation, the accept count and the
+    proposals."""
+    params, tau, psi = link_inverse(kind, layout_missing(kind, data), theta)
+    part = data.partition
+    obs, u_idx = part.observed_idx, part.unobserved_idx
+    mean = data.X @ params.beta
+    y_obs = data.y[obs]
+    if kind.yeo_johnson:
+        y_obs = yj_forward(y_obs, params.gamma)
+    cond = conditional_gaussian(kind, data.W, params.rho, tau, part,
+                                y_obs - mean[obs])
+    y_u = (hvb._draw_proposal(kind, params, cond, mean[u_idx], rng)
+           if y_u_init is None else y_u_init.copy())
+    accepts, proposals = 0, []
+    for _ in range(n1):
+        prop = hvb._draw_proposal(kind, params, cond, mean[u_idx], rng)
+        uniform = rng.uniform()
+        proposals.append(prop)
+        a = 0.0
+        if np.all(np.isfinite(prop)):
+            a = hvb.mh_accept_ratio(data.missing[u_idx], prop, y_u,
+                                    data.Xstar[u_idx], psi)
+        if a > uniform:
+            y_u = prop
+            accepts += 1
+    return y_u, accepts, proposals
+
+
+class TestOneBlockBatch:
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_step_by_step_reference(self, kind, warm):
+        inst = random_instance(kind, seed=21, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        theta = theta_for(inst)
+        layout = inst["layout"]
+        # a steep psi_y keeps the acceptance rate away from 0 and 1
+        theta[layout.psi_y] = 1.5
+        init = inst["y_u"] + 0.25 if warm else None
+        rng = np.random.default_rng(22)
+        got, acc = hvb.mcmc_nob(kind, data, theta, init, 12, rng)
+        ref = np.random.default_rng(22)
+        want, want_acc, _ = step_by_step_nob(kind, data, theta, init, 12, ref)
+        np.testing.assert_array_equal(got, want)
+        assert acc == want_acc
+        assert 0 < acc < 12
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", [ModelKind.YJ_SEM_GAU,
+                                      ModelKind.YJ_SEM_T])
+    def test_nonfinite_row_rejected_after_its_uniform(self, kind,
+                                                      monkeypatch):
+        inst = random_instance(kind, seed=23, lattice=(5, 5),
+                               missing_frac=0.3)
+        data = inst["data"]
+        # psi = 0 accepts every finite proposal
+        theta = theta_for(inst, psi_zero=True)
+        init = inst["y_u"].copy()
+        ref = np.random.default_rng(24)
+        _, _, proposals = step_by_step_nob(kind, data, theta, init, 4, ref)
+        real = hvb.yj_inverse
+
+        def inf_in_last_row(z, gamma):
+            out = real(z, gamma)
+            if out.ndim == 2:
+                out[-1, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(hvb, "yj_inverse", inf_in_last_row)
+        rng = np.random.default_rng(24)
+        y_u, acc = hvb.mcmc_nob(kind, data, theta, init, 4, rng)
+        np.testing.assert_array_equal(y_u, proposals[2])
+        assert acc == 3
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestMcmcAllb:
@@ -541,9 +621,9 @@ class TestHvbFit:
         real_grad = hvb.grad_log_h_missing
 
         def nan_in_rho(*args):
-            g = real_grad(*args)
+            g, log_h = real_grad(*args)
             g[idx] = np.nan
-            return g
+            return g, log_h
 
         monkeypatch.setattr(hvb, "grad_log_h_missing", nan_in_rho)
         with pytest.raises(NumericalError) as err:

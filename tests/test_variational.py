@@ -49,6 +49,15 @@ class TestVariationalParams:
         with pytest.raises(ValueError):
             i[0] = 1
 
+    def test_step_to_nonfinite_rejected(self):
+        lam = small_lam()
+        step = np.zeros(lam.flat().size)
+        for k in (0, lam.s, step.size - 1):   # mu, B, d
+            bad = step.copy()
+            bad[k] = np.inf
+            with pytest.raises(DomainError):
+                lam.with_step(bad)
+
     def test_step_keeps_mask(self):
         lam = small_lam()
         rng = np.random.default_rng(1)
