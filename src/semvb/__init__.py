@@ -33,11 +33,11 @@ _EXPORTS = {
     "log_p_m": "likelihoods",
     "loglik": "likelihoods",
     "marginal_loglik_t": "likelihoods",
+    "make_missingness_design": "missingness",
     "missing_prob": "missingness",
     "simulate_missing": "missingness",
     "draw_beta_preset": "simulate",
     "make_design": "simulate",
-    "make_missingness_design": "simulate",
     "simulate_sem": "simulate",
     "FitConfig": "variational",
     "FitResult": "variational",

@@ -1,9 +1,13 @@
 """Command-line pipeline: simulate | amputate | fit | dic | summarize.
 
 Every command takes --seed, --config, --out-dir, and --threads; flag values
-override config-file values, which override the documented defaults. The
-module imports the numerical stack lazily so --threads can pin BLAS thread
-counts before numpy loads.
+override config-file values, which override the documented defaults.
+
+Each command loads only the modules it runs: this module imports the
+numerical stack inside the command functions, so --threads can pin BLAS
+thread counts before numpy loads, and `amputate` runs on numpy alone,
+without scipy. A process start is a large share of a short pipeline stage,
+and `tests/test_cli.py::TestImports` holds the commands to this rule.
 """
 
 from __future__ import annotations
@@ -250,9 +254,8 @@ def cmd_amputate(args) -> int:
 
     from . import io
     from .errors import DataFormatError
-    from .missingness import simulate_missing
+    from .missingness import make_missingness_design, simulate_missing
     from .models import MissingnessParams
-    from .simulate import make_missingness_design
 
     settings = _Settings(args)
     _write_config_reference(settings)

@@ -16,10 +16,11 @@ vectors line up coordinate-for-coordinate with the theta layout.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import digamma
+import math
 
-from .errors import DimensionError, SingularityError
+import numpy as np
+
+from .errors import DimensionError, DomainError, SingularityError
 from .likelihoods import (Dataset, _log_p_m_eta, _loglik_shell, layout_full,
                           layout_missing, log_prior, residual_r)
 from .missingness import expit
@@ -28,7 +29,37 @@ from .spatial import apply_A, apply_At, logdet_M, trace_AinvW
 from .transforms import (dgamma_dlink, drho_dlink, yj_dgamma,
                          yj_dlogdy_dgamma)
 
-__all__ = ["grad_log_h_full", "grad_log_h_missing", "grad_log_q0"]
+__all__ = ["digamma", "grad_log_h_full", "grad_log_h_missing", "grad_log_q0"]
+
+# Asymptotic series of psi(x) - log x + 1/(2x) in z = 1/x^2, highest power
+# first: B_2k / (2k) for k = 7..1, as in cephes' psi.
+_PSI_SERIES = (8.33333333333333333333e-2, -2.10927960927960927961e-2,
+               7.57575757575757575758e-3, -4.16666666666666666667e-3,
+               3.96825396825396825397e-3, -8.33333333333333333333e-3,
+               8.33333333333333333333e-2)
+
+
+def digamma(x: float) -> float:
+    """The digamma function psi(x) = d log Gamma(x) / dx for real x > 0.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x moves x to 10 or above, where
+    cephes' asymptotic series log x - 1/(2x) - sum_k B_2k / (2k x^2k) takes
+    over. On x in [1e-3, 1e6], and densely around the positive root
+    1.4616..., |error| <= 16 eps max(1, |psi(x)|) against
+    `scipy.special.digamma`; the tests enforce that bound.
+    """
+    x = float(x)
+    if x <= 0.0:
+        raise DomainError(f"digamma is defined here for x > 0; got {x!r}")
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    poly = 0.0
+    for c in _PSI_SERIES:
+        poly = poly * z + c
+    return math.log(x) - 0.5 / x - z * poly - shift
 
 
 def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,

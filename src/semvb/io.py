@@ -3,19 +3,23 @@
 Writers emit canonical text: shortest round-tripping float representations,
 LF line endings, weight entries sorted by coordinate. Identical inputs
 therefore produce byte-identical files, and write -> read -> write is a
-fixed point.
+fixed point. The readers import the class they build when they run, so a
+command that reads and writes datasets only loads numpy.
 """
 
 from __future__ import annotations
 
 import csv
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataFormatError
-from .model_select import PosteriorSamples
-from .spatial import SpatialWeights
-from .variational import VariationalParams
+
+if TYPE_CHECKING:
+    from .model_select import PosteriorSamples
+    from .spatial import SpatialWeights
+    from .variational import VariationalParams
 
 __all__ = [
     "write_dataset", "read_dataset", "write_weights", "read_weights",
@@ -122,6 +126,8 @@ def write_weights(path, W: SpatialWeights) -> None:
 
 
 def read_weights(path) -> SpatialWeights:
+    from .spatial import SpatialWeights
+
     try:
         with open(path, newline="") as f:
             head = f.readline().strip()
@@ -302,6 +308,8 @@ def write_samples(path, samples: PosteriorSamples,
 
 
 def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:
+    from .model_select import PosteriorSamples
+
     rows = _read_rows(path)
     header = rows[0]
     i_psi = next((k for k, h in enumerate(header)
@@ -342,6 +350,8 @@ def write_lambda(path, lam: VariationalParams) -> None:
 
 
 def read_lambda(path) -> VariationalParams:
+    from .variational import VariationalParams
+
     rows = _read_rows(path, ["part", "i", "j", "value"])
     mu, d = [], []
     b_cells: dict[tuple[int, int], float] = {}

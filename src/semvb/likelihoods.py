@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
 from .models import (MissingnessParams, ModelKind, ModelParams, Priors,
@@ -183,7 +183,7 @@ def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> fl
     nu = params.nu
     r = residual_r(kind, data.y, data.X, params.beta, params.gamma)
     quad = quad_form_M(ModelKind.SEM_GAU, data.W, params.rho, None, r)
-    out = (gammaln(0.5 * (nu + n)) - gammaln(0.5 * nu)
+    out = (lgamma(0.5 * (nu + n)) - lgamma(0.5 * nu)
            - 0.5 * n * np.log(nu * np.pi) - 0.5 * n * np.log(params.sigma2)
            + 0.5 * logdet_M(ModelKind.SEM_GAU, data.W, params.rho, None)
            - 0.5 * (nu + n) * np.log1p(quad / (nu * params.sigma2)))
@@ -217,7 +217,7 @@ def _tau_prior_block(nu: float, tau_z: np.ndarray) -> float:
     log-Jacobian of the log link, simplified on the unconstrained scale."""
     n = tau_z.size
     half_nu = 0.5 * nu
-    return float(n * (half_nu * np.log(half_nu) - gammaln(half_nu))
+    return float(n * (half_nu * np.log(half_nu) - lgamma(half_nu))
                  - half_nu * np.sum(tau_z + np.exp(-tau_z)))
 
 

@@ -2,7 +2,8 @@
 
 The probability that site i's response is missing is
 logistic(x*_i^T psi_x + y_i psi_y); psi_y = 0 recovers missing-at-random
-and psi = (psi_0,) alone recovers missing-completely-at-random.
+and psi = (psi_0,) alone recovers missing-completely-at-random. The
+covariates x* come from `make_missingness_design` when a dataset has none.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 from .errors import DimensionError
 from .models import MissingnessParams
 
-__all__ = ["expit", "missing_prob", "simulate_missing"]
+__all__ = ["expit", "make_missingness_design", "missing_prob",
+           "simulate_missing"]
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
@@ -28,6 +30,12 @@ def expit(eta: np.ndarray) -> np.ndarray:
 def _probs(eta: np.ndarray) -> np.ndarray:
     # keep strictly inside (0, 1) even when exp underflows
     return np.clip(expit(eta), 1e-300, 1.0 - 1e-16)
+
+
+def make_missingness_design(n: int, rng: np.random.Generator,
+                            q: int = 1) -> np.ndarray:
+    """Missingness design: intercept plus q standard-lognormal columns."""
+    return np.column_stack([np.ones(n), rng.lognormal(0.0, 1.0, size=(n, q))])
 
 
 def missing_prob(y_i: float, xstar_i: np.ndarray,

@@ -19,7 +19,7 @@ from .spatial import SpatialWeights, a_matrix
 from .transforms import yj_inverse
 
 __all__ = ["make_design", "simulate_sem", "draw_inverse_gamma",
-           "draw_beta_preset", "make_missingness_design"]
+           "draw_beta_preset"]
 
 
 def make_design(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,12 +37,6 @@ def draw_beta_preset(n_beta: int, rng: np.random.Generator) -> np.ndarray:
     """Coefficients from the discrete uniform on -3..3 excluding 0."""
     values = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
     return rng.choice(values, size=n_beta)
-
-
-def make_missingness_design(n: int, rng: np.random.Generator,
-                            q: int = 1) -> np.ndarray:
-    """Missingness design: intercept plus q standard-lognormal columns."""
-    return np.column_stack([np.ones(n), rng.lognormal(0.0, 1.0, size=(n, q))])
 
 
 def simulate_sem(kind: ModelKind, X: np.ndarray, W: SpatialWeights,

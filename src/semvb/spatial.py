@@ -540,7 +540,12 @@ class ConditionalGaussian:
     def covariance(self, sigma2: float) -> np.ndarray:
         """Dense sigma^2 M_uu^-1 (intended for tests and small blocks)."""
         k = self.chol_lower.shape[1]
-        inv, _ = _pbtrs(self.chol_lower, np.eye(k), lower=1)
+        if not k:
+            # pbtrs rejects an empty right-hand side (LDB < 1)
+            return np.empty((0, 0))
+        inv, info = _pbtrs(self.chol_lower, np.eye(k), lower=1)
+        if info:
+            raise SingularityError(f"pbtrs failed with info = {info}")
         return sigma2 * inv
 
     def sample(self, sigma2: float, z: np.ndarray) -> np.ndarray:
@@ -568,7 +573,9 @@ class ConditionalGaussian:
         # t = s * (A r_known)
         t = self.s * (r_known - rho * (self.W.csr @ r_known))
         m_uo_r = t[u] - rho * (self.W.csr_t @ t)[u]
-        x, _ = _pbtrs(self.chol_lower, m_uo_r, lower=1)
+        x, info = _pbtrs(self.chol_lower, m_uo_r, lower=1)
+        if info:
+            raise SingularityError(f"pbtrs failed with info = {info}")
         return replace(self, mean_offset=-x)
 
 

@@ -17,12 +17,11 @@ from semvb import gradients as gr
 from semvb import hvb
 from semvb import likelihoods as lk
 from semvb.cli import main as cli_main
-from semvb.missingness import simulate_missing
+from semvb.missingness import make_missingness_design, simulate_missing
 from semvb.model_select import dic1, phi_loglik_fn
 from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
                           link_forward)
-from semvb.simulate import (draw_beta_preset, make_design,
-                            make_missingness_design, simulate_sem)
+from semvb.simulate import draw_beta_preset, make_design, simulate_sem
 from semvb.spatial import build_rook_lattice, conditional_gaussian
 from semvb.transforms import yj_dy, yj_forward, yj_inverse
 from semvb.variational import (AdadeltaState, FitConfig, adadelta_step,

@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, determinism, and exit codes."""
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,14 @@ import pytest
 
 from semvb import io
 from semvb.cli import main
+
+
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    return env
 
 
 def run_simulate(out_dir, seed=3, extra=()):
@@ -309,15 +318,74 @@ class TestExitCodes:
         assert rc == 3
 
     def test_console_entry_point(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             env.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "semvb.cli", "simulate", "--kind",
              "sem-gau", "--lattice-rows", "2", "--lattice-cols", "2",
              "--n-covariates", "1", "--threads", "1",
              "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_src_env())
         assert proc.returncode == 0
         assert (tmp_path / "dataset.csv").exists()
+
+
+# Runs each argv list through cli.main in a fresh interpreter and prints, as
+# one JSON line after each, the scipy modules loaded so far.
+_SCIPY_AFTER_EACH = """
+import json, sys
+from semvb.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_after_each(argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER_EACH, json.dumps(argvs)],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()
+            if line.startswith("[")]
+
+
+class TestImports:
+    """Each command loads only the modules it runs.
+
+    These run in a subprocess, because the test process has scipy loaded.
+    """
+
+    def test_amputate_loads_no_scipy(self, tmp_path):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        (loaded,) = _scipy_after_each([
+            ["amputate", "--data", str(sim / "dataset.csv"),
+             "--out-dir", str(tmp_path / "amp")]])
+        assert loaded == []
+
+    def test_fit_and_dic_skip_scipy_special(self, tmp_path):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "yj-sem-t", "--lattice-rows", "4",
+              "--lattice-cols", "5", "--n-covariates", "2",
+              "--out-dir", str(sim)])
+        fit = tmp_path / "fit"
+        after = _scipy_after_each([
+            ["fit", "--data", str(sim / "dataset.csv"),
+             "--weights", str(sim / "weights.csv"), "--kind", "yj-sem-t",
+             "--max-iters", "2", "--n-draws", "5", "--out-dir", str(fit)],
+            ["dic", "--data", str(sim / "dataset.csv"),
+             "--weights", str(sim / "weights.csv"),
+             "--models", f"yj-sem-t={fit / 'samples.csv'}",
+             "--out-dir", str(tmp_path / "dic")]])
+        assert len(after) == 2
+        for loaded in after:
+            assert "scipy.linalg" in loaded
+            assert not [m for m in loaded if m.startswith("scipy.special")]
+
+    def test_every_export_resolves_lazily(self):
+        import semvb
+        for name in semvb.__all__:
+            if name == "__version__":
+                continue
+            obj = getattr(semvb, name)
+            assert obj.__module__ == f"semvb.{semvb._EXPORTS[name]}", name

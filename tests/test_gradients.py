@@ -1,13 +1,15 @@
 """Analytic gradients against central finite differences of the targets."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import gammaln
+import scipy.special as sc
 
 from semvb import gradients as gr
 from semvb import likelihoods as lk
 from semvb import spatial
-from semvb.errors import SingularityError
+from semvb.errors import DomainError, SingularityError
 from semvb.models import ModelKind, Priors, link_inverse
 from semvb.transforms import gamma_link
 
@@ -218,19 +220,37 @@ class TestGradLogQ0:
 
 class TestDigamma:
     def test_matches_fd_of_log_gamma(self):
-        from scipy.special import digamma
         for x in (0.3, 1.0, 2.5, 10.0, 123.4):
-            fd = fd_derivative(lambda v: float(gammaln(v)), x, h=1e-6)
-            assert float(digamma(x)) == pytest.approx(fd, abs=1e-8)
+            fd = fd_derivative(lambda v: float(sc.gammaln(v)), x, h=1e-6)
+            assert gr.digamma(x) == pytest.approx(fd, abs=1e-8)
 
     def test_functional_identities(self):
         # recurrence, known value at 1, and duplication pin the function far
         # below what finite differences can resolve
-        from scipy.special import digamma
+        psi = gr.digamma
         for x in (0.17, 0.5, 1.0, 3.3, 40.0):
-            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x,
-                                                                  abs=1e-12)
-            assert digamma(2 * x) == pytest.approx(
-                0.5 * digamma(x) + 0.5 * digamma(x + 0.5) + np.log(2.0),
-                abs=1e-12)
-        assert digamma(1.0) == pytest.approx(-np.euler_gamma, abs=1e-14)
+            assert psi(x + 1.0) - psi(x) == pytest.approx(1.0 / x, abs=1e-12)
+            assert psi(2 * x) == pytest.approx(
+                0.5 * psi(x) + 0.5 * psi(x + 0.5) + np.log(2.0), abs=1e-12)
+        assert psi(1.0) == pytest.approx(-np.euler_gamma, abs=1e-14)
+
+    # a log grid over [1e-3, 1e6] plus a dense grid around the positive root
+    # 1.4616... of digamma, where only the absolute error is bounded
+    GRID = np.concatenate([np.logspace(-3.0, 6.0, 4001),
+                           np.linspace(1.36, 1.56, 2001)])
+
+    @pytest.mark.parametrize("name,ours,ref", [
+        ("digamma", gr.digamma, sc.digamma),
+        ("lgamma", math.lgamma, sc.gammaln)])
+    def test_within_16_eps_of_scipy(self, name, ours, ref):
+        # the bound stated in gradients.digamma's docstring; the likelihoods
+        # take log Gamma from math.lgamma
+        expected = ref(self.GRID)
+        got = np.array([ours(float(x)) for x in self.GRID])
+        err = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+        assert err.max() <= 16 * np.finfo(float).eps, name
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(DomainError):
+            gr.digamma(0.0)
+        assert gr.digamma(np.inf) == np.inf

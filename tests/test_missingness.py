@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from semvb.missingness import missing_prob, simulate_missing
+from semvb.missingness import (make_missingness_design, missing_prob,
+                               simulate_missing)
 from semvb.models import MissingnessParams, ModelKind, ModelParams
-from semvb.simulate import (draw_beta_preset, make_design,
-                            make_missingness_design, simulate_sem)
+from semvb.simulate import draw_beta_preset, make_design, simulate_sem
 from semvb.spatial import build_rook_lattice
 
 

@@ -5,10 +5,10 @@ import pytest
 import scipy.stats as st
 
 from semvb.errors import SingularityError
+from semvb.missingness import make_missingness_design
 from semvb.models import ModelKind, ModelParams
 from semvb.simulate import (draw_beta_preset, draw_inverse_gamma,
-                            make_design, make_missingness_design,
-                            simulate_sem)
+                            make_design, simulate_sem)
 from semvb.spatial import SpatialWeights, build_rook_lattice
 
 from oracles import dense_A, sem_cov

@@ -387,6 +387,29 @@ class TestConditionalGaussian:
         np.testing.assert_allclose(draws.mean(axis=0), cond.mean_offset, atol=0.03)
         np.testing.assert_allclose(np.cov(draws.T), cond.covariance(2.0), atol=0.05)
 
+    def test_all_observed_block_is_empty(self, capfd):
+        # LAPACK's xerbla prints an illegal-argument line for an empty solve
+        W = spatial.build_rook_lattice(3, 3)
+        part = spatial.Partition.from_missing_mask(np.zeros(9, dtype=bool))
+        cond = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.5, None,
+                                            part, np.ones(9))
+        assert cond.covariance(1.0).shape == (0, 0)
+        assert cond.given(np.ones(9)).mean_offset.shape == (0,)
+        assert cond.sample(1.0, np.empty(0)).shape == (0,)
+        assert capfd.readouterr() == ("", "")
+
+    def test_solve_failure_raises(self, monkeypatch):
+        W = spatial.build_rook_lattice(2, 2)
+        part = spatial.Partition(observed_idx=[0, 1, 2], unobserved_idx=[3])
+        cond = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.2, None,
+                                            part, np.ones(3))
+        monkeypatch.setattr(spatial, "_pbtrs",
+                            lambda ab, b, lower: (np.zeros_like(b), -8))
+        with pytest.raises(SingularityError):
+            cond.covariance(1.0)
+        with pytest.raises(SingularityError):
+            cond.given(np.ones(4))
+
     def test_shape_errors(self):
         W = spatial.build_rook_lattice(2, 2)
         part = spatial.Partition(observed_idx=[0, 1, 2], unobserved_idx=[3])
