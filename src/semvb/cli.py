@@ -5,9 +5,13 @@ override config-file values, which override the documented defaults.
 
 Each command loads only the modules it runs: this module imports the
 numerical stack inside the command functions, so --threads can pin BLAS
-thread counts before numpy loads, and `amputate` runs on numpy alone,
-without scipy. A process start is a large share of a short pipeline stage,
-and `tests/test_cli.py::TestImports` holds the commands to this rule.
+thread counts before numpy loads. scipy is imported only by the code that
+factors or solves: `simulate`'s sparse solve, the banded and sparse-LU
+routes past the eigen cap, and the banded conditionals of `hvb` fits. So
+`amputate`, `summarize`, and a `vb` fit or a `dic` run below the cap load
+numpy and no scipy module. A process start is a large share of a short
+pipeline stage, and `tests/test_cli.py::TestImports` holds the commands to
+this rule.
 """
 
 from __future__ import annotations

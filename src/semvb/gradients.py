@@ -86,7 +86,7 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
     grad[layout.omega] = (-0.5 * n + 0.5 * inv_sig2 * quad
                           - theta[layout.omega] / priors.var_omega)
 
-    wr = W.csr @ r
+    wr = W.matvec(r)
     s_wr = s * wr if s is not None else wr
     dll_drho = -trace_AinvW(W, params.rho) + inv_sig2 * float(ar @ s_wr)
     grad[layout.rho] = (dll_drho * drho_dlink(theta[layout.rho])

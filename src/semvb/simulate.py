@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import SingularityError
 from .models import ModelKind, ModelParams
@@ -44,6 +43,7 @@ def simulate_sem(kind: ModelKind, X: np.ndarray, W: SpatialWeights,
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw one response vector; returns (y, tau_used) with tau None for
     Gaussian kinds."""
+    import scipy.sparse.linalg as spla
     params.require_kind(kind)
     X = np.asarray(X, dtype=float)
     n = W.n

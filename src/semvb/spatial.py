@@ -43,21 +43,30 @@ The cap stays at 2048 although the banded route is exact at any n: at
 n = 2116 one eigvalsh takes about 1 s at one thread, the cost of several
 hundred banded log-dets of about 2 ms, so a process that evaluates only a
 few dozen log-dets (a DIC run) is faster on the banded route.
+
+Only the routes that factor or solve import scipy, and they do so when they
+first run: the banded Cholesky and the sparse LU past the cap (`sym_band`,
+`_banded_cholesky`, `_lu_route`, `_perm_sign`), the block conditionals
+(`_build_block_plan` and the LAPACK routines `_pbtrf`, `_pbtrs`, `_tbtrs`),
+`a_matrix` and the `csr` views. Products with W and W^T (`matvec`,
+`rmatvec`), the symmetrizer and the eigen route run on numpy, so a process
+that stays below the cap and conditions no block never loads scipy, whose
+import costs more than the rest of a short DIC run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .errors import DimensionError, DomainError, SingularityError
 from .models import ModelKind
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SpatialWeights", "Partition", "ConditionalGaussian",
@@ -75,9 +84,26 @@ _SINGULAR_TOL = 1e-10
 _COMPLEX_STEP = 1e-30
 # Relative tolerance of h_i W_ij = h_j W_ji in the symmetrizer check.
 _SYM_TOL = 1e-12
+
+
+@cache
+def _lapack(name: str):
+    """The float64 LAPACK routine `name`, loading scipy.linalg on first use."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(name, (np.empty(0),))
+
+
 # LAPACK banded Cholesky, its solve, and the banded triangular solve.
-_pbtrf, _pbtrs, _tbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
-                                               (np.empty(0),))
+def _pbtrf(ab, **kwargs):
+    return _lapack("pbtrf")(ab, **kwargs)
+
+
+def _pbtrs(ab, b, **kwargs):
+    return _lapack("pbtrs")(ab, b, **kwargs)
+
+
+def _tbtrs(ab, b, **kwargs):
+    return _lapack("tbtrs")(ab, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -109,6 +135,8 @@ class SpatialWeights:
                 raise DimensionError("col index out of range")
         if np.any(self.rows == self.cols):
             raise DomainError("diagonal entries are not allowed in W")
+        if not np.all(np.isfinite(self.weights)):
+            raise DomainError("weights must be finite")
         if np.any(self.weights < 0):
             raise DomainError("weights must be nonnegative")
         if self.row_standardized:
@@ -118,7 +146,36 @@ class SpatialWeights:
                 raise DomainError("row_standardized is set but some row sum deviates from 1")
 
     @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, weights) of the stored entries in `csr`'s order.
+
+        They are sorted by (row, col) with duplicate triples summed once, in
+        their input order, and stored zeros are kept.
+        """
+        key = self.rows * self.n + self.cols
+        order = np.argsort(key, kind="stable")
+        key, w = key[order], self.weights[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            w = np.bincount(np.cumsum(first) - 1, weights=w)
+            key = key[first]
+        return key // self.n, key % self.n, w
+
+    @cached_property
+    def _reverse(self) -> np.ndarray:
+        """W_ji for each entry (i, j) of `_entries`; 0 where none is stored."""
+        rows, cols, w = self._entries
+        if not w.size:
+            return w
+        key = rows * self.n + cols
+        rev = cols * self.n + rows
+        at = np.minimum(np.searchsorted(key, rev), key.size - 1)
+        return np.where(key[at] == rev, w[at], 0.0)
+
+    @cached_property
     def csr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
         return sp.coo_matrix(
             (self.weights, (self.rows, self.cols)), shape=(self.n, self.n)
         ).tocsr()
@@ -135,48 +192,44 @@ class SpatialWeights:
         h = 1 and row-standardized D^-1 C with symmetric C has h = D, up to a
         scale per connected component. The edge ratios W_ij / W_ji are
         propagated along a breadth-first spanning forest of the graph of W,
-        then every stored entry is checked to a relative _SYM_TOL.
+        searched from the lowest site of each component over the sorted
+        entries, then every stored entry is checked to a relative _SYM_TOL.
         """
         n = self.n
-        coo = self.csr.tocoo()
-        pos = coo.data > 0
-        i, j, w = coo.row[pos], coo.col[pos], coo.data[pos]
+        rows, cols, w = self._entries
+        pos = w > 0
+        i, j, w = rows[pos], cols[pos], w[pos]
         if not i.size:
             return np.ones(n)
-        w_rev = np.asarray(self.csr[j, i]).ravel()
+        w_rev = self._reverse[pos]
         if np.any(w_rev <= 0):
             return None
         log_ratio = np.log(w / w_rev)  # log h_j - log h_i
-        graph = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
-        _, labels = csgraph.connected_components(graph, directed=False)
-        _, roots = np.unique(labels, return_index=True)
-        # one search from a virtual node n joined to a root of each component
-        forest = sp.csr_matrix(
-            (np.ones(i.size + roots.size),
-             (np.concatenate([i, np.full(roots.size, n)]),
-              np.concatenate([j, roots]))), shape=(n + 1, n + 1))
-        order, pred = csgraph.breadth_first_order(
-            forest, n, directed=False, return_predecessors=True)
-        order = order[1:]
-        parent = pred[order]
-        step = np.zeros(order.size)
-        tree = parent < n
-        ratios = sp.csr_matrix((log_ratio, (i, j)), shape=(n, n))
-        step[tree] = np.asarray(ratios[parent[tree], order[tree]]).ravel()
-        log_h = [0.0] * (n + 1)
-        for v, u, dv in zip(order.tolist(), parent.tolist(), step.tolist()):
-            log_h[v] = log_h[u] + dv
-        log_h = np.array(log_h[:n])
+        # every edge now has its reverse, so the rows are the adjacency lists
+        start = np.searchsorted(i, np.arange(n + 1)).tolist()
+        nbr, step = j.tolist(), log_ratio.tolist()
+        log_h = [None] * n
+        for root in range(n):
+            if log_h[root] is not None:
+                continue
+            log_h[root] = 0.0
+            queue = [root]
+            for u in queue:  # grows while read: breadth-first order
+                for e in range(start[u], start[u + 1]):
+                    v = nbr[e]
+                    if log_h[v] is None:
+                        log_h[v] = log_h[u] + step[e]
+                        queue.append(v)
+        log_h = np.array(log_h)
         if np.any(np.abs(log_h[j] - log_h[i] - log_ratio) > _SYM_TOL):
             return None
         return np.exp(log_h)
 
-    def _symmetric_form(self) -> sp.csr_matrix:
-        """S = H^1/2 W H^-1/2, formed as sqrt(W_ij W_ji) so that it is exactly
-        symmetric; valid only when `symmetrizer` is not None."""
-        s = self.csr.multiply(self.csr_t).sqrt().tocsr()
-        s.eliminate_zeros()
-        return s
+    def _symmetric_weights(self) -> np.ndarray:
+        """S_ij = sqrt(W_ij W_ji) on the entries of `_entries`: the entries of
+        S = H^1/2 W H^-1/2, exactly symmetric; valid only when `symmetrizer`
+        is not None."""
+        return np.sqrt(self._entries[2] * self._reverse)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray | None:
@@ -187,9 +240,13 @@ class SpatialWeights:
         """
         if self.n > _EIGEN_MAX_N:
             return None
+        rows, cols, w = self._entries
+        dense = np.zeros((self.n, self.n))
         if self.symmetrizer is not None:
-            return np.linalg.eigvalsh(self._symmetric_form().toarray())
-        return np.linalg.eigvals(self.csr.toarray())
+            dense[rows, cols] = self._symmetric_weights()
+            return np.linalg.eigvalsh(dense)
+        dense[rows, cols] = w
+        return np.linalg.eigvals(dense)
 
     @cached_property
     def sym_band(self) -> np.ndarray | None:
@@ -202,8 +259,14 @@ class SpatialWeights:
         """
         if self.symmetrizer is None:
             return None
-        s = self._symmetric_form()
-        perm = csgraph.reverse_cuthill_mckee(s, symmetric_mode=True)
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        rows, cols, _ = self._entries
+        data = self._symmetric_weights()
+        keep = data > 0
+        s = sp.csr_matrix((data[keep], (rows[keep], cols[keep])),
+                          shape=(self.n, self.n))
+        perm = reverse_cuthill_mckee(s, symmetric_mode=True)
         s = s[perm][:, perm].tocoo()
         low = s.row > s.col
         k = s.row[low] - s.col[low]
@@ -227,10 +290,31 @@ class SpatialWeights:
         return plan
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.csr @ v
+        """W v for v of shape (n,) or (n, p), bit for bit `csr @ v`."""
+        rows, cols, w = self._entries
+        return _sum_terms(self.n, rows, w, cols, v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.csr_t @ v
+        """W^T v for v of shape (n,) or (n, p), bit for bit `csr_t @ v`."""
+        rows, cols, w = self._entries
+        return _sum_terms(self.n, cols, w, rows, v)
+
+
+def _sum_terms(n: int, out: np.ndarray, w: np.ndarray, src: np.ndarray,
+               v: np.ndarray) -> np.ndarray:
+    """y with y[out_e] += w_e v[src_e] over the entries e in order, from 0.
+
+    np.bincount adds in input order, so with the entries sorted by (row, col)
+    each output sums its terms in the order scipy's CSR product does, for W
+    (out = rows) and for W^T (out = cols) alike.
+    """
+    v = np.asarray(v)
+    if v.ndim == 1:
+        return np.bincount(out, weights=w * v[src], minlength=n)
+    p = v.shape[1]
+    slots = (out[:, None] * p + np.arange(p)).ravel()
+    terms = (w[:, None] * v[src]).ravel()
+    return np.bincount(slots, weights=terms, minlength=n * p).reshape(n, p)
 
 
 @dataclass(frozen=True)
@@ -311,7 +395,7 @@ def apply_A(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != W.n:
         raise DimensionError(f"vector length {v.shape[0]} does not match n = {W.n}")
-    return v - rho * (W.csr @ v)
+    return v - rho * W.matvec(v)
 
 
 def apply_At(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:
@@ -320,11 +404,12 @@ def apply_At(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != W.n:
         raise DimensionError(f"vector length {v.shape[0]} does not match n = {W.n}")
-    return v - rho * (W.csr_t @ v)
+    return v - rho * W.rmatvec(v)
 
 
 def a_matrix(W: SpatialWeights, rho: float) -> sp.csr_matrix:
     """A = I - rho W as a sparse matrix."""
+    import scipy.sparse as sp
     _check_rho(rho)
     return (sp.identity(W.n, format="csr") - rho * W.csr).tocsr()
 
@@ -334,11 +419,12 @@ def _perm_sign(perm: np.ndarray) -> int:
 
     The cycles are the weakly connected components of the graph i -> perm[i].
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     perm = np.asarray(perm)
     n = perm.size
     graph = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
-    cycles, _ = csgraph.connected_components(graph, directed=True,
-                                             connection="weak")
+    cycles, _ = connected_components(graph, directed=True, connection="weak")
     return -1 if (n - cycles) % 2 else 1
 
 
@@ -355,6 +441,8 @@ def _lu_route(W: SpatialWeights, rho: float) -> tuple[float, int, float]:
     exactly singular A (its pivot keeps an imaginary part of order h),
     hence the check on Re u_j.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     a = sp.identity(W.n, format="csr") - (rho + 1j * _COMPLEX_STEP) * W.csr
     try:
         lu = spla.splu(a.tocsc())
@@ -379,6 +467,7 @@ def _banded_cholesky(W: SpatialWeights, rho: float) -> np.ndarray | None:
     band = W.sym_band
     if band is None:
         return None
+    import scipy.linalg as sla
     ab = -rho * band
     ab[0] += 1.0
     try:
@@ -477,6 +566,7 @@ class _BlockPlan:
 
 
 def _build_block_plan(W: SpatialWeights, block: np.ndarray) -> _BlockPlan:
+    import scipy.sparse as sp
     n, k = W.n, block.size
     slot = np.full(n, -1, dtype=np.int64)
     slot[block] = np.arange(k)
@@ -571,8 +661,8 @@ class ConditionalGaussian:
         r_known[u] = 0.0
         # M_uo r_known = A_u^T diag(s) A r_known = t_u - rho (W^T t)_u for
         # t = s * (A r_known)
-        t = self.s * (r_known - rho * (self.W.csr @ r_known))
-        m_uo_r = t[u] - rho * (self.W.csr_t @ t)[u]
+        t = self.s * (r_known - rho * self.W.matvec(r_known))
+        m_uo_r = t[u] - rho * self.W.rmatvec(t)[u]
         x, info = _pbtrs(self.chol_lower, m_uo_r, lower=1)
         if info:
             raise SingularityError(f"pbtrs failed with info = {info}")

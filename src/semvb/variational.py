@@ -235,7 +235,7 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     if n <= X.shape[1]:
         raise DomainError("too few observed responses to initialize")
     best = None
-    Wy, WX = W.csr @ y, W.csr @ X
+    Wy, WX = W.matvec(y), W.matvec(X)
     for rho in np.linspace(-0.99, 0.99, 199):
         try:
             ld = logdet_A(W, rho)

@@ -137,6 +137,16 @@ class TestFit:
         assert rc == 3
         assert "method=hvb" in capsys.readouterr().err
 
+    def test_rejects_non_finite_weight(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        lines = (sim / "weights.csv").read_text().splitlines()
+        i, j, _ = lines[2].split(",")
+        lines[2] = f"{i},{j},nan"
+        (sim / "weights.csv").write_text("\n".join(lines) + "\n")
+        assert main(self.fit_args(sim, tmp_path / "fit")) == 3
+        assert "weights must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_draws", ["0", "-1"])
     def test_rejects_nonpositive_n_draws(self, tmp_path, capsys, n_draws):
         sim = tmp_path / "sim"
@@ -364,6 +374,8 @@ class TestImports:
         assert loaded == []
 
     def test_fit_and_dic_skip_scipy_special(self, tmp_path):
+        # below the eigen cap a vb fit and its DIC factor nothing, so they
+        # load no scipy module at all
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "yj-sem-t", "--lattice-rows", "4",
               "--lattice-cols", "5", "--n-covariates", "2",
@@ -377,10 +389,35 @@ class TestImports:
              "--weights", str(sim / "weights.csv"),
              "--models", f"yj-sem-t={fit / 'samples.csv'}",
              "--out-dir", str(tmp_path / "dic")]])
-        assert len(after) == 2
-        for loaded in after:
-            assert "scipy.linalg" in loaded
-            assert not [m for m in loaded if m.startswith("scipy.special")]
+        assert after == [[], []]
+
+    def test_summarize_loads_no_scipy(self, tmp_path):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--data", str(sim / "dataset.csv"),
+                     "--weights", str(sim / "weights.csv"),
+                     "--kind", "yj-sem-gau", "--max-iters", "2",
+                     "--n-draws", "5", "--out-dir", str(fit)]) == 0
+        (loaded,) = _scipy_after_each([
+            ["summarize", "--samples", str(fit / "samples.csv"),
+             "--out-dir", str(tmp_path / "sum")]])
+        assert loaded == []
+
+    def test_hvb_fit_loads_scipy_linalg(self, tmp_path):
+        # the MH conditionals are banded Cholesky factors from LAPACK
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        amp = tmp_path / "amp"
+        main(["amputate", "--data", str(sim / "dataset.csv"),
+              "--seed", "5", "--out-dir", str(amp)])
+        (loaded,) = _scipy_after_each([
+            ["fit", "--data", str(amp / "amputated.csv"),
+             "--weights", str(sim / "weights.csv"), "--kind", "yj-sem-gau",
+             "--method", "hvb", "--kernel", "nob", "--max-iters", "2",
+             "--n-draws", "5", "--out-dir", str(tmp_path / "fit")]])
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.special")]
 
     def test_every_export_resolves_lazily(self):
         import semvb

@@ -61,6 +61,57 @@ class TestWeightsValidation:
         with pytest.raises(DimensionError):
             spatial.SpatialWeights(n=2, rows=[0], cols=[2], weights=[1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            spatial.SpatialWeights(n=2, rows=[0, 1], cols=[1, 0],
+                                   weights=[1.0, bad])
+
+
+def weighted_nonsymmetric() -> spatial.SpatialWeights:
+    """Random weights on random pairs; sites 40-44 have no entries."""
+    rng = np.random.default_rng(5)
+    r, c = rng.integers(0, 40, (2, 200))
+    keep = r != c
+    return spatial.SpatialWeights(n=45, rows=r[keep], cols=c[keep],
+                                  weights=rng.uniform(0.1, 2.0, keep.sum()))
+
+
+def lattice_with_stored_zeros() -> spatial.SpatialWeights:
+    W = spatial.build_rook_lattice(6, 5, False)
+    w = W.weights.copy()
+    w[::7] = 0.0
+    return spatial.SpatialWeights(n=W.n, rows=W.rows, cols=W.cols, weights=w)
+
+
+def lattice_with_duplicates() -> spatial.SpatialWeights:
+    """Every entry of a 6 x 5 lattice split over two triples, unsorted."""
+    W = spatial.build_rook_lattice(6, 5)
+    part = np.random.default_rng(2).uniform(0.0, 1.0, W.weights.size)
+    order = np.random.default_rng(3).permutation(2 * W.weights.size)
+    return spatial.SpatialWeights(
+        n=W.n, rows=np.tile(W.rows, 2)[order], cols=np.tile(W.cols, 2)[order],
+        weights=np.concatenate([part * W.weights,
+                                (1.0 - part) * W.weights])[order])
+
+
+PRODUCT_CASES = {
+    "row-standardized lattice": lambda: spatial.build_rook_lattice(9, 11),
+    "weighted non-symmetric, empty rows": weighted_nonsymmetric,
+    "stored zeros": lattice_with_stored_zeros,
+    "duplicate triples": lattice_with_duplicates,
+}
+
+
+class TestProducts:
+    @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_bit_for_bit_scipy(self, name, shape):
+        W = PRODUCT_CASES[name]()
+        v = np.random.default_rng(1).standard_normal((W.n, *shape))
+        assert W.matvec(v).tobytes() == (W.csr @ v).tobytes()
+        assert W.rmatvec(v).tobytes() == (W.csr_t @ v).tobytes()
+
 
 class TestApplyA:
     def test_matches_dense(self):
@@ -249,6 +300,42 @@ class TestSymmetrizer:
         assert cycle.symmetrizer is None
         assert np.iscomplexobj(cycle.eigenvalues)
         assert reversed_ratio_lattice().symmetrizer is None
+
+    @pytest.mark.parametrize("reverse", [[], [(1, 0, 0.0)]])
+    def test_none_without_reverse_entry(self, reverse):
+        # W_01 > 0 with W_10 not stored, or stored as zero
+        rows, cols, w = zip(*[(0, 1, 0.5), (1, 2, 1.0), (2, 1, 2.0), *reverse])
+        W = spatial.SpatialWeights(n=3, rows=rows, cols=cols, weights=w)
+        assert W.symmetrizer is None
+
+    def test_components_and_isolated_sites(self):
+        # a row-standardized 3 x 3 lattice, a weighted pair and a path of
+        # three, scattered over 20 sites; the other 6 sites have no entries
+        lattice = spatial.build_rook_lattice(3, 3)
+        parts = [(lattice.rows, lattice.cols, lattice.weights),
+                 ([9, 10], [10, 9], [2.0, 0.5]),
+                 ([11, 12, 12, 13], [12, 11, 13, 12], [1.0, 0.5, 0.5, 1.0])]
+        site = np.random.default_rng(6).permutation(20)
+        rows = site[np.concatenate([p[0] for p in parts])]
+        cols = site[np.concatenate([p[1] for p in parts])]
+        weights = np.concatenate([p[2] for p in parts])
+        W = spatial.SpatialWeights(n=20, rows=rows, cols=cols, weights=weights)
+        h = W.symmetrizer
+        assert h is not None and np.all(h > 0)
+        hw = h[:, None] * W.csr.toarray()
+        np.testing.assert_allclose(hw, hw.T, rtol=1e-12, atol=0.0)
+        # the search starts each component at its lowest site, with h = 1
+        for comp in (site[:9], site[9:11], site[11:14]):
+            assert h[comp.min()] == 1.0
+        np.testing.assert_array_equal(h[site[14:]], 1.0)
+        general = np.sort(np.linalg.eigvals(W.csr.toarray()).real)
+        np.testing.assert_allclose(np.sort(W.eigenvalues), general, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIZABLE))
+    def test_eigenvalues_bit_for_bit_scipy_form(self, name):
+        W = SYMMETRIZABLE[name][0]()
+        s = W.csr.multiply(W.csr_t).sqrt().toarray()
+        assert W.eigenvalues.tobytes() == np.linalg.eigvalsh(s).tobytes()
 
 
 class TestBandedRoute:
