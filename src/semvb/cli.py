@@ -6,12 +6,13 @@ override config-file values, which override the documented defaults.
 Each command loads only the modules it runs: this module imports the
 numerical stack inside the command functions, so --threads can pin BLAS
 thread counts before numpy loads. scipy is imported only by the code that
-factors or solves: `simulate`'s sparse solve, the banded and sparse-LU
-routes past the eigen cap, and the banded conditionals of `hvb` fits. So
-`amputate`, `summarize`, and a `vb` fit or a `dic` run below the cap load
-numpy and no scipy module. A process start is a large share of a short
-pipeline stage, and `tests/test_cli.py::TestImports` holds the commands to
-this rule.
+orders, factors or solves: `simulate`'s sparse solve, the banded and
+sparse-LU routes past the eigen cap, and the LAPACK banded conditionals of
+`hvb` fits. So `amputate`, `summarize`, and a `vb` fit or a `dic` run below
+the cap load numpy and no scipy module, and an `hvb` fit below the cap loads
+scipy.linalg and no scipy.sparse. A process start is a large share of a
+short pipeline stage, and `tests/test_cli.py::TestImports` holds the
+commands to this rule.
 """
 
 from __future__ import annotations
@@ -306,26 +307,6 @@ def _load_dataset(data_path: str, weights_path: str):
     return Dataset(y=y, X=X, W=W, Xstar=Xstar)
 
 
-def _samples_header(samples, unobserved_idx):
-    names = list(samples.phi_names)
-    if samples.psi is not None:
-        q = samples.psi.shape[1] - 1
-        names += [f"psi{j}" for j in range(q)] + ["psi_y"]
-    if samples.y_u is not None:
-        names += [f"yu_{int(i)}" for i in unobserved_idx]
-    return names
-
-
-def _samples_matrix(samples):
-    import numpy as np
-    blocks = [samples.phi]
-    if samples.psi is not None:
-        blocks.append(samples.psi)
-    if samples.y_u is not None:
-        blocks.append(samples.y_u)
-    return np.hstack(blocks)
-
-
 def cmd_fit(args) -> int:
     import numpy as np
 
@@ -385,8 +366,7 @@ def cmd_fit(args) -> int:
     io.write_samples(samples_path, samples, unobserved_idx=unobserved_idx)
     written.append(samples_path)
     summary_path = settings.path("summary.csv")
-    io.write_summary(summary_path, _samples_header(samples, unobserved_idx),
-                     _samples_matrix(samples))
+    io.write_summary(summary_path, *io.samples_table(samples, unobserved_idx))
     written.append(summary_path)
     if result.acceptance is not None:
         acceptance_path = settings.path("acceptance.csv")
@@ -463,8 +443,7 @@ def cmd_summarize(args) -> int:
     _write_config_reference(settings)
     samples, unobserved_idx = io.read_samples(args.samples)
     summary_path = settings.path("summary.csv")
-    io.write_summary(summary_path, _samples_header(samples, unobserved_idx),
-                     _samples_matrix(samples))
+    io.write_summary(summary_path, *io.samples_table(samples, unobserved_idx))
     _note(summary_path)
     return 0
 

@@ -25,7 +25,8 @@ __all__ = [
     "write_dataset", "read_dataset", "write_weights", "read_weights",
     "write_trace", "read_trace", "write_acceptance", "read_acceptance",
     "write_dic_report", "read_dic_report", "write_sidecar", "read_sidecar",
-    "write_manifest", "read_keyvalues", "write_samples", "read_samples",
+    "write_manifest", "read_keyvalues", "samples_table", "write_samples",
+    "read_samples",
     "write_lambda", "read_lambda", "write_summary", "read_summary",
 ]
 
@@ -283,9 +284,11 @@ def read_keyvalues(path) -> dict[str, str]:
     return out
 
 
-def write_samples(path, samples: PosteriorSamples,
-                  unobserved_idx: np.ndarray | None = None) -> None:
-    """Posterior draws, one row per draw; y_u columns keyed by site index."""
+def samples_table(samples: PosteriorSamples,
+                  unobserved_idx: np.ndarray | None = None
+                  ) -> tuple[list[str], np.ndarray]:
+    """Column names and the draws as columns phi | psi | y_u, one row per
+    draw; unobserved_idx names the y_u columns yu_<site>."""
     header = list(samples.phi_names)
     blocks = [samples.phi]
     if samples.psi is not None:
@@ -298,13 +301,18 @@ def write_samples(path, samples: PosteriorSamples,
                 "unobserved_idx must name every y_u column")
         header += [f"yu_{int(i)}" for i in unobserved_idx]
         blocks.append(samples.y_u)
-    mat = np.hstack(blocks) if blocks[0].shape[0] else None
+    return header, np.hstack(blocks)
+
+
+def write_samples(path, samples: PosteriorSamples,
+                  unobserved_idx: np.ndarray | None = None) -> None:
+    """Posterior draws, one row per draw; y_u columns keyed by site index."""
+    header, mat = samples_table(samples, unobserved_idx)
     f, w = _open_writer(path)
     with f:
         w.writerow(header)
-        if mat is not None:
-            for row in mat:
-                w.writerow([_fmt(v) for v in row])
+        for row in mat:
+            w.writerow([_fmt(v) for v in row])
 
 
 def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:

@@ -56,7 +56,7 @@ def simulate_sem(kind: ModelKind, X: np.ndarray, W: SpatialWeights,
     with warnings.catch_warnings():
         # singularity is detected below and raised as a typed error
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        u = spla.spsolve(a_matrix(W, params.rho).tocsc(), e)
+        u = spla.spsolve(a_matrix(W, params.rho), e)
     if not np.all(np.isfinite(u)):
         raise SingularityError(f"A = I - rho W is singular at rho = {params.rho}")
     y_star = X @ params.beta + u

@@ -11,11 +11,12 @@ it on the other blocks' new values with `ConditionalGaussian.given`.
 A block's precision M_uu = A_u^T diag(s) A_u is a banded GMRF precision
 (Rue & Held 2005, ch. 2). Its lower band, in the block's own ascending site
 order, is linear in the site weights s (1, or 1/tau for Student-t kinds), so
-a sparse map from s to the band is built once per weight matrix and block and
-cached on `SpatialWeights`. Each conditional then costs one sparse product
-and one LAPACK banded Cholesky (`pbtrf`), O(k b^2) for k sites and site-order
-bandwidth b; b is k - 1 when the block's sites follow no spatial order. The
-mean offset needs only products with W and W^T, so A is never formed there.
+the terms of a map from s to the band are built once per weight matrix and
+block and cached on `SpatialWeights`. Each conditional then costs one
+np.bincount over those terms and one LAPACK banded Cholesky (`pbtrf`),
+O(k b^2) for k sites and site-order bandwidth b; b is k - 1 when the
+block's sites follow no spatial order. The mean offset needs only products
+with W and W^T, so A is never formed there.
 
 log|det A| and tr(A^-1 W) are computed exactly. The route depends on n and
 on whether W is diagonally similar to a symmetric matrix, that is whether
@@ -44,14 +45,14 @@ n = 2116 one eigvalsh takes about 1 s at one thread, the cost of several
 hundred banded log-dets of about 2 ms, so a process that evaluates only a
 few dozen log-dets (a DIC run) is faster on the banded route.
 
-Only the routes that factor or solve import scipy, and they do so when they
-first run: the banded Cholesky and the sparse LU past the cap (`sym_band`,
-`_banded_cholesky`, `_lu_route`, `_perm_sign`), the block conditionals
-(`_build_block_plan` and the LAPACK routines `_pbtrf`, `_pbtrs`, `_tbtrs`),
-`a_matrix` and the `csr` views. Products with W and W^T (`matvec`,
-`rmatvec`), the symmetrizer and the eigen route run on numpy, so a process
-that stays below the cap and conditions no block never loads scipy, whose
-import costs more than the rest of a short DIC run.
+W is stored once, as the sorted triples `_entries`. Only the routes that
+order, factor or solve import scipy, when they first run: scipy.sparse for
+`a_matrix` and the RCM ordering and sparse LU past the cap (`sym_band`,
+`_lu_route`, `_perm_sign`), scipy.linalg for the banded Cholesky factors
+(`_banded_cholesky`, `_pbtrf`, `_pbtrs`, `_tbtrs`). Everything else,
+products with W and W^T and the block plans included, runs on numpy, so a
+fit or DIC run below the cap never loads scipy.sparse, and one that
+conditions no block loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class SpatialWeights:
 
     @cached_property
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, weights) of the stored entries in `csr`'s order.
+        """(rows, cols, weights) of the stored entries, as in scipy's CSR form.
 
         They are sorted by (row, col) with duplicate triples summed once, in
         their input order, and stored zeros are kept.
@@ -172,17 +173,6 @@ class SpatialWeights:
         rev = cols * self.n + rows
         at = np.minimum(np.searchsorted(key, rev), key.size - 1)
         return np.where(key[at] == rev, w[at], 0.0)
-
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        return sp.coo_matrix(
-            (self.weights, (self.rows, self.cols)), shape=(self.n, self.n)
-        ).tocsr()
-
-    @cached_property
-    def csr_t(self) -> sp.csr_matrix:
-        return self.csr.T.tocsr()
 
     @cached_property
     def symmetrizer(self) -> np.ndarray | None:
@@ -290,14 +280,30 @@ class SpatialWeights:
         return plan
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """W v for v of shape (n,) or (n, p), bit for bit `csr @ v`."""
+        """W v for v of shape (n,) or (n, p), bit for bit scipy's CSR product."""
         rows, cols, w = self._entries
         return _sum_terms(self.n, rows, w, cols, v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """W^T v for v of shape (n,) or (n, p), bit for bit `csr_t @ v`."""
+        """W^T v for v of shape (n,) or (n, p), bit for bit scipy's CSR W^T v."""
         rows, cols, w = self._entries
         return _sum_terms(self.n, cols, w, rows, v)
+
+    def restrict(self, sites: np.ndarray) -> "SpatialWeights":
+        """The entries between the ascending `sites`, stored zeros included,
+        re-indexed to 0..k-1 and not marked row-standardized."""
+        rows, cols, w = self._entries
+        slot = _slots(self.n, sites)
+        inner = (slot[rows] >= 0) & (slot[cols] >= 0)
+        return SpatialWeights(n=len(sites), rows=slot[rows[inner]],
+                              cols=slot[cols[inner]], weights=w[inner])
+
+
+def _slots(n: int, sites: np.ndarray) -> np.ndarray:
+    """Each site's position in `sites`, -1 for the sites not in it."""
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[sites] = np.arange(len(sites))
+    return slot
 
 
 def _sum_terms(n: int, out: np.ndarray, w: np.ndarray, src: np.ndarray,
@@ -407,11 +413,18 @@ def apply_At(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:
     return v - rho * W.rmatvec(v)
 
 
-def a_matrix(W: SpatialWeights, rho: float) -> sp.csr_matrix:
-    """A = I - rho W as a sparse matrix."""
+def a_matrix(W: SpatialWeights, c: complex) -> sp.csc_matrix:
+    """I - c W in CSC form for real c = rho or complex c = rho + ih: the
+    arrays of scipy's `identity - c * W`, which stores no zero term."""
     import scipy.sparse as sp
-    _check_rho(rho)
-    return (sp.identity(W.n, format="csr") - rho * W.csr).tocsr()
+    _check_rho(c.real)
+    rows, cols, w = W._entries
+    off = 0.0 - c * w
+    keep = off != 0
+    diag = np.arange(W.n)
+    data = np.concatenate([np.ones(W.n, off.dtype), off[keep]])
+    ij = np.concatenate([diag, rows[keep]]), np.concatenate([diag, cols[keep]])
+    return sp.csc_matrix((data, ij), shape=(W.n, W.n))
 
 
 def _perm_sign(perm: np.ndarray) -> int:
@@ -441,11 +454,9 @@ def _lu_route(W: SpatialWeights, rho: float) -> tuple[float, int, float]:
     exactly singular A (its pivot keeps an imaginary part of order h),
     hence the check on Re u_j.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    a = sp.identity(W.n, format="csr") - (rho + 1j * _COMPLEX_STEP) * W.csr
     try:
-        lu = spla.splu(a.tocsc())
+        lu = spla.splu(a_matrix(W, rho + 1j * _COMPLEX_STEP))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularityError(f"A = I - rho W is singular at rho = {rho}") from exc
     diag = lu.U.diagonal()
@@ -551,60 +562,71 @@ def quad_form_M(kind: ModelKind, W: SpatialWeights, rho: float,
 
 @dataclass(frozen=True)
 class _BlockPlan:
-    """Sparse map from the site weights to the lower band of a block's M_uu.
+    """Linear map from the site weights to the lower band of a block's M_uu.
 
     For A_u = E_u - rho W_u (the block's columns of A) and S = diag(s),
     M_uu = E_u^T S E_u - rho (E_u^T S W_u + W_u^T S E_u) + rho^2 W_u^T S W_u
-    is linear in s at fixed rho. `G` stacks the three maps side by side, so
-    G @ [s, -rho s, rho^2 s] is the band, stored so that its reshape to
-    (k, width + 1) and transpose is the Fortran-ordered LAPACK lower band
-    (row d holds the d-th subdiagonal) in the block's site order.
+    is linear in s at fixed rho. With x = [s, -rho s, rho^2 s], term e adds
+    val[e] * x[col[e]] to band slot slot[e]. The slots are laid out so that
+    the band's reshape to (k, width + 1) and transpose is the
+    Fortran-ordered LAPACK lower band (row d holds the d-th subdiagonal) in
+    the block's site order. The terms are sorted by (slot, col), so
+    np.bincount adds each slot's terms in the order of a CSR product of
+    the same map.
     """
 
     width: int
-    G: sp.csr_matrix
+    slot: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+    def band(self, x: np.ndarray, k: int) -> np.ndarray:
+        """The (width + 1, k) lower band of M_uu for x = [s, -rho s, rho^2 s]."""
+        m = self.width + 1
+        return _sum_terms(k * m, self.slot, self.val, self.col, x).reshape(k, m).T
 
 
 def _build_block_plan(W: SpatialWeights, block: np.ndarray) -> _BlockPlan:
-    import scipy.sparse as sp
     n, k = W.n, block.size
-    slot = np.full(n, -1, dtype=np.int64)
-    slot[block] = np.arange(k)
+    at = _slots(n, block)
+    rows, cols, w = W._entries
     # E_u^T S E_u: s at the diagonal. Entry e of the map puts
-    # vals[e] * (its column's weight) at M_uu[lo_a[e], lo_c[e]], lo_a >= lo_c
+    # val[e] * x[col[e]] at M_uu[lo_a[e], lo_c[e]], lo_a >= lo_c
     lo_a, lo_c = [np.arange(k)], [np.arange(k)]
-    cols, vals = [block], [np.ones(k)]
+    col, val = [block], [np.ones(k)]
     # E_u^T S W_u + W_u^T S E_u: a stored W_ij with i, j in the block adds
     # s_i W_ij at (slot i, slot j) and at its mirror
-    coo = W.csr.tocoo()
-    inner = (slot[coo.row] >= 0) & (slot[coo.col] >= 0)
-    a, c = slot[coo.row[inner]], slot[coo.col[inner]]
+    ar, ac = at[rows], at[cols]
+    inner = (ar >= 0) & (ac >= 0)
+    a, c = ar[inner], ac[inner]
     lo_a.append(np.maximum(a, c))
     lo_c.append(np.minimum(a, c))
-    cols.append(n + coo.row[inner])
-    vals.append(coo.data[inner])
+    col.append(n + rows[inner])
+    val.append(w[inner])
     # W_u^T S W_u: every pair of block columns stored in one row i of W
-    # adds s_i W_ia W_ic. `left` repeats each stored entry once per entry
-    # of its row, and `right` runs over those row partners.
-    wu = W.csr[:, block].tocsr()
-    counts = np.diff(wu.indptr)
-    row_of = np.repeat(np.arange(n), counts)
+    # adds s_i W_ia W_ic. `left` repeats each entry in a block column once
+    # per such entry of its row, and `right` runs over those row partners.
+    in_block = ac >= 0
+    row_of, wu_col, wu = rows[in_block], ac[in_block], w[in_block]
+    counts = np.bincount(row_of, minlength=n)
+    starts = np.cumsum(counts) - counts
     reps = counts[row_of]
-    left = np.repeat(np.arange(wu.nnz), reps)
-    right = (np.repeat(wu.indptr[row_of], reps) + np.arange(left.size)
+    left = np.repeat(np.arange(row_of.size), reps)
+    right = (np.repeat(starts[row_of], reps) + np.arange(left.size)
              - np.repeat(np.cumsum(reps) - reps, reps))
-    a, c = wu.indices[left], wu.indices[right]
+    a, c = wu_col[left], wu_col[right]
     keep = a >= c
     lo_a.append(a[keep])
     lo_c.append(c[keep])
-    cols.append(2 * n + row_of[left[keep]])
-    vals.append(wu.data[left[keep]] * wu.data[right[keep]])
+    col.append(2 * n + row_of[left[keep]])
+    val.append(wu[left[keep]] * wu[right[keep]])
     lo_a, lo_c = np.concatenate(lo_a), np.concatenate(lo_c)
+    col, val = np.concatenate(col), np.concatenate(val)
     width = int(np.max(lo_a - lo_c, initial=0))
-    G = sp.csr_matrix((np.concatenate(vals),
-                       (lo_c * (width + 1) + lo_a - lo_c, np.concatenate(cols))),
-                      shape=(k * (width + 1), 3 * n))
-    return _BlockPlan(width=width, G=G)
+    slot = lo_c * (width + 1) + lo_a - lo_c
+    order = np.lexsort((col, slot))
+    return _BlockPlan(width=width, slot=slot[order], col=col[order],
+                      val=val[order])
 
 
 @dataclass(frozen=True)
@@ -689,11 +711,10 @@ def block_conditionals(kind: ModelKind, W: SpatialWeights, rho: float,
         raise DimensionError("r must have one entry per site")
     inv_tau = _inv_tau(kind, W, tau)
     s = inv_tau if inv_tau is not None else np.ones(W.n)
-    weights = np.concatenate([s, -rho * s, (rho * rho) * s])
+    x = np.concatenate([s, -rho * s, (rho * rho) * s])
     out = []
     for block in blocks:
-        plan = W._block_plan(block)
-        band = (plan.G @ weights).reshape(block.size, plan.width + 1).T
+        band = W._block_plan(block).band(x, block.size)
         chol, info = _pbtrf(band, lower=1, overwrite_ab=1)
         # a NaN pivot passes pbtrf's test, so check the diagonal as well
         if info or not np.all(chol[0] > 0.0):

@@ -27,14 +27,17 @@ from .likelihoods import Dataset, layout_full, layout_missing
 from .models import ModelKind, Priors, ThetaLayout, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .simulate import draw_inverse_gamma
-from .spatial import SpatialWeights, logdet_A
-from .transforms import gamma_link
+from .spatial import logdet_A
+from .transforms import gamma_link, omega_from_sigma2, rho_link
 
 __all__ = [
     "VariationalParams", "AdadeltaState", "FitConfig", "FitResult",
     "sample_q", "log_q0", "reparam_grads", "adadelta_step",
     "init_lambda", "vb_fit", "draw_posterior",
 ]
+
+_ADADELTA_ALPHA, _ADADELTA_UPSILON = 1e-6, 0.95  # ADADELTA offset and decay
+_GAMMA_INIT = 1.001  # just off the identity transform at gamma = 1
 
 
 @functools.cache
@@ -151,14 +154,10 @@ class AdadeltaState:
 
     e_grad2: np.ndarray
     e_dx2: np.ndarray
-    alpha: float = 1e-6
-    upsilon: float = 0.95
 
     @classmethod
-    def zeros(cls, size: int, alpha: float = 1e-6,
-              upsilon: float = 0.95) -> "AdadeltaState":
-        return cls(e_grad2=np.zeros(size), e_dx2=np.zeros(size),
-                   alpha=alpha, upsilon=upsilon)
+    def zeros(cls, size: int) -> "AdadeltaState":
+        return cls(e_grad2=np.zeros(size), e_dx2=np.zeros(size))
 
 
 def adadelta_step(state: AdadeltaState, grad: np.ndarray
@@ -166,12 +165,12 @@ def adadelta_step(state: AdadeltaState, grad: np.ndarray
     """One ADADELTA update; returns (step, new state) for an ascent move."""
     if grad.shape != state.e_grad2.shape:
         raise DimensionError("gradient length does not match the state")
-    up, al = state.upsilon, state.alpha
+    up, al = _ADADELTA_UPSILON, _ADADELTA_ALPHA
     e_g2 = up * state.e_grad2 + (1.0 - up) * grad * grad
     a = np.sqrt((state.e_dx2 + al) / (e_g2 + al))
     step = a * grad
     e_dx2 = up * state.e_dx2 + (1.0 - up) * step * step
-    return step, AdadeltaState(e_grad2=e_g2, e_dx2=e_dx2, alpha=al, upsilon=up)
+    return step, AdadeltaState(e_grad2=e_g2, e_dx2=e_dx2)
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,6 @@ class FitConfig:
     trace_every: int = 100
     stop_window: int = 0      # 0 disables the plateau rule
     stop_tol: float = 0.0
-    gamma_init_offset: float = 1e-3
 
     def __post_init__(self):
         if self.n_factors < 1:
@@ -211,13 +209,6 @@ class FitResult:
     acceptance: np.ndarray | None = None
 
 
-def _submatrix_weights(W: SpatialWeights, keep: np.ndarray) -> SpatialWeights:
-    """Restriction of W to the kept sites (raw weights, re-indexed)."""
-    sub = W.csr[keep][:, keep].tocoo()
-    return SpatialWeights(n=keep.size, rows=sub.row, cols=sub.col,
-                          weights=sub.data, row_standardized=False)
-
-
 def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     """Profile-likelihood fit of the Gaussian identity kind on a rho grid.
 
@@ -229,7 +220,7 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
         W, y, X = data.W, data.y, data.X
     else:
         keep = np.flatnonzero(obs)
-        W = _submatrix_weights(data.W, keep)
+        W = data.W.restrict(keep)
         y, X = data.y[keep], data.X[keep]
     n = y.size
     if n <= X.shape[1]:
@@ -272,14 +263,14 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
     beta, sigma2, rho = _ml_init(data)
     mu = np.zeros(layout.size)
     mu[layout.beta] = beta
-    mu[layout.omega] = np.log(sigma2)
-    mu[layout.rho] = np.log1p(rho) - np.log1p(-rho)
+    mu[layout.omega] = omega_from_sigma2(sigma2)
+    mu[layout.rho] = rho_link(rho)
     if kind.student_t:
         mu[layout.nu] = 0.0   # nu = 4
         mu[layout.tau] = np.log(draw_inverse_gamma(2.0, 2.0, rng,
                                                    size=layout.n_sites))
     if kind.yeo_johnson:
-        mu[layout.gamma] = gamma_link(1.0 + config.gamma_init_offset)
+        mu[layout.gamma] = gamma_link(_GAMMA_INIT)
     if with_psi:
         mu[layout.psi] = 0.1
     s, p = layout.size, config.n_factors

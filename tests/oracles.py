@@ -11,6 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def csr(W):
+    """scipy's CSR form of W's triples: duplicates summed, stored zeros kept."""
+    import scipy.sparse as sp
+    return sp.coo_matrix((W.weights, (W.rows, W.cols)),
+                         shape=(W.n, W.n)).tocsr()
+
+
 def dense_A(W_dense: np.ndarray, rho: float) -> np.ndarray:
     n = W_dense.shape[0]
     return np.eye(n) - rho * W_dense

@@ -27,7 +27,7 @@ from semvb.transforms import yj_dy, yj_forward, yj_inverse
 from semvb.variational import (AdadeltaState, FitConfig, adadelta_step,
                                draw_posterior, vb_fit)
 
-from oracles import fd_gradient, mvn_logpdf, schur_conditional, sem_cov
+from oracles import csr, fd_gradient, mvn_logpdf, schur_conditional, sem_cov
 from util import ALL_KINDS, random_instance
 
 
@@ -91,7 +91,7 @@ def test_criterion_2_dense_likelihood_oracle():
             lattice = lattices[(seed + k) % len(lattices)]
             inst = random_instance(kind, seed=seed, lattice=lattice)
             d, p, tau = inst["data"], inst["params"], inst["tau"]
-            cov = sem_cov(d.W.csr.toarray(), p.rho, p.sigma2, tau)
+            cov = sem_cov(csr(d.W).toarray(), p.rho, p.sigma2, tau)
             z = yj_forward(d.y, p.gamma) if kind.yeo_johnson else d.y
             expected = mvn_logpdf(z, d.X @ p.beta, cov)
             if kind.yeo_johnson:
@@ -115,7 +115,7 @@ def test_criterion_3_conditional_gaussian_oracle():
         inst = random_instance(kind, seed=31, lattice=(2, 4))
         d, p, tau = inst["data"], inst["params"], inst["tau"]
         M = np.asarray(
-            sem_cov(d.W.csr.toarray(), p.rho, 1.0, tau))
+            sem_cov(csr(d.W).toarray(), p.rho, 1.0, tau))
         cov = p.sigma2 * M
         rng = np.random.default_rng(5)
         r = rng.normal(size=8)

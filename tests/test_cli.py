@@ -405,7 +405,8 @@ class TestImports:
         assert loaded == []
 
     def test_hvb_fit_loads_scipy_linalg(self, tmp_path):
-        # the MH conditionals are banded Cholesky factors from LAPACK
+        # the MH conditionals are banded Cholesky factors from LAPACK; their
+        # band maps and the initial fit's restricted W are built on numpy
         sim = tmp_path / "sim"
         run_simulate(sim)
         amp = tmp_path / "amp"
@@ -418,6 +419,7 @@ class TestImports:
              "--n-draws", "5", "--out-dir", str(tmp_path / "fit")]])
         assert "scipy.linalg" in loaded
         assert not [m for m in loaded if m.startswith("scipy.special")]
+        assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
     def test_every_export_resolves_lazily(self):
         import semvb

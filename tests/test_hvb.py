@@ -14,7 +14,8 @@ from semvb.spatial import (Partition, build_rook_lattice,
 from semvb.transforms import yj_forward
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
-from oracles import dense_M, discrete_mh_transition, schur_conditional, sem_cov
+from oracles import (csr, dense_M, discrete_mh_transition, schur_conditional,
+                     sem_cov)
 from util import ALL_KINDS, random_instance
 
 
@@ -139,7 +140,7 @@ class TestProposeYu:
                            data_y[part.observed_idx], rng)
             for _ in range(6000)])
         mean_full = X @ params.beta
-        cov = sem_cov(W.csr.toarray(), 0.5, 0.8, None)
+        cov = sem_cov(csr(W).toarray(), 0.5, 0.8, None)
         om, oc = schur_conditional(mean_full, cov, part.observed_idx,
                                    part.unobserved_idx,
                                    data_y[part.observed_idx])
@@ -208,7 +209,7 @@ class TestMcmcNob:
             for _ in range(4000)])
         params = inst["params"]
         mean_full = data.X @ params.beta
-        cov = sem_cov(data.W.csr.toarray(), params.rho, params.sigma2, None)
+        cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
         om, oc = schur_conditional(mean_full, cov, part.observed_idx,
                                    part.unobserved_idx,
                                    data.y[part.observed_idx])
@@ -383,7 +384,7 @@ class TestMcmcAllb:
             for _ in range(2500)])
         params = inst["params"]
         mean_full = data.X @ params.beta
-        cov = sem_cov(data.W.csr.toarray(), params.rho, params.sigma2, None)
+        cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
         om, oc = schur_conditional(mean_full, cov, part.observed_idx,
                                    part.unobserved_idx,
                                    data.y[part.observed_idx])
@@ -668,7 +669,7 @@ class TestDrawPosteriorMissing:
             ModelKind.SEM_GAU, data, lam, 3000, 2, np.random.default_rng(7))
         part = data.partition
         mean_full = data.X @ params.beta
-        cov = sem_cov(data.W.csr.toarray(), params.rho, params.sigma2, None)
+        cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
         om, oc = schur_conditional(mean_full, cov, part.observed_idx,
                                    part.unobserved_idx,
                                    data.y[part.observed_idx])

@@ -11,7 +11,7 @@ from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
 from semvb.spatial import SpatialWeights, build_rook_lattice
 from semvb.transforms import yj_forward
 
-from oracles import mvn_logpdf, mvt_logpdf, sem_cov
+from oracles import csr, mvn_logpdf, mvt_logpdf, sem_cov
 from util import ALL_KINDS, random_instance
 
 
@@ -119,7 +119,7 @@ class TestLoglik:
         for seed in range(6):
             inst = random_instance(kind, seed=seed, lattice=(2, 3))
             d, p, tau = inst["data"], inst["params"], inst["tau"]
-            W_dense = d.W.csr.toarray()
+            W_dense = csr(d.W).toarray()
             cov = sem_cov(W_dense, p.rho, p.sigma2, tau)
             z = yj_forward(d.y, p.gamma) if kind.yeo_johnson else d.y
             expected = mvn_logpdf(z, d.X @ p.beta, cov)
@@ -163,7 +163,7 @@ class TestMarginalT:
         for seed in (0, 1, 2):
             inst = random_instance(ModelKind.SEM_T, seed=seed, lattice=(2, 3))
             d, p = inst["data"], inst["params"]
-            W_dense = d.W.csr.toarray()
+            W_dense = csr(d.W).toarray()
             A = np.eye(d.n) - p.rho * W_dense
             scale = p.sigma2 * np.linalg.inv(A.T @ A)
             expected = mvt_logpdf(d.y, d.X @ p.beta, scale, p.nu)

@@ -11,7 +11,7 @@ from semvb.simulate import (draw_beta_preset, draw_inverse_gamma,
                             make_design, simulate_sem)
 from semvb.spatial import SpatialWeights, build_rook_lattice
 
-from oracles import dense_A, sem_cov
+from oracles import csr, dense_A, sem_cov
 
 
 class TestDesigns:
@@ -93,7 +93,7 @@ class TestSimulateSem:
             simulate_sem(ModelKind.SEM_GAU, X, W, params, rng)[0]
             for _ in range(8000)])
         cov_hat = np.cov(reps.T)
-        cov = sem_cov(W.csr.toarray(), 0.6, 1.5, None)
+        cov = sem_cov(csr(W).toarray(), 0.6, 1.5, None)
         n = reps.shape[0]
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
         assert np.all(np.abs(cov_hat - cov) < 3.5 * se)

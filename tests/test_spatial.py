@@ -6,9 +6,8 @@ import pytest
 from semvb.errors import DimensionError, DomainError, SingularityError
 from semvb.models import ModelKind
 from semvb import spatial
-from semvb.variational import _submatrix_weights
 
-from oracles import dense_M, fd_derivative, schur_conditional
+from oracles import csr, dense_M, fd_derivative, schur_conditional
 
 
 def two_node_raw() -> spatial.SpatialWeights:
@@ -30,7 +29,7 @@ class TestRookLattice:
 
     def test_adjacency_is_symmetric(self):
         W = spatial.build_rook_lattice(4, 4, row_standardize=False)
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         np.testing.assert_array_equal(dense, dense.T)
 
     def test_raw_option(self):
@@ -109,15 +108,54 @@ class TestProducts:
     def test_bit_for_bit_scipy(self, name, shape):
         W = PRODUCT_CASES[name]()
         v = np.random.default_rng(1).standard_normal((W.n, *shape))
-        assert W.matvec(v).tobytes() == (W.csr @ v).tobytes()
-        assert W.rmatvec(v).tobytes() == (W.csr_t @ v).tobytes()
+        assert W.matvec(v).tobytes() == (csr(W) @ v).tobytes()
+        assert W.rmatvec(v).tobytes() == (csr(W).T.tocsr() @ v).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+    @pytest.mark.parametrize("c", [0.6, -0.95, 0.0, 0.3 + 1e-30j, 1e-30j])
+    def test_a_matrix_is_scipy_difference(self, name, c):
+        import scipy.sparse as sp
+        W = PRODUCT_CASES[name]()
+        a = spatial.a_matrix(W, c)
+        want = (sp.identity(W.n, format="csr") - c * csr(W)).tocsc()
+        assert a.format == "csc"
+        for field in ("data", "indices", "indptr"):
+            got, ref = getattr(a, field), getattr(want, field)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+    def test_restrict_is_csr_submatrix(self, name):
+        W = PRODUCT_CASES[name]()
+        keep = np.flatnonzero(np.random.default_rng(6).random(W.n) < 0.6)
+        sub = csr(W)[keep][:, keep].tocoo()
+        R = W.restrict(keep)
+        rows, cols, w = R._entries
+        assert R.n == keep.size and not R.row_standardized
+        np.testing.assert_array_equal(rows, sub.row)
+        np.testing.assert_array_equal(cols, sub.col)
+        assert w.tobytes() == sub.data.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+    def test_block_band_is_csr_product(self, name):
+        import scipy.sparse as sp
+        W = PRODUCT_CASES[name]()
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(3 * W.n)
+        for block in (np.flatnonzero(rng.random(W.n) < 0.5),
+                      np.arange(W.n // 3, W.n), np.arange(W.n)):
+            plan = W._block_plan(block)
+            k, m = block.size, plan.width + 1
+            G = sp.csr_matrix((plan.val, (plan.slot, plan.col)),
+                              shape=(k * m, 3 * W.n))
+            want = (G @ x).reshape(k, m).T
+            assert plan.band(x, k).tobytes() == want.tobytes()
 
 
 class TestApplyA:
     def test_matches_dense(self):
         rng = np.random.default_rng(0)
         W = spatial.build_rook_lattice(4, 5)
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         v = rng.standard_normal(20)
         A = np.eye(20) - 0.6 * dense
         np.testing.assert_allclose(spatial.apply_A(W, 0.6, v), A @ v, atol=1e-12)
@@ -127,6 +165,9 @@ class TestApplyA:
         W = two_node_raw()
         with pytest.raises(DomainError):
             spatial.apply_A(W, 1.0, np.zeros(2))
+        for c in (1.0, -1.0 + 1e-30j):
+            with pytest.raises(DomainError):
+                spatial.a_matrix(W, c)
 
     def test_length_mismatch(self):
         W = two_node_raw()
@@ -151,7 +192,7 @@ class TestLogdet:
 
     def test_matches_slogdet_on_lattice(self):
         W = spatial.build_rook_lattice(5, 5)
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         for rho in (-0.9, -0.3, 0.0, 0.4, 0.85):
             sign, ld = np.linalg.slogdet(np.eye(25) - rho * dense)
             assert sign > 0
@@ -185,7 +226,7 @@ class TestLogdet:
                                           cols=[1, 0, 3, 2],
                                           weights=[2.0, 2.0, 2.0, 2.0])
         W_eig, rho = make(), 0.6
-        dense = W_eig.csr.toarray()
+        dense = csr(W_eig).toarray()
         A = np.eye(4) - rho * dense
         sign, ld = np.linalg.slogdet(A)
         assert sign > 0 and ld == pytest.approx(np.log(0.1936), abs=1e-12)
@@ -218,7 +259,7 @@ class TestLogdet:
 class TestTrace:
     def test_matches_dense_inverse(self):
         W = spatial.build_rook_lattice(4, 6)
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         for rho in (-0.8, 0.1, 0.75):
             expected = np.trace(np.linalg.solve(np.eye(24) - rho * dense, dense))
             assert spatial.trace_AinvW(W, rho) == pytest.approx(expected, abs=1e-10)
@@ -246,7 +287,7 @@ def weighted_symmetric_c() -> spatial.SpatialWeights:
 
 def lattice_restriction() -> spatial.SpatialWeights:
     keep = np.flatnonzero(np.random.default_rng(4).random(49) < 0.6)
-    return _submatrix_weights(spatial.build_rook_lattice(7, 7), keep)
+    return spatial.build_rook_lattice(7, 7).restrict(keep)
 
 
 def reversed_ratio_lattice() -> spatial.SpatialWeights:
@@ -279,7 +320,7 @@ class TestSymmetrizer:
         W = SYMMETRIZABLE[name][0]()
         h = W.symmetrizer
         assert h is not None and np.all(h > 0)
-        hw = h[:, None] * W.csr.toarray()
+        hw = h[:, None] * csr(W).toarray()
         np.testing.assert_allclose(hw, hw.T, rtol=1e-12, atol=0.0)
         assert W.eigenvalues.dtype == np.float64
 
@@ -291,7 +332,7 @@ class TestSymmetrizer:
 
     def test_eigenvalues_match_general_route(self):
         W = weighted_symmetric_c()
-        general = np.sort(np.linalg.eigvals(W.csr.toarray()).real)
+        general = np.sort(np.linalg.eigvals(csr(W).toarray()).real)
         np.testing.assert_allclose(np.sort(W.eigenvalues), general, atol=1e-12)
 
     def test_none_without_balance(self):
@@ -322,19 +363,19 @@ class TestSymmetrizer:
         W = spatial.SpatialWeights(n=20, rows=rows, cols=cols, weights=weights)
         h = W.symmetrizer
         assert h is not None and np.all(h > 0)
-        hw = h[:, None] * W.csr.toarray()
+        hw = h[:, None] * csr(W).toarray()
         np.testing.assert_allclose(hw, hw.T, rtol=1e-12, atol=0.0)
         # the search starts each component at its lowest site, with h = 1
         for comp in (site[:9], site[9:11], site[11:14]):
             assert h[comp.min()] == 1.0
         np.testing.assert_array_equal(h[site[14:]], 1.0)
-        general = np.sort(np.linalg.eigvals(W.csr.toarray()).real)
+        general = np.sort(np.linalg.eigvals(csr(W).toarray()).real)
         np.testing.assert_allclose(np.sort(W.eigenvalues), general, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIZABLE))
     def test_eigenvalues_bit_for_bit_scipy_form(self, name):
         W = SYMMETRIZABLE[name][0]()
-        s = W.csr.multiply(W.csr_t).sqrt().toarray()
+        s = csr(W).multiply(csr(W).T.tocsr()).sqrt().toarray()
         assert W.eigenvalues.tobytes() == np.linalg.eigvalsh(s).tobytes()
 
 
@@ -395,7 +436,7 @@ class TestSparseLuRoute:
         monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
         W = reversed_ratio_lattice()
         assert W.eigenvalues is None and W.sym_band is None
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         for rho in (-0.7, 0.2, 0.8):
             A = np.eye(W.n) - rho * dense
             sign, ld = np.linalg.slogdet(A)
@@ -412,7 +453,7 @@ class TestQuadForm:
     def test_matches_dense(self):
         rng = np.random.default_rng(3)
         W = spatial.build_rook_lattice(4, 4)
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         r = rng.standard_normal(16)
         tau = rng.gamma(3.0, 1.0, size=16)
         got = spatial.quad_form_M(ModelKind.SEM_GAU, W, 0.55, None, r)
@@ -444,7 +485,7 @@ class TestConditionalGaussian:
     def test_against_schur_oracle(self, kind, seed):
         rng = np.random.default_rng(seed)
         W = spatial.build_rook_lattice(3, 4)
-        dense = W.csr.toarray()
+        dense = csr(W).toarray()
         n = 12
         tau = rng.gamma(2.0, 1.0, size=n) if kind.student_t else None
         sigma2 = 0.7
@@ -554,7 +595,7 @@ class TestBandedConditional:
         cond = spatial.conditional_gaussian(kind, W, rho, tau, part, r_known)
 
         assert W._block_plan(unknown).width == width
-        cov = 0.7 * np.linalg.inv(dense_M(W.csr.toarray(), rho, tau))
+        cov = 0.7 * np.linalg.inv(dense_M(csr(W).toarray(), rho, tau))
         om, oc = schur_conditional(np.zeros(n), cov, known, unknown, r_known)
         np.testing.assert_allclose(cond.mean_offset, om, atol=1e-10)
         np.testing.assert_allclose(cond.covariance(0.7), oc, atol=1e-10)

@@ -15,6 +15,8 @@ from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
 from semvb.spatial import build_rook_lattice
 from semvb.transforms import yj_inverse
 
+from oracles import csr
+
 
 def random_instance(kind: ModelKind, seed: int, lattice=(4, 4),
                     n_covariates: int = 2, missing_frac: float = 0.0):
@@ -40,7 +42,7 @@ def random_instance(kind: ModelKind, seed: int, lattice=(4, 4),
         tau = 1.0 / rng.gamma(nu / 2.0, 2.0 / nu, size=n)
         scale = tau
     e = rng.standard_normal(n) * np.sqrt(sigma2 * scale)
-    A = np.eye(n) - rho * W.csr.toarray()
+    A = np.eye(n) - rho * csr(W).toarray()
     y_star = X @ beta + np.linalg.solve(A, e)
     y = yj_inverse(y_star, gamma) if kind.yeo_johnson else y_star
 
