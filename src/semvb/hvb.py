@@ -37,14 +37,14 @@ from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, _log_p_m_eta, layout_missing, log_p_m
 from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
-from .spatial import (ConditionalGaussian, Partition, block_conditionals,
+from .spatial import (ConditionalGaussian, block_conditionals,
                       conditional_gaussian)
 from .transforms import yj_forward, yj_inverse
 from .variational import (FitConfig, FitResult, VariationalParams, _sga,
                           init_lambda, sample_q)
 
-__all__ = ["BlockScheme", "HvbConfig", "propose_yu", "mh_accept_ratio",
-           "mcmc_nob", "mcmc_allb", "hvb_fit", "draw_posterior_missing"]
+__all__ = ["BlockScheme", "HvbConfig", "mcmc_nob", "mcmc_allb", "hvb_fit",
+           "draw_posterior_missing"]
 
 # Unobserved-block size above which the blocked kernel is the default.
 _NOB_MAX_NU = 500
@@ -158,42 +158,6 @@ def _proposal(kind: ModelKind, params: ModelParams, cond: ConditionalGaussian,
         # overflow in the inverse transform surfaces as a non-finite
         # proposal, which the MH kernels reject outright
         return yj_inverse(ystar_u, params.gamma)
-
-
-def propose_yu(kind: ModelKind, data: Dataset, params: ModelParams,
-               tau: np.ndarray | None, partition: Partition,
-               current_known_values: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-    """One independence-proposal draw for the unknown block.
-
-    partition may be the full observed/unobserved split or a single block's
-    split (everything else conditioned on). Identity kinds draw from
-    N(X_u beta + offset, sigma2 M_uu^-1); YJ kinds draw on the transformed
-    scale and map back through the inverse transform.
-    """
-    y_known = np.asarray(current_known_values, dtype=float)
-    if y_known.shape != (partition.observed_idx.size,):
-        raise DimensionError("y_known must match the known block size")
-    r_known = (_ystar(kind, y_known, params)
-               - data.X[partition.observed_idx] @ params.beta)
-    cond = conditional_gaussian(kind, data.W, params.rho, tau, partition,
-                                r_known)
-    mean_u = data.X[partition.unobserved_idx] @ params.beta
-    return _draw_proposal(kind, params, cond, mean_u, rng)
-
-
-def mh_accept_ratio(m: np.ndarray, y_proposed_complete: np.ndarray,
-                    y_current_complete: np.ndarray, Xstar: np.ndarray,
-                    psi: MissingnessParams) -> float:
-    """min(1, p(m | y_proposed, psi) / p(m | y_current, psi)), in log space.
-
-    The conditional-Gaussian proposal equals the response model's own
-    conditional, so it cancels and only the missingness pmf remains. The pmf
-    factorizes over sites, so the arguments may be restricted to the sites
-    where the two vectors differ.
-    """
-    return _accept_prob(log_p_m(m, y_proposed_complete, Xstar, psi)
-                        - log_p_m(m, y_current_complete, Xstar, psi))
 
 
 def _accept_prob(delta: float) -> float:

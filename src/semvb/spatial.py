@@ -42,8 +42,10 @@ tr(A^-1 W) = tr((I - rho S)^-1 S).
 
 The cap stays at 2048 although the banded route is exact at any n: at
 n = 2116 one eigvalsh takes about 1 s at one thread, the cost of several
-hundred banded log-dets of about 2 ms, so a process that evaluates only a
-few dozen log-dets (a DIC run) is faster on the banded route.
+hundred banded log-dets of about 2 ms, while a fit's rho-grid
+initialization (`variational._ml_init`) needs about ten log-dets on
+row-standardized W and a DIC run a few dozen, so both are faster on the
+banded route.
 
 W is stored once, as the sorted triples `_entries`. Only the routes that
 order, factor or solve import scipy, when they first run: scipy.sparse for
@@ -244,8 +246,8 @@ class SpatialWeights:
         symmetrizer.
 
         Row k holds the k-th subdiagonal, band[k, j] = S[j + k, j] (the
-        `scipy.linalg.cholesky_banded` layout). A symmetric permutation
-        does not change det(I - rho S).
+        lower layout of LAPACK `pbtrf`). A symmetric permutation does not
+        change det(I - rho S).
         """
         if self.symmetrizer is None:
             return None
@@ -478,15 +480,10 @@ def _banded_cholesky(W: SpatialWeights, rho: float) -> np.ndarray | None:
     band = W.sym_band
     if band is None:
         return None
-    import scipy.linalg as sla
     ab = -rho * band
     ab[0] += 1.0
-    try:
-        chol = sla.cholesky_banded(ab, lower=True, overwrite_ab=True,
-                                   check_finite=False)
-    except sla.LinAlgError:
-        return None
-    if np.any(chol[0] ** 2 < _SINGULAR_TOL):
+    chol, info = _pbtrf(ab, lower=1, overwrite_ab=1)
+    if info or np.any(chol[0] ** 2 < _SINGULAR_TOL):
         return None
     return chol
 

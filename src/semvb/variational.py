@@ -213,7 +213,51 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     """Profile-likelihood fit of the Gaussian identity kind on a rho grid.
 
     Missing responses are handled by restricting the system to observed
-    sites. Returns (beta_hat, sigma2_hat, rho_hat).
+    sites. Returns (beta_hat, sigma2_hat, rho_hat): the fit at the first
+    grid point, of the 199 in [-0.99, 0.99] (the log-det grid of LeSage &
+    Pace 2009), with the highest score ld(rho) - (n/2) log sigma2_hat(rho),
+    where ld(rho) = log det(I - rho W). The result is that of a full scan
+    that computes ld at every point, bit for bit, but ld is computed only
+    where it can still change the pick.
+
+    The least-squares fit and the term -(n/2) log sigma2_hat run at every
+    point. ld runs at the first point, at every point outside the region R
+    below, and lazily inside it. R holds the points with |rho| r < 1, r the largest row sum
+    of W, when W has a symmetrizer. The eigenvalues of W are then real and,
+    by Gershgorin, lie in [-r, r], so every factor 1 - rho lambda is positive
+    on R and ld'' = -sum lambda^2 / (1 - rho lambda)^2 <= 0: ld is concave on
+    R. A concave function lies below its tangent at 0, which is ld = 0
+    since ld(0) = 0 and ld'(0) = -tr W = 0 (W has no diagonal), and below
+    the extension of every chord between two points where it is known, on
+    either side of the pair. So at each unevaluated point of R the least of
+    0 and the extended chords through the two nearest known points on
+    either side (0 counts as known) bounds ld from above. The loop computes
+    ld at the point whose bound plus its profile term is highest, and stops
+    once none reaches the best score so far minus a margin delta; no
+    unevaluated point can then beat that score. Without a symmetrizer R is
+    empty and every point is evaluated.
+
+    delta covers the rounding of the computed ld. Both log-det routes are
+    backward stable: the eigenvalues, or the banded Cholesky factor, are
+    exact for some A + Delta A with ||Delta A|| <= eta ||A||, taken as
+    eta = n eps, and
+    |log det(A + Delta A) - log det A| <= n ||A^-1 Delta A|| <= n kappa eta
+    with kappa = (1 + |rho| r) / (1 - |rho| r) >= cond(A) on R. So each
+    computed ld is within e = n^2 kappa eps of ld, for the largest kappa on
+    R. A chord extended from two points d apart to a point t d beyond the
+    nearer one carries their errors with weight 1 + 2t <= 2 * 197 + 1 on
+    the grid's 199 points, and the point's own ld adds one more e, so
+    delta = (2 * 198 + 1) e covers both; the few roundings of the bound's
+    own arithmetic are far below e. At n = 2116 and r = 1 (|rho| <= 0.99,
+    kappa = 199) e is 2e-7 and delta 8e-5, while the banded-Cholesky and
+    eigenvalue log-dets of the 46 x 46 rook lattice differ by at most
+    4.3e-13 over the grid.
+
+    Measured on row-standardized 30 x 30 and 46 x 46 rook lattices (true
+    rho in {-0.5, 0, 0.8, 0.95}, seeds 0-5, sem-gau and yj-sem-t data) this
+    takes 2-10 log-dets instead of 199, and 9-10 with 30% of the responses
+    missing; binary 20 x 20 weights take 151-156, since only the 49 points
+    with |rho| < 1/4 lie in R.
     """
     obs = ~data.missing
     if obs.all():
@@ -225,24 +269,88 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     n = y.size
     if n <= X.shape[1]:
         raise DomainError("too few observed responses to initialize")
-    best = None
     Wy, WX = W.matvec(y), W.matvec(X)
-    for rho in np.linspace(-0.99, 0.99, 199):
-        try:
-            ld = logdet_A(W, rho)
-        except SingularityError:
-            continue
+
+    def profile(rho):
         ay = y - rho * Wy
         ax = X - rho * WX
         beta, *_ = np.linalg.lstsq(ax, ay, rcond=None)
         resid = ay - ax @ beta
-        sigma2 = max(float(resid @ resid) / n, 1e-12)
-        score = ld - 0.5 * n * np.log(sigma2)
-        if best is None or score > best[0]:
-            best = (score, beta, sigma2, rho)
-    if best is None:
+        return beta, max(float(resid @ resid) / n, 1e-12)
+
+    grid = np.linspace(-0.99, 0.99, 199)
+    ld = np.zeros(grid.size)
+    done = np.zeros(grid.size, dtype=bool)
+    ok = np.zeros(grid.size, dtype=bool)   # evaluated and not singular
+
+    def evaluate(k):
+        done[k] = True
+        try:
+            ld[k] = logdet_A(W, grid[k])
+            ok[k] = True
+        except SingularityError:
+            pass
+
+    # the first point before the fits, as in a full scan: the log-det's
+    # one-off set-up then runs before the 199 fits have grown the heap,
+    # which keeps the process's peak memory that of a full scan
+    evaluate(0)
+    half = np.array([0.5 * n * np.log(profile(rho)[1]) for rho in grid])
+    r = np.bincount(W.rows, weights=W.weights, minlength=W.n).max()
+    concave = (np.abs(grid) * r < 1.0) & (W.symmetrizer is not None)
+    for k in np.flatnonzero(~concave & ~done):
+        evaluate(k)
+    span = np.abs(grid[concave]).max(initial=0.0) * r   # largest |rho| r
+    delta = ((2 * 198 + 1) * n * n * np.finfo(float).eps
+             * (1.0 + span) / (1.0 - span))
+    todo = concave & ~done
+    while todo.any():
+        known = concave & ok
+        # 0 is known exactly: np.unique keeps it, not a computed ld(0)
+        xs, first = np.unique(np.concatenate([[0.0], grid[known]]),
+                              return_index=True)
+        fs = np.concatenate([[0.0], ld[known]])[first]
+        reach = np.where(todo, _concave_bound(xs, fs, grid) - half, -np.inf)
+        # NaN once a score is NaN (a non-finite response): nothing is pruned
+        top = np.max(np.where(ok, ld - half, -np.inf))
+        j = int(np.argmax(reach))
+        if reach[j] < top - delta:
+            break
+        evaluate(j)
+        todo[j] = False
+    if not ok.any():
         raise NumericalError("profile likelihood failed on the whole rho grid")
-    return best[1], best[2], best[3]
+    score = ld - half
+    best = None
+    for k in np.flatnonzero(ok):
+        if best is None or score[k] > score[best]:
+            best = k
+    # recomputed rather than kept for all 199 points: the same arithmetic
+    # gives the same bits
+    return *profile(grid[best]), grid[best]
+
+
+def _concave_bound(xs: np.ndarray, fs: np.ndarray, x: np.ndarray
+                   ) -> np.ndarray:
+    """Upper bound at each x on a concave f with known values fs at the
+    ascending xs, f(0) = 0 and f'(0) = 0: the least of 0 and the chords
+    through the two nearest xs on each side of x, extended to x.
+
+    Chord c joins xs[c] and xs[c + 1]. Every array here has x's length,
+    whatever the number of known points: arrays of a new small size on
+    each iteration of the calling loop would each stay in numpy's cache of
+    small buffers and raise the process's peak memory.
+    """
+    out = np.zeros(x.size)
+    if xs.size < 2:
+        return out
+    i = np.searchsorted(xs, x)
+    for c, valid in ((i - 2, i >= 2), (i, i + 2 <= xs.size)):
+        c = np.clip(c, 0, xs.size - 2)
+        slope = (fs[c + 1] - fs[c]) / (xs[c + 1] - xs[c])
+        out = np.where(valid, np.minimum(out, fs[c] + slope * (x - xs[c])),
+                       out)
+    return out
 
 
 def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,

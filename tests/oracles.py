@@ -1,9 +1,15 @@
 """Independent reference implementations used to pin expected test values.
 
-Everything here is deliberately brute force: dense linear algebra, textbook
-density formulas, central finite differences. Nothing imports the package's
-own likelihood or gradient code, so agreement between the two is evidence,
-not tautology.
+Most of this is deliberately brute force: dense linear algebra, textbook
+density formulas, central finite differences. None of those import the
+package's own likelihood or gradient code, so agreement between the two is
+evidence, not tautology.
+
+Three references are simple compositions of the package's own pieces instead,
+and pin the faster code that replaced them: `ml_init_full_grid`, the rho-grid
+initialization as a full scan of 199 log-dets, and `propose_yu` and
+`mh_accept_ratio`, one independence-MH step for one block at a time, against
+which the batched and blocked chains are checked.
 """
 
 from __future__ import annotations
@@ -16,6 +22,78 @@ def csr(W):
     import scipy.sparse as sp
     return sp.coo_matrix((W.weights, (W.rows, W.cols)),
                          shape=(W.n, W.n)).tocsr()
+
+
+def ml_init_full_grid(data):
+    """The profile-likelihood initialization as a full scan of the rho grid:
+    one log-det at each of the 199 points, the first best score kept."""
+    from semvb.errors import DomainError, NumericalError, SingularityError
+    from semvb.spatial import logdet_A
+    obs = ~data.missing
+    if obs.all():
+        W, y, X = data.W, data.y, data.X
+    else:
+        keep = np.flatnonzero(obs)
+        W = data.W.restrict(keep)
+        y, X = data.y[keep], data.X[keep]
+    n = y.size
+    if n <= X.shape[1]:
+        raise DomainError("too few observed responses to initialize")
+    best = None
+    Wy, WX = W.matvec(y), W.matvec(X)
+    for rho in np.linspace(-0.99, 0.99, 199):
+        try:
+            ld = logdet_A(W, rho)
+        except SingularityError:
+            continue
+        ay = y - rho * Wy
+        ax = X - rho * WX
+        beta, *_ = np.linalg.lstsq(ax, ay, rcond=None)
+        resid = ay - ax @ beta
+        sigma2 = max(float(resid @ resid) / n, 1e-12)
+        score = ld - 0.5 * n * np.log(sigma2)
+        if best is None or score > best[0]:
+            best = (score, beta, sigma2, rho)
+    if best is None:
+        raise NumericalError("profile likelihood failed on the whole rho grid")
+    return best[1], best[2], best[3]
+
+
+def propose_yu(kind, data, params, tau, partition, current_known_values,
+               rng):
+    """One independence-proposal draw for the unknown block.
+
+    partition may be the full observed/unobserved split or a single block's
+    split (everything else conditioned on). Identity kinds draw from
+    N(X_u beta + offset, sigma2 M_uu^-1); YJ kinds draw on the transformed
+    scale and map back through the inverse transform.
+    """
+    from semvb.errors import DimensionError
+    from semvb.hvb import _draw_proposal, _ystar
+    from semvb.spatial import conditional_gaussian
+    y_known = np.asarray(current_known_values, dtype=float)
+    if y_known.shape != (partition.observed_idx.size,):
+        raise DimensionError("y_known must match the known block size")
+    r_known = (_ystar(kind, y_known, params)
+               - data.X[partition.observed_idx] @ params.beta)
+    cond = conditional_gaussian(kind, data.W, params.rho, tau, partition,
+                                r_known)
+    mean_u = data.X[partition.unobserved_idx] @ params.beta
+    return _draw_proposal(kind, params, cond, mean_u, rng)
+
+
+def mh_accept_ratio(m, y_proposed_complete, y_current_complete, Xstar, psi):
+    """min(1, p(m | y_proposed, psi) / p(m | y_current, psi)), in log space.
+
+    The conditional-Gaussian proposal equals the response model's own
+    conditional, so it cancels and only the missingness pmf remains. The pmf
+    factorizes over sites, so the arguments may be restricted to the sites
+    where the two vectors differ.
+    """
+    from semvb.hvb import _accept_prob
+    from semvb.likelihoods import log_p_m
+    return _accept_prob(log_p_m(m, y_proposed_complete, Xstar, psi)
+                        - log_p_m(m, y_current_complete, Xstar, psi))
 
 
 def dense_A(W_dense: np.ndarray, rho: float) -> np.ndarray:

