@@ -5,14 +5,17 @@ override config-file values, which override the documented defaults.
 
 Each command loads only the modules it runs: this module imports the
 numerical stack inside the command functions, so --threads can pin BLAS
-thread counts before numpy loads. scipy is imported only by the code that
-orders, factors or solves: `simulate`'s sparse solve, the banded and
-sparse-LU routes past the eigen cap, and the LAPACK banded conditionals of
-`hvb` fits. So `amputate`, `summarize`, and a `vb` fit or a `dic` run below
-the cap load numpy and no scipy module, and an `hvb` fit below the cap loads
-scipy.linalg and no scipy.sparse. A process start is a large share of a
-short pipeline stage, and `tests/test_cli.py::TestImports` holds the
-commands to this rule.
+thread counts before numpy loads. scipy is imported only by the sparse
+solves: `simulate`'s `spsolve` and, past the eigen cap, the complex-step
+sparse LU that gives the trace of a fit that iterates and the log-det of W
+without a symmetrizer. The banded Cholesky factors, of the `hvb`
+conditionals and of the log-det past the cap, come from scipy's compiled
+LAPACK wrapper loaded by file, which runs no scipy package code. So
+`amputate`, `summarize`, `vb` and `hvb` fits and `dic` runs below the cap,
+and past the cap on W with a symmetrizer a `dic` run or a fit with
+--max-iters 0, load numpy and no scipy module. A process start is a large
+share of a short pipeline stage, and `tests/test_cli.py::TestImports` holds
+the commands to this rule.
 """
 
 from __future__ import annotations

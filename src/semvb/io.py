@@ -88,7 +88,11 @@ def write_dataset(path, y: np.ndarray, X: np.ndarray,
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Returns (y, X, Xstar) with intercept columns prepended."""
+    """Returns (y, X, Xstar) with intercept columns prepended.
+
+    An empty y cell is a missing response (NaN in y); every other cell must
+    hold a finite number, so `inf`, `-inf` and `nan` raise DataFormatError.
+    """
     rows = _read_rows(path)
     header = rows[0]
     if not header or header[0] != "y":
@@ -112,6 +116,15 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             X[i, j + 1] = _parse_float(row[1 + j], path, f"x{j + 1}")
         for j in range(n_s):
             Xs[i, j + 1] = _parse_float(row[1 + n_x + j], path, f"xs{j + 1}")
+    given = np.array([row[0] != "" for row in body], dtype=bool)
+    cells = [np.where(given, y, 0.0)[:, None], X[:, 1:]]
+    if n_s:
+        cells.append(Xs[:, 1:])
+    bad = np.argwhere(~np.isfinite(np.hstack(cells)))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(f"{path}: row {i + 2}, column {header[j]}: "
+                              f"non-finite value {body[i][j]!r}")
     return y, X, Xs
 
 

@@ -47,14 +47,16 @@ initialization (`variational._ml_init`) needs about ten log-dets on
 row-standardized W and a DIC run a few dozen, so both are faster on the
 banded route.
 
-W is stored once, as the sorted triples `_entries`. Only the routes that
-order, factor or solve import scipy, when they first run: scipy.sparse for
-`a_matrix` and the RCM ordering and sparse LU past the cap (`sym_band`,
-`_lu_route`, `_perm_sign`), scipy.linalg for the banded Cholesky factors
-(`_banded_cholesky`, `_pbtrf`, `_pbtrs`, `_tbtrs`). Everything else,
-products with W and W^T and the block plans included, runs on numpy, so a
-fit or DIC run below the cap never loads scipy.sparse, and one that
-conditions no block loads no scipy at all.
+W is stored once, as the sorted triples `_entries`. Products with W and
+W^T, the block plans, the symmetrizer, the eigen route and the RCM ordering
+of `sym_band` run on numpy. The banded Cholesky factors and solves
+(`_pbtrf`, `_pbtrs`, `_tbtrs`) call the float64 routines of scipy's
+compiled LAPACK wrapper, which `_flapack` loads by file on first use
+without importing the scipy package. Only the sparse LU past the cap
+(`a_matrix`, `_lu_route`, `_perm_sign`) imports scipy, scipy.sparse, when it
+first runs. So an `hvb` fit below the cap, and past the cap on W with a
+symmetrizer a DIC run or a fit that takes no SGA step, load no scipy
+module; a fit past the cap that iterates loads scipy.sparse for its trace.
 """
 
 from __future__ import annotations
@@ -90,10 +92,47 @@ _SYM_TOL = 1e-12
 
 
 @cache
+def _flapack():
+    """scipy's compiled LAPACK wrapper module, scipy.linalg._flapack.
+
+    It is loaded from its file under the private name semvb._flapack, so
+    none of scipy's package __init__ modules run: the module itself needs
+    only numpy, while importing scipy.linalg (scipy 1.17) costs a process
+    about 0.3 s on a 2-vCPU Xeon. Where the load by file fails, as on
+    Windows wheels, whose scipy/__init__ puts the OpenBLAS DLL directory on
+    the search path, the same module comes through the package import.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+    name = "semvb._flapack"  # its last part names the PyInit__flapack symbol
+    try:
+        scipy = importlib.util.find_spec("scipy")  # runs no scipy code
+        if scipy is None:
+            raise ImportError("scipy is not installed")
+        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg, "_flapack" + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            raise ImportError(f"no _flapack extension in {linalg}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    except (ImportError, OSError):
+        from scipy.linalg import _flapack as module
+        return module
+    sys.modules[name] = module
+    return module
+
+
 def _lapack(name: str):
-    """The float64 LAPACK routine `name`, loading scipy.linalg on first use."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(name, (np.empty(0),))
+    """The float64 LAPACK routine `name`: scipy's get_lapack_funcs(name) for
+    float64 arrays is this same d<name> of scipy.linalg._flapack."""
+    return getattr(_flapack(), "d" + name)
 
 
 # LAPACK banded Cholesky, its solve, and the banded triangular solve.
@@ -251,19 +290,16 @@ class SpatialWeights:
         """
         if self.symmetrizer is None:
             return None
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
         rows, cols, _ = self._entries
         data = self._symmetric_weights()
         keep = data > 0
-        s = sp.csr_matrix((data[keep], (rows[keep], cols[keep])),
-                          shape=(self.n, self.n))
-        perm = reverse_cuthill_mckee(s, symmetric_mode=True)
-        s = s[perm][:, perm].tocoo()
-        low = s.row > s.col
-        k = s.row[low] - s.col[low]
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+        at = _slots(self.n, _reverse_cuthill_mckee(self.n, rows, cols))
+        a, c = at[rows], at[cols]
+        low = a > c
+        k = a[low] - c[low]
         band = np.zeros((int(k.max(initial=0)) + 1, self.n))
-        band[k, s.col[low]] = s.data[low]
+        band[k, c[low]] = data[low]
         return band
 
     @cached_property
@@ -299,6 +335,37 @@ class SpatialWeights:
         inner = (slot[rows] >= 0) & (slot[cols] >= 0)
         return SpatialWeights(n=len(sites), rows=slot[rows[inner]],
                               cols=slot[cols[inner]], weights=w[inner])
+
+
+def _reverse_cuthill_mckee(n: int, rows: np.ndarray,
+                           cols: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the symmetric graph with the edges
+    (rows, cols), sorted by (row, col) and without self-loops.
+
+    A port of scipy's reverse_cuthill_mckee(symmetric_mode=True) that gives
+    its permutation (Cuthill & McKee 1969). Searches are seeded in the order
+    of np.argsort of the int32 degrees; a site's unvisited neighbours join
+    in ascending site order, each site's new children are sorted stably by
+    degree, and the finished order is reversed.
+    """
+    start = np.searchsorted(rows, np.arange(n + 1))
+    degree = np.diff(start).astype(np.int32)
+    start, nbr, deg = start.tolist(), cols.tolist(), degree.tolist()
+    seen = [False] * n
+    order = []
+    for seed in np.argsort(degree).tolist():
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        queue = [seed]
+        for u in queue:  # grows while read: breadth-first order
+            kids = [v for v in nbr[start[u]:start[u + 1]] if not seen[v]]
+            for v in kids:
+                seen[v] = True
+            kids.sort(key=deg.__getitem__)
+            queue += kids
+        order += queue
+    return np.array(order[::-1], dtype=np.int64)
 
 
 def _slots(n: int, sites: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ density formulas, central finite differences. None of those import the
 package's own likelihood or gradient code, so agreement between the two is
 evidence, not tautology.
 
-Three references are simple compositions of the package's own pieces instead,
+Four references are simple compositions of the package's own pieces instead,
 and pin the faster code that replaced them: `ml_init_full_grid`, the rho-grid
-initialization as a full scan of 199 log-dets, and `propose_yu` and
+initialization as a full scan of 199 log-dets; `propose_yu` and
 `mh_accept_ratio`, one independence-MH step for one block at a time, against
-which the batched and blocked chains are checked.
+which the batched and blocked chains are checked; and `sym_band_scipy`, the
+reverse Cuthill-McKee band of S built with scipy's ordering.
 """
 
 from __future__ import annotations
@@ -22,6 +23,27 @@ def csr(W):
     import scipy.sparse as sp
     return sp.coo_matrix((W.weights, (W.rows, W.cols)),
                          shape=(W.n, W.n)).tocsr()
+
+
+def sym_band_scipy(W):
+    """`SpatialWeights.sym_band` as it was built on scipy: the lower band of
+    S permuted by scipy's reverse_cuthill_mckee(symmetric_mode=True)."""
+    if W.symmetrizer is None:
+        return None
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    rows, cols, _ = W._entries
+    data = W._symmetric_weights()
+    keep = data > 0
+    s = sp.csr_matrix((data[keep], (rows[keep], cols[keep])),
+                      shape=(W.n, W.n))
+    perm = reverse_cuthill_mckee(s, symmetric_mode=True)
+    s = s[perm][:, perm].tocoo()
+    low = s.row > s.col
+    k = s.row[low] - s.col[low]
+    band = np.zeros((int(k.max(initial=0)) + 1, W.n))
+    band[k, s.col[low]] = s.data[low]
+    return band
 
 
 def ml_init_full_grid(data):

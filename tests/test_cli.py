@@ -327,6 +327,25 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
 
+    def test_nonfinite_response_named(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "yj-sem-gau", "--lattice-rows", "5",
+              "--lattice-cols", "5", "--n-covariates", "2",
+              "--out-dir", str(sim)])
+        data = sim / "dataset.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        lines[1] = "inf" + lines[1][lines[1].index(","):]
+        data.write_text("".join(lines))
+        capsys.readouterr()
+        rc = main(["fit", "--data", str(data),
+                   "--weights", str(sim / "weights.csv"),
+                   "--max-iters", "2", "--n-draws", "5",
+                   "--out-dir", str(tmp_path / "fit")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(data) in err and "row 2, column y" in err
+        assert "'inf'" in err
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "semvb.cli", "simulate", "--kind",
@@ -339,20 +358,27 @@ class TestExitCodes:
 
 
 # Runs each argv list through cli.main in a fresh interpreter and prints, as
-# one JSON line after each, the scipy modules loaded so far.
-_SCIPY_AFTER_EACH = """
+# one JSON line after each, the watched modules loaded so far: those named,
+# and their submodules. A cap, when given, replaces spatial._EIGEN_MAX_N
+# before the first command runs.
+_MODULES_AFTER_EACH = """
 import json, sys
+argvs, watched, cap = json.loads(sys.argv[1])
+if cap is not None:
+    import semvb.spatial
+    semvb.spatial._EIGEN_MAX_N = cap
 from semvb.cli import main
-for argv in json.loads(sys.argv[1]):
+for argv in argvs:
     assert main(argv) == 0, argv
-    print(json.dumps(sorted(m for m in sys.modules
-                            if m == "scipy" or m.startswith("scipy."))))
+    print(json.dumps(sorted(m for m in sys.modules if any(
+        m == w or m.startswith(w + ".") for w in watched))))
 """
 
 
-def _scipy_after_each(argvs):
+def _modules_after_each(argvs, watched=("scipy",), cap=None):
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_AFTER_EACH, json.dumps(argvs)],
+        [sys.executable, "-c", _MODULES_AFTER_EACH,
+         json.dumps([argvs, watched, cap])],
         capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()
@@ -368,28 +394,49 @@ class TestImports:
     def test_amputate_loads_no_scipy(self, tmp_path):
         sim = tmp_path / "sim"
         run_simulate(sim)
-        (loaded,) = _scipy_after_each([
+        (loaded,) = _modules_after_each([
             ["amputate", "--data", str(sim / "dataset.csv"),
              "--out-dir", str(tmp_path / "amp")]])
         assert loaded == []
 
     def test_fit_and_dic_skip_scipy_special(self, tmp_path):
         # below the eigen cap a vb fit and its DIC factor nothing, so they
-        # load no scipy module at all
+        # load no scipy module at all, nor the LAPACK wrapper
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "yj-sem-t", "--lattice-rows", "4",
               "--lattice-cols", "5", "--n-covariates", "2",
               "--out-dir", str(sim)])
         fit = tmp_path / "fit"
-        after = _scipy_after_each([
+        after = _modules_after_each([
             ["fit", "--data", str(sim / "dataset.csv"),
              "--weights", str(sim / "weights.csv"), "--kind", "yj-sem-t",
              "--max-iters", "2", "--n-draws", "5", "--out-dir", str(fit)],
             ["dic", "--data", str(sim / "dataset.csv"),
              "--weights", str(sim / "weights.csv"),
              "--models", f"yj-sem-t={fit / 'samples.csv'}",
-             "--out-dir", str(tmp_path / "dic")]])
+             "--out-dir", str(tmp_path / "dic")]],
+            watched=("scipy", "semvb._flapack"))
         assert after == [[], []]
+
+    def test_past_cap_probe_and_dic_load_no_scipy(self, tmp_path):
+        # past the cap, on W with a symmetrizer, the log-dets of the rho-grid
+        # initialization and of DIC are banded Cholesky factors of an RCM
+        # band; only a fit that iterates needs the sparse LU of the trace
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        data = ["--data", str(sim / "dataset.csv"),
+                "--weights", str(sim / "weights.csv")]
+        probe = tmp_path / "probe"
+        after = _modules_after_each([
+            ["fit", *data, "--kind", "yj-sem-gau", "--max-iters", "0",
+             "--n-draws", "5", "--out-dir", str(probe)],
+            ["dic", *data, "--models", f"yj-sem-gau={probe / 'samples.csv'}",
+             "--out-dir", str(tmp_path / "dic")],
+            ["fit", *data, "--kind", "yj-sem-gau", "--max-iters", "2",
+             "--n-draws", "5", "--out-dir", str(tmp_path / "fit")]],
+            watched=("scipy", "semvb._flapack"), cap=0)
+        assert after[0] == after[1] == ["semvb._flapack"]
+        assert "scipy.sparse.linalg" in after[2]
 
     def test_summarize_loads_no_scipy(self, tmp_path):
         sim = tmp_path / "sim"
@@ -399,27 +446,26 @@ class TestImports:
                      "--weights", str(sim / "weights.csv"),
                      "--kind", "yj-sem-gau", "--max-iters", "2",
                      "--n-draws", "5", "--out-dir", str(fit)]) == 0
-        (loaded,) = _scipy_after_each([
+        (loaded,) = _modules_after_each([
             ["summarize", "--samples", str(fit / "samples.csv"),
              "--out-dir", str(tmp_path / "sum")]])
         assert loaded == []
 
-    def test_hvb_fit_loads_scipy_linalg(self, tmp_path):
-        # the MH conditionals are banded Cholesky factors from LAPACK; their
-        # band maps and the initial fit's restricted W are built on numpy
+    def test_hvb_fit_loads_no_scipy(self, tmp_path):
+        # the MH conditionals are banded Cholesky factors from scipy's LAPACK
+        # wrapper, loaded by file; their band maps and the initial fit's
+        # restricted W are built on numpy
         sim = tmp_path / "sim"
         run_simulate(sim)
         amp = tmp_path / "amp"
         main(["amputate", "--data", str(sim / "dataset.csv"),
               "--seed", "5", "--out-dir", str(amp)])
-        (loaded,) = _scipy_after_each([
+        (loaded,) = _modules_after_each([
             ["fit", "--data", str(amp / "amputated.csv"),
              "--weights", str(sim / "weights.csv"), "--kind", "yj-sem-gau",
              "--method", "hvb", "--kernel", "nob", "--max-iters", "2",
              "--n-draws", "5", "--out-dir", str(tmp_path / "fit")]])
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.special")]
-        assert not [m for m in loaded if m.startswith("scipy.sparse")]
+        assert loaded == []
 
     def test_every_export_resolves_lazily(self):
         import semvb

@@ -86,6 +86,18 @@ class TestDataset:
         with pytest.raises(DataFormatError):
             io.read_dataset(p)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "NaN", "1e999"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_nonfinite_cell_rejected(self, tmp_path, text, column):
+        cells = ["1.0", "2.0", "3.0"]
+        cells[column] = text
+        p = tmp_path / "d.csv"
+        p.write_text("y,x1,xs1\n0.5,1.5,2.5\n" + ",".join(cells) + "\n")
+        name = ["y", "x1", "xs1"][column]
+        with pytest.raises(DataFormatError,
+                           match=f"row 3, column {name}: non-finite"):
+            io.read_dataset(p)
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("y,x1\n1.0\n")

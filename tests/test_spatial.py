@@ -7,7 +7,8 @@ from semvb.errors import DimensionError, DomainError, SingularityError
 from semvb.models import ModelKind
 from semvb import spatial
 
-from oracles import csr, dense_M, fd_derivative, schur_conditional
+from oracles import (csr, dense_M, fd_derivative, schur_conditional,
+                     sym_band_scipy)
 
 
 def two_node_raw() -> spatial.SpatialWeights:
@@ -433,6 +434,149 @@ class TestBandedRoute:
             spatial.logdet_A(W, 0.5)  # exactly singular
         with pytest.raises(SingularityError):
             spatial.trace_AinvW(W, 0.5)
+
+
+def random_components(seed: int) -> spatial.SpatialWeights:
+    """Random symmetric graphs on a few groups of sites, with isolated sites
+    and row-standardized or symmetric random weights."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 400))
+    site = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=4, replace=False))
+    rows, cols = [], []
+    for group in np.split(site, cuts)[:-1]:  # the last group stays isolated
+        m = int(rng.integers(0, 3 * group.size))
+        i, j = rng.choice(group, m), rng.choice(group, m)
+        rows.append(i[i != j])
+        cols.append(j[i != j])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    c = np.zeros((n, n))
+    c[i, j] = rng.uniform(0.5, 2.0, i.size)
+    c = np.maximum(c, c.T)
+    if seed % 2:
+        nonempty = c.sum(axis=1) > 0
+        c[nonempty] /= c[nonempty].sum(axis=1, keepdims=True)
+    r, k = np.nonzero(c)
+    return spatial.SpatialWeights(n=n, rows=r, cols=k, weights=c[r, k])
+
+
+def stored_zeros() -> spatial.SpatialWeights:
+    """A 5 x 6 binary lattice with some edges stored as zero weights, in
+    both directions (a zero facing a positive weight has no symmetrizer)."""
+    W = spatial.build_rook_lattice(5, 6, False)
+    w = np.where((W.rows + W.cols) % 5 == 0, 0.0, W.weights)
+    return spatial.SpatialWeights(n=W.n, rows=W.rows, cols=W.cols, weights=w)
+
+
+RCM_CASES = {
+    **{f"rook 1x{k}": (lambda k=k: spatial.build_rook_lattice(1, k))
+       for k in (1, 2, 3, 17)},
+    **{f"rook {r}x{c}": (lambda r=r, c=c: spatial.build_rook_lattice(r, c))
+       for r, c in ((2, 9), (7, 3), (9, 13), (46, 46))},
+    "binary 8x5": lambda: spatial.build_rook_lattice(8, 5, False),
+    "binary 46x46": lambda: spatial.build_rook_lattice(46, 46, False),
+    **{f"components {seed}": (lambda seed=seed: random_components(seed))
+       for seed in range(8)},
+    "stored zeros": stored_zeros,
+    "lattice restriction": lattice_restriction,
+    "weighted symmetric C": weighted_symmetric_c,
+}
+
+
+class TestRcmBand:
+    """`sym_band` against the band built with scipy's RCM ordering."""
+
+    @pytest.mark.parametrize("name", sorted(RCM_CASES))
+    def test_bit_for_bit_scipy(self, name):
+        W = RCM_CASES[name]()
+        want = sym_band_scipy(W)
+        assert want is not None
+        got = W.sym_band
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_components_cases_are_disconnected(self, seed):
+        from scipy.sparse.csgraph import connected_components
+        W = random_components(seed)
+        isolated = np.sum(np.bincount(W.rows, minlength=W.n) == 0)
+        components, _ = connected_components(csr(W), directed=False)
+        assert isolated > 0 and components - isolated > 1
+
+    def test_none_without_symmetrizer(self):
+        assert reversed_ratio_lattice().sym_band is None
+
+
+def random_spd_band(rng, n: int, width: int) -> np.ndarray:
+    """Lower band (LAPACK layout) of a random diagonally dominant SPD matrix."""
+    ab = rng.uniform(-1.0, 1.0, (width + 1, n))
+    ab[0] = 2.0 * width + rng.uniform(0.5, 1.5, n)
+    for d in range(1, width + 1):
+        ab[d, n - d:] = 0.0
+    return ab
+
+
+class TestLapack:
+    """The routines of scipy's LAPACK wrapper loaded by file, against
+    scipy.linalg.get_lapack_funcs on the same inputs."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self):
+        spatial._flapack.cache_clear()
+        yield
+        spatial._flapack.cache_clear()
+
+    @staticmethod
+    def check_bits():
+        from scipy.linalg import get_lapack_funcs
+        rng = np.random.default_rng(5)
+
+        def ref(name):
+            return get_lapack_funcs(name, (np.empty(0),))
+
+        for n, width in ((1, 0), (7, 2), (40, 5), (60, 59)):
+            ab = random_spd_band(rng, n, width)
+            got = spatial._pbtrf(ab.copy(), lower=1)
+            want = ref("pbtrf")(ab.copy(), lower=1)
+            assert got[1] == want[1] == 0
+            assert got[0].tobytes() == want[0].tobytes()
+            chol = want[0]
+            b = rng.standard_normal((n, 3))
+            got, want = (spatial._pbtrs(chol, b, lower=1),
+                         ref("pbtrs")(chol, b, lower=1))
+            assert got[1] == want[1] == 0
+            assert got[0].tobytes() == want[0].tobytes()
+            z = rng.standard_normal((n, 4))
+            got, want = (spatial._tbtrs(chol, z, uplo="L", trans="T"),
+                         ref("tbtrs")(chol, z, uplo="L", trans="T"))
+            assert got[1] == want[1] == 0
+            assert got[0].tobytes() == want[0].tobytes()
+        # not positive definite: the pivot of the fifth site fails
+        ab = random_spd_band(rng, 9, 2)
+        ab[0, 4] = -1.0
+        got = spatial._pbtrf(ab.copy(), lower=1)
+        want = ref("pbtrf")(ab.copy(), lower=1)
+        assert got[1] == want[1] == 5
+        assert got[0].tobytes() == want[0].tobytes()
+
+    def test_loaded_by_file(self):
+        import sys
+        module = spatial._flapack()
+        assert module.__name__ == "semvb._flapack"
+        assert sys.modules["semvb._flapack"] is module
+        self.check_bits()
+
+    def test_package_import_fallback(self, monkeypatch):
+        import importlib.machinery
+        import sys
+        import scipy.linalg  # noqa: F401
+
+        def no_file_load(name, path):
+            raise ImportError(f"DLL load failed while importing {name}")
+
+        monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader",
+                            no_file_load)
+        assert spatial._flapack() is sys.modules["scipy.linalg._flapack"]
+        self.check_bits()
 
 
 class TestSparseLuRoute:
