@@ -1,11 +1,15 @@
 """Command-line pipeline: simulate | amputate | fit | dic | summarize.
 
-Every command takes --seed, --config, --out-dir, and --threads; flag values
-override config-file values, which override the documented defaults.
+Each option is one row of `_OPTIONS`: its config key, default, type,
+choices, the commands that take it, and its help. The parser, the
+flag > config file > default resolution, `config.reference` and the fit
+configurations all come from that table. Every command takes --seed,
+--config, --out-dir and --threads.
 
-Each command loads only the modules it runs: this module imports the
-numerical stack inside the command functions, so --threads can pin BLAS
-thread counts before numpy loads. scipy is imported only by the sparse
+Each command loads only the modules it runs. The table and the config
+reader need no numpy, so `_pin_threads` applies --threads, or a config
+file's threads=, to the BLAS environment before numpy loads; the command
+functions import the numerical stack. scipy is imported only by the sparse
 solves: `simulate`'s `spsolve` and, past the eigen cap, the complex-step
 sparse LU that gives the trace of a fit that iterates and the log-det of W
 without a symmetrizer. The banded Cholesky factors, of the `hvb`
@@ -24,185 +28,132 @@ import argparse
 import os
 import sys
 
+from .errors import (DataFormatError, DimensionError, DomainError,
+                     NumericalError, SingularityError)
+from .keyvalues import read_keyvalues
+
 _KINDS = ["sem-gau", "sem-t", "yj-sem-gau", "yj-sem-t"]
-
-# (key, default, help) triples behind the config file and config.reference.
-_CONFIG_KEYS = [
-    ("seed", "0", "master RNG seed used by every command"),
-    ("out_dir", ".", "directory artifacts are written into"),
-    ("threads", "", "BLAS/OpenMP thread cap; empty leaves the default"),
-    ("kind", "yj-sem-gau", "model kind: " + " | ".join(_KINDS)),
-    ("lattice_rows", "25", "simulate: lattice height"),
-    ("lattice_cols", "25", "simulate: lattice width"),
-    ("n_covariates", "5", "simulate: standard-normal covariate count"),
-    ("beta", "preset", "simulate: comma floats, or 'preset' for +-{1,2,3}"),
-    ("sigma2", "1.0", "simulate: error variance"),
-    ("rho", "0.8", "simulate: spatial autocorrelation"),
-    ("nu", "4.0", "simulate: degrees of freedom (t kinds)"),
-    ("gamma", "1.25", "simulate: transform parameter (YJ kinds)"),
-    ("row_standardize", "1", "simulate: row-standardize the lattice weights"),
-    ("psi", "-1.0,0.5,-0.1", "amputate: logistic coefficients, psi_y last"),
-    ("method", "vb", "fit: vb (complete data) or hvb (missing data)"),
-    ("max_iters", "10000", "fit: SGA iterations"),
-    ("n_factors", "4", "fit: variational factor count"),
-    ("trace_every", "100", "fit: iterations between trace rows"),
-    ("n_draws", "10000", "fit: posterior draws for samples/summary"),
-    ("n1", "10", "fit: inner MH steps per HVB iteration"),
-    ("kernel", "auto", "fit: HVB kernel: auto | nob | allb"),
-    ("block_fraction", "0.1", "fit: blocked-kernel block size fraction"),
-    ("warm_start", "0", "fit: start MH chains from the previous imputation"),
-    ("stop_window", "0", "fit: plateau window; 0 disables early stop"),
-    ("stop_tol", "0.0", "fit: plateau threshold on mu steps"),
-]
+_EVERY = ("simulate", "amputate", "fit", "dic", "summarize")
+_SIMULATE, _FIT = ("simulate",), ("fit",)
 
 
-def _pin_threads(argv: list[str]) -> None:
-    """Apply --threads to the BLAS environment before numpy is imported."""
-    value = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS"):
-            os.environ[var] = value
+def _switch(text: str) -> bool:
+    """An integer option read as off (0) or on (any other value)."""
+    return bool(int(text))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="master RNG seed (default 0)")
-    common.add_argument("--config", default=None,
-                        help="flat key=value config file")
-    common.add_argument("--out-dir", default=None,
-                        help="output directory (default .)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads for this process")
+# (key, default, type, choices, commands, help), in config.reference order.
+# An empty default leaves the option unset (None). In config.reference the
+# help of a one-command option is prefixed with that command's name.
+_OPTIONS = (
+    ("seed", "0", int, None, _EVERY, "master RNG seed used by every command"),
+    ("out_dir", ".", str, None, _EVERY, "directory artifacts are written into"),
+    ("threads", "", int, None, _EVERY,
+     "BLAS/OpenMP thread cap; empty leaves the default"),
+    ("kind", "yj-sem-gau", str, _KINDS, ("simulate", "fit"),
+     "model kind: " + " | ".join(_KINDS)),
+    ("lattice_rows", "25", int, None, _SIMULATE, "lattice height"),
+    ("lattice_cols", "25", int, None, _SIMULATE, "lattice width"),
+    ("n_covariates", "5", int, None, _SIMULATE,
+     "standard-normal covariate count"),
+    ("beta", "preset", str, None, _SIMULATE,
+     "comma floats, or 'preset' for +-{1,2,3}"),
+    ("sigma2", "1.0", float, None, _SIMULATE, "error variance"),
+    ("rho", "0.8", float, None, _SIMULATE, "spatial autocorrelation"),
+    ("nu", "4.0", float, None, _SIMULATE, "degrees of freedom (t kinds)"),
+    ("gamma", "1.25", float, None, _SIMULATE,
+     "transform parameter (YJ kinds)"),
+    ("row_standardize", "1", _switch, None, _SIMULATE,
+     "row-standardize the lattice weights"),
+    ("psi", "-1.0,0.5,-0.1", str, None, ("amputate",),
+     "logistic coefficients, psi_y last"),
+    ("method", "vb", str, ("vb", "hvb"), _FIT,
+     "vb (complete data) or hvb (missing data)"),
+    ("max_iters", "10000", int, None, _FIT, "SGA iterations"),
+    ("n_factors", "4", int, None, _FIT, "variational factor count"),
+    ("trace_every", "100", int, None, _FIT, "iterations between trace rows"),
+    ("n_draws", "10000", int, None, _FIT,
+     "posterior draws for samples/summary"),
+    ("n1", "10", int, None, _FIT, "inner MH steps per HVB iteration"),
+    ("kernel", "auto", str, ("auto", "nob", "allb"), _FIT,
+     "HVB kernel: auto | nob | allb"),
+    ("block_fraction", "0.1", float, None, _FIT,
+     "blocked-kernel block size fraction"),
+    ("warm_start", "0", _switch, None, _FIT,
+     "start MH chains from the previous imputation"),
+    ("stop_window", "0", int, None, _FIT,
+     "plateau window; 0 disables early stop"),
+    ("stop_tol", "0.0", float, None, _FIT, "plateau threshold on mu steps"),
+)
 
-    p = argparse.ArgumentParser(
-        prog="semvb",
-        description="Spatial error models with non-Gaussian errors: "
-                    "simulation, MNAR amputation, variational fits, DIC.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("simulate", parents=[common],
-                        help="draw a synthetic dataset and weight matrix")
-    ps.add_argument("--kind", choices=_KINDS, default=None)
-    ps.add_argument("--lattice-rows", type=int, default=None)
-    ps.add_argument("--lattice-cols", type=int, default=None)
-    ps.add_argument("--n-covariates", type=int, default=None)
-    ps.add_argument("--beta", default=None,
-                    help="comma floats (intercept first) or 'preset'")
-    ps.add_argument("--sigma2", type=float, default=None)
-    ps.add_argument("--rho", type=float, default=None)
-    ps.add_argument("--nu", type=float, default=None)
-    ps.add_argument("--gamma", type=float, default=None)
-    ps.add_argument("--row-standardize", type=int, default=None)
-    ps.set_defaults(func=cmd_simulate)
-
-    pa = sub.add_parser("amputate", parents=[common],
-                        help="impose MNAR missingness on a complete dataset")
-    pa.add_argument("--data", required=True, help="complete dataset CSV")
-    pa.add_argument("--psi", default=None,
-                    help="comma floats; intercept first, psi_y last")
-    pa.set_defaults(func=cmd_amputate)
-
-    pf = sub.add_parser("fit", parents=[common],
-                        help="variational fit plus posterior draws")
-    pf.add_argument("--data", required=True, help="dataset CSV")
-    pf.add_argument("--weights", required=True, help="weight matrix CSV")
-    pf.add_argument("--kind", choices=_KINDS, default=None)
-    pf.add_argument("--method", choices=["vb", "hvb"], default=None)
-    pf.add_argument("--max-iters", type=int, default=None)
-    pf.add_argument("--n-factors", type=int, default=None)
-    pf.add_argument("--trace-every", type=int, default=None)
-    pf.add_argument("--n-draws", type=int, default=None)
-    pf.add_argument("--n1", type=int, default=None)
-    pf.add_argument("--kernel", choices=["auto", "nob", "allb"], default=None)
-    pf.add_argument("--block-fraction", type=float, default=None)
-    pf.add_argument("--warm-start", type=int, default=None)
-    pf.add_argument("--stop-window", type=int, default=None)
-    pf.add_argument("--stop-tol", type=float, default=None)
-    pf.set_defaults(func=cmd_fit)
-
-    pd = sub.add_parser("dic", parents=[common],
-                        help="DIC comparison across fitted models")
-    pd.add_argument("--data", required=True, help="dataset CSV the fits used")
-    pd.add_argument("--weights", required=True, help="weight matrix CSV")
-    pd.add_argument("--models", required=True,
-                    help="comma list of kind=samples.csv entries")
-    pd.set_defaults(func=cmd_dic)
-
-    pz = sub.add_parser("summarize", parents=[common],
-                        help="posterior means and 95%% intervals from samples")
-    pz.add_argument("--samples", required=True, help="posterior samples CSV")
-    pz.set_defaults(func=cmd_summarize)
-    return p
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-class _Settings:
-    """Flag > config file > default resolution for one command run."""
-
-    def __init__(self, args):
-        from .io import read_keyvalues
-        self.args = args
-        self.cfg = read_keyvalues(args.config) if args.config else {}
-        unknown = set(self.cfg) - {k for k, _, _ in _CONFIG_KEYS}
-        if unknown:
-            from .errors import DataFormatError
+def _resolve(args) -> None:
+    """Set each option of args.command: its flag, else its value in the
+    --config file, else its default. A config value is parsed by the
+    option's type, and matched to its choices in lower case."""
+    config = read_keyvalues(args.config) if args.config else {}
+    unknown = set(config) - {row[0] for row in _OPTIONS}
+    if unknown:
+        raise DataFormatError(
+            f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, default, type_, choices, commands, _ in _OPTIONS:
+        if args.command not in commands or getattr(args, key) is not None:
+            continue
+        text = config.get(key, default)
+        try:
+            value = (None if text == default == "" else
+                     type_(text.lower() if choices else text))
+            if choices and value not in choices:
+                raise ValueError(text)
+        except ValueError as exc:
             raise DataFormatError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def get(self, key: str, cast):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.cfg:
-            try:
-                return cast(self.cfg[key])
-            except ValueError as exc:
-                from .errors import DataFormatError
-                raise DataFormatError(
-                    f"config key {key}: cannot parse {self.cfg[key]!r}"
-                ) from exc
-        default = next(d for k, d, _ in _CONFIG_KEYS if k == key)
-        return cast(default)
-
-    @property
-    def seed(self) -> int:
-        return self.get("seed", int)
-
-    @property
-    def out_dir(self) -> str:
-        return self.get("out_dir", str)
-
-    def path(self, name: str) -> str:
-        os.makedirs(self.out_dir, exist_ok=True)
-        return os.path.join(self.out_dir, name)
+                f"config key {key}: cannot parse {text!r}") from exc
+        setattr(args, key, value)
 
 
-def _write_config_reference(settings: _Settings) -> None:
+def _pin_threads(argv: list[str]) -> argparse.Namespace:
+    """Parse and resolve argv, and cap the BLAS/OpenMP threads at the
+    resolved threads option, before numpy is imported.
+
+    A usage error raises SystemExit, and a bad config file DataFormatError.
+    """
+    args = _build_parser().parse_args(argv)
+    _resolve(args)
+    if args.threads is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(args.threads)
+    return args
+
+
+def _path(args, name: str) -> str:
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
+
+
+def _write(args, name: str, writer, *contents) -> None:
+    path = _path(args, name)
+    writer(path, *contents)
+    print(f"wrote {path}")
+
+
+def _write_config_reference(args) -> None:
     # the file doubles as a valid config that reproduces the defaults
     lines = ["# every key accepted in --config files, at its default value"]
-    for key, default, help_ in _CONFIG_KEYS:
-        lines += ["", f"# {help_}", f"{key}={default}"]
-    with open(settings.path("config.reference"), "w") as f:
+    for key, default, _, _, commands, help_ in _OPTIONS:
+        prefix = f"{commands[0]}: " if len(commands) == 1 else ""
+        lines += ["", f"# {prefix}{help_}", f"{key}={default}"]
+    with open(_path(args, "config.reference"), "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def _parse_floats(text: str, what: str):
-    from .errors import DataFormatError
+def _parse_floats(text: str, what: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise DataFormatError(f"{what}: cannot parse {text!r}") from exc
-
-
-def _note(path: str) -> None:
-    print(f"wrote {path}")
 
 
 def cmd_simulate(args) -> int:
@@ -213,47 +164,41 @@ def cmd_simulate(args) -> int:
     from .simulate import draw_beta_preset, make_design, simulate_sem
     from .spatial import build_rook_lattice
 
-    settings = _Settings(args)
-    _write_config_reference(settings)
-    kind = ModelKind.from_string(settings.get("kind", str))
-    rows = settings.get("lattice_rows", int)
-    cols = settings.get("lattice_cols", int)
-    r = settings.get("n_covariates", int)
-    standardize = bool(settings.get("row_standardize", int))
-    rng = np.random.default_rng(settings.seed)
+    kind = ModelKind.from_string(args.kind)
+    r = args.n_covariates
+    if r < 0:
+        raise DomainError(f"n_covariates must be at least 0, got {r}")
+    beta = None if args.beta == "preset" else _parse_floats(args.beta, "beta")
+    if beta is not None and len(beta) != r + 1:
+        raise DataFormatError(
+            f"beta needs n_covariates + 1 = {r + 1} values, got {len(beta)}")
+    rng = np.random.default_rng(args.seed)
 
-    W = build_rook_lattice(rows, cols, row_standardize=standardize)
+    W = build_rook_lattice(args.lattice_rows, args.lattice_cols,
+                           row_standardize=args.row_standardize)
     X = make_design(W.n, r, rng)
-    beta_text = settings.get("beta", str)
-    beta = (draw_beta_preset(r + 1, rng) if beta_text == "preset"
-            else np.asarray(_parse_floats(beta_text, "beta")))
+    beta = draw_beta_preset(r + 1, rng) if beta is None else np.asarray(beta)
     params = ModelParams(
-        beta=beta, sigma2=settings.get("sigma2", float),
-        rho=settings.get("rho", float),
-        nu=settings.get("nu", float) if kind.student_t else None,
-        gamma=settings.get("gamma", float) if kind.yeo_johnson else None)
+        beta=beta, sigma2=args.sigma2, rho=args.rho,
+        nu=args.nu if kind.student_t else None,
+        gamma=args.gamma if kind.yeo_johnson else None)
     y, _ = simulate_sem(kind, X, W, params, rng)
 
-    data_path = settings.path("dataset.csv")
-    weights_path = settings.path("weights.csv")
-    manifest_path = settings.path("manifest.txt")
-    io.write_dataset(data_path, y, X)
-    io.write_weights(weights_path, W)
+    _write(args, "dataset.csv", io.write_dataset, y, X)
+    _write(args, "weights.csv", io.write_weights, W)
     manifest = {
-        "command": "simulate", "kind": kind.value,
-        "seed": settings.seed, "lattice_rows": rows, "lattice_cols": cols,
+        "command": "simulate", "kind": kind.value, "seed": args.seed,
+        "lattice_rows": args.lattice_rows, "lattice_cols": args.lattice_cols,
         "n": W.n, "n_covariates": r,
         "beta": ",".join(repr(float(b)) for b in beta),
         "sigma2": repr(params.sigma2), "rho": repr(params.rho),
-        "row_standardize": int(standardize),
+        "row_standardize": int(args.row_standardize),
     }
     if kind.student_t:
         manifest["nu"] = repr(params.nu)
     if kind.yeo_johnson:
         manifest["gamma"] = repr(params.gamma)
-    io.write_manifest(manifest_path, manifest)
-    for p in (data_path, weights_path, manifest_path):
-        _note(p)
+    _write(args, "manifest.txt", io.write_manifest, manifest)
     return 0
 
 
@@ -261,18 +206,15 @@ def cmd_amputate(args) -> int:
     import numpy as np
 
     from . import io
-    from .errors import DataFormatError
     from .missingness import make_missingness_design, simulate_missing
     from .models import MissingnessParams
 
-    settings = _Settings(args)
-    _write_config_reference(settings)
     y, X, Xstar = io.read_dataset(args.data)
     if np.isnan(y).any():
         raise DataFormatError(
             f"{args.data}: dataset already contains missing responses")
-    psi_values = _parse_floats(settings.get("psi", str), "psi")
-    rng = np.random.default_rng(settings.seed)
+    psi_values = _parse_floats(args.psi, "psi")
+    rng = np.random.default_rng(args.seed)
     if Xstar is None:
         Xstar = make_missingness_design(y.size, rng)
     if len(psi_values) != Xstar.shape[1] + 1:
@@ -285,19 +227,14 @@ def cmd_amputate(args) -> int:
 
     y_amp = y.copy()
     y_amp[missing] = np.nan
-    data_path = settings.path("amputated.csv")
-    sidecar_path = settings.path("sidecar.csv")
-    manifest_path = settings.path("manifest.txt")
-    io.write_dataset(data_path, y_amp, X, Xstar)
-    io.write_sidecar(sidecar_path, missing, y)
-    io.write_manifest(manifest_path, {
-        "command": "amputate", "source": args.data, "seed": settings.seed,
+    _write(args, "amputated.csv", io.write_dataset, y_amp, X, Xstar)
+    _write(args, "sidecar.csv", io.write_sidecar, missing, y)
+    _write(args, "manifest.txt", io.write_manifest, {
+        "command": "amputate", "source": args.data, "seed": args.seed,
         "psi": ",".join(repr(v) for v in psi_values),
         "n": y.size, "n_missing": int(missing.sum()),
         "missing_rate": repr(float(missing.mean())),
     })
-    for p in (data_path, sidecar_path, manifest_path):
-        _note(p)
     return 0
 
 
@@ -311,92 +248,83 @@ def _load_dataset(data_path: str, weights_path: str):
 
 
 def cmd_fit(args) -> int:
+    from dataclasses import fields
+
     import numpy as np
 
     from . import io
-    from .errors import DataFormatError, DomainError
     from .hvb import HvbConfig, draw_posterior_missing, hvb_fit
     from .models import ModelKind, Priors
     from .variational import FitConfig, draw_posterior, vb_fit
 
-    settings = _Settings(args)
-    _write_config_reference(settings)
-    kind = ModelKind.from_string(settings.get("kind", str))
-    method = settings.get("method", str)
-    if method not in ("vb", "hvb"):
-        raise DataFormatError(f"method must be vb or hvb, got {method!r}")
+    kind = ModelKind.from_string(args.kind)
     data = _load_dataset(args.data, args.weights)
-    if method == "vb" and data.n_missing:
+    if args.method == "vb" and data.n_missing:
         raise DataFormatError(
             f"{args.data} has {data.n_missing} missing responses; "
             "rerun with method=hvb")
-    n_draws = settings.get("n_draws", int)
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be at least 1, got {n_draws}")
-    fit_kwargs = dict(
-        n_factors=settings.get("n_factors", int),
-        max_iters=settings.get("max_iters", int), seed=settings.seed,
-        trace_every=settings.get("trace_every", int),
-        stop_window=settings.get("stop_window", int),
-        stop_tol=settings.get("stop_tol", float))
-    rng = np.random.default_rng(settings.seed)
-    priors = Priors()
+    if args.n_draws < 1:
+        raise DomainError(f"n_draws must be at least 1, got {args.n_draws}")
+    config_type = FitConfig if args.method == "vb" else HvbConfig
+    config = config_type(**{f.name: getattr(args, f.name)
+                            for f in fields(config_type)})
+    rng = np.random.default_rng(args.seed)
 
-    if method == "vb":
-        result = vb_fit(kind, data, priors, FitConfig(**fit_kwargs), rng=rng)
-        samples = draw_posterior(result.lam, result.layout, n_draws, rng)
+    if args.method == "vb":
+        result = vb_fit(kind, data, Priors(), config, rng=rng)
+        samples = draw_posterior(result.lam, result.layout, args.n_draws, rng)
         unobserved_idx = None
     else:
-        config = HvbConfig(
-            **fit_kwargs, n1=settings.get("n1", int),
-            kernel=settings.get("kernel", str),
-            block_fraction=settings.get("block_fraction", float),
-            warm_start=bool(settings.get("warm_start", int)))
-        result = hvb_fit(kind, data, priors, config, rng=rng)
-        samples = draw_posterior_missing(kind, data, result.lam, n_draws,
+        result = hvb_fit(kind, data, Priors(), config, rng=rng)
+        samples = draw_posterior_missing(kind, data, result.lam, args.n_draws,
                                          config.n1, rng, config=config)
         unobserved_idx = data.partition.unobserved_idx
 
-    written = []
-    trace_path = settings.path("trace.csv")
-    io.write_trace(trace_path, result.trace_iters, result.mu_trace,
-                   result.layout.names())
-    written.append(trace_path)
-    lambda_path = settings.path("lambda.csv")
-    io.write_lambda(lambda_path, result.lam)
-    written.append(lambda_path)
-    samples_path = settings.path("samples.csv")
-    io.write_samples(samples_path, samples, unobserved_idx=unobserved_idx)
-    written.append(samples_path)
-    summary_path = settings.path("summary.csv")
-    io.write_summary(summary_path, *io.samples_table(samples, unobserved_idx))
-    written.append(summary_path)
+    _write(args, "trace.csv", io.write_trace, result.trace_iters,
+           result.mu_trace, result.layout.names())
+    _write(args, "lambda.csv", io.write_lambda, result.lam)
+    _write(args, "samples.csv", io.write_samples, samples, unobserved_idx)
+    _write(args, "summary.csv", io.write_summary,
+           *io.samples_table(samples, unobserved_idx))
     if result.acceptance is not None:
-        acceptance_path = settings.path("acceptance.csv")
-        io.write_acceptance(acceptance_path, result.acceptance)
-        written.append(acceptance_path)
-    manifest_path = settings.path("manifest.txt")
-    io.write_manifest(manifest_path, {
-        "command": "fit", "kind": kind.value, "method": method,
-        "data": args.data, "weights": args.weights, "seed": settings.seed,
-        "max_iters": fit_kwargs["max_iters"], "n_iters": result.n_iters,
-        "n_factors": fit_kwargs["n_factors"], "n_draws": n_draws,
+        _write(args, "acceptance.csv", io.write_acceptance, result.acceptance)
+    _write(args, "manifest.txt", io.write_manifest, {
+        "command": "fit", "kind": kind.value, "method": args.method,
+        "data": args.data, "weights": args.weights, "seed": args.seed,
+        "max_iters": args.max_iters, "n_iters": result.n_iters,
+        "n_factors": args.n_factors, "n_draws": args.n_draws,
     })
-    written.append(manifest_path)
-    for p in written:
-        _note(p)
     return 0
+
+
+def _sample_mismatch(kind, data, samples, sites) -> str | None:
+    """Why a samples file cannot be scored as `kind` on `data`, if it
+    cannot: its phi columns, its yu_ sites or its psi column count."""
+    import numpy as np
+
+    from .model_select import phi_names_for
+
+    names = phi_names_for(kind, data.n_beta)
+    if samples.phi_names != names:
+        return (f"phi columns {','.join(samples.phi_names)} are not the "
+                f"{kind.value} columns {','.join(names)}")
+    if sites is not None and not np.array_equal(
+            sites, np.flatnonzero(data.missing)):
+        return "yu_ columns do not name the dataset's missing sites"
+    n_psi = 1 + (0 if data.Xstar is None else data.Xstar.shape[1])
+    if samples.psi is not None and samples.psi.shape[1] != n_psi:
+        return (f"{samples.psi.shape[1]} psi columns, but the dataset's "
+                f"missingness design takes {n_psi}")
+    return None
 
 
 def cmd_dic(args) -> int:
     from . import io
-    from .errors import DataFormatError
     from .model_select import (dic1, dic2, dic5, joint_loglik_fn,
-                               phi_loglik_fn, phi_logprior_fn)
+                               joint_logprior_fn, phi_loglik_fn,
+                               phi_logprior_fn)
     from .models import ModelKind, Priors
 
-    settings = _Settings(args)
-    _write_config_reference(settings)
     data = _load_dataset(args.data, args.weights)
     priors = Priors()
     entries = []
@@ -404,79 +332,102 @@ def cmd_dic(args) -> int:
         if "=" not in item:
             raise DataFormatError(
                 f"--models entries must be kind=path, got {item!r}")
-        kind_text, path = item.split("=", 1)
-        kind = ModelKind.from_string(kind_text.strip())
-        samples, _ = io.read_samples(path.strip())
-        entries.append((kind, path.strip(), samples))
+        kind_text, path = (part.strip() for part in item.split("=", 1))
+        kind = ModelKind.from_string(kind_text)
+        samples, sites = io.read_samples(path)
+        problem = _sample_mismatch(kind, data, samples, sites)
+        if problem:
+            raise DataFormatError(f"{path}: {problem}")
+        entries.append((kind, samples))
 
-    missing_fit = [s.y_u is not None for _, _, s in entries]
+    missing_fit = [s.y_u is not None for _, s in entries]
     if any(missing_fit) and not all(missing_fit):
         raise DataFormatError(
             "cannot mix full-data and missing-data fits in one comparison")
 
     rows = []
-    for kind, _, samples in entries:
-        loglik_fn = phi_loglik_fn(kind, data)
-        prior_fn = phi_logprior_fn(kind, data.n_beta, priors)
+    for kind, samples in entries:
         if samples.y_u is None:
-            d1 = dic1(samples, loglik_fn)
-            d2 = dic2(samples, loglik_fn, prior_fn)
-            rows.append((kind.value, d1, d2, None, samples.n_draws))
+            loglik_fn = phi_loglik_fn(kind, data)
+            prior_fn = phi_logprior_fn(kind, data.n_beta, priors)
+            rows.append((kind.value, dic1(samples, loglik_fn),
+                         dic2(samples, loglik_fn, prior_fn), None,
+                         samples.n_draws))
         else:
-            joint_fn = joint_loglik_fn(kind, data)
-
-            def joint_prior(phi_row, psi_row, _prior=prior_fn):
-                import numpy as np
-                return _prior(phi_row) \
-                    - 0.5 * float(np.sum(psi_row ** 2)) / priors.var_psi
-
-            d5 = dic5(samples, joint_fn, prior_fn=joint_prior)
+            d5 = dic5(samples, joint_loglik_fn(kind, data),
+                      prior_fn=joint_logprior_fn(kind, data.n_beta, priors))
             rows.append((kind.value, None, None, d5, samples.n_draws))
-
-    report_path = settings.path("dic.csv")
-    io.write_dic_report(report_path, rows)
-    _note(report_path)
+    _write(args, "dic.csv", io.write_dic_report, rows)
     return 0
 
 
 def cmd_summarize(args) -> int:
     from . import io
 
-    settings = _Settings(args)
-    _write_config_reference(settings)
     samples, unobserved_idx = io.read_samples(args.samples)
-    summary_path = settings.path("summary.csv")
-    io.write_summary(summary_path, *io.samples_table(samples, unobserved_idx))
-    _note(summary_path)
+    _write(args, "summary.csv", io.write_summary,
+           *io.samples_table(samples, unobserved_idx))
     return 0
+
+
+# (command, help, required input flags as (name, help) pairs, function)
+_COMMANDS = (
+    ("simulate", "draw a synthetic dataset and weight matrix", (),
+     cmd_simulate),
+    ("amputate", "impose MNAR missingness on a complete dataset",
+     (("data", "complete dataset CSV"),), cmd_amputate),
+    ("fit", "variational fit plus posterior draws",
+     (("data", "dataset CSV"), ("weights", "weight matrix CSV")), cmd_fit),
+    ("dic", "DIC comparison across fitted models",
+     (("data", "dataset CSV the fits used"), ("weights", "weight matrix CSV"),
+      ("models", "comma list of kind=samples.csv entries")), cmd_dic),
+    ("summarize", "posterior means and 95%% intervals from samples",
+     (("samples", "posterior samples CSV"),), cmd_summarize),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="semvb",
+        description="Spatial error models with non-Gaussian errors: "
+                    "simulation, MNAR amputation, variational fits, DIC.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, help_, inputs, func in _COMMANDS:
+        ps = sub.add_parser(command, help=help_)
+        for name, text in inputs:
+            ps.add_argument(f"--{name}", required=True, help=text)
+        for key, default, type_, choices, commands, text in _OPTIONS:
+            if command in commands:
+                ps.add_argument(f"--{key.replace('_', '-')}", type=type_,
+                                choices=choices, help=text + (
+                                    f" (default: {default})" if default
+                                    else ""))
+        ps.add_argument("--config", help="flat key=value config file; "
+                        "its values fill in any flag not given")
+        ps.set_defaults(func=func)
+    return p
+
+
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _pin_threads(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
-
-    from .errors import (DataFormatError, DimensionError, DomainError,
-                         NumericalError, SingularityError)
+        args = _pin_threads(argv)
+    except SystemExit as exc:  # from argparse: --help, or a usage error
+        return 0 if exc.code in (0, None) else 2
+    except DataFormatError as exc:  # from the config file
+        return _error(exc, 3)
     try:
+        _write_config_reference(args)
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (DataFormatError, DomainError, DimensionError, OSError) as exc:
+        return _error(exc, 3)
     except (NumericalError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 4)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Writers emit canonical text: shortest round-tripping float representations,
 LF line endings, weight entries sorted by coordinate. Identical inputs
 therefore produce byte-identical files, and write -> read -> write is a
 fixed point. The readers import the class they build when they run, so a
-command that reads and writes datasets only loads numpy.
+command that reads and writes datasets only loads numpy. The key=value
+reader and writer come from `keyvalues`, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataFormatError
+from .keyvalues import read_keyvalues, write_manifest
 
 if TYPE_CHECKING:
     from .model_select import PosteriorSamples
@@ -269,32 +271,6 @@ def read_sidecar(path) -> tuple[np.ndarray, np.ndarray]:
         missing[k] = bool(int(row[1]))
         true_y[k] = _parse_float(row[2], path, "true_y")
     return missing, true_y
-
-
-def write_manifest(path, entries: dict) -> None:
-    """Plain-text key=value lines in insertion order."""
-    with open(path, "w", newline="") as f:
-        for key, value in entries.items():
-            f.write(f"{key}={value}\n")
-
-
-def read_keyvalues(path) -> dict[str, str]:
-    """Flat key=value parser shared by manifests and config files."""
-    out: dict[str, str] = {}
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}:{ln}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
 
 
 def samples_table(samples: PosteriorSamples,

@@ -20,6 +20,7 @@ from . import transforms as tr
 
 __all__ = ["PosteriorSamples", "dic1", "dic2", "dic5",
            "phi_loglik_fn", "phi_logprior_fn", "joint_loglik_fn",
+           "joint_logprior_fn",
            "phi_names_for", "phi_row", "params_from_row"]
 
 
@@ -173,6 +174,18 @@ def phi_logprior_fn(kind: ModelKind, n_beta: int, priors: Priors):
             out += (-0.5 * g_z ** 2 / priors.var_gamma
                     - np.log(tr.dgamma_dlink(g_z)))
         return float(out)
+
+    return fn
+
+
+def joint_logprior_fn(kind: ModelKind, n_beta: int, priors: Priors):
+    """Log prior density of (phi, psi) for DIC5's plug-in draw: the phi
+    prior plus the normal prior on the missingness coefficients."""
+    phi_prior = phi_logprior_fn(kind, n_beta, priors)
+
+    def fn(phi_row: np.ndarray, psi_row: np.ndarray) -> float:
+        return phi_prior(phi_row) \
+            - 0.5 * float(np.sum(psi_row ** 2)) / priors.var_psi
 
     return fn
 

@@ -1,5 +1,7 @@
 """Command-line pipeline: artifacts, determinism, and exit codes."""
 
+import argparse
+import dataclasses
 import filecmp
 import json
 import os
@@ -9,8 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from semvb import io
+from semvb import cli, io
 from semvb.cli import main
+from semvb.hvb import HvbConfig
+from semvb.models import ModelKind
+from semvb.variational import FitConfig
 
 
 def _src_env():
@@ -222,6 +227,111 @@ class TestFit:
         assert rc == 4
 
 
+# config.reference as written before the options moved into one table.
+_CONFIG_REFERENCE = """\
+# every key accepted in --config files, at its default value
+
+# master RNG seed used by every command
+seed=0
+
+# directory artifacts are written into
+out_dir=.
+
+# BLAS/OpenMP thread cap; empty leaves the default
+threads=
+
+# model kind: sem-gau | sem-t | yj-sem-gau | yj-sem-t
+kind=yj-sem-gau
+
+# simulate: lattice height
+lattice_rows=25
+
+# simulate: lattice width
+lattice_cols=25
+
+# simulate: standard-normal covariate count
+n_covariates=5
+
+# simulate: comma floats, or 'preset' for +-{1,2,3}
+beta=preset
+
+# simulate: error variance
+sigma2=1.0
+
+# simulate: spatial autocorrelation
+rho=0.8
+
+# simulate: degrees of freedom (t kinds)
+nu=4.0
+
+# simulate: transform parameter (YJ kinds)
+gamma=1.25
+
+# simulate: row-standardize the lattice weights
+row_standardize=1
+
+# amputate: logistic coefficients, psi_y last
+psi=-1.0,0.5,-0.1
+
+# fit: vb (complete data) or hvb (missing data)
+method=vb
+
+# fit: SGA iterations
+max_iters=10000
+
+# fit: variational factor count
+n_factors=4
+
+# fit: iterations between trace rows
+trace_every=100
+
+# fit: posterior draws for samples/summary
+n_draws=10000
+
+# fit: inner MH steps per HVB iteration
+n1=10
+
+# fit: HVB kernel: auto | nob | allb
+kernel=auto
+
+# fit: blocked-kernel block size fraction
+block_fraction=0.1
+
+# fit: start MH chains from the previous imputation
+warm_start=0
+
+# fit: plateau window; 0 disables early stop
+stop_window=0
+
+# fit: plateau threshold on mu steps
+stop_tol=0.0
+"""
+
+# The flags each command accepted before the options moved into one table.
+_FLAGS = {
+    "simulate": ["--beta", "--config", "--gamma", "--kind", "--lattice-cols",
+                 "--lattice-rows", "--n-covariates", "--nu", "--out-dir",
+                 "--rho", "--row-standardize", "--seed", "--sigma2",
+                 "--threads"],
+    "amputate": ["--config", "--data", "--out-dir", "--psi", "--seed",
+                 "--threads"],
+    "fit": ["--block-fraction", "--config", "--data", "--kernel", "--kind",
+            "--max-iters", "--method", "--n-draws", "--n-factors", "--n1",
+            "--out-dir", "--seed", "--stop-tol", "--stop-window", "--threads",
+            "--trace-every", "--warm-start", "--weights"],
+    "dic": ["--config", "--data", "--models", "--out-dir", "--seed",
+            "--threads", "--weights"],
+    "summarize": ["--config", "--out-dir", "--samples", "--seed", "--threads"],
+}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestConfig:
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -250,6 +360,104 @@ class TestConfig:
         assert ref["kind"] == "yj-sem-gau"
         assert ref["n_draws"] == "10000"
         assert ref["psi"] == "-1.0,0.5,-0.1"
+
+    def test_config_reference_bytes(self, tmp_path):
+        run_simulate(tmp_path)
+        data = (tmp_path / "config.reference").read_bytes()
+        assert data == _CONFIG_REFERENCE.encode()
+
+    def test_each_key_in_one_row(self):
+        keys = [row[0] for row in cli._OPTIONS]
+        assert len(keys) == len(set(keys)) == 25
+        assert keys == [ln.split("=")[0]
+                        for ln in _CONFIG_REFERENCE.splitlines()
+                        if ln and not ln.startswith("#")]
+
+    def test_defaults_match_fit_configs(self):
+        fit, hvb = FitConfig(), HvbConfig()
+        checked = set()
+        for key, default, type_, _, _, _ in cli._OPTIONS:
+            for config in (fit, hvb):
+                if hasattr(config, key):
+                    assert type_(default) == getattr(config, key), key
+                    checked.add(key)
+        assert checked == {f.name for f in dataclasses.fields(HvbConfig)}
+        assert cli._KINDS == [k.value for k in ModelKind]
+
+    def test_flags_per_command(self):
+        subparsers = _subparsers()
+        assert sorted(subparsers) == sorted(_FLAGS)
+        for command, parser in subparsers.items():
+            flags = sorted(s for a in parser._actions
+                           for s in a.option_strings
+                           if s not in ("-h", "--help"))
+            assert flags == _FLAGS[command], command
+
+    def test_help_names_every_option(self, capsys):
+        for command in _FLAGS:
+            assert main([command, "--help"]) == 0
+            out = " ".join(capsys.readouterr().out.split())
+            for key, default, _, _, commands, text in cli._OPTIONS:
+                if command in commands:
+                    assert text in out, (command, key)
+                    if default:
+                        assert f"(default: {default})" in out, (command, key)
+
+    def test_config_values_parsed_and_matched(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind=SEM-GAU\nlattice_rows=2\nlattice_cols=2\n"
+                       "n_covariates=1\nrow_standardize=0\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "a")]) == 0
+        manifest = io.read_keyvalues(tmp_path / "a" / "manifest.txt")
+        assert manifest["kind"] == "sem-gau"
+        assert manifest["row_standardize"] == "0"
+        for bad in ("lattice_rows=2.5", "kind=sar", "row_standardize=yes",
+                    "sigma2=one"):
+            cfg.write_text(bad + "\n")
+            rc = main(["simulate", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "b")])
+            assert rc == 3, bad
+
+    def test_config_threads_pins_before_numpy(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=1\n")
+        env = _src_env()
+        for var in cli._THREAD_VARS:
+            env.pop(var, None)
+        code = ("import json, os, sys\n"
+                "from semvb import cli\n"
+                "cli._pin_threads(sys.argv[1:])\n"
+                "print(json.dumps([os.environ.get('OMP_NUM_THREADS'), "
+                "os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "'numpy' in sys.modules]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["1", "1", False]
+
+    def test_config_threads_flag_wins(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=1\n")
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        args = cli._pin_threads(["summarize", "--samples", "s.csv",
+                                 "--config", str(cfg), "--threads", "2"])
+        assert args.threads == 2
+        assert os.environ["OMP_NUM_THREADS"] == "2"
+        cfg.write_text("threads=\n")
+        assert cli._pin_threads(["summarize", "--samples", "s.csv",
+                                 "--config", str(cfg)]).threads is None
+
+    def test_config_threads_rejects_bad_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=abc\n")
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDic:
@@ -306,6 +514,65 @@ class TestDic:
         assert rc == 3
         assert "mix" in capsys.readouterr().err
 
+    def dic_rc(self, data, sim, models, out):
+        return main(["dic", "--data", str(data),
+                     "--weights", str(sim / "weights.csv"),
+                     "--models", models, "--out-dir", str(out)])
+
+    def test_kind_must_match_phi_columns(self, tmp_path, capsys):
+        sim, _, full, _ = self.make_fits(tmp_path)
+        gau = full / "samples.csv"
+        rc = self.dic_rc(sim / "dataset.csv", sim, f"yj-sem-t={gau}",
+                         tmp_path / "dic")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(gau) in err and "yj-sem-t columns" in err
+        yjt = tmp_path / "yjt"
+        main(["fit", "--data", str(sim / "dataset.csv"),
+              "--weights", str(sim / "weights.csv"), "--kind", "yj-sem-t",
+              "--max-iters", "5", "--n-draws", "5", "--out-dir", str(yjt)])
+        capsys.readouterr()
+        rc = self.dic_rc(sim / "dataset.csv", sim,
+                         f"sem-gau={yjt / 'samples.csv'}", tmp_path / "dic")
+        assert rc == 3
+        assert "sem-gau columns" in capsys.readouterr().err
+        assert not (tmp_path / "dic" / "dic.csv").exists()
+
+    def test_yu_sites_must_match_dataset(self, tmp_path, capsys):
+        # same yu_ column count, other sites
+        sim, amp, _, miss = self.make_fits(tmp_path)
+        missing, _ = io.read_sidecar(amp / "sidecar.csv")
+        sites = np.flatnonzero(missing)
+        other = np.flatnonzero(~missing)[:sites.size]
+        assert other.size == sites.size
+        lines = (miss / "samples.csv").read_text().splitlines(keepends=True)
+        head = lines[0].split(",")
+        k = head.index(f"yu_{sites[0]}")
+        lines[0] = ",".join(head[:k] + [f"yu_{i}" for i in other]) + "\n"
+        bad = tmp_path / "moved.csv"
+        bad.write_text("".join(lines))
+        rc = self.dic_rc(amp / "amputated.csv", sim, f"sem-gau={bad}",
+                         tmp_path / "dic")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "missing sites" in err
+
+    def test_psi_columns_must_match_design(self, tmp_path, capsys):
+        sim, amp, _, miss = self.make_fits(tmp_path)
+        lines = (miss / "samples.csv").read_text().splitlines()
+        head = lines[0].split(",")
+        k = head.index("psi1")
+        bad = tmp_path / "short_psi.csv"
+        bad.write_text("".join(
+            ",".join(cells[:k] + cells[k + 1:]) + "\n"
+            for cells in (ln.split(",") for ln in lines)))
+        rc = self.dic_rc(amp / "amputated.csv", sim, f"sem-gau={bad}",
+                         tmp_path / "dic")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "2 psi columns" in err
+        assert "takes 3" in err
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path, capsys):
@@ -314,6 +581,21 @@ class TestExitCodes:
         assert main(["simulate", "--kind", "sar"]) == 2
         assert main(["fit", "--data", "x.csv"]) == 2
         capsys.readouterr()
+
+    def test_simulate_beta_count(self, tmp_path, capsys):
+        rc = main(["simulate", "--n-covariates", "2", "--beta", "1,2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "n_covariates + 1 = 3" in err and "got 2" in err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_simulate_negative_covariates(self, tmp_path, capsys):
+        rc = main(["simulate", "--n-covariates", "-1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert "n_covariates must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -375,6 +657,9 @@ for argv in argvs:
 """
 
 
+_FIT_MODULES = ("semvb.variational", "semvb.hvb")
+
+
 def _modules_after_each(argvs, watched=("scipy",), cap=None):
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER_EACH,
@@ -391,12 +676,19 @@ class TestImports:
     These run in a subprocess, because the test process has scipy loaded.
     """
 
+    def test_simulate_loads_no_fitting_module(self, tmp_path):
+        (loaded,) = _modules_after_each([
+            ["simulate", "--lattice-rows", "3", "--lattice-cols", "3",
+             "--out-dir", str(tmp_path / "sim")]], watched=_FIT_MODULES)
+        assert loaded == []
+
     def test_amputate_loads_no_scipy(self, tmp_path):
         sim = tmp_path / "sim"
         run_simulate(sim)
         (loaded,) = _modules_after_each([
             ["amputate", "--data", str(sim / "dataset.csv"),
-             "--out-dir", str(tmp_path / "amp")]])
+             "--out-dir", str(tmp_path / "amp")]],
+            watched=("scipy", *_FIT_MODULES))
         assert loaded == []
 
     def test_fit_and_dic_skip_scipy_special(self, tmp_path):
@@ -448,7 +740,8 @@ class TestImports:
                      "--n-draws", "5", "--out-dir", str(fit)]) == 0
         (loaded,) = _modules_after_each([
             ["summarize", "--samples", str(fit / "samples.csv"),
-             "--out-dir", str(tmp_path / "sum")]])
+             "--out-dir", str(tmp_path / "sum")]],
+            watched=("scipy", *_FIT_MODULES))
         assert loaded == []
 
     def test_hvb_fit_loads_no_scipy(self, tmp_path):
