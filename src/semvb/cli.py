@@ -9,17 +9,15 @@ configurations all come from that table. Every command takes --seed,
 Each command loads only the modules it runs. The table and the config
 reader need no numpy, so `_pin_threads` applies --threads, or a config
 file's threads=, to the BLAS environment before numpy loads; the command
-functions import the numerical stack. scipy is imported only by the sparse
-solves: `simulate`'s `spsolve` and, past the eigen cap, the complex-step
-sparse LU that gives the trace of a fit that iterates and the log-det of W
-without a symmetrizer. The banded Cholesky factors, of the `hvb`
-conditionals and of the log-det past the cap, come from scipy's compiled
-LAPACK wrapper loaded by file, which runs no scipy package code. So
-`amputate`, `summarize`, `vb` and `hvb` fits and `dic` runs below the cap,
-and past the cap on W with a symmetrizer a `dic` run or a fit with
---max-iters 0, load numpy and no scipy module. A process start is a large
-share of a short pipeline stage, and `tests/test_cli.py::TestImports` holds
-the commands to this rule.
+functions import the numerical stack. No command imports the scipy
+package. The sparse solves, `simulate`'s draw and past the eigen cap the
+complex-step LU of the trace and of the log-det of W without a
+symmetrizer, call SuperLU's compiled extension, and the banded Cholesky
+factors, of the `hvb` conditionals and of the log-det past the cap, call
+scipy's compiled LAPACK wrapper; both are loaded by file, which runs no
+scipy package code. So every command loads numpy and no scipy module. A
+process start is a large share of a short pipeline stage, and
+`tests/test_cli.py::TestImports` holds the commands to this rule.
 """
 
 from __future__ import annotations

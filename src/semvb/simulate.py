@@ -8,13 +8,11 @@ kinds. Presets mirror the simulation designs used in the test suite.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import SingularityError
 from .models import ModelKind, ModelParams
-from .spatial import SpatialWeights, a_matrix
+from .spatial import SpatialWeights, _superlu, a_matrix
 from .transforms import yj_inverse
 
 __all__ = ["make_design", "simulate_sem", "draw_inverse_gamma",
@@ -42,8 +40,12 @@ def simulate_sem(kind: ModelKind, X: np.ndarray, W: SpatialWeights,
                  params: ModelParams, rng: np.random.Generator
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw one response vector; returns (y, tau_used) with tau None for
-    Gaussian kinds."""
-    import scipy.sparse.linalg as spla
+    Gaussian kinds.
+
+    u = (I - rho W)^-1 e comes from SuperLU's gssv, called as scipy's
+    spsolve calls it where scikits.umfpack is not installed, so the draw is
+    spsolve's bit for bit; no module of the scipy package is imported.
+    """
     params.require_kind(kind)
     X = np.asarray(X, dtype=float)
     n = W.n
@@ -53,11 +55,10 @@ def simulate_sem(kind: ModelKind, X: np.ndarray, W: SpatialWeights,
         tau = draw_inverse_gamma(params.nu / 2.0, params.nu / 2.0, rng, size=n)
         scale = tau
     e = rng.standard_normal(n) * np.sqrt(params.sigma2 * scale)
-    with warnings.catch_warnings():
-        # singularity is detected below and raised as a typed error
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        u = spla.spsolve(a_matrix(W, params.rho), e)
-    if not np.all(np.isfinite(u)):
+    data, indices, indptr = a_matrix(W, params.rho)
+    u, info = _superlu().gssv(n, int(indptr[-1]), data, indices, indptr, e, 1,
+                              options=dict(ColPerm=None))
+    if info or not np.all(np.isfinite(u)):
         raise SingularityError(f"A = I - rho W is singular at rho = {params.rho}")
     y_star = X @ params.beta + u
     y = yj_inverse(y_star, params.gamma) if kind.yeo_johnson else y_star

@@ -48,30 +48,25 @@ row-standardized W and a DIC run a few dozen, so both are faster on the
 banded route.
 
 W is stored once, as the sorted triples `_entries`. Products with W and
-W^T, the block plans, the symmetrizer, the eigen route and the RCM ordering
-of `sym_band` run on numpy. The banded Cholesky factors and solves
-(`_pbtrf`, `_pbtrs`, `_tbtrs`) call the float64 routines of scipy's
-compiled LAPACK wrapper, which `_flapack` loads by file on first use
-without importing the scipy package. Only the sparse LU past the cap
-(`a_matrix`, `_lu_route`, `_perm_sign`) imports scipy, scipy.sparse, when it
-first runs. So an `hvb` fit below the cap, and past the cap on W with a
-symmetrizer a DIC run or a fit that takes no SGA step, load no scipy
-module; a fit past the cap that iterates loads scipy.sparse for its trace.
+W^T, the block plans, the symmetrizer, the eigen route, the RCM ordering
+of `sym_band` and the CSC arrays of the sparse LU (`a_matrix`) run on
+numpy. No stage imports the scipy package: scipy supplies only two compiled
+extensions, which `_scipy_extension` loads by file on first use. The
+banded Cholesky factors and solves (`_pbtrf`, `_pbtrs`, `_tbtrs`) call the
+float64 routines of its LAPACK wrapper (`_flapack`), and the sparse LU past
+the cap (`_lu_route`) and `simulate`'s solve call SuperLU's `gstrf` and
+`gssv` (`_superlu`) as scipy's splu and spsolve do, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError
 from .models import ModelKind
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "SpatialWeights", "Partition", "ConditionalGaussian",
@@ -91,42 +86,57 @@ _COMPLEX_STEP = 1e-30
 _SYM_TOL = 1e-12
 
 
-@cache
-def _flapack():
-    """scipy's compiled LAPACK wrapper module, scipy.linalg._flapack.
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled extension module scipy.<package>.<name>.
 
-    It is loaded from its file under the private name semvb._flapack, so
-    none of scipy's package __init__ modules run: the module itself needs
-    only numpy, while importing scipy.linalg (scipy 1.17) costs a process
-    about 0.3 s on a 2-vCPU Xeon. Where the load by file fails, as on
-    Windows wheels, whose scipy/__init__ puts the OpenBLAS DLL directory on
-    the search path, the same module comes through the package import.
+    It is loaded from its file under the private name semvb.<name>, so none
+    of scipy's package __init__ modules run: the extensions used here need
+    only numpy, while importing scipy.linalg or scipy.sparse.linalg (scipy
+    1.17) costs a process about 0.3 s on a 2-vCPU Xeon. Where the load by
+    file fails, as on Windows wheels, whose scipy/__init__ puts the OpenBLAS
+    DLL directory on the search path, the same module comes through the
+    package import.
     """
+    import importlib
     import importlib.machinery
     import importlib.util
     import os
     import sys
-    name = "semvb._flapack"  # its last part names the PyInit__flapack symbol
+    private = "semvb." + name  # its last part names the PyInit_<name> symbol
     try:
         scipy = importlib.util.find_spec("scipy")  # runs no scipy code
         if scipy is None:
             raise ImportError("scipy is not installed")
-        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        folder = os.path.join(scipy.submodule_search_locations[0],
+                              *package.split("."))
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(linalg, "_flapack" + suffix)
+            path = os.path.join(folder, name + suffix)
             if os.path.isfile(path):
                 break
         else:
-            raise ImportError(f"no _flapack extension in {linalg}")
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
-        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+            raise ImportError(f"no {name} extension in {folder}")
+        loader = importlib.machinery.ExtensionFileLoader(private, path)
+        spec = importlib.util.spec_from_file_location(private, path,
+                                                      loader=loader)
         module = importlib.util.module_from_spec(spec)
         loader.exec_module(module)
     except (ImportError, OSError):
-        from scipy.linalg import _flapack as module
-        return module
-    sys.modules[name] = module
+        return importlib.import_module(f"scipy.{package}.{name}")
+    sys.modules[private] = module
     return module
+
+
+@cache
+def _flapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrapper."""
+    return _scipy_extension("linalg", "_flapack")
+
+
+@cache
+def _superlu():
+    """scipy.sparse.linalg._dsolve._superlu, scipy's compiled SuperLU wrapper
+    behind splu and spsolve."""
+    return _scipy_extension("sparse.linalg._dsolve", "_superlu")
 
 
 def _lapack(name: str):
@@ -482,32 +492,49 @@ def apply_At(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:
     return v - rho * W.rmatvec(v)
 
 
-def a_matrix(W: SpatialWeights, c: complex) -> sp.csc_matrix:
-    """I - c W in CSC form for real c = rho or complex c = rho + ih: the
-    arrays of scipy's `identity - c * W`, which stores no zero term."""
-    import scipy.sparse as sp
+def a_matrix(W: SpatialWeights, c: complex
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I - c W in CSC form for real c = rho or complex c = rho + ih.
+
+    Returns (data, indices, indptr), the arrays of scipy's
+    (identity - c * W).tocsc(): each column's rows ascending, no zero term
+    stored, intc indices.
+    """
     _check_rho(c.real)
+    n = W.n
     rows, cols, w = W._entries
     off = 0.0 - c * w
     keep = off != 0
-    diag = np.arange(W.n)
-    data = np.concatenate([np.ones(W.n, off.dtype), off[keep]])
-    ij = np.concatenate([diag, rows[keep]]), np.concatenate([diag, cols[keep]])
-    return sp.csc_matrix((data, ij), shape=(W.n, W.n))
+    diag = np.arange(n)
+    rows = np.concatenate([diag, rows[keep]])
+    cols = np.concatenate([diag, cols[keep]])
+    data = np.concatenate([np.ones(n, off.dtype), off[keep]])
+    order = np.argsort(cols * n + rows)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return data[order], rows[order].astype(np.intc), indptr
 
 
 def _perm_sign(perm: np.ndarray) -> int:
     """Sign of a permutation, (-1)^(n - c) for its c cycles.
 
-    The cycles are the weakly connected components of the graph i -> perm[i].
+    Pointer doubling gives each site the lowest site of its cycle: after k
+    rounds `low` covers the 2^k sites that follow each site on its cycle.
+    A cycle is counted at its lowest site.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
     perm = np.asarray(perm)
     n = perm.size
-    graph = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
-    cycles, _ = connected_components(graph, directed=True, connection="weak")
+    low, step = np.arange(n), perm
+    for _ in range(n.bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    cycles = np.count_nonzero(low == np.arange(n))
     return -1 if (n - cycles) % 2 else 1
+
+
+# splu's defaults: None leaves each choice to SuperLU's own default.
+_SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None,
+                     Relax=None)
 
 
 def _lu_route(W: SpatialWeights, rho: float) -> tuple[float, int, float]:
@@ -522,13 +549,26 @@ def _lu_route(W: SpatialWeights, rho: float) -> tuple[float, int, float]:
     are exact to the LU's own rounding. Complex SuperLU does not flag an
     exactly singular A (its pivot keeps an imaginary part of order h),
     hence the check on Re u_j.
+
+    SuperLU's gstrf is called as scipy's splu calls it. Its U comes back as
+    the CSC arrays handed to `csc_construct_func`, whose data and indices
+    hold spare capacity past indptr[-1].
     """
-    import scipy.sparse.linalg as spla
+    n = W.n
+    data, indices, indptr = a_matrix(W, rho + 1j * _COMPLEX_STEP)
     try:
-        lu = spla.splu(a_matrix(W, rho + 1j * _COMPLEX_STEP))
+        lu = _superlu().gstrf(n, int(indptr[-1]), data, indices, indptr,
+                              csc_construct_func=lambda arrays, shape: arrays,
+                              ilu=False, options=_SPLU_OPTIONS)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularityError(f"A = I - rho W is singular at rho = {rho}") from exc
-    diag = lu.U.diagonal()
+    u, rows, indptr = lu.U
+    nnz = indptr[-1]
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    on = rows[:nnz] == cols
+    # summed from zero, as scipy's csc diagonal() is
+    diag = np.zeros(n, dtype=u.dtype)
+    np.add.at(diag, cols[on], u[:nnz][on])
     re = diag.real
     if np.any(np.abs(re) < _SINGULAR_TOL):
         raise SingularityError(f"A = I - rho W is singular at rho = {rho}")

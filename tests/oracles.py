@@ -11,6 +11,11 @@ initialization as a full scan of 199 log-dets; `propose_yu` and
 `mh_accept_ratio`, one independence-MH step for one block at a time, against
 which the batched and blocked chains are checked; and `sym_band_scipy`, the
 reverse Cuthill-McKee band of S built with scipy's ordering.
+
+The sparse LU pieces, `a_matrix_scipy`, `perm_sign_csgraph`, `lu_route_splu`
+and `simulate_sem_spsolve`, are the package's code as it was on
+scipy.sparse, kept verbatim: the calls into SuperLU's compiled extension
+that replaced them are checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +49,81 @@ def sym_band_scipy(W):
     band = np.zeros((int(k.max(initial=0)) + 1, W.n))
     band[k, s.col[low]] = s.data[low]
     return band
+
+
+def a_matrix_scipy(W, c):
+    """I - c W in CSC form for real c = rho or complex c = rho + ih: the
+    arrays of scipy's `identity - c * W`, which stores no zero term."""
+    import scipy.sparse as sp
+    from semvb.spatial import _check_rho
+    _check_rho(c.real)
+    rows, cols, w = W._entries
+    off = 0.0 - c * w
+    keep = off != 0
+    diag = np.arange(W.n)
+    data = np.concatenate([np.ones(W.n, off.dtype), off[keep]])
+    ij = np.concatenate([diag, rows[keep]]), np.concatenate([diag, cols[keep]])
+    return sp.csc_matrix((data, ij), shape=(W.n, W.n))
+
+
+def perm_sign_csgraph(perm):
+    """Sign of a permutation, (-1)^(n - c) for its c cycles.
+
+    The cycles are the weakly connected components of the graph i -> perm[i].
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    perm = np.asarray(perm)
+    n = perm.size
+    graph = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    cycles, _ = connected_components(graph, directed=True, connection="weak")
+    return -1 if (n - cycles) % 2 else 1
+
+
+def lu_route_splu(W, rho):
+    """`spatial._lu_route` on scipy's splu: log|det A|, the sign of det A
+    and tr(A^-1 W) from one complex-step sparse LU."""
+    import scipy.sparse.linalg as spla
+    from semvb.errors import SingularityError
+    from semvb.spatial import _COMPLEX_STEP, _SINGULAR_TOL
+    try:
+        lu = spla.splu(a_matrix_scipy(W, rho + 1j * _COMPLEX_STEP))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularityError(f"A = I - rho W is singular at rho = {rho}") from exc
+    diag = lu.U.diagonal()
+    re = diag.real
+    if np.any(np.abs(re) < _SINGULAR_TOL):
+        raise SingularityError(f"A = I - rho W is singular at rho = {rho}")
+    sign = perm_sign_csgraph(lu.perm_r) * perm_sign_csgraph(lu.perm_c) * int(np.prod(np.sign(re)))
+    trace = -float(np.sum(diag.imag / re)) / _COMPLEX_STEP
+    return float(np.sum(np.log(np.abs(re)))), sign, trace
+
+
+def simulate_sem_spsolve(kind, X, W, params, rng):
+    """`simulate.simulate_sem` on scipy's spsolve."""
+    import warnings
+    import scipy.sparse.linalg as spla
+    from semvb.errors import SingularityError
+    from semvb.simulate import draw_inverse_gamma
+    from semvb.transforms import yj_inverse
+    params.require_kind(kind)
+    X = np.asarray(X, dtype=float)
+    n = W.n
+    tau = None
+    scale = np.ones(n)
+    if kind.student_t:
+        tau = draw_inverse_gamma(params.nu / 2.0, params.nu / 2.0, rng, size=n)
+        scale = tau
+    e = rng.standard_normal(n) * np.sqrt(params.sigma2 * scale)
+    with warnings.catch_warnings():
+        # singularity is detected below and raised as a typed error
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        u = spla.spsolve(a_matrix_scipy(W, params.rho), e)
+    if not np.all(np.isfinite(u)):
+        raise SingularityError(f"A = I - rho W is singular at rho = {params.rho}")
+    y_star = X @ params.beta + u
+    y = yj_inverse(y_star, params.gamma) if kind.yeo_johnson else y_star
+    return np.asarray(y, dtype=float), tau
 
 
 def ml_init_full_grid(data):

@@ -682,6 +682,14 @@ class TestImports:
              "--out-dir", str(tmp_path / "sim")]], watched=_FIT_MODULES)
         assert loaded == []
 
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        # the draw's sparse solve is SuperLU's extension, loaded by file
+        (loaded,) = _modules_after_each([
+            ["simulate", "--lattice-rows", "3", "--lattice-cols", "3",
+             "--out-dir", str(tmp_path / "sim")]],
+            watched=("scipy", "semvb._superlu"))
+        assert loaded == ["semvb._superlu"]
+
     def test_amputate_loads_no_scipy(self, tmp_path):
         sim = tmp_path / "sim"
         run_simulate(sim)
@@ -726,9 +734,30 @@ class TestImports:
              "--out-dir", str(tmp_path / "dic")],
             ["fit", *data, "--kind", "yj-sem-gau", "--max-iters", "2",
              "--n-draws", "5", "--out-dir", str(tmp_path / "fit")]],
-            watched=("scipy", "semvb._flapack"), cap=0)
+            watched=("scipy", "semvb._flapack", "semvb._superlu"), cap=0)
         assert after[0] == after[1] == ["semvb._flapack"]
-        assert "scipy.sparse.linalg" in after[2]
+        assert after[2] == ["semvb._flapack", "semvb._superlu"]
+
+    def test_past_cap_without_symmetrizer_loads_no_scipy(self, tmp_path):
+        # a directed ring has no symmetrizer, so past the cap every log-det
+        # and trace is a sparse LU, from SuperLU's extension loaded by file
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        n = 20
+        ring = tmp_path / "ring.csv"
+        ring.write_text(f"# n={n} row_standardized=1\ni,j,w\n" + "".join(
+            f"{i},{(i + 1) % n},1\n" for i in range(n)))
+        data = ["--data", str(sim / "dataset.csv"), "--weights", str(ring)]
+        probe = tmp_path / "probe"
+        after = _modules_after_each([
+            ["fit", *data, "--kind", "yj-sem-gau", "--max-iters", "0",
+             "--n-draws", "5", "--out-dir", str(probe)],
+            ["fit", *data, "--kind", "yj-sem-gau", "--max-iters", "2",
+             "--n-draws", "5", "--out-dir", str(tmp_path / "fit")],
+            ["dic", *data, "--models", f"yj-sem-gau={probe / 'samples.csv'}",
+             "--out-dir", str(tmp_path / "dic")]],
+            watched=("scipy", "semvb._flapack", "semvb._superlu"), cap=0)
+        assert after == [["semvb._superlu"]] * 3
 
     def test_summarize_loads_no_scipy(self, tmp_path):
         sim = tmp_path / "sim"

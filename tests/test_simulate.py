@@ -40,6 +40,22 @@ class TestDesigns:
         beta = draw_beta_preset(200, np.random.default_rng(3))
         assert set(np.abs(beta)).issubset({1.0, 2.0, 3.0})
 
+    def test_zero_pivot_reported_by_gssv_raises(self):
+        # the directed 3-cycle with weight 2 at rho = 0.5: det A = 1 - 1 = 0
+        # and SuperLU meets an exactly zero pivot. gssv reports it through
+        # info and hands back the right-hand side, finite, unsolved
+        from semvb.spatial import _superlu, a_matrix
+        W = SpatialWeights(n=3, rows=[0, 1, 2], cols=[1, 2, 0],
+                           weights=[2.0, 2.0, 2.0])
+        data, indices, indptr = a_matrix(W, 0.5)
+        x, info = _superlu().gssv(3, int(indptr[-1]), data, indices, indptr,
+                                  np.ones(3), 1, options=dict(ColPerm=None))
+        assert info != 0 and np.all(np.isfinite(x))
+        params = ModelParams(beta=np.array([0.0]), sigma2=1.0, rho=0.5)
+        with pytest.raises(SingularityError):
+            simulate_sem(ModelKind.SEM_GAU, np.ones((3, 1)), W, params,
+                         np.random.default_rng(8))
+
     def test_determinism(self):
         a = make_design(10, 2, np.random.default_rng(4))
         b = make_design(10, 2, np.random.default_rng(4))

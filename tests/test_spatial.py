@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from semvb.errors import DimensionError, DomainError, SingularityError
-from semvb.models import ModelKind
+from semvb.models import ModelKind, ModelParams
 from semvb import spatial
 
-from oracles import (csr, dense_M, fd_derivative, schur_conditional,
-                     sym_band_scipy)
+from oracles import (csr, dense_M, fd_derivative, lu_route_splu,
+                     perm_sign_csgraph, schur_conditional,
+                     simulate_sem_spsolve, sym_band_scipy)
 
 
 def two_node_raw() -> spatial.SpatialWeights:
@@ -117,11 +118,9 @@ class TestProducts:
     def test_a_matrix_is_scipy_difference(self, name, c):
         import scipy.sparse as sp
         W = PRODUCT_CASES[name]()
-        a = spatial.a_matrix(W, c)
+        arrays = spatial.a_matrix(W, c)
         want = (sp.identity(W.n, format="csr") - c * csr(W)).tocsc()
-        assert a.format == "csc"
-        for field in ("data", "indices", "indptr"):
-            got, ref = getattr(a, field), getattr(want, field)
+        for got, ref in zip(arrays, (want.data, want.indices, want.indptr)):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
@@ -577,6 +576,92 @@ class TestLapack:
                             no_file_load)
         assert spatial._flapack() is sys.modules["scipy.linalg._flapack"]
         self.check_bits()
+
+
+def singular_pair() -> spatial.SpatialWeights:
+    """Doubled weights push an eigenvalue to 2: A is singular at rho = 0.5
+    and its determinant negative at rho = 0.6."""
+    return spatial.SpatialWeights(n=2, rows=[0, 1], cols=[1, 0],
+                                  weights=[2.0, 2.0])
+
+
+def outcome(f, *args):
+    """repr of f(*args), exact for floats, or the SingularityError raised."""
+    try:
+        return repr(f(*args))
+    except SingularityError as exc:
+        return f"SingularityError: {exc}"
+
+
+SUPERLU_CASES = {**PRODUCT_CASES, "singular pair": singular_pair}
+SUPERLU_RHOS = (-0.95, -0.3, 0.0, 0.5, 0.6, 0.9)
+
+
+class TestSuperLu:
+    """SuperLU's compiled extension called directly, against scipy's splu
+    and spsolve on the same matrices (oracles.py), bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self):
+        spatial._superlu.cache_clear()
+        yield
+        spatial._superlu.cache_clear()
+
+    @staticmethod
+    def check_bits(name):
+        from semvb.simulate import simulate_sem
+        W = SUPERLU_CASES[name]()
+        X = np.random.default_rng(2).standard_normal((W.n, 2))
+        for rho in SUPERLU_RHOS:
+            assert (outcome(spatial._lu_route, W, rho)
+                    == outcome(lu_route_splu, W, rho))
+            for kind, extra in ((ModelKind.SEM_GAU, {}),
+                                (ModelKind.YJ_SEM_T, dict(nu=4.0, gamma=1.2))):
+                params = ModelParams(beta=np.array([0.5, -1.0]), sigma2=0.7,
+                                     rho=rho, **extra)
+                got, want = (outcome(f, kind, X, W, params,
+                                     np.random.default_rng(3))
+                             for f in (simulate_sem, simulate_sem_spsolve))
+                assert got == want
+
+    @pytest.mark.parametrize("name", sorted(SUPERLU_CASES))
+    def test_bit_for_bit_scipy(self, name):
+        self.check_bits(name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 1000])
+    def test_perm_sign_is_csgraph(self, n):
+        rng = np.random.default_rng(n)
+        perms = [np.arange(n), np.roll(np.arange(n), 1)]
+        perms += [rng.permutation(n) for _ in range(30)]
+        for perm in perms:
+            assert spatial._perm_sign(perm) == perm_sign_csgraph(perm)
+
+    def test_loaded_by_file(self):
+        import sys
+        module = spatial._superlu()
+        # not __name__: CPython re-creates a single-phase extension module
+        # from the dict of its latest load, which is the package's once an
+        # oracle in this process has imported scipy.sparse.linalg
+        assert module.__spec__.name == "semvb._superlu"
+        assert sys.modules["semvb._superlu"] is module
+        assert module is not sys.modules.get(
+            "scipy.sparse.linalg._dsolve._superlu")
+        self.check_bits("weighted non-symmetric, empty rows")
+
+    def test_package_import_fallback(self, monkeypatch):
+        import importlib.machinery
+        import sys
+        import scipy.sparse.linalg  # noqa: F401
+
+        def no_file_load(name, path):
+            raise ImportError(f"DLL load failed while importing {name}")
+
+        monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader",
+                            no_file_load)
+        assert (spatial._superlu()
+                is sys.modules["scipy.sparse.linalg._dsolve._superlu"])
+        for name in sorted(SUPERLU_CASES):
+            self.check_bits(name)
 
 
 class TestSparseLuRoute:
