@@ -29,7 +29,6 @@ _EXPORTS = {
     "build_rook_lattice": "spatial",
     "conditional_gaussian": "spatial",
     "Dataset": "likelihoods",
-    "Partition": "spatial",
     "log_p_m": "likelihoods",
     "loglik": "likelihoods",
     "marginal_loglik_t": "likelihoods",

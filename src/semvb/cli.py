@@ -276,7 +276,7 @@ def cmd_fit(args) -> int:
         result = hvb_fit(kind, data, Priors(), config, rng=rng)
         samples = draw_posterior_missing(kind, data, result.lam, args.n_draws,
                                          config.n1, rng, config=config)
-        unobserved_idx = data.partition.unobserved_idx
+        unobserved_idx = data.unobserved_idx
 
     _write(args, "trace.csv", io.write_trace, result.trace_iters,
            result.mu_trace, result.layout.names())
@@ -306,8 +306,7 @@ def _sample_mismatch(kind, data, samples, sites) -> str | None:
     if samples.phi_names != names:
         return (f"phi columns {','.join(samples.phi_names)} are not the "
                 f"{kind.value} columns {','.join(names)}")
-    if sites is not None and not np.array_equal(
-            sites, np.flatnonzero(data.missing)):
+    if sites is not None and not np.array_equal(sites, data.unobserved_idx):
         return "yu_ columns do not name the dataset's missing sites"
     n_psi = 1 + (0 if data.Xstar is None else data.Xstar.shape[1])
     if samples.psi is not None and samples.psi.shape[1] != n_psi:

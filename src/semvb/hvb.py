@@ -37,8 +37,7 @@ from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, _log_p_m_eta, layout_missing, log_p_m
 from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
-from .spatial import (ConditionalGaussian, block_conditionals,
-                      conditional_gaussian)
+from .spatial import ConditionalGaussian, conditional_gaussian
 from .transforms import yj_forward, yj_inverse
 from .variational import (FitConfig, FitResult, VariationalParams, _sga,
                           init_lambda, sample_q)
@@ -131,7 +130,7 @@ class HvbConfig(FitConfig):
         None for the whole-vector kernel."""
         if self.resolve_kernel(data.n_missing) == "nob":
             return None
-        return BlockScheme.from_fraction(data.partition.unobserved_idx,
+        return BlockScheme.from_fraction(data.unobserved_idx,
                                          self.block_fraction)
 
 
@@ -165,19 +164,14 @@ def _accept_prob(delta: float) -> float:
     return min(1.0, float(np.exp(min(delta, 0.0))))
 
 
-def _split_theta(kind: ModelKind, data: Dataset, theta: np.ndarray):
-    layout = layout_missing(kind, data)
-    params, tau, psi = link_inverse(kind, layout, theta)
-    return params, tau, psi
-
-
 def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
               blocks: tuple[np.ndarray, ...], y_u_init: np.ndarray | None,
               n1: int, rng: np.random.Generator
               ) -> tuple[np.ndarray, np.ndarray]:
     """n1 sweeps of independence MH steps, one per block in order.
 
-    blocks partition the unobserved sites (not checked here). The chain
+    blocks partition the unobserved sites: `conditional_gaussian` checks
+    each block's order and range, and `mcmc_allb` the covering. The chain
     starts from a draw of the whole unobserved vector's conditional unless
     y_u_init is given. Each block's M_uu is factored once per call; its mean
     offset is recomputed only after another block has moved. The acceptance
@@ -189,17 +183,15 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     step-by-step sweep. Returns the final imputation and per-block
     acceptance counts.
     """
-    params, tau, psi = _split_theta(kind, data, theta)
-    part = data.partition
-    obs, u_idx = part.observed_idx, part.unobserved_idx
+    params, tau, psi = link_inverse(kind, layout_missing(kind, data), theta)
+    obs, u_idx = ~data.missing, data.unobserved_idx
     mean = data.X @ params.beta
     y = data.y.copy()
     r = np.zeros(data.n)   # residual on the model's scale
     r[obs] = _ystar(kind, y[obs], params) - mean[obs]
     start = None
     if y_u_init is None:
-        start = conditional_gaussian(kind, data.W, params.rho, tau, part,
-                                     r[obs])
+        start = conditional_gaussian(kind, data.W, params.rho, tau, u_idx, r)
         y[u_idx] = _draw_proposal(kind, params, start, mean[u_idx], rng)
     else:
         y_u_init = np.asarray(y_u_init, dtype=float)
@@ -210,14 +202,15 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
         # the one block is the whole unobserved vector, and its conditional
         # reads no unobserved residual
         if start is None:
-            start, = block_conditionals(kind, data.W, params.rho, tau, blocks,
-                                        r)
+            start = conditional_gaussian(kind, data.W, params.rho, tau,
+                                         blocks[0], r)
         y_u, accepts = _one_block_chain(
             kind, params, psi, start, mean[u_idx], data.missing[u_idx],
             data.Xstar[u_idx], y[u_idx], n1, rng)
         return y_u, np.array([accepts])
     r[u_idx] = _ystar(kind, y[u_idx], params) - mean[u_idx]
-    conds = block_conditionals(kind, data.W, params.rho, tau, blocks, r)
+    conds = [conditional_gaussian(kind, data.W, params.rho, tau, b, r)
+             for b in blocks]
     means = [mean[b] for b in blocks]
     m = [data.missing[b] for b in blocks]
     Xstar = [data.Xstar[b] for b in blocks]
@@ -291,7 +284,7 @@ def mcmc_nob(kind: ModelKind, data: Dataset, theta: np.ndarray,
     given. Returns the final imputation and the acceptance count.
     """
     y_u, accepts = _mh_sweep(kind, data, theta,
-                             (data.partition.unobserved_idx,), y_u_init, n1,
+                             (data.unobserved_idx,), y_u_init, n1,
                              rng)
     return y_u, int(accepts[0])
 
@@ -309,7 +302,7 @@ def mcmc_allb(kind: ModelKind, data: Dataset, theta: np.ndarray,
     block has moved. Returns the final imputation and per-block acceptance
     counts.
     """
-    blocks.validate_covering(data.partition.unobserved_idx)
+    blocks.validate_covering(data.unobserved_idx)
     return _mh_sweep(kind, data, theta, blocks.blocks, y_u_init, n1, rng)
 
 

@@ -37,9 +37,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _parse_float(text: str, path, what: str) -> float:
+def _parse_number(text: str, path, what: str, number=float):
+    """number(text); a cell it refuses is a DataFormatError naming path."""
     try:
-        return float(text)
+        return number(text)
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad {what} value {text!r}") from exc
 
@@ -113,11 +114,11 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise DataFormatError(f"{path}: row {i + 2} has {len(row)} cells")
-        y[i] = np.nan if row[0] == "" else _parse_float(row[0], path, "y")
+        y[i] = np.nan if row[0] == "" else _parse_number(row[0], path, "y")
         for j in range(n_x):
-            X[i, j + 1] = _parse_float(row[1 + j], path, f"x{j + 1}")
+            X[i, j + 1] = _parse_number(row[1 + j], path, f"x{j + 1}")
         for j in range(n_s):
-            Xs[i, j + 1] = _parse_float(row[1 + n_x + j], path, f"xs{j + 1}")
+            Xs[i, j + 1] = _parse_number(row[1 + n_x + j], path, f"xs{j + 1}")
     given = np.array([row[0] != "" for row in body], dtype=bool)
     cells = [np.where(given, y, 0.0)[:, None], X[:, 1:]]
     if n_s:
@@ -167,10 +168,12 @@ def read_weights(path) -> SpatialWeights:
             ii[k], jj[k] = int(row[0]), int(row[1])
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad index in row {k + 3}") from exc
-        ww[k] = _parse_float(row[2], path, "weight")
-    return SpatialWeights(n=int(fields["n"]), rows=ii, cols=jj, weights=ww,
-                          row_standardized=bool(int(fields.get(
-                              "row_standardized", "0"))))
+        ww[k] = _parse_number(row[2], path, "weight")
+    return SpatialWeights(
+        n=_parse_number(fields["n"], path, "n", int), rows=ii, cols=jj,
+        weights=ww, row_standardized=bool(_parse_number(
+            fields.get("row_standardized", "0"), path, "row_standardized",
+            int)))
 
 
 def write_trace(path, trace_iters: np.ndarray, mu_trace: np.ndarray,
@@ -201,7 +204,7 @@ def read_trace(path) -> tuple[np.ndarray, list[str], np.ndarray]:
             iters.append(it)
         if row[1] not in names:
             names.append(row[1])
-        cells[(it, row[1])] = _parse_float(row[2], path, "trace")
+        cells[(it, row[1])] = _parse_number(row[2], path, "trace")
     values = np.array([[cells[(it, nm)] for nm in names] for it in iters])
     return np.asarray(iters, dtype=int), names, values
 
@@ -244,7 +247,7 @@ def read_dic_report(path):
     for row in rows[1:]:
         if len(row) != 5:
             raise DataFormatError(f"{path}: malformed report row {row!r}")
-        d = [None if c == "" else _parse_float(c, path, "dic")
+        d = [None if c == "" else _parse_number(c, path, "dic")
              for c in row[1:4]]
         out.append((row[0], d[0], d[1], d[2], int(row[4])))
     return out
@@ -269,7 +272,7 @@ def read_sidecar(path) -> tuple[np.ndarray, np.ndarray]:
         if len(row) != 3 or int(row[0]) != k:
             raise DataFormatError(f"{path}: sidecar rows must cover 0..n-1")
         missing[k] = bool(int(row[1]))
-        true_y[k] = _parse_float(row[2], path, "true_y")
+        true_y[k] = _parse_number(row[2], path, "true_y")
     return missing, true_y
 
 
@@ -320,13 +323,14 @@ def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:
         if len(row) != len(header):
             raise DataFormatError(f"{path}: row {k + 2} has {len(row)} cells")
         for j, cell in enumerate(row):
-            mat[k, j] = _parse_float(cell, path, header[j])
+            mat[k, j] = _parse_number(cell, path, header[j])
     phi = mat[:, :i_psi]
     psi = mat[:, i_psi:i_yu] if i_psi < i_yu else None
     y_u = mat[:, i_yu:] if i_yu < len(header) else None
     if mat.shape[0] == 0:
         raise DataFormatError(f"{path}: no sample rows")
-    idx = (np.array([int(h[3:]) for h in header[i_yu:]], dtype=np.int64)
+    idx = (np.array([_parse_number(h[3:], path, "yu_ site", int)
+                     for h in header[i_yu:]], dtype=np.int64)
            if y_u is not None else None)
     return PosteriorSamples(phi=phi, phi_names=tuple(header[:i_psi]),
                             psi=psi, y_u=y_u), idx
@@ -356,7 +360,7 @@ def read_lambda(path) -> VariationalParams:
         if len(row) != 4:
             raise DataFormatError(f"{path}: malformed lambda row {row!r}")
         part, i, j, val = row
-        value = _parse_float(val, path, "lambda")
+        value = _parse_number(val, path, "lambda")
         if part == "mu":
             mu.append(value)
         elif part == "d":
@@ -397,6 +401,6 @@ def read_summary(path):
     for row in rows[1:]:
         if len(row) != 4:
             raise DataFormatError(f"{path}: malformed summary row {row!r}")
-        out.append((row[0], *(_parse_float(c, path, "summary")
+        out.append((row[0], *(_parse_number(c, path, "summary")
                               for c in row[1:])))
     return out

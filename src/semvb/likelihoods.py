@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .models import (MissingnessParams, ModelKind, ModelParams, Priors,
                      ThetaLayout)
-from .spatial import Partition, SpatialWeights, logdet_M, quad_form_M
+from .spatial import SpatialWeights, logdet_M, quad_form_M
 from .transforms import yj_dy, yj_forward
 
 __all__ = [
@@ -95,8 +95,11 @@ class Dataset:
         return int(self.missing.sum())
 
     @cached_property
-    def partition(self) -> Partition:
-        return Partition.from_missing_mask(self.missing)
+    def unobserved_idx(self) -> np.ndarray:
+        """The missing sites, ascending."""
+        idx = np.flatnonzero(self.missing)
+        idx.setflags(write=False)
+        return idx
 
     def require_complete(self) -> None:
         if self.n_missing:

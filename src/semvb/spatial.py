@@ -3,10 +3,11 @@
 Everything the model family needs from the spatial side lives here: rook
 lattice construction, matrix-vector products with A and A^T, log-determinants
 and quadratic forms in M (A^T A for Gaussian error kinds, A^T Sigma_tau^-1 A
-for Student-t kinds), and the conditional-Gaussian partitioning used both by
-oracle tests and by the missing-data samplers. The samplers take one
-conditional per block (`block_conditionals`), factored once, and re-condition
-it on the other blocks' new values with `ConditionalGaussian.given`.
+for Student-t kinds), and the conditional Gaussian of a block of sites given
+all the others (`conditional_gaussian`), used both by oracle tests and by the
+missing-data samplers. The samplers build one conditional per block,
+factored once, and re-condition it on the other blocks' new values with
+`ConditionalGaussian.given`.
 
 A block's precision M_uu = A_u^T diag(s) A_u is a banded GMRF precision
 (Rue & Held 2005, ch. 2). Its lower band, in the block's own ascending site
@@ -69,10 +70,10 @@ from .errors import DimensionError, DomainError, SingularityError
 from .models import ModelKind
 
 __all__ = [
-    "SpatialWeights", "Partition", "ConditionalGaussian",
+    "SpatialWeights", "ConditionalGaussian",
     "build_rook_lattice", "apply_A", "apply_At",
     "logdet_A", "trace_AinvW", "logdet_M", "quad_form_M",
-    "conditional_gaussian", "block_conditionals",
+    "conditional_gaussian",
 ]
 
 # Largest n for which the eigenvalues of W are precomputed densely.
@@ -402,43 +403,6 @@ def _sum_terms(n: int, out: np.ndarray, w: np.ndarray, src: np.ndarray,
     return np.bincount(slots, weights=terms, minlength=n * p).reshape(n, p)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Split of site indices into a known ('observed') and an unknown block.
-
-    Both index lists are sorted ascending, disjoint, and jointly cover
-    0..n-1. The same type also represents a block sub-partition where the
-    'observed' side holds every site outside the block being updated.
-    """
-
-    observed_idx: np.ndarray
-    unobserved_idx: np.ndarray
-
-    def __post_init__(self):
-        obs = np.asarray(self.observed_idx, dtype=np.int64)
-        uno = np.asarray(self.unobserved_idx, dtype=np.int64)
-        object.__setattr__(self, "observed_idx", obs)
-        object.__setattr__(self, "unobserved_idx", uno)
-        if np.any(np.diff(obs) <= 0) or np.any(np.diff(uno) <= 0):
-            raise DomainError("partition index lists must be strictly ascending")
-        n = obs.size + uno.size
-        union = np.concatenate([obs, uno])
-        if np.intersect1d(obs, uno).size:
-            raise DomainError("partition blocks must be disjoint")
-        if not np.array_equal(np.sort(union), np.arange(n)):
-            raise DomainError("partition blocks must cover 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return self.observed_idx.size + self.unobserved_idx.size
-
-    @classmethod
-    def from_missing_mask(cls, missing: np.ndarray) -> "Partition":
-        missing = np.asarray(missing, dtype=bool)
-        idx = np.arange(missing.size)
-        return cls(observed_idx=idx[~missing], unobserved_idx=idx[missing])
-
-
 def build_rook_lattice(rows: int, cols: int, row_standardize: bool = True) -> SpatialWeights:
     """Rook-neighbourhood weights on a rows x cols lattice.
 
@@ -735,15 +699,15 @@ def _build_block_plan(W: SpatialWeights, block: np.ndarray) -> _BlockPlan:
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """Conditional distribution of the unknown block given the known block.
+    """Conditional distribution of a block of sites given all the others.
 
-    For the joint N(mu, sigma^2 M^-1) the unknown block u given the known
-    block o is N(mu_u + mean_offset, sigma^2 M_uu^-1), with mean_offset =
-    -M_uu^-1 M_uo r_known. `chol_lower` is the lower Cholesky factor of M_uu
-    in LAPACK band storage (row d holds the d-th subdiagonal, in the order
-    of `unknown_idx`). The remaining fields (the unknown sites, W, rho and
-    the diagonal s of Sigma_tau^-1) let `given` re-condition on a new known
-    residual with the same factor.
+    Built by `conditional_gaussian`. For the joint N(mu, sigma^2 M^-1) the
+    block u given the other sites o is N(mu_u + mean_offset, sigma^2 M_uu^-1),
+    with mean_offset = -M_uu^-1 M_uo r_o. `chol_lower` is the lower Cholesky
+    factor of M_uu in LAPACK band storage (row d holds the d-th subdiagonal,
+    in the order of `unknown_idx`). The remaining fields (the block's sites,
+    W, rho and the diagonal s of Sigma_tau^-1) let `given` re-condition on a
+    new residual with the same factor.
     """
 
     mean_offset: np.ndarray
@@ -795,55 +759,38 @@ class ConditionalGaussian:
         return replace(self, mean_offset=-x)
 
 
-def block_conditionals(kind: ModelKind, W: SpatialWeights, rho: float,
-                       tau: np.ndarray | None,
-                       blocks: tuple[np.ndarray, ...], r: np.ndarray
-                       ) -> list[ConditionalGaussian]:
-    """The conditional of each block of sites given all the other sites.
+def conditional_gaussian(kind: ModelKind, W: SpatialWeights, rho: float,
+                         tau: np.ndarray | None, block: np.ndarray,
+                         r: np.ndarray) -> ConditionalGaussian:
+    """The conditional of the sites in block given all the other sites.
 
-    blocks are disjoint ascending index arrays and r the residual over all n
-    sites; a block's own entries of r are not read for its conditional. Each
-    block's M_uu is assembled from its cached `_BlockPlan` and factored
+    block holds strictly ascending site indices (it may be empty) and r is
+    the residual over all n sites; the block's own entries of r are not
+    read. M_uu is assembled from the block's cached `_BlockPlan` and factored
     once by a banded Cholesky in site order, O(k b^2) for k sites and
-    bandwidth b (full, b = k - 1, for sites in no spatial order), so a
-    sampler that moves one block re-conditions the others with
-    `ConditionalGaussian.given`.
+    bandwidth b (full, b = k - 1, for sites in no spatial order). Returns the
+    mean offset -M_uu^-1 M_uo r_o and that factor; the caller adds X_u beta
+    and scales by sigma^2, and a sampler that moves other sites
+    re-conditions with `ConditionalGaussian.given`.
     """
     _check_rho(rho)
     r = np.asarray(r, dtype=float)
     if r.shape != (W.n,):
         raise DimensionError("r must have one entry per site")
+    block = np.asarray(block, dtype=np.int64)
+    if block.ndim != 1:
+        raise DomainError("block must be a 1-D index array")
+    if block.size and (np.any(np.diff(block) <= 0) or block[0] < 0
+                       or block[-1] >= W.n):
+        raise DomainError("block must be strictly ascending sites in 0..n-1")
     inv_tau = _inv_tau(kind, W, tau)
     s = inv_tau if inv_tau is not None else np.ones(W.n)
     x = np.concatenate([s, -rho * s, (rho * rho) * s])
-    out = []
-    for block in blocks:
-        band = W._block_plan(block).band(x, block.size)
-        chol, info = _pbtrf(band, lower=1, overwrite_ab=1)
-        # a NaN pivot passes pbtrf's test, so check the diagonal as well
-        if info or not np.all(chol[0] > 0.0):
-            raise SingularityError("M_uu is not positive definite")
-        cond = ConditionalGaussian(mean_offset=np.empty(0), chol_lower=chol,
-                                   unknown_idx=block, W=W, rho=rho, s=s)
-        out.append(cond.given(r))
-    return out
-
-
-def conditional_gaussian(kind: ModelKind, W: SpatialWeights, rho: float,
-                         tau: np.ndarray | None, partition: Partition,
-                         r_known: np.ndarray) -> ConditionalGaussian:
-    """Partition M = A^T Sigma_tau^-1 A and condition on the known block.
-
-    r_known is the residual over partition.observed_idx (in that order).
-    Returns the mean offset -M_uu^-1 M_uo r_known and the banded Cholesky
-    factor of M_uu; the caller adds X_u beta and scales by sigma^2.
-    """
-    if partition.n != W.n:
-        raise DimensionError("partition does not cover this weight matrix")
-    r_known = np.asarray(r_known, dtype=float)
-    if r_known.shape != (partition.observed_idx.size,):
-        raise DimensionError("r_known must match the observed block size")
-    r_full = np.zeros(W.n)
-    r_full[partition.observed_idx] = r_known
-    return block_conditionals(kind, W, rho, tau, (partition.unobserved_idx,),
-                              r_full)[0]
+    band = W._block_plan(block).band(x, block.size)
+    chol, info = _pbtrf(band, lower=1, overwrite_ab=1)
+    # a NaN pivot passes pbtrf's test, so check the diagonal as well
+    if info or not np.all(chol[0] > 0.0):
+        raise SingularityError("M_uu is not positive definite")
+    cond = ConditionalGaussian(mean_offset=np.empty(0), chol_lower=chol,
+                               unknown_idx=block, W=W, rho=rho, s=s)
+    return cond.given(r)

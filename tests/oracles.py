@@ -161,26 +161,26 @@ def ml_init_full_grid(data):
     return best[1], best[2], best[3]
 
 
-def propose_yu(kind, data, params, tau, partition, current_known_values,
-               rng):
-    """One independence-proposal draw for the unknown block.
+def propose_yu(kind, data, params, tau, block, y, rng):
+    """One independence-proposal draw for the sites in block.
 
-    partition may be the full observed/unobserved split or a single block's
-    split (everything else conditioned on). Identity kinds draw from
-    N(X_u beta + offset, sigma2 M_uu^-1); YJ kinds draw on the transformed
-    scale and map back through the inverse transform.
+    block may be the whole unobserved set or one block of it; y holds the
+    current responses at all n sites, and everything outside block is
+    conditioned on (the block's own entries are not read). Identity kinds
+    draw from N(X_u beta + offset, sigma2 M_uu^-1); YJ kinds draw on the
+    transformed scale and map back through the inverse transform.
     """
     from semvb.errors import DimensionError
     from semvb.hvb import _draw_proposal, _ystar
     from semvb.spatial import conditional_gaussian
-    y_known = np.asarray(current_known_values, dtype=float)
-    if y_known.shape != (partition.observed_idx.size,):
-        raise DimensionError("y_known must match the known block size")
-    r_known = (_ystar(kind, y_known, params)
-               - data.X[partition.observed_idx] @ params.beta)
-    cond = conditional_gaussian(kind, data.W, params.rho, tau, partition,
-                                r_known)
-    mean_u = data.X[partition.unobserved_idx] @ params.beta
+    y = np.asarray(y, dtype=float)
+    if y.shape != (data.n,):
+        raise DimensionError("y must have one entry per site")
+    known = np.setdiff1d(np.arange(data.n), block)
+    r = np.zeros(data.n)
+    r[known] = _ystar(kind, y[known], params) - data.X[known] @ params.beta
+    cond = conditional_gaussian(kind, data.W, params.rho, tau, block, r)
+    mean_u = data.X[block] @ params.beta
     return _draw_proposal(kind, params, cond, mean_u, rng)
 
 

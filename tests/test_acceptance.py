@@ -122,9 +122,7 @@ def test_criterion_3_conditional_gaussian_oracle():
         r = rng.normal(size=8)
         for unknown in patterns:
             known = np.setdiff1d(np.arange(8), unknown)
-            part = lk.Partition(observed_idx=known, unobserved_idx=unknown)
-            cond = conditional_gaussian(kind, d.W, p.rho, tau, part,
-                                        r[known])
+            cond = conditional_gaussian(kind, d.W, p.rho, tau, unknown, r)
             mean_o, cov_o = schur_conditional(np.zeros(8), cov, known,
                                               unknown, r[known])
             worst_mean = max(worst_mean, float(np.max(np.abs(

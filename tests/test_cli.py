@@ -597,6 +597,36 @@ class TestExitCodes:
         assert "n_covariates must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("head", ["# n=abc row_standardized=1",
+                                      "# n=20 row_standardized=yes"])
+    def test_bad_weights_size_line(self, tmp_path, capsys, head):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        weights = sim / "weights.csv"
+        lines = weights.read_text().splitlines(keepends=True)
+        weights.write_text(head + "\n" + "".join(lines[1:]))
+        inputs = ["--data", str(sim / "dataset.csv"),
+                  "--weights", str(weights)]
+        capsys.readouterr()
+        for args in (["fit", *inputs, "--max-iters", "2", "--n-draws", "2"],
+                     ["dic", *inputs, "--models", "sem-gau=none.csv"]):
+            assert main([*args, "--out-dir", str(tmp_path / "out")]) == 3
+            assert str(weights) in capsys.readouterr().err
+
+    def test_bad_yu_column(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        bad = tmp_path / "samples.csv"
+        bad.write_text("beta0,psi_y,yu_x\n1.0,2.0,3.0\n")
+        capsys.readouterr()
+        for args in (["summarize", "--samples", str(bad)],
+                     ["dic", "--data", str(sim / "dataset.csv"),
+                      "--weights", str(sim / "weights.csv"),
+                      "--models", f"sem-gau={bad}"]):
+            assert main([*args, "--out-dir", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert str(bad) in err and "bad yu_ site value 'x'" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out

@@ -9,8 +9,7 @@ from semvb import hvb, spatial
 from semvb.likelihoods import Dataset, layout_missing, log_p_m
 from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
                           link_forward, link_inverse)
-from semvb.spatial import (Partition, build_rook_lattice,
-                           conditional_gaussian)
+from semvb.spatial import build_rook_lattice, conditional_gaussian
 from semvb.transforms import yj_forward
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
@@ -88,7 +87,7 @@ class TestHvbConfig:
         assert cfg.block_scheme(data) is None
         monkeypatch.setattr(hvb, "_NOB_MAX_NU", data.n_missing - 1)
         scheme = cfg.block_scheme(data)
-        want = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+        want = hvb.BlockScheme.from_fraction(data.unobserved_idx,
                                              0.5)
         assert scheme.n_blocks == want.n_blocks == 2
         for got, block in zip(scheme.blocks, want.blocks):
@@ -102,28 +101,26 @@ class TestProposeYu:
         data, params, tau = inst["data"], inst["params"], inst["tau"]
         params = ModelParams(beta=params.beta, sigma2=params.sigma2, rho=0.0,
                              nu=params.nu)
-        part = data.partition
-        draw = propose_yu(ModelKind.SEM_T, data, params, tau, part,
-                          data.y[part.observed_idx],
+        u_idx = data.unobserved_idx
+        draw = propose_yu(ModelKind.SEM_T, data, params, tau, u_idx, data.y,
                           np.random.default_rng(5))
-        z = np.random.default_rng(5).standard_normal(part.unobserved_idx.size)
-        want = data.X[part.unobserved_idx] @ params.beta \
-            + np.sqrt(params.sigma2 * tau[part.unobserved_idx]) * z
+        z = np.random.default_rng(5).standard_normal(u_idx.size)
+        want = data.X[u_idx] @ params.beta \
+            + np.sqrt(params.sigma2 * tau[u_idx]) * z
         np.testing.assert_allclose(draw, want, atol=1e-12)
 
     def test_gamma_one_matches_identity_kind(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=1, missing_frac=0.25)
         data = inst["data"]
-        part = data.partition
+        u_idx = data.unobserved_idx
         base = inst["params"]
         p_id = ModelParams(beta=base.beta, sigma2=base.sigma2, rho=base.rho)
         p_yj = ModelParams(beta=base.beta, sigma2=base.sigma2, rho=base.rho,
                            gamma=1.0)
-        y_known = data.y[part.observed_idx]
-        a = propose_yu(ModelKind.SEM_GAU, data, p_id, None, part,
-                       y_known, np.random.default_rng(6))
-        b = propose_yu(ModelKind.YJ_SEM_GAU, data, p_yj, None, part,
-                       y_known, np.random.default_rng(6))
+        a = propose_yu(ModelKind.SEM_GAU, data, p_id, None, u_idx, data.y,
+                       np.random.default_rng(6))
+        b = propose_yu(ModelKind.YJ_SEM_GAU, data, p_yj, None, u_idx, data.y,
+                       np.random.default_rng(6))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_moments_match_schur_oracle(self):
@@ -134,16 +131,14 @@ class TestProposeYu:
         data = Dataset(y=data_y, X=X, W=W,
                        Xstar=np.column_stack([np.ones(4), np.zeros(4)]))
         params = ModelParams(beta=np.array([0.3, 1.1]), sigma2=0.8, rho=0.5)
-        part = data.partition
+        obs, u_idx = np.flatnonzero(~data.missing), data.unobserved_idx
         draws = np.stack([
-            propose_yu(ModelKind.SEM_GAU, data, params, None, part,
-                       data_y[part.observed_idx], rng)
+            propose_yu(ModelKind.SEM_GAU, data, params, None, u_idx, data_y,
+                       rng)
             for _ in range(6000)])
         mean_full = X @ params.beta
         cov = sem_cov(csr(W).toarray(), 0.5, 0.8, None)
-        om, oc = schur_conditional(mean_full, cov, part.observed_idx,
-                                   part.unobserved_idx,
-                                   data_y[part.observed_idx])
+        om, oc = schur_conditional(mean_full, cov, obs, u_idx, data_y[obs])
         se_m = np.sqrt(np.diag(oc) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - om) < 4 * se_m)
         np.testing.assert_allclose(np.cov(draws.T), oc, atol=0.06)
@@ -201,7 +196,7 @@ class TestMcmcNob:
     def test_psi_zero_is_exact_conditional(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=5, missing_frac=0.25)
         data = inst["data"]
-        part = data.partition
+        obs, u_idx = np.flatnonzero(~data.missing), data.unobserved_idx
         theta = theta_for(inst, psi_zero=True)
         rng = np.random.default_rng(2)
         draws = np.stack([
@@ -210,9 +205,7 @@ class TestMcmcNob:
         params = inst["params"]
         mean_full = data.X @ params.beta
         cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
-        om, oc = schur_conditional(mean_full, cov, part.observed_idx,
-                                   part.unobserved_idx,
-                                   data.y[part.observed_idx])
+        om, oc = schur_conditional(mean_full, cov, obs, u_idx, data.y[obs])
         se = np.sqrt(np.diag(oc) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - om) < 4 * se)
         np.testing.assert_allclose(np.cov(draws.T), oc, atol=0.08)
@@ -258,10 +251,9 @@ class TestMcmcNob:
                                      1, rng)
             chain[k] = y_curr[0]
 
-        part = data.partition
+        # the missing site's NaN residual is not read
         cond = conditional_gaussian(ModelKind.SEM_GAU, W, params.rho, None,
-                                    part, y[part.observed_idx]
-                                    - X[part.observed_idx] @ params.beta)
+                                    data.unobserved_idx, y - X @ params.beta)
         mean = X[1] @ params.beta + cond.mean_offset[0]
         sd = np.sqrt(cond.covariance(params.sigma2)[0, 0])
         ref = mean + sd * np.random.default_rng(9).standard_normal(200000)
@@ -281,14 +273,14 @@ def step_by_step_nob(kind, data, theta, y_u_init, n1, rng):
     ratio helpers; returns the imputation, the accept count and the
     proposals."""
     params, tau, psi = link_inverse(kind, layout_missing(kind, data), theta)
-    part = data.partition
-    obs, u_idx = part.observed_idx, part.unobserved_idx
+    obs, u_idx = ~data.missing, data.unobserved_idx
     mean = data.X @ params.beta
     y_obs = data.y[obs]
     if kind.yeo_johnson:
         y_obs = yj_forward(y_obs, params.gamma)
-    cond = conditional_gaussian(kind, data.W, params.rho, tau, part,
-                                y_obs - mean[obs])
+    r = np.zeros(data.n)
+    r[obs] = y_obs - mean[obs]
+    cond = conditional_gaussian(kind, data.W, params.rho, tau, u_idx, r)
     y_u = (hvb._draw_proposal(kind, params, cond, mean[u_idx], rng)
            if y_u_init is None else y_u_init.copy())
     accepts, proposals = 0, []
@@ -361,7 +353,7 @@ class TestMcmcAllb:
                                missing_frac=0.25)
         data = inst["data"]
         theta = theta_for(inst)
-        scheme = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
                                                1.0)
         a, acc_a = hvb.mcmc_nob(ModelKind.YJ_SEM_GAU, data, theta, None, 8,
                                 np.random.default_rng(4))
@@ -373,9 +365,9 @@ class TestMcmcAllb:
     def test_psi_zero_stationary_moments(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=10, missing_frac=0.3)
         data = inst["data"]
-        part = data.partition
+        obs, u_idx = np.flatnonzero(~data.missing), data.unobserved_idx
         theta = theta_for(inst, psi_zero=True)
-        scheme = hvb.BlockScheme.from_fraction(part.unobserved_idx, 0.5)
+        scheme = hvb.BlockScheme.from_fraction(u_idx, 0.5)
         assert scheme.n_blocks == 2
         rng = np.random.default_rng(5)
         draws = np.stack([
@@ -385,9 +377,7 @@ class TestMcmcAllb:
         params = inst["params"]
         mean_full = data.X @ params.beta
         cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
-        om, oc = schur_conditional(mean_full, cov, part.observed_idx,
-                                   part.unobserved_idx,
-                                   data.y[part.observed_idx])
+        om, oc = schur_conditional(mean_full, cov, obs, u_idx, data.y[obs])
         se = np.sqrt(np.diag(oc) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - om) < 4 * se)
         np.testing.assert_allclose(np.cov(draws.T), oc, atol=0.08)
@@ -395,7 +385,7 @@ class TestMcmcAllb:
     def test_acceptance_counts_bounded(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=11, missing_frac=0.4)
         data = inst["data"]
-        scheme = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
                                                0.34)
         _, accs = hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta_for(inst),
                                 scheme, None, 6, np.random.default_rng(6))
@@ -410,7 +400,7 @@ class TestMcmcAllb:
         inst = random_instance(kind, seed=13, lattice=(5, 5),
                                missing_frac=0.4)
         data = inst["data"]
-        u_idx = data.partition.unobserved_idx
+        u_idx = data.unobserved_idx
         theta = theta_for(inst, psi_zero=True)
         params, tau, _ = link_inverse(kind, inst["layout"], theta)
         scheme = hvb.BlockScheme.from_fraction(u_idx, 0.34)
@@ -423,11 +413,8 @@ class TestMcmcAllb:
         want = y_u_init.copy()
         for _ in range(2):
             for block in scheme.blocks:
-                known = np.setdiff1d(np.arange(data.n), block)
-                part = Partition(observed_idx=known, unobserved_idx=block)
-                y_full = data.complete(want)
-                prop = propose_yu(kind, data, params, tau, part,
-                                  y_full[known], rng)
+                prop = propose_yu(kind, data, params, tau, block,
+                                  data.complete(want), rng)
                 rng.uniform()
                 assert np.all(np.isfinite(prop))
                 want[np.searchsorted(u_idx, block)] = prop
@@ -438,7 +425,7 @@ class TestMcmcAllb:
         inst = random_instance(ModelKind.SEM_T, seed=19, lattice=(5, 5),
                                missing_frac=0.4)
         data = inst["data"]
-        scheme = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
                                                0.34)
         built = []
         make = spatial._build_block_plan
@@ -453,14 +440,14 @@ class TestMcmcAllb:
             hvb.mcmc_allb(ModelKind.SEM_T, data, theta_for(inst), scheme,
                           None, 2, rng)
         # each block, plus the whole unobserved set for the chain start
-        want = [data.partition.unobserved_idx.tobytes()]
+        want = [data.unobserved_idx.tobytes()]
         want += [b.tobytes() for b in scheme.blocks]
         assert sorted(built) == sorted(want)
 
     def test_blocks_must_cover(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=12, missing_frac=0.25)
         bad = hvb.BlockScheme(
-            blocks=(inst["data"].partition.unobserved_idx[:1],))
+            blocks=(inst["data"].unobserved_idx[:1],))
         with pytest.raises(DomainError):
             hvb.mcmc_allb(ModelKind.SEM_GAU, inst["data"], theta_for(inst),
                           bad, None, 1, np.random.default_rng(0))
@@ -473,7 +460,7 @@ class TestBlockRatio:
         inst = random_instance(ModelKind.YJ_SEM_GAU, seed=15, lattice=(5, 5),
                                missing_frac=0.4)
         data = inst["data"]
-        u_idx = data.partition.unobserved_idx
+        u_idx = data.unobserved_idx
         psi = MissingnessParams(psi_x=inst["psi"].psi_x, psi_y=-0.8)
         slots = np.arange(2, 6)
         block = u_idx[slots]
@@ -500,7 +487,7 @@ class TestBlockRatio:
         inst = random_instance(ModelKind.YJ_SEM_GAU, seed=17, lattice=(5, 5),
                                missing_frac=0.3)
         data = inst["data"]
-        scheme = hvb.BlockScheme.from_fraction(data.partition.unobserved_idx,
+        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
                                                0.5)
         draw = hvb._draw_proposal
 
@@ -667,12 +654,10 @@ class TestDrawPosteriorMissing:
         params, _, _ = link_inverse(ModelKind.SEM_GAU, layout, lam.mu)
         samples = hvb.draw_posterior_missing(
             ModelKind.SEM_GAU, data, lam, 3000, 2, np.random.default_rng(7))
-        part = data.partition
+        obs, u_idx = np.flatnonzero(~data.missing), data.unobserved_idx
         mean_full = data.X @ params.beta
         cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
-        om, oc = schur_conditional(mean_full, cov, part.observed_idx,
-                                   part.unobserved_idx,
-                                   data.y[part.observed_idx])
+        om, oc = schur_conditional(mean_full, cov, obs, u_idx, data.y[obs])
         se = np.sqrt(np.diag(oc) / samples.y_u.shape[0])
         assert np.all(np.abs(samples.y_u.mean(axis=0) - om) < 4 * se)
         # posterior-mean imputation tracks the analytic conditional mean

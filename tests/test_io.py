@@ -154,6 +154,14 @@ class TestWeights:
         with pytest.raises(DataFormatError):
             io.read_weights(p)
 
+    @pytest.mark.parametrize("head", ["# n=abc row_standardized=0",
+                                      "# n=2 row_standardized=yes"])
+    def test_bad_size_line_field(self, tmp_path, head):
+        p = tmp_path / "w.csv"
+        p.write_text(f"{head}\ni,j,w\n0,1,1.0\n")
+        with pytest.raises(DataFormatError, match="w.csv: bad"):
+            io.read_weights(p)
+
 
 class TestTrace:
     def test_roundtrip(self, tmp_path):
@@ -300,6 +308,12 @@ class TestSamples:
         p = tmp_path / "s.csv"
         p.write_text("beta0,sigma2\n")
         with pytest.raises(DataFormatError):
+            io.read_samples(p)
+
+    def test_yu_column_without_site_rejected(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("beta0,psi_y,yu_x\n1.0,2.0,3.0\n")
+        with pytest.raises(DataFormatError, match="s.csv: bad yu_ site"):
             io.read_samples(p)
 
 

@@ -560,8 +560,12 @@ class TestLapack:
     def test_loaded_by_file(self):
         import sys
         module = spatial._flapack()
-        assert module.__name__ == "semvb._flapack"
+        # not __name__: CPython re-creates a single-phase extension module
+        # from the dict of its latest load, which is the package's once a
+        # test in this process has imported scipy.linalg
+        assert module.__spec__.name == "semvb._flapack"
         assert sys.modules["semvb._flapack"] is module
+        assert module is not sys.modules.get("scipy.linalg._flapack")
         self.check_bits()
 
     def test_package_import_fallback(self, monkeypatch):
@@ -709,21 +713,12 @@ class TestQuadForm:
         assert got_t == pytest.approx(r @ dense_M(dense, -0.4, tau) @ r, rel=1e-12)
 
 
-class TestPartition:
-    def test_from_mask(self):
-        mask = np.array([False, True, True, False, True])
-        p = spatial.Partition.from_missing_mask(mask)
-        np.testing.assert_array_equal(p.observed_idx, [0, 3])
-        np.testing.assert_array_equal(p.unobserved_idx, [1, 2, 4])
-        assert p.n == 5
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            spatial.Partition(observed_idx=[0, 1], unobserved_idx=[1, 2])
-        with pytest.raises(DomainError):
-            spatial.Partition(observed_idx=[0, 2], unobserved_idx=[3])
-        with pytest.raises(DomainError):
-            spatial.Partition(observed_idx=[2, 0], unobserved_idx=[1])
+def _over_all(n: int, known: np.ndarray, r_known: np.ndarray) -> np.ndarray:
+    """The residual over all n sites: r_known at the known sites and NaN,
+    which the conditional must not read, elsewhere."""
+    r = np.full(n, np.nan)
+    r[known] = r_known
+    return r
 
 
 class TestConditionalGaussian:
@@ -738,10 +733,10 @@ class TestConditionalGaussian:
         sigma2 = 0.7
         unknown = np.array([2, 5, 6, 10])
         known = np.setdiff1d(np.arange(n), unknown)
-        part = spatial.Partition(observed_idx=known, unobserved_idx=unknown)
         r_known = rng.standard_normal(known.size)
 
-        cond = spatial.conditional_gaussian(kind, W, 0.6, tau, part, r_known)
+        cond = spatial.conditional_gaussian(kind, W, 0.6, tau, unknown,
+                                            _over_all(n, known, r_known))
 
         cov = sigma2 * np.linalg.inv(dense_M(dense, 0.6, tau))
         mean0 = np.zeros(n)
@@ -752,11 +747,11 @@ class TestConditionalGaussian:
     def test_sample_moments(self):
         rng = np.random.default_rng(7)
         W = spatial.build_rook_lattice(3, 3)
-        part = spatial.Partition.from_missing_mask(
-            np.array([0, 1, 0, 0, 1, 0, 0, 0, 0], dtype=bool))
+        unknown = np.array([1, 4])
         r_known = rng.standard_normal(7)
+        r = _over_all(9, np.setdiff1d(np.arange(9), unknown), r_known)
         cond = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.5, None,
-                                            part, r_known)
+                                            unknown, r)
         draws = np.stack([cond.sample(2.0, rng.standard_normal(2))
                           for _ in range(40000)])
         np.testing.assert_allclose(draws.mean(axis=0), cond.mean_offset, atol=0.03)
@@ -765,9 +760,9 @@ class TestConditionalGaussian:
     def test_all_observed_block_is_empty(self, capfd):
         # LAPACK's xerbla prints an illegal-argument line for an empty solve
         W = spatial.build_rook_lattice(3, 3)
-        part = spatial.Partition.from_missing_mask(np.zeros(9, dtype=bool))
         cond = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.5, None,
-                                            part, np.ones(9))
+                                            np.empty(0, dtype=np.int64),
+                                            np.ones(9))
         assert cond.covariance(1.0).shape == (0, 0)
         assert cond.given(np.ones(9)).mean_offset.shape == (0,)
         assert cond.sample(1.0, np.empty(0)).shape == (0,)
@@ -775,9 +770,8 @@ class TestConditionalGaussian:
 
     def test_solve_failure_raises(self, monkeypatch):
         W = spatial.build_rook_lattice(2, 2)
-        part = spatial.Partition(observed_idx=[0, 1, 2], unobserved_idx=[3])
         cond = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.2, None,
-                                            part, np.ones(3))
+                                            [3], np.ones(4))
         monkeypatch.setattr(spatial, "_pbtrs",
                             lambda ab, b, lower: (np.zeros_like(b), -8))
         with pytest.raises(SingularityError):
@@ -786,11 +780,35 @@ class TestConditionalGaussian:
             cond.given(np.ones(4))
 
     def test_shape_errors(self):
+        # r must span all n sites, not only those outside the block
         W = spatial.build_rook_lattice(2, 2)
-        part = spatial.Partition(observed_idx=[0, 1, 2], unobserved_idx=[3])
-        with pytest.raises(DimensionError):
-            spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.2, None, part,
-                                         np.zeros(2))
+        for length in (3, 5):
+            with pytest.raises(DimensionError):
+                spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.2, None,
+                                             [3], np.zeros(length))
+
+    @pytest.mark.parametrize("block", [[2, 1], [1, 1], [-1, 2], [2, 4],
+                                       [[1, 2]]],
+                             ids=["unsorted", "duplicated", "negative",
+                                  "past-n", "2-D"])
+    def test_block_errors(self, block):
+        W = spatial.build_rook_lattice(2, 2)
+        with pytest.raises(DomainError):
+            spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.2, None,
+                                         np.array(block), np.zeros(4))
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e300])
+    def test_block_residuals_not_read(self, fill):
+        rng = np.random.default_rng(5)
+        W = spatial.build_rook_lattice(4, 4)
+        block = np.array([5, 6, 9])
+        r = rng.standard_normal(16)
+        want = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.6, None,
+                                            block, r)
+        r[block] = fill
+        got = spatial.conditional_gaussian(ModelKind.SEM_GAU, W, 0.6, None,
+                                           block, r)
+        assert got.mean_offset.tobytes() == want.mean_offset.tobytes()
 
 
 def _relabelled(W: spatial.SpatialWeights, perm: np.ndarray
@@ -836,10 +854,10 @@ class TestBandedConditional:
         n = W.n
         tau = rng.gamma(2.0, 1.0, size=n) if kind.student_t else None
         known = np.setdiff1d(np.arange(n), unknown)
-        part = spatial.Partition(observed_idx=known, unobserved_idx=unknown)
         r_known = rng.standard_normal(known.size)
 
-        cond = spatial.conditional_gaussian(kind, W, rho, tau, part, r_known)
+        cond = spatial.conditional_gaussian(kind, W, rho, tau, unknown,
+                                            _over_all(n, known, r_known))
 
         assert W._block_plan(unknown).width == width
         cov = 0.7 * np.linalg.inv(dense_M(csr(W).toarray(), rho, tau))
@@ -861,8 +879,7 @@ class TestBandedConditional:
     def test_not_positive_definite_raises(self):
         # without neighbours M_uu = 1 / tau_u, which tau_u = inf zeroes
         W = spatial.SpatialWeights(n=3, rows=[], cols=[], weights=[])
-        part = spatial.Partition(observed_idx=[0, 2], unobserved_idx=[1])
         with pytest.raises(SingularityError):
             spatial.conditional_gaussian(ModelKind.SEM_T, W, 0.3,
-                                         np.array([1.0, np.inf, 1.0]), part,
-                                         np.zeros(2))
+                                         np.array([1.0, np.inf, 1.0]), [1],
+                                         np.zeros(3))
