@@ -40,7 +40,7 @@ print(f"fit finished in {result.wall_time:.1f}s; MH acceptance rate "
       f"{acc[:, 2].sum() / acc[:, 3].sum():.2f}")
 
 samples = draw_posterior_missing(ModelKind.YJ_SEM_GAU, data, result.lam,
-                                 200, config.n1, rng, config=config)
+                                 200, rng, config=config)
 means = dict(zip(samples.phi_names, samples.phi.mean(axis=0)))
 psi_mean = samples.psi.mean(axis=0)
 print(f"\nrho:   true {truth.rho:5.2f}  estimate {means['rho']:5.2f}")

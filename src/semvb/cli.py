@@ -275,7 +275,7 @@ def cmd_fit(args) -> int:
     else:
         result = hvb_fit(kind, data, Priors(), config, rng=rng)
         samples = draw_posterior_missing(kind, data, result.lam, args.n_draws,
-                                         config.n1, rng, config=config)
+                                         rng, config=config)
         unobserved_idx = data.unobserved_idx
 
     _write(args, "trace.csv", io.write_trace, result.trace_iters,

@@ -23,11 +23,9 @@ import numpy as np
 from .errors import DimensionError, DomainError, SingularityError
 from .likelihoods import (Dataset, _log_p_m_eta, _loglik_shell, layout_full,
                           layout_missing, log_prior, residual_r)
-from .missingness import expit
 from .models import ModelKind, ModelParams, Priors, ThetaLayout, link_inverse
 from .spatial import apply_A, apply_At, logdet_M, trace_AinvW
-from .transforms import (dgamma_dlink, drho_dlink, yj_dgamma,
-                         yj_dlogdy_dgamma)
+from .transforms import dtwo_expit, expit, yj_dgamma, yj_dlogdy_dgamma
 
 __all__ = ["digamma", "grad_log_h_full", "grad_log_h_missing", "grad_log_q0"]
 
@@ -89,7 +87,7 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
     wr = W.matvec(r)
     s_wr = s * wr if s is not None else wr
     dll_drho = -trace_AinvW(W, params.rho) + inv_sig2 * float(ar @ s_wr)
-    grad[layout.rho] = (dll_drho * drho_dlink(theta[layout.rho])
+    grad[layout.rho] = (dll_drho * dtwo_expit(theta[layout.rho])
                         - theta[layout.rho] / priors.var_rho)
 
     if kind.student_t:
@@ -111,7 +109,7 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
         dlogjac = float(np.sum(yj_dlogdy_dgamma(y_complete)))
         dll_dgamma = (-inv_sig2 * float(mr @ yj_dgamma(y_complete, params.gamma))
                       + dlogjac)
-        grad[layout.gamma] = (dll_dgamma * dgamma_dlink(theta[layout.gamma])
+        grad[layout.gamma] = (dll_dgamma * dtwo_expit(theta[layout.gamma])
                               - theta[layout.gamma] / priors.var_gamma)
         ll += (params.gamma - 1.0) * dlogjac
     return ll

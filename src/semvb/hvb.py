@@ -350,19 +350,20 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
 
 
 def draw_posterior_missing(kind: ModelKind, data: Dataset,
-                           lam: VariationalParams, n_draws: int, n1: int,
+                           lam: VariationalParams, n_draws: int,
                            rng: np.random.Generator,
                            config: HvbConfig | None = None
                            ) -> PosteriorSamples:
     """Posterior draws of (phi, psi) plus one y_u imputation per draw.
 
-    Each parameter draw runs a fresh n1-step MH chain started from the
-    conditional, so the y_u rows are draws given that parameter sample.
+    Each parameter draw runs a fresh config.n1-step MH chain, with config's
+    kernel, started from the conditional, so the y_u rows are draws given
+    that parameter sample. config defaults to HvbConfig().
     """
     layout = layout_missing(kind, data)
     if lam.s != layout.size:
         raise DimensionError("lambda size does not match the layout")
-    config = HvbConfig(n1=max(n1, 1)) if config is None else config
+    config = HvbConfig() if config is None else config
     scheme = config.block_scheme(data)
     names = phi_names_for(kind, layout.n_beta)
     phi = np.empty((n_draws, len(names)))
@@ -372,7 +373,8 @@ def draw_posterior_missing(kind: ModelKind, data: Dataset,
         theta, _, _ = sample_q(lam, rng)
         params, _, psi = link_inverse(kind, layout, theta)
         if data.n_missing:
-            y_u_rows[i], _ = _impute(kind, data, theta, scheme, None, n1, rng)
+            y_u_rows[i], _ = _impute(kind, data, theta, scheme, None,
+                                     config.n1, rng)
         phi[i] = phi_row(params)
         psi_rows[i] = psi.stacked
     return PosteriorSamples(phi=phi, phi_names=names, psi=psi_rows,

@@ -6,11 +6,16 @@ therefore produce byte-identical files, and write -> read -> write is a
 fixed point. The readers import the class they build when they run, so a
 command that reads and writes datasets only loads numpy. The key=value
 reader and writer come from `keyvalues`, which needs no numpy.
+
+Each CSV artifact declares its columns once, as (name, type) pairs. A type
+is float, int or str, or `float | None` / `int | None`, whose empty cell is
+None. One codec formats and parses every cell a whole column at a time.
 """
 
 from __future__ import annotations
 
 import csv
+from types import UnionType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,25 +37,75 @@ __all__ = [
     "write_lambda", "read_lambda", "write_summary", "read_summary",
 ]
 
+_WEIGHTS = (("i", int), ("j", int), ("w", float))
+_TRACE = (("iter", int), ("param_name", str), ("value", float))
+_ACCEPTANCE = (("iter", int), ("block", int), ("accepts", int),
+               ("proposals", int))
+_DIC = (("model", str), ("dic1", float | None), ("dic2", float | None),
+        ("dic5", float | None), ("n_draws", int))
+_SIDECAR = (("i", int), ("m", int), ("true_y", float))
+_LAMBDA = (("part", str), ("i", int), ("j", int | None), ("value", float))
+_SUMMARY = (("param", str), ("mean", float), ("q025", float), ("q975", float))
 
-def _fmt(x) -> str:
-    return repr(float(x))
+
+def _cell_type(column_type) -> tuple[type, bool]:
+    """(the type of a non-empty cell, whether an empty cell is None)."""
+    if isinstance(column_type, UnionType):
+        return column_type.__args__[0], True
+    return column_type, False
 
 
-def _parse_number(text: str, path, what: str, number=float):
-    """number(text); a cell it refuses is a DataFormatError naming path."""
+def _column_cells(column_type, values) -> list:
+    """values as the Python objects that csv writes as the column's cells.
+
+    csv writes str(x), and str of a Python float is its repr: the shortest
+    text that reads back to the same float. None is written empty.
+    """
+    base, optional = _cell_type(column_type)
+    if optional:
+        return [None if v is None else base(v) for v in values]
+    if base is str:
+        return list(values)
+    return np.asarray(values, dtype=base).tolist()
+
+
+def _write_table(path, columns, data, head: str = "") -> None:
+    """Write one sequence of values per (name, type) column, after head."""
+    cells = [_column_cells(t, values) for (_, t), values in zip(columns, data)]
+    with open(path, "w", newline="") as f:
+        f.write(head)
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow([name for name, _ in columns])
+        w.writerows(zip(*cells))
+
+
+def _parse_column(path, name: str, column_type, cells, line: int | None
+                  ) -> list:
+    """The values of one column's cells, the first of which is on `line`.
+
+    A refused cell raises DataFormatError naming path, the row and the
+    column; with line None (a cell outside the table) it names `name` only.
+    """
+    base, optional = _cell_type(column_type)
+    if base is str:
+        return list(cells)
     try:
-        return number(text)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: bad {what} value {text!r}") from exc
+        if optional:
+            return [None if c == "" else base(c) for c in cells]
+        return list(map(base, cells))
+    except ValueError:
+        for k, c in enumerate(cells):
+            try:
+                if c or not optional:
+                    base(c)
+            except ValueError:
+                where = (f"row {line + k}, column {name}: bad"
+                         if line is not None else f"bad {name}")
+                raise DataFormatError(f"{path}: {where} value {c!r}") from None
+        raise
 
 
-def _open_writer(path):
-    f = open(path, "w", newline="")
-    return f, csv.writer(f, lineterminator="\n")
-
-
-def _read_rows(path, expected_header: list[str] | None = None):
+def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
@@ -58,11 +113,43 @@ def _read_rows(path, expected_header: list[str] | None = None):
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    if expected_header is not None and rows[0] != expected_header:
-        raise DataFormatError(
-            f"{path}: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(rows[0])!r}")
     return rows
+
+
+def _parse(path, columns, rows, line: int = 1) -> list[list]:
+    """One list of values per column of a table whose header is on `line`.
+
+    rows[0] must be the columns' header and every later row must have one
+    cell per column.
+    """
+    names = [name for name, _ in columns]
+    if not rows or rows[0] != names:
+        got = ",".join(rows[0]) if rows else ""
+        raise DataFormatError(f"{path}: expected header {','.join(names)!r}, "
+                              f"got {got!r}")
+    body = rows[1:]
+    for k, row in enumerate(body):
+        if len(row) != len(names):
+            raise DataFormatError(f"{path}: row {line + 1 + k} has "
+                                  f"{len(row)} cells, expected {len(names)}")
+    cells = list(zip(*body)) if body else [()] * len(names)
+    return [_parse_column(path, name, t, col, line + 1)
+            for (name, t), col in zip(columns, cells)]
+
+
+def _read_table(path, columns) -> list[list]:
+    return _parse(path, columns, _read_rows(path))
+
+
+def _dataset_columns(n_x: int, n_s: int):
+    return (("y", float | None), *((f"x{j + 1}", float) for j in range(n_x)),
+            *((f"xs{j + 1}", float) for j in range(n_s)))
+
+
+def _matrix(columns: list[list], n: int) -> np.ndarray:
+    """The columns of n values side by side as a C-ordered float matrix."""
+    return np.ascontiguousarray(
+        np.array(columns, dtype=float).reshape(len(columns), n).T)
 
 
 def write_dataset(path, y: np.ndarray, X: np.ndarray,
@@ -73,21 +160,12 @@ def write_dataset(path, y: np.ndarray, X: np.ndarray,
     and restored on read.
     """
     y = np.asarray(y, dtype=float)
-    covs = np.asarray(X, dtype=float)[:, 1:]
-    star = (np.asarray(Xstar, dtype=float)[:, 1:]
-            if Xstar is not None else None)
-    f, w = _open_writer(path)
-    with f:
-        header = ["y"] + [f"x{j + 1}" for j in range(covs.shape[1])]
-        if star is not None:
-            header += [f"xs{j + 1}" for j in range(star.shape[1])]
-        w.writerow(header)
-        for i in range(y.size):
-            row = ["" if np.isnan(y[i]) else _fmt(y[i])]
-            row += [_fmt(v) for v in covs[i]]
-            if star is not None:
-                row += [_fmt(v) for v in star[i]]
-            w.writerow(row)
+    covs = list(np.asarray(X, dtype=float)[:, 1:].T)
+    star = (list(np.asarray(Xstar, dtype=float)[:, 1:].T)
+            if Xstar is not None else [])
+    y_cells = np.where(np.isnan(y), None, y).tolist()
+    _write_table(path, _dataset_columns(len(covs), len(star)),
+                 [y_cells, *covs, *star])
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -97,183 +175,106 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     hold a finite number, so `inf`, `-inf` and `nan` raise DataFormatError.
     """
     rows = _read_rows(path)
-    header = rows[0]
-    if not header or header[0] != "y":
-        raise DataFormatError(f"{path}: first column must be y")
-    n_x = sum(1 for h in header if h.startswith("x") and not h.startswith("xs"))
-    n_s = sum(1 for h in header if h.startswith("xs"))
-    want = ["y"] + [f"x{j + 1}" for j in range(n_x)] \
-        + [f"xs{j + 1}" for j in range(n_s)]
-    if header != want:
-        raise DataFormatError(f"{path}: unexpected columns {header!r}")
-    body = rows[1:]
-    n = len(body)
-    y = np.empty(n)
-    X = np.ones((n, n_x + 1))
-    Xs = np.ones((n, n_s + 1)) if n_s else None
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}: row {i + 2} has {len(row)} cells")
-        y[i] = np.nan if row[0] == "" else _parse_number(row[0], path, "y")
-        for j in range(n_x):
-            X[i, j + 1] = _parse_number(row[1 + j], path, f"x{j + 1}")
-        for j in range(n_s):
-            Xs[i, j + 1] = _parse_number(row[1 + n_x + j], path, f"xs{j + 1}")
-    given = np.array([row[0] != "" for row in body], dtype=bool)
-    cells = [np.where(given, y, 0.0)[:, None], X[:, 1:]]
-    if n_s:
-        cells.append(Xs[:, 1:])
-    bad = np.argwhere(~np.isfinite(np.hstack(cells)))
+    n_x = sum(1 for h in rows[0] if h.startswith("x")
+              and not h.startswith("xs"))
+    n_s = sum(1 for h in rows[0] if h.startswith("xs"))
+    y_cells, *cols = _parse(path, _dataset_columns(n_x, n_s), rows)
+    y = np.array(y_cells, dtype=float)
+    n = y.size
+    X = _matrix([[1.0] * n, *cols[:n_x]], n)
+    Xs = _matrix([[1.0] * n, *cols[n_x:]], n) if n_s else None
+    given = np.array([v is not None for v in y_cells], dtype=bool)
+    values = np.hstack([np.where(given, y, 0.0)[:, None], X[:, 1:],
+                        *([Xs[:, 1:]] if n_s else [])])
+    bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        raise DataFormatError(f"{path}: row {i + 2}, column {header[j]}: "
-                              f"non-finite value {body[i][j]!r}")
+        raise DataFormatError(f"{path}: row {i + 2}, column {rows[0][j]}: "
+                              f"non-finite value {rows[i + 1][j]!r}")
     return y, X, Xs
 
 
 def write_weights(path, W: SpatialWeights) -> None:
     """Coordinate triples i,j,w sorted by (i, j), preceded by a size line."""
     order = np.lexsort((W.cols, W.rows))
-    with open(path, "w", newline="") as f:
-        f.write(f"# n={W.n} row_standardized={int(W.row_standardized)}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["i", "j", "w"])
-        for k in order:
-            w.writerow([int(W.rows[k]), int(W.cols[k]), _fmt(W.weights[k])])
+    _write_table(path, _WEIGHTS,
+                 [W.rows[order], W.cols[order], W.weights[order]],
+                 head=f"# n={W.n} row_standardized={int(W.row_standardized)}\n")
 
 
 def read_weights(path) -> SpatialWeights:
     from .spatial import SpatialWeights
 
-    try:
-        with open(path, newline="") as f:
-            head = f.readline().strip()
-            rows = list(csv.reader(f))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    fields = dict(part.split("=", 1) for part in head.lstrip("# ").split()
+    head, *rows = _read_rows(path)
+    text = ",".join(head)
+    fields = dict(part.split("=", 1) for part in text.lstrip("# ").split()
                   if "=" in part)
-    if not head.startswith("#") or "n" not in fields:
+    if not text.startswith("#") or "n" not in fields:
         raise DataFormatError(f"{path}: missing '# n=...' size line")
-    if not rows or rows[0] != ["i", "j", "w"]:
-        raise DataFormatError(f"{path}: expected header i,j,w")
-    body = rows[1:]
-    ii = np.empty(len(body), dtype=np.int64)
-    jj = np.empty(len(body), dtype=np.int64)
-    ww = np.empty(len(body))
-    for k, row in enumerate(body):
-        if len(row) != 3:
-            raise DataFormatError(f"{path}: row {k + 3} is not a triple")
-        try:
-            ii[k], jj[k] = int(row[0]), int(row[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad index in row {k + 3}") from exc
-        ww[k] = _parse_number(row[2], path, "weight")
-    return SpatialWeights(
-        n=_parse_number(fields["n"], path, "n", int), rows=ii, cols=jj,
-        weights=ww, row_standardized=bool(_parse_number(
-            fields.get("row_standardized", "0"), path, "row_standardized",
-            int)))
+    n, standardized = _parse_column(
+        path, "size line", int,
+        [fields["n"], fields.get("row_standardized", "0")], None)
+    ii, jj, ww = _parse(path, _WEIGHTS, rows, line=2)
+    return SpatialWeights(n=n, rows=np.array(ii, dtype=np.int64),
+                          cols=np.array(jj, dtype=np.int64),
+                          weights=np.array(ww, dtype=float),
+                          row_standardized=bool(standardized))
 
 
 def write_trace(path, trace_iters: np.ndarray, mu_trace: np.ndarray,
                 names: list[str]) -> None:
     """Long-format rows iter,param_name,value."""
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(["iter", "param_name", "value"])
-        for k, it in enumerate(trace_iters):
-            for j, name in enumerate(names):
-                w.writerow([int(it), name, _fmt(mu_trace[k, j])])
+    mu_trace = np.asarray(mu_trace, dtype=float)
+    _write_table(path, _TRACE, [np.repeat(trace_iters, len(names)),
+                                list(names) * len(trace_iters),
+                                mu_trace.reshape(-1)])
 
 
 def read_trace(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Returns (iters, names, values) with values shaped (len(iters), len(names))."""
-    rows = _read_rows(path, ["iter", "param_name", "value"])
-    iters: list[int] = []
-    names: list[str] = []
-    cells: dict[tuple[int, str], float] = {}
-    for k, row in enumerate(rows[1:]):
-        if len(row) != 3:
-            raise DataFormatError(f"{path}: row {k + 2} is not a triple")
-        try:
-            it = int(row[0])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad iter in row {k + 2}") from exc
-        if not iters or it != iters[-1]:
-            iters.append(it)
-        if row[1] not in names:
-            names.append(row[1])
-        cells[(it, row[1])] = _parse_number(row[2], path, "trace")
-    values = np.array([[cells[(it, nm)] for nm in names] for it in iters])
+    it_col, name_col, value_col = _read_table(path, _TRACE)
+    iters = [it for k, it in enumerate(it_col)
+             if k == 0 or it != it_col[k - 1]]
+    names = list(dict.fromkeys(name_col))
+    cells = dict(zip(zip(it_col, name_col), value_col))
+    try:
+        values = np.array([[cells[(it, nm)] for nm in names] for it in iters])
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: no value for iter and parameter "
+                              f"{exc.args[0]!r}") from None
     return np.asarray(iters, dtype=int), names, values
 
 
 def write_acceptance(path, acceptance: np.ndarray) -> None:
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(["iter", "block", "accepts", "proposals"])
-        for row in np.asarray(acceptance, dtype=int):
-            w.writerow([int(v) for v in row])
+    _write_table(path, _ACCEPTANCE,
+                 list(np.asarray(acceptance, dtype=int).reshape(-1, 4).T))
 
 
 def read_acceptance(path) -> np.ndarray:
-    rows = _read_rows(path, ["iter", "block", "accepts", "proposals"])
-    out = np.empty((len(rows) - 1, 4), dtype=int)
-    for k, row in enumerate(rows[1:]):
-        try:
-            out[k] = [int(v) for v in row]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad count in row {k + 2}") from exc
-    return out
+    cols = _read_table(path, _ACCEPTANCE)
+    return np.ascontiguousarray(np.array(cols, dtype=int).T)
 
 
 def write_dic_report(path, rows) -> None:
     """rows of (model, dic1, dic2, dic5, n_draws); None prints empty."""
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(["model", "dic1", "dic2", "dic5", "n_draws"])
-        for model, d1, d2, d5, nd in rows:
-            w.writerow([model,
-                        "" if d1 is None else _fmt(d1),
-                        "" if d2 is None else _fmt(d2),
-                        "" if d5 is None else _fmt(d5),
-                        int(nd)])
+    _write_table(path, _DIC, list(zip(*rows)) or [()] * len(_DIC))
 
 
 def read_dic_report(path):
-    rows = _read_rows(path, ["model", "dic1", "dic2", "dic5", "n_draws"])
-    out = []
-    for row in rows[1:]:
-        if len(row) != 5:
-            raise DataFormatError(f"{path}: malformed report row {row!r}")
-        d = [None if c == "" else _parse_number(c, path, "dic")
-             for c in row[1:4]]
-        out.append((row[0], d[0], d[1], d[2], int(row[4])))
-    return out
+    return list(zip(*_read_table(path, _DIC)))
 
 
 def write_sidecar(path, missing: np.ndarray, true_y: np.ndarray) -> None:
     """Ground-truth record i,m,true_y for every site of an amputated set."""
     missing = np.asarray(missing, dtype=bool)
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(["i", "m", "true_y"])
-        for i in range(missing.size):
-            w.writerow([i, int(missing[i]), _fmt(true_y[i])])
+    _write_table(path, _SIDECAR, [range(missing.size), missing, true_y])
 
 
 def read_sidecar(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_rows(path, ["i", "m", "true_y"])
-    n = len(rows) - 1
-    missing = np.empty(n, dtype=bool)
-    true_y = np.empty(n)
-    for k, row in enumerate(rows[1:]):
-        if len(row) != 3 or int(row[0]) != k:
-            raise DataFormatError(f"{path}: sidecar rows must cover 0..n-1")
-        missing[k] = bool(int(row[1]))
-        true_y[k] = _parse_number(row[2], path, "true_y")
-    return missing, true_y
+    sites, m, true_y = _read_table(path, _SIDECAR)
+    if sites != list(range(len(sites))):
+        raise DataFormatError(f"{path}: sidecar rows must cover 0..n-1")
+    return np.array(m, dtype=bool), np.array(true_y, dtype=float)
 
 
 def samples_table(samples: PosteriorSamples,
@@ -300,11 +301,7 @@ def write_samples(path, samples: PosteriorSamples,
                   unobserved_idx: np.ndarray | None = None) -> None:
     """Posterior draws, one row per draw; y_u columns keyed by site index."""
     header, mat = samples_table(samples, unobserved_idx)
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(header)
-        for row in mat:
-            w.writerow([_fmt(v) for v in row])
+    _write_table(path, [(h, float) for h in header], list(mat.T))
 
 
 def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:
@@ -318,64 +315,55 @@ def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:
                  if h.startswith("yu_")), len(header))
     if i_yu < i_psi:
         raise DataFormatError(f"{path}: psi columns must precede y_u columns")
-    mat = np.empty((len(rows) - 1, len(header)))
-    for k, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}: row {k + 2} has {len(row)} cells")
-        for j, cell in enumerate(row):
-            mat[k, j] = _parse_number(cell, path, header[j])
-    phi = mat[:, :i_psi]
-    psi = mat[:, i_psi:i_yu] if i_psi < i_yu else None
-    y_u = mat[:, i_yu:] if i_yu < len(header) else None
-    if mat.shape[0] == 0:
+    cols = _parse(path, [(h, float) for h in header], rows)
+    n = len(rows) - 1
+    if n == 0:
         raise DataFormatError(f"{path}: no sample rows")
-    idx = (np.array([_parse_number(h[3:], path, "yu_ site", int)
-                     for h in header[i_yu:]], dtype=np.int64)
+    psi = _matrix(cols[i_psi:i_yu], n) if i_psi < i_yu else None
+    y_u = _matrix(cols[i_yu:], n) if i_yu < len(header) else None
+    idx = (np.array(_parse_column(path, "yu_ site", int,
+                                  [h[3:] for h in header[i_yu:]], None),
+                    dtype=np.int64)
            if y_u is not None else None)
-    return PosteriorSamples(phi=phi, phi_names=tuple(header[:i_psi]),
+    return PosteriorSamples(phi=_matrix(cols[:i_psi], n),
+                            phi_names=tuple(header[:i_psi]),
                             psi=psi, y_u=y_u), idx
 
 
 def write_lambda(path, lam: VariationalParams) -> None:
     """Rows part,i,j,value for mu (j empty), B lower triangle, and d."""
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(["part", "i", "j", "value"])
-        for i, v in enumerate(lam.mu):
-            w.writerow(["mu", i, "", _fmt(v)])
-        ti, tj = lam.tril()
-        for i, j in zip(ti, tj):
-            w.writerow(["B", int(i), int(j), _fmt(lam.B[i, j])])
-        for i, v in enumerate(lam.d):
-            w.writerow(["d", i, "", _fmt(v)])
+    s = lam.s
+    ti, tj = lam.tril()
+    _write_table(path, _LAMBDA, [
+        ["mu"] * s + ["B"] * ti.size + ["d"] * s,
+        [*range(s), *ti.tolist(), *range(s)],
+        [None] * s + tj.tolist() + [None] * s,
+        np.concatenate([lam.mu, lam.B[ti, tj], lam.d])])
 
 
 def read_lambda(path) -> VariationalParams:
+    """B's cells must lie in its lower triangle, 0 <= j <= i < len(mu)."""
     from .variational import VariationalParams
 
-    rows = _read_rows(path, ["part", "i", "j", "value"])
-    mu, d = [], []
-    b_cells: dict[tuple[int, int], float] = {}
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise DataFormatError(f"{path}: malformed lambda row {row!r}")
-        part, i, j, val = row
-        value = _parse_number(val, path, "lambda")
-        if part == "mu":
-            mu.append(value)
-        elif part == "d":
-            d.append(value)
-        elif part == "B":
-            b_cells[(int(i), int(j))] = value
-        else:
-            raise DataFormatError(f"{path}: unknown part {part!r}")
-    s = len(mu)
+    parts, ii, jj, values = _read_table(path, _LAMBDA)
+    s = parts.count("mu")
+    for k, (part, i, j) in enumerate(zip(parts, ii, jj)):
+        if part not in ("mu", "B", "d"):
+            raise DataFormatError(f"{path}: row {k + 2}: unknown part {part!r}")
+        if (j is None) != (part != "B"):
+            raise DataFormatError(f"{path}: row {k + 2}: column j must be "
+                                  "empty on exactly the mu and d rows")
+        if part == "B" and not 0 <= j <= i < s:
+            raise DataFormatError(f"{path}: row {k + 2}: B index ({i}, {j}) "
+                                  f"outside 0 <= j <= i < {s}")
+    mu = [v for part, v in zip(parts, values) if part == "mu"]
+    d = [v for part, v in zip(parts, values) if part == "d"]
     if s == 0 or len(d) != s:
         raise DataFormatError(f"{path}: mu and d lengths disagree")
-    p = 1 + max(j for _, j in b_cells) if b_cells else 1
-    B = np.zeros((s, p))
-    for (i, j), value in b_cells.items():
-        B[i, j] = value
+    b_rows = [k for k, part in enumerate(parts) if part == "B"]
+    B = np.zeros((s, 1 + max((jj[k] for k in b_rows), default=0)))
+    for k in b_rows:
+        B[ii[k], jj[k]] = values[k]
     return VariationalParams(mu=np.asarray(mu), B=B, d=np.asarray(d))
 
 
@@ -386,21 +374,9 @@ def write_summary(path, names: list[str], draws: np.ndarray) -> None:
         raise DataFormatError("summary names do not match draw columns")
     if draws.shape[0] == 0:
         raise DataFormatError("a summary needs at least one draw")
-    f, w = _open_writer(path)
-    with f:
-        w.writerow(["param", "mean", "q025", "q975"])
-        lo, hi = np.quantile(draws, [0.025, 0.975], axis=0)
-        means = draws.mean(axis=0)
-        for j, name in enumerate(names):
-            w.writerow([name, _fmt(means[j]), _fmt(lo[j]), _fmt(hi[j])])
+    lo, hi = np.quantile(draws, [0.025, 0.975], axis=0)
+    _write_table(path, _SUMMARY, [names, draws.mean(axis=0), lo, hi])
 
 
 def read_summary(path):
-    rows = _read_rows(path, ["param", "mean", "q025", "q975"])
-    out = []
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise DataFormatError(f"{path}: malformed summary row {row!r}")
-        out.append((row[0], *(_parse_number(c, path, "summary")
-                              for c in row[1:])))
-    return out
+    return list(zip(*_read_table(path, _SUMMARY)))

@@ -12,19 +12,9 @@ import numpy as np
 
 from .errors import DimensionError
 from .models import MissingnessParams
+from .transforms import expit
 
-__all__ = ["expit", "make_missingness_design", "missing_prob",
-           "simulate_missing"]
-
-
-def expit(eta: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + e^-eta), with no overflow in e^|eta|."""
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+__all__ = ["make_missingness_design", "missing_prob", "simulate_missing"]
 
 
 def _probs(eta: np.ndarray) -> np.ndarray:

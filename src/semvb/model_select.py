@@ -105,19 +105,27 @@ def dic1(samples: PosteriorSamples, loglik_fn) -> float:
     return float(-4.0 * lls.mean() + 2.0 * loglik_fn(phi_bar))
 
 
-def dic2(samples: PosteriorSamples, loglik_fn, prior_fn) -> float:
-    """As dic1, but plugging in the drawn sample maximizing loglik + logprior."""
-    if samples.n_draws < 1:
+def _plug_in_dic(n_draws: int, loglik_at, prior_at=None) -> float:
+    """-4 mean(lls) + 2 lls[best], where lls[i] = loglik_at(i) and draw best
+    maximizes lls + prior_at (a flat prior when prior_at is None)."""
+    if n_draws < 1:
         raise DimensionError("DIC needs at least one posterior draw")
-    lls = _per_draw(lambda i: loglik_fn(samples.phi[i]), samples.n_draws)
-    scores = lls + np.array([prior_fn(samples.phi[i])
-                             for i in range(samples.n_draws)])
+    lls = _per_draw(loglik_at, n_draws)
+    scores = (lls if prior_at is None
+              else lls + np.array([prior_at(i) for i in range(n_draws)]))
     best = int(np.argmax(scores))
     return float(-4.0 * lls.mean() + 2.0 * lls[best])
 
 
+def dic2(samples: PosteriorSamples, loglik_fn, prior_fn) -> float:
+    """As dic1, but plugging in the drawn sample maximizing loglik + logprior."""
+    return _plug_in_dic(samples.n_draws, lambda i: loglik_fn(samples.phi[i]),
+                        lambda i: prior_fn(samples.phi[i]))
+
+
 def dic5(samples: PosteriorSamples, joint_loglik_fn, prior_fn=None) -> float:
-    """Missing-data DIC over the joint likelihood p(y, m | phi, psi).
+    """Missing-data DIC over the joint likelihood p(y, m | phi, psi): DIC2
+    on the completed data.
 
     joint_loglik_fn(phi_row, psi_row, y_u_row) evaluates the completed-data
     likelihood plus the missingness pmf. The plug-in draw maximizes the
@@ -125,19 +133,12 @@ def dic5(samples: PosteriorSamples, joint_loglik_fn, prior_fn=None) -> float:
     """
     if samples.psi is None or samples.y_u is None:
         raise DomainError("dic5 needs psi and y_u sample blocks")
-    if samples.n_draws < 1:
-        raise DimensionError("DIC needs at least one posterior draw")
-    lls = _per_draw(
+    return _plug_in_dic(
+        samples.n_draws,
         lambda i: joint_loglik_fn(samples.phi[i], samples.psi[i],
                                   samples.y_u[i]),
-        samples.n_draws)
-    if prior_fn is None:
-        scores = lls
-    else:
-        scores = lls + np.array([prior_fn(samples.phi[i], samples.psi[i])
-                                 for i in range(samples.n_draws)])
-    best = int(np.argmax(scores))
-    return float(-4.0 * lls.mean() + 2.0 * lls[best])
+        None if prior_fn is None
+        else lambda i: prior_fn(samples.phi[i], samples.psi[i]))
 
 
 def phi_loglik_fn(kind: ModelKind, data: Dataset):
@@ -165,14 +166,14 @@ def phi_logprior_fn(kind: ModelKind, n_beta: int, priors: Priors):
         out += -0.5 * omega ** 2 / priors.var_omega - omega
         rho_z = tr.rho_link(params.rho)
         out += (-0.5 * rho_z ** 2 / priors.var_rho
-                - np.log(tr.drho_dlink(rho_z)))
+                - np.log(tr.dtwo_expit(rho_z)))
         if kind.student_t:
             nu_z = tr.nu_link(params.nu)
             out += -0.5 * nu_z ** 2 / priors.var_nu - nu_z
         if kind.yeo_johnson:
             g_z = tr.gamma_link(params.gamma)
             out += (-0.5 * g_z ** 2 / priors.var_gamma
-                    - np.log(tr.dgamma_dlink(g_z)))
+                    - np.log(tr.dtwo_expit(g_z)))
         return float(out)
 
     return fn
@@ -193,19 +194,12 @@ def joint_logprior_fn(kind: ModelKind, n_beta: int, priors: Priors):
 def joint_loglik_fn(kind: ModelKind, data: Dataset):
     """Per-draw joint log-likelihood for DIC5: completed-data likelihood of
     the model plus the logistic missingness pmf."""
-    names = phi_names_for(kind, data.n_beta)
-
     def fn(phi_row: np.ndarray, psi_row: np.ndarray,
            y_u_row: np.ndarray) -> float:
-        params = params_from_row(kind, names, phi_row)
         psi = MissingnessParams(psi_x=np.asarray(psi_row[:-1], dtype=float),
                                 psi_y=float(psi_row[-1]))
         y_complete = data.complete(y_u_row)
-        completed = data.with_y(y_complete)
-        if kind.student_t:
-            ll = marginal_loglik_t(kind, completed, params)
-        else:
-            ll = loglik(kind, completed, params)
-        return ll + log_p_m(data.missing, y_complete, data.Xstar, psi)
+        return (phi_loglik_fn(kind, data.with_y(y_complete))(phi_row)
+                + log_p_m(data.missing, y_complete, data.Xstar, psi))
 
     return fn

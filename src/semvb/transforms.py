@@ -20,9 +20,9 @@ from .errors import DomainError
 __all__ = [
     "yj_forward", "yj_inverse", "yj_dy", "yj_dgamma", "yj_dlogdy_dgamma",
     "omega_from_sigma2", "sigma2_from_omega",
-    "rho_link", "rho_unlink", "drho_dlink",
+    "expit", "rho_link", "rho_unlink", "dtwo_expit",
     "nu_link", "nu_unlink",
-    "gamma_link", "gamma_unlink", "dgamma_dlink",
+    "gamma_link", "gamma_unlink",
 ]
 
 def _check_gamma(gamma, y_or_z) -> None:
@@ -174,12 +174,23 @@ def rho_unlink(rho_z: float) -> float:
     return float(min(max(r, -1.0 + 1e-12), 1.0 - 1e-12))
 
 
-def drho_dlink(rho_z: float) -> float:
-    """d rho / d rho' = 2 e^{rho'} / (1 + e^{rho'})^2, evaluated stably."""
-    # equals 0.5 * sech^2(rho'/2); underflows to 0 on both tails
-    if abs(rho_z) > 700.0:
+def expit(eta):
+    """The logistic function 1 / (1 + e^-eta), with no overflow in e^|eta|."""
+    eta = np.asarray(eta, dtype=float)
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def dtwo_expit(z: float) -> float:
+    """d/dz 2 expit(z) = 2 e^z / (1 + e^z)^2, evaluated stably.
+
+    rho_unlink(z) = 2 expit(z) - 1 and gamma_unlink(z) = 2 expit(z) (before
+    their clamps), so this is d rho / d rho' and d gamma / d gamma'.
+    """
+    # equals 0.5 * sech^2(z/2); underflows to 0 on both tails
+    if abs(z) > 700.0:
         return 0.0
-    c = np.cosh(0.5 * rho_z)
+    c = np.cosh(0.5 * z)
     return float(0.5 / (c * c))
 
 
@@ -202,19 +213,5 @@ def gamma_link(gamma: float) -> float:
 
 
 def gamma_unlink(gamma_z: float) -> float:
-    # 2 * logistic(gamma_z), evaluated without overflow on either tail and
     # clamped so float saturation cannot escape the open interval (0, 2)
-    if gamma_z >= 0:
-        g = 2.0 / (1.0 + np.exp(-gamma_z))
-    else:
-        e = np.exp(gamma_z)
-        g = 2.0 * e / (1.0 + e)
-    return float(min(max(g, 1e-12), 2.0 - 1e-12))
-
-
-def dgamma_dlink(gamma_z: float) -> float:
-    """d gamma / d gamma' = 2 e^{gamma'} / (1 + e^{gamma'})^2."""
-    if abs(gamma_z) > 700.0:
-        return 0.0
-    c = np.cosh(0.5 * gamma_z)
-    return float(0.5 / (c * c))
+    return float(min(max(2.0 * expit(gamma_z), 1e-12), 2.0 - 1e-12))

@@ -16,6 +16,11 @@ The sparse LU pieces, `a_matrix_scipy`, `perm_sign_csgraph`, `lu_route_splu`
 and `simulate_sem_spsolve`, are the package's code as it was on
 scipy.sparse, kept verbatim: the calls into SuperLU's compiled extension
 that replaced them are checked against them bit for bit.
+
+`gamma_unlink_branches`, `dlink_cosh` and `expit_masked` are the logistic
+formulas that `transforms.gamma_unlink` (now 2 expit(z), clamped),
+`transforms.dtwo_expit` and `transforms.expit` replaced, kept verbatim and
+checked bit for bit.
 """
 
 from __future__ import annotations
@@ -196,6 +201,36 @@ def mh_accept_ratio(m, y_proposed_complete, y_current_complete, Xstar, psi):
     from semvb.likelihoods import log_p_m
     return _accept_prob(log_p_m(m, y_proposed_complete, Xstar, psi)
                         - log_p_m(m, y_current_complete, Xstar, psi))
+
+
+def gamma_unlink_branches(gamma_z: float) -> float:
+    """2 / (1 + e^-z) for z >= 0 and 2 e^z / (1 + e^z) below, clamped to
+    [1e-12, 2 - 1e-12]."""
+    if gamma_z >= 0:
+        g = 2.0 / (1.0 + np.exp(-gamma_z))
+    else:
+        e = np.exp(gamma_z)
+        g = 2.0 * e / (1.0 + e)
+    return float(min(max(g, 1e-12), 2.0 - 1e-12))
+
+
+def dlink_cosh(z: float) -> float:
+    """The body drho_dlink and dgamma_dlink shared: 0.5 sech^2(z/2), 0 past
+    |z| = 700."""
+    if abs(z) > 700.0:
+        return 0.0
+    c = np.cosh(0.5 * z)
+    return float(0.5 / (c * c))
+
+
+def expit_masked(eta: np.ndarray) -> np.ndarray:
+    """The logistic function, each side of 0 evaluated on its own mask."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def dense_A(W_dense: np.ndarray, rho: float) -> np.ndarray:

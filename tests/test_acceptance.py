@@ -190,8 +190,8 @@ def test_criterion_6_missing_data_recovery():
         cfg = hvb.HvbConfig(max_iters=4000, seed=seed, trace_every=2000,
                             n1=10, kernel="nob")
         res = hvb.hvb_fit(kind, data, Priors(), cfg, rng=rng)
-        samples = hvb.draw_posterior_missing(kind, data, res.lam, 200, 10,
-                                             rng, config=cfg)
+        samples = hvb.draw_posterior_missing(kind, data, res.lam, 200, rng,
+                                             config=cfg)
         means = dict(zip(samples.phi_names, samples.phi.mean(axis=0)))
         psi_y_hat = float(samples.psi[:, -1].mean())
         yu_mean = samples.y_u.mean(axis=0)

@@ -653,7 +653,8 @@ class TestDrawPosteriorMissing:
         from semvb.models import link_inverse
         params, _, _ = link_inverse(ModelKind.SEM_GAU, layout, lam.mu)
         samples = hvb.draw_posterior_missing(
-            ModelKind.SEM_GAU, data, lam, 3000, 2, np.random.default_rng(7))
+            ModelKind.SEM_GAU, data, lam, 3000, np.random.default_rng(7),
+            config=hvb.HvbConfig(n1=2))
         obs, u_idx = np.flatnonzero(~data.missing), data.unobserved_idx
         mean_full = data.X @ params.beta
         cov = sem_cov(csr(data.W).toarray(), params.rho, params.sigma2, None)
@@ -669,8 +670,9 @@ class TestDrawPosteriorMissing:
         data = inst["data"]
         lam = init_lambda(ModelKind.YJ_SEM_T, data, FitConfig(),
                           rng=np.random.default_rng(1), with_psi=True)
-        s = hvb.draw_posterior_missing(ModelKind.YJ_SEM_T, data, lam, 1, 2,
-                                       np.random.default_rng(2))
+        s = hvb.draw_posterior_missing(ModelKind.YJ_SEM_T, data, lam, 1,
+                                       np.random.default_rng(2),
+                                       config=hvb.HvbConfig(n1=2))
         assert s.phi.shape == (1, data.n_beta + 4)
         assert s.psi.shape == (1, 3)
         assert s.y_u.shape == (1, data.n_missing)

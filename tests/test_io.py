@@ -183,6 +183,12 @@ class TestTrace:
         with pytest.raises(DataFormatError):
             io.read_trace(p)
 
+    def test_missing_value_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("iter,param_name,value\n0,a,1.0\n0,b,2.0\n1,a,3.0\n")
+        with pytest.raises(DataFormatError, match="t.csv: no value"):
+            io.read_trace(p)
+
 
 class TestAcceptance:
     def test_roundtrip(self, tmp_path):
@@ -347,6 +353,101 @@ class TestLambda:
         p.write_text("part,i,j,value\nmu,0,,1.0\nd,0,,1.0\nd,1,,2.0\n")
         with pytest.raises(DataFormatError):
             io.read_lambda(p)
+
+    @pytest.mark.parametrize("row", [
+        "B,x,0,0.5",      # a malformed index (a bare ValueError before)
+        "B,2,0,0.5",      # i past the last row of B (an IndexError before)
+        "B,-1,0,0.5",     # i = -1 (silently loaded into B's last row before)
+        "B,1,-1,0.5",
+        "B,0,1,0.5",      # j > i: the strict upper triangle
+        "B,1,,0.5",       # a B row needs j
+        "mu,1,0,0.5",     # mu and d rows leave j empty
+    ])
+    def test_bad_b_cell_rejected(self, tmp_path, row):
+        p = tmp_path / "l.csv"
+        p.write_text("part,i,j,value\nmu,0,,1.0\nB,0,0,0.5\n" + row
+                     + "\nd,0,,1.0\nd,1,,1.0\n" + ("" if row.startswith(
+                         "mu") else "mu,1,,2.0\n"))
+        with pytest.raises(DataFormatError, match="l.csv: row 4"):
+            io.read_lambda(p)
+
+
+# One valid file per CSV reader, with the (line, cell) of an int cell and of
+# a float cell; None where the artifact has no column of that type.
+READERS = {
+    "dataset": (io.read_dataset, "y,x1,xs1\n1.0,2.0,3.0\n", None, (1, 1)),
+    "weights": (io.read_weights,
+                "# n=2 row_standardized=0\ni,j,w\n0,1,1.0\n", (2, 1), (2, 2)),
+    "trace": (io.read_trace, "iter,param_name,value\n0,beta0,1.0\n",
+              (1, 0), (1, 2)),
+    "acceptance": (io.read_acceptance,
+                   "iter,block,accepts,proposals\n1,0,2,10\n", (1, 2), None),
+    "dic": (io.read_dic_report,
+            "model,dic1,dic2,dic5,n_draws\nsem-gau,1.0,2.0,,5\n",
+            (1, 4), (1, 2)),
+    "sidecar": (io.read_sidecar, "i,m,true_y\n0,1,0.5\n", (1, 1), (1, 2)),
+    "samples": (io.read_samples, "beta0,psi_y,yu_3\n1.0,2.0,3.0\n",
+                None, (1, 1)),
+    "lambda": (io.read_lambda,
+               "part,i,j,value\nmu,0,,1.0\nB,0,0,0.5\nd,0,,1.0\n",
+               (2, 2), (3, 3)),
+    "summary": (io.read_summary, "param,mean,q025,q975\nrho,0.5,0.1,0.9\n",
+                None, (1, 3)),
+}
+CODEC_CASES = [(name, case) for name, (_, _, at_int, at_float)
+               in READERS.items()
+               for case, at in (("int", at_int), ("float", at_float),
+                                ("ragged", 1), ("header", 1))
+               if at is not None]
+
+
+class TestCodec:
+    @pytest.mark.parametrize("name", READERS)
+    def test_valid_file_reads(self, tmp_path, name):
+        read, text, _, _ = READERS[name]
+        p = tmp_path / f"{name}.csv"
+        p.write_text(text)
+        read(p)
+
+    @pytest.mark.parametrize("name,case", CODEC_CASES)
+    def test_malformed_file_named(self, tmp_path, name, case):
+        read, text, at_int, at_float = READERS[name]
+        lines = [line.split(",") for line in text.splitlines()]
+        header_line = 1 if name == "weights" else 0
+        if case in ("int", "float"):
+            k, j = at_int if case == "int" else at_float
+            lines[k][j] = "1.5" if case == "int" else "oops"
+            column = lines[header_line][j]
+            message = (f"row {k + 1}, column {column}: bad value "
+                       f"{lines[k][j]!r}")
+        elif case == "ragged":
+            lines[-1].append("9")
+            message = f"row {len(lines)} has"
+        else:
+            lines[header_line].reverse()
+            message = "expected header" if name not in (
+                "dataset", "samples") else ""
+        p = tmp_path / f"{name}.csv"
+        p.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read(p)
+        assert str(p) in str(err.value) and message in str(err.value)
+
+    def test_returned_arrays_are_c_contiguous(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 7
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        Xs = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        io.write_dataset(tmp_path / "d.csv", rng.normal(size=n), X, Xs)
+        _, X2, Xs2 = io.read_dataset(tmp_path / "d.csv")
+        samples = PosteriorSamples(
+            phi=rng.normal(size=(5, 2)), phi_names=("sigma2", "rho"),
+            psi=rng.normal(size=(5, 2)), y_u=rng.normal(size=(5, 3)))
+        io.write_samples(tmp_path / "s.csv", samples,
+                         unobserved_idx=np.array([1, 4, 6]))
+        loaded, _ = io.read_samples(tmp_path / "s.csv")
+        for a in (X2, Xs2, loaded.phi, loaded.psi, loaded.y_u):
+            assert a.flags.c_contiguous
 
 
 class TestSummary:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from semvb import transforms as tf
 from semvb.errors import DomainError
 
-from oracles import fd_derivative
+from oracles import (dlink_cosh, expit_masked, fd_derivative,
+                     gamma_unlink_branches)
 
 GAMMAS = st.floats(min_value=0.05, max_value=1.95)
 YS = st.floats(min_value=-20.0, max_value=20.0)
@@ -111,11 +112,11 @@ class TestLinks:
             assert tf.rho_unlink(tf.rho_link(rho)) == pytest.approx(rho, abs=1e-12)
 
     def test_rho_jacobian(self):
-        assert tf.drho_dlink(0.0) == pytest.approx(0.5, abs=1e-14)
+        assert tf.dtwo_expit(0.0) == pytest.approx(0.5, abs=1e-14)
         for z in (-3.0, -0.5, 0.2, 4.0):
             fd = fd_derivative(tf.rho_unlink, z)
-            assert tf.drho_dlink(z) == pytest.approx(fd, rel=1e-6)
-        assert tf.drho_dlink(1e4) == 0.0
+            assert tf.dtwo_expit(z) == pytest.approx(fd, rel=1e-6)
+        assert tf.dtwo_expit(1e4) == 0.0
 
     def test_sigma2_round_trip(self):
         for s2 in (1e-4, 0.5, 1.0, 37.0):
@@ -142,4 +143,34 @@ class TestLinks:
     def test_gamma_jacobian(self):
         for z in (-2.0, 0.0, 1.3):
             fd = fd_derivative(tf.gamma_unlink, z)
-            assert tf.dgamma_dlink(z) == pytest.approx(fd, rel=1e-6)
+            assert tf.dtwo_expit(z) == pytest.approx(fd, rel=1e-6)
+
+
+class TestLogisticLinks:
+    """gamma_unlink (2 expit(z), clamped), dtwo_expit and expit keep the
+    bits of the formulas they replaced, in tests/oracles.py."""
+
+    @staticmethod
+    def grid():
+        rng = np.random.default_rng(0)
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        extremes = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, big, -big,
+                    700.0, -700.0, np.nextafter(700.0, 800.0)]
+        # the clamps bind past |z| of about 28.3
+        tails = np.concatenate([np.linspace(-34.0, -24.0, 50_000),
+                                np.linspace(24.0, 34.0, 50_000)])
+        return np.concatenate([extremes, np.linspace(-800.0, 800.0, 400_000),
+                               30.0 * rng.standard_normal(100_000),
+                               tails]).tolist()
+
+    def test_bit_equal_to_replaced_formulas(self):
+        z = self.grid()
+        assert len(z) == 600_011
+        got = np.array(list(map(tf.gamma_unlink, z)))
+        want = np.array(list(map(gamma_unlink_branches, z)))
+        assert got.tobytes() == want.tobytes()
+        got = np.array(list(map(tf.dtwo_expit, z)))
+        want = np.array(list(map(dlink_cosh, z)))
+        assert got.tobytes() == want.tobytes()
+        assert tf.expit(np.array(z)).tobytes() == expit_masked(
+            np.array(z)).tobytes()
