@@ -10,7 +10,8 @@ import numpy as np
 
 from semvb import (Dataset, FitConfig, ModelKind, ModelParams, Priors,
                    build_rook_lattice, dic1, draw_beta_preset, draw_posterior,
-                   make_design, phi_loglik_fn, simulate_sem, vb_fit)
+                   make_design, per_draw_logliks, phi_loglik_fn, simulate_sem,
+                   vb_fit)
 
 SEED = 7
 
@@ -46,4 +47,8 @@ for kind in (ModelKind.SEM_GAU, ModelKind.YJ_SEM_GAU):
     k_rng = np.random.default_rng(SEED)
     res = vb_fit(kind, data, Priors(), config, rng=k_rng)
     draws = draw_posterior(res.lam, res.layout, 1000, k_rng)
-    print(f"  {kind.value:12s} DIC1 = {dic1(draws, phi_loglik_fn(kind, data)):9.1f}")
+    # one log-likelihood per draw, plus one at the posterior mean
+    loglik_fn = phi_loglik_fn(kind, data)
+    d1 = dic1(per_draw_logliks(loglik_fn, draws.phi),
+              loglik_fn(draws.phi.mean(axis=0)))
+    print(f"  {kind.value:12s} DIC1 = {d1:9.1f}")

@@ -53,6 +53,7 @@ _EXPORTS = {
     "dic5": "model_select",
     "joint_loglik_fn": "model_select",
     "joint_logprior_fn": "model_select",
+    "per_draw_logliks": "model_select",
     "phi_loglik_fn": "model_select",
     "phi_logprior_fn": "model_select",
 }

@@ -308,7 +308,8 @@ def _sample_mismatch(kind, data, samples, sites) -> str | None:
                 f"{kind.value} columns {','.join(names)}")
     if sites is not None and not np.array_equal(sites, data.unobserved_idx):
         return "yu_ columns do not name the dataset's missing sites"
-    n_psi = 1 + (0 if data.Xstar is None else data.Xstar.shape[1])
+    # psi weighs an intercept and the xs columns; no xs columns, no design
+    n_psi = 0 if data.Xstar is None else 1 + data.Xstar.shape[1]
     if samples.psi is not None and samples.psi.shape[1] != n_psi:
         return (f"{samples.psi.shape[1]} psi columns, but the dataset's "
                 f"missingness design takes {n_psi}")
@@ -318,8 +319,8 @@ def _sample_mismatch(kind, data, samples, sites) -> str | None:
 def cmd_dic(args) -> int:
     from . import io
     from .model_select import (dic1, dic2, dic5, joint_loglik_fn,
-                               joint_logprior_fn, phi_loglik_fn,
-                               phi_logprior_fn)
+                               joint_logprior_fn, per_draw_logliks,
+                               phi_loglik_fn, phi_logprior_fn)
     from .models import ModelKind, Priors
 
     data = _load_dataset(args.data, args.weights)
@@ -343,17 +344,20 @@ def cmd_dic(args) -> int:
             "cannot mix full-data and missing-data fits in one comparison")
 
     rows = []
-    for kind, samples in entries:
-        if samples.y_u is None:
+    for kind, s in entries:
+        if s.y_u is None:  # one pass over the draws feeds DIC1 and DIC2
             loglik_fn = phi_loglik_fn(kind, data)
             prior_fn = phi_logprior_fn(kind, data.n_beta, priors)
-            rows.append((kind.value, dic1(samples, loglik_fn),
-                         dic2(samples, loglik_fn, prior_fn), None,
-                         samples.n_draws))
+            lls = per_draw_logliks(loglik_fn, s.phi)
+            rows.append((kind.value, dic1(lls, loglik_fn(s.phi.mean(axis=0))),
+                         dic2(lls, [prior_fn(r) for r in s.phi]), None,
+                         s.n_draws))
         else:
-            d5 = dic5(samples, joint_loglik_fn(kind, data),
-                      prior_fn=joint_logprior_fn(kind, data.n_beta, priors))
-            rows.append((kind.value, None, None, d5, samples.n_draws))
+            prior_fn = joint_logprior_fn(kind, data.n_beta, priors)
+            lls = per_draw_logliks(joint_loglik_fn(kind, data), s.phi, s.psi,
+                                   s.y_u)
+            d5 = dic5(s, lls, [prior_fn(*r) for r in zip(s.phi, s.psi)])
+            rows.append((kind.value, None, None, d5, s.n_draws))
     _write(args, "dic.csv", io.write_dic_report, rows)
     return 0
 

@@ -274,6 +274,10 @@ def read_sidecar(path) -> tuple[np.ndarray, np.ndarray]:
     sites, m, true_y = _read_table(path, _SIDECAR)
     if sites != list(range(len(sites))):
         raise DataFormatError(f"{path}: sidecar rows must cover 0..n-1")
+    bad = next((k for k, flag in enumerate(m) if flag not in (0, 1)), None)
+    if bad is not None:
+        raise DataFormatError(f"{path}: row {bad + 2}, column m: "
+                              f"{m[bad]} is not 0 or 1")
     return np.array(m, dtype=bool), np.array(true_y, dtype=float)
 
 
@@ -342,14 +346,21 @@ def write_lambda(path, lam: VariationalParams) -> None:
 
 
 def read_lambda(path) -> VariationalParams:
-    """B's cells must lie in its lower triangle, 0 <= j <= i < len(mu)."""
+    """The mu rows and the d rows each have i = 0, 1, ... in order, and B's
+    cells lie in its lower triangle, 0 <= j <= i < len(mu)."""
     from .variational import VariationalParams
 
     parts, ii, jj, values = _read_table(path, _LAMBDA)
     s = parts.count("mu")
+    next_i = {"mu": 0, "d": 0}
     for k, (part, i, j) in enumerate(zip(parts, ii, jj)):
         if part not in ("mu", "B", "d"):
             raise DataFormatError(f"{path}: row {k + 2}: unknown part {part!r}")
+        if part in next_i:
+            if i != next_i[part]:
+                raise DataFormatError(f"{path}: row {k + 2}: {part} index "
+                                      f"{i}, expected {next_i[part]}")
+            next_i[part] += 1
         if (j is None) != (part != "B"):
             raise DataFormatError(f"{path}: row {k + 2}: column j must be "
                                   "empty on exactly the mu and d rows")

@@ -3,8 +3,11 @@
 DIC1 plugs in the posterior mean of the constrained parameters; DIC2 plugs
 in the drawn sample maximizing likelihood times prior; DIC5 extends the
 deviance to the joint response-missingness likelihood for models fitted to
-incomplete data. Per-draw log-likelihoods stream; a non-finite value aborts
-with the offending draw index.
+incomplete data. The three are formulas over per-draw values: one pass,
+`per_draw_logliks`, scores each draw once, and a non-finite value aborts
+with the offending draw index. DIC1 and DIC2 share that array, so a
+complete-data model costs n_draws + 1 log-likelihoods (the one extra at the
+posterior mean) and a DIC5 model n_draws.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .likelihoods import Dataset, log_p_m, loglik, marginal_loglik_t
 from .models import MissingnessParams, ModelKind, ModelParams, Priors
 from . import transforms as tr
 
-__all__ = ["PosteriorSamples", "dic1", "dic2", "dic5",
+__all__ = ["PosteriorSamples", "per_draw_logliks", "dic1", "dic2", "dic5",
            "phi_loglik_fn", "phi_logprior_fn", "joint_loglik_fn",
            "joint_logprior_fn",
            "phi_names_for", "phi_row", "params_from_row"]
@@ -85,60 +88,51 @@ class PosteriorSamples:
         return self.phi.shape[0]
 
 
-def _per_draw(values_fn, n_draws: int) -> np.ndarray:
-    out = np.empty(n_draws)
-    for i in range(n_draws):
-        v = float(values_fn(i))
+def per_draw_logliks(loglik_fn, *blocks) -> np.ndarray:
+    """loglik_fn(phi_i[, psi_i, y_u_i]) at every draw i of the row-aligned
+    blocks, as one array: dic1 and dic2 share it. A non-finite value raises
+    NumericalError naming its draw."""
+    out = np.empty(len(blocks[0]))
+    for i, rows in enumerate(zip(*blocks)):
+        v = float(loglik_fn(*rows))
         if not np.isfinite(v):
-            raise NumericalError("non-finite log-likelihood in DIC pass",
-                                 iteration=i)
+            raise NumericalError(
+                f"non-finite log-likelihood at posterior draw {i}", iteration=i)
         out[i] = v
     return out
 
 
-def dic1(samples: PosteriorSamples, loglik_fn) -> float:
-    """-4 E[log p(y|phi)] + 2 log p(y|phi_bar), phi_bar the posterior mean."""
-    if samples.n_draws < 1:
+def _draws(lls) -> np.ndarray:
+    lls = np.asarray(lls, dtype=float)
+    if lls.size < 1:
         raise DimensionError("DIC needs at least one posterior draw")
-    lls = _per_draw(lambda i: loglik_fn(samples.phi[i]), samples.n_draws)
-    phi_bar = samples.phi.mean(axis=0)
-    return float(-4.0 * lls.mean() + 2.0 * loglik_fn(phi_bar))
+    return lls
 
 
-def _plug_in_dic(n_draws: int, loglik_at, prior_at=None) -> float:
-    """-4 mean(lls) + 2 lls[best], where lls[i] = loglik_at(i) and draw best
-    maximizes lls + prior_at (a flat prior when prior_at is None)."""
-    if n_draws < 1:
-        raise DimensionError("DIC needs at least one posterior draw")
-    lls = _per_draw(loglik_at, n_draws)
-    scores = (lls if prior_at is None
-              else lls + np.array([prior_at(i) for i in range(n_draws)]))
-    best = int(np.argmax(scores))
+def dic1(lls, ll_at_mean: float) -> float:
+    """-4 mean(lls) + 2 ll_at_mean, from the per-draw log-likelihoods
+    log p(y|phi_i) and log p(y|phi_bar) at the posterior mean phi_bar."""
+    return float(-4.0 * _draws(lls).mean() + 2.0 * ll_at_mean)
+
+
+def dic2(lls, log_priors=0.0) -> float:
+    """-4 mean(lls) + 2 lls[best], where draw best maximizes lls + log_priors,
+    the per-draw log prior densities (a flat prior by default)."""
+    lls = _draws(lls)
+    if np.shape(log_priors) not in ((), lls.shape):
+        raise DimensionError("log_priors must hold one value per draw")
+    best = int(np.argmax(lls + log_priors))
     return float(-4.0 * lls.mean() + 2.0 * lls[best])
 
 
-def dic2(samples: PosteriorSamples, loglik_fn, prior_fn) -> float:
-    """As dic1, but plugging in the drawn sample maximizing loglik + logprior."""
-    return _plug_in_dic(samples.n_draws, lambda i: loglik_fn(samples.phi[i]),
-                        lambda i: prior_fn(samples.phi[i]))
-
-
-def dic5(samples: PosteriorSamples, joint_loglik_fn, prior_fn=None) -> float:
-    """Missing-data DIC over the joint likelihood p(y, m | phi, psi): DIC2
-    on the completed data.
-
-    joint_loglik_fn(phi_row, psi_row, y_u_row) evaluates the completed-data
-    likelihood plus the missingness pmf. The plug-in draw maximizes the
-    joint log-likelihood plus prior_fn(phi_row, psi_row) (flat when omitted).
-    """
+def dic5(samples: PosteriorSamples, joint_lls, log_priors=0.0) -> float:
+    """Missing-data DIC over the joint likelihood p(y, m | phi, psi): dic2
+    on the per-draw joint log-likelihoods of the completed data (see
+    joint_loglik_fn), with the log priors of (phi, psi) choosing the
+    plug-in draw."""
     if samples.psi is None or samples.y_u is None:
         raise DomainError("dic5 needs psi and y_u sample blocks")
-    return _plug_in_dic(
-        samples.n_draws,
-        lambda i: joint_loglik_fn(samples.phi[i], samples.psi[i],
-                                  samples.y_u[i]),
-        None if prior_fn is None
-        else lambda i: prior_fn(samples.phi[i], samples.psi[i]))
+    return dic2(joint_lls, log_priors)
 
 
 def phi_loglik_fn(kind: ModelKind, data: Dataset):

@@ -45,8 +45,11 @@ The cap stays at 2048 although the banded route is exact at any n: at
 n = 2116 one eigvalsh takes about 1 s at one thread, the cost of several
 hundred banded log-dets of about 2 ms, while a fit's rho-grid
 initialization (`variational._ml_init`) needs about ten log-dets on
-row-standardized W and a DIC run a few dozen, so both are faster on the
-banded route.
+row-standardized W, so it is faster on the banded route. A complete-data
+DIC run needs one log-det per posterior draw plus one at the posterior
+mean, 10 001 at the CLI's default 10 000 draws; past a few hundred draws
+one eigvalsh would be the cheaper route, and the cap does not yet route
+by that count.
 
 W is stored once, as the sorted triples `_entries`. Products with W and
 W^T, the block plans, the symmetrizer, the eigen route, the RCM ordering

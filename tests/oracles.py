@@ -21,6 +21,12 @@ that replaced them are checked against them bit for bit.
 formulas that `transforms.gamma_unlink` (now 2 expit(z), clamped),
 `transforms.dtwo_expit` and `transforms.expit` replaced, kept verbatim and
 checked bit for bit.
+
+`dic1_two_pass`, `dic2_two_pass` and `dic5_two_pass` are the DIC functions
+as they were when each took the log-likelihood as a callable and scored
+every draw itself, so that DIC1 and DIC2 each made their own pass over the
+draws. They are kept verbatim, and the one-pass formulas over per-draw
+arrays that replaced them are checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -231,6 +237,63 @@ def expit_masked(eta: np.ndarray) -> np.ndarray:
     e = np.exp(eta[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def _per_draw_two_pass(values_fn, n_draws: int) -> np.ndarray:
+    from semvb.errors import NumericalError
+    out = np.empty(n_draws)
+    for i in range(n_draws):
+        v = float(values_fn(i))
+        if not np.isfinite(v):
+            raise NumericalError("non-finite log-likelihood in DIC pass",
+                                 iteration=i)
+        out[i] = v
+    return out
+
+
+def dic1_two_pass(samples, loglik_fn) -> float:
+    """-4 E[log p(y|phi)] + 2 log p(y|phi_bar), phi_bar the posterior mean."""
+    from semvb.errors import DimensionError
+    if samples.n_draws < 1:
+        raise DimensionError("DIC needs at least one posterior draw")
+    lls = _per_draw_two_pass(lambda i: loglik_fn(samples.phi[i]),
+                             samples.n_draws)
+    phi_bar = samples.phi.mean(axis=0)
+    return float(-4.0 * lls.mean() + 2.0 * loglik_fn(phi_bar))
+
+
+def _plug_in_dic_two_pass(n_draws: int, loglik_at, prior_at=None) -> float:
+    """-4 mean(lls) + 2 lls[best], where lls[i] = loglik_at(i) and draw best
+    maximizes lls + prior_at (a flat prior when prior_at is None)."""
+    from semvb.errors import DimensionError
+    if n_draws < 1:
+        raise DimensionError("DIC needs at least one posterior draw")
+    lls = _per_draw_two_pass(loglik_at, n_draws)
+    scores = (lls if prior_at is None
+              else lls + np.array([prior_at(i) for i in range(n_draws)]))
+    best = int(np.argmax(scores))
+    return float(-4.0 * lls.mean() + 2.0 * lls[best])
+
+
+def dic2_two_pass(samples, loglik_fn, prior_fn) -> float:
+    """As dic1, but plugging in the drawn sample maximizing loglik + logprior."""
+    return _plug_in_dic_two_pass(samples.n_draws,
+                                 lambda i: loglik_fn(samples.phi[i]),
+                                 lambda i: prior_fn(samples.phi[i]))
+
+
+def dic5_two_pass(samples, joint_loglik_fn, prior_fn=None) -> float:
+    """Missing-data DIC over the joint likelihood p(y, m | phi, psi): DIC2
+    on the completed data."""
+    from semvb.errors import DomainError
+    if samples.psi is None or samples.y_u is None:
+        raise DomainError("dic5 needs psi and y_u sample blocks")
+    return _plug_in_dic_two_pass(
+        samples.n_draws,
+        lambda i: joint_loglik_fn(samples.phi[i], samples.psi[i],
+                                  samples.y_u[i]),
+        None if prior_fn is None
+        else lambda i: prior_fn(samples.phi[i], samples.psi[i]))
 
 
 def dense_A(W_dense: np.ndarray, rho: float) -> np.ndarray:

@@ -573,6 +573,99 @@ class TestDic:
         assert str(bad) in err and "2 psi columns" in err
         assert "takes 3" in err
 
+    def test_psi_columns_need_a_missingness_design(self, tmp_path, capsys):
+        # a dataset with missing responses but no xs columns
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--kind", "sem-gau", "--lattice-rows", "4",
+                     "--lattice-cols", "4", "--n-covariates", "1",
+                     "--out-dir", str(sim)]) == 0
+        y, X, _ = io.read_dataset(sim / "dataset.csv")
+        y[[0, 3]] = np.nan
+        io.write_dataset(sim / "dataset.csv", y, X)
+        bad = tmp_path / "samples.csv"
+        bad.write_text("beta0,beta1,sigma2,rho,psi_y,yu_0,yu_3\n"
+                       "0.5,1.0,1.0,0.3,-0.1,0.2,0.4\n")
+        rc = self.dic_rc(sim / "dataset.csv", sim, f"sem-gau={bad}",
+                         tmp_path / "dic")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "1 psi columns" in err
+        assert "takes 0" in err
+        assert not (tmp_path / "dic" / "dic.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["sem-gau", "sem-t"])
+    def test_each_draw_scored_once(self, tmp_path, monkeypatch, kind):
+        """n_draws + 1 log-likelihoods for DIC1 and DIC2 together (the one
+        extra at the posterior mean), n_draws for DIC5."""
+        from semvb import model_select
+        sim, amp, full, miss = self.make_fits(tmp_path)
+        if kind == "sem-t":
+            for out, data, method in ((full, sim / "dataset.csv", "vb"),
+                                      (miss, amp / "amputated.csv", "hvb")):
+                assert main(["fit", "--data", str(data),
+                             "--weights", str(sim / "weights.csv"),
+                             "--kind", kind, "--method", method,
+                             "--max-iters", "5", "--n1", "2",
+                             "--n-draws", "30", "--out-dir", str(out)]) == 0
+        calls = []
+        for name in ("loglik", "marginal_loglik_t"):
+            original = getattr(model_select, name)
+            monkeypatch.setattr(
+                model_select, name,
+                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        for data, fit, want in ((sim / "dataset.csv", full, 31),
+                                (amp / "amputated.csv", miss, 30)):
+            calls.clear()
+            assert self.dic_rc(data, sim, f"{kind}={fit / 'samples.csv'}",
+                               tmp_path / "dic") == 0
+            assert len(calls) == want
+            assert set(calls) == {"marginal_loglik_t" if kind == "sem-t"
+                                  else "loglik"}
+
+    def test_report_matches_two_pass_oracle(self, tmp_path):
+        """dic.csv holds the two-pass functions' values bit for bit."""
+        from oracles import dic1_two_pass, dic2_two_pass, dic5_two_pass
+        from semvb.likelihoods import Dataset
+        from semvb.model_select import (joint_loglik_fn, joint_logprior_fn,
+                                        phi_loglik_fn, phi_logprior_fn)
+        from semvb.models import Priors
+        sim, amp, full, miss = self.make_fits(tmp_path)
+        W = io.read_weights(sim / "weights.csv")
+        kind = ModelKind.SEM_GAU
+        for data_path, fit in ((sim / "dataset.csv", full),
+                               (amp / "amputated.csv", miss)):
+            y, X, Xstar = io.read_dataset(data_path)
+            data = Dataset(y=y, X=X, W=W, Xstar=Xstar)
+            samples, _ = io.read_samples(fit / "samples.csv")
+            out = tmp_path / "dic" / fit.name
+            assert self.dic_rc(data_path, sim,
+                               f"sem-gau={fit / 'samples.csv'}", out) == 0
+            _, d1, d2, d5, _ = io.read_dic_report(out / "dic.csv")[0]
+            if samples.y_u is None:
+                loglik_fn = phi_loglik_fn(kind, data)
+                assert d1 == dic1_two_pass(samples, loglik_fn)
+                assert d2 == dic2_two_pass(samples, loglik_fn, phi_logprior_fn(
+                    kind, data.n_beta, Priors()))
+            else:
+                assert d5 == dic5_two_pass(
+                    samples, joint_loglik_fn(kind, data),
+                    joint_logprior_fn(kind, data.n_beta, Priors()))
+
+    def test_non_finite_draw_exits_4(self, tmp_path, capsys):
+        sim, _, full, _ = self.make_fits(tmp_path)
+        lines = (full / "samples.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("sigma2")] = "1e-320"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "tiny_sigma2.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = self.dic_rc(sim / "dataset.csv", sim, f"sem-gau={bad}",
+                         tmp_path / "dic")
+        assert rc == 4
+        assert "posterior draw 1" in capsys.readouterr().err
+        assert not (tmp_path / "dic" / "dic.csv").exists()
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path, capsys):

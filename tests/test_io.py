@@ -243,6 +243,15 @@ class TestSidecar:
         with pytest.raises(DataFormatError):
             io.read_sidecar(p)
 
+    @pytest.mark.parametrize("flag", ["2", "-1"])
+    def test_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        # such flags loaded as missing before
+        p = tmp_path / "s.csv"
+        p.write_text(f"i,m,true_y\n0,0,0.5\n1,{flag},0.25\n")
+        with pytest.raises(DataFormatError,
+                           match=f"s.csv: row 3, column m: {flag} is not"):
+            io.read_sidecar(p)
+
 
 class TestKeyValues:
     def test_manifest_roundtrip(self, tmp_path):
@@ -370,6 +379,30 @@ class TestLambda:
                          "mu") else "mu,1,,2.0\n"))
         with pytest.raises(DataFormatError, match="l.csv: row 4"):
             io.read_lambda(p)
+
+    @pytest.mark.parametrize("rows, bad_row", [
+        # mu[7], mu[3] loaded as mu[0], mu[1] before
+        (["mu,7,,1.0", "mu,3,,2.0", "d,0,,1.0", "d,1,,1.0"], 2),
+        (["mu,1,,1.0", "mu,0,,2.0", "d,0,,1.0", "d,1,,1.0"], 2),
+        (["mu,0,,1.0", "mu,1,,2.0", "d,9,,1.0", "d,9,,1.0"], 4),
+        (["mu,0,,1.0", "mu,1,,2.0", "d,0,,1.0", "d,0,,1.0"], 5),
+        (["mu,0,,1.0", "mu,0,,2.0", "d,0,,1.0", "d,1,,1.0"], 3),
+    ])
+    def test_mu_and_d_indices_must_run_in_order(self, tmp_path, rows,
+                                                bad_row):
+        p = tmp_path / "l.csv"
+        p.write_text("part,i,j,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"l.csv: row {bad_row}: "):
+            io.read_lambda(p)
+
+    def test_interleaved_parts_read(self, tmp_path):
+        p = tmp_path / "l.csv"
+        p.write_text("part,i,j,value\nd,0,,3.0\nmu,0,,1.0\nB,1,0,0.5\n"
+                     "d,1,,4.0\nmu,1,,2.0\n")
+        lam = io.read_lambda(p)
+        np.testing.assert_array_equal(lam.mu, [1.0, 2.0])
+        np.testing.assert_array_equal(lam.d, [3.0, 4.0])
+        np.testing.assert_array_equal(lam.B, [[0.0], [0.5]])
 
 
 # One valid file per CSV reader, with the (line, cell) of an int cell and of

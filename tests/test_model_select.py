@@ -7,15 +7,35 @@ from semvb.errors import DimensionError, DomainError, NumericalError
 from semvb.likelihoods import loglik, marginal_loglik_t
 from semvb.models import ModelKind, ModelParams, Priors
 from semvb.model_select import (PosteriorSamples, dic1, dic2, dic5,
-                                joint_loglik_fn, params_from_row,
+                                joint_loglik_fn, joint_logprior_fn,
+                                params_from_row, per_draw_logliks,
                                 phi_loglik_fn, phi_logprior_fn,
                                 phi_names_for)
 
+from oracles import dic1_two_pass, dic2_two_pass, dic5_two_pass
 from util import random_instance
 
 
 def quad_loglik(phi_row):
     return float(-np.sum((phi_row - 1.0) ** 2))
+
+
+# The DIC functions are formulas over per-draw values; these score the
+# draws of a PosteriorSamples once and apply them.
+def dic1_of(s, loglik_fn):
+    return dic1(per_draw_logliks(loglik_fn, s.phi),
+                loglik_fn(s.phi.mean(axis=0)))
+
+
+def dic2_of(s, loglik_fn, prior_fn):
+    return dic2(per_draw_logliks(loglik_fn, s.phi),
+                [prior_fn(row) for row in s.phi])
+
+
+def dic5_of(s, joint_fn, prior_fn=None):
+    lls = per_draw_logliks(joint_fn, s.phi, s.psi, s.y_u)
+    return dic5(s, lls, 0.0 if prior_fn is None
+                else [prior_fn(*rows) for rows in zip(s.phi, s.psi)])
 
 
 class TestContainers:
@@ -41,50 +61,80 @@ class TestContainers:
             PosteriorSamples(phi=np.zeros((3, 2)), phi_names=("a",))
 
 
+class TestPerDrawLogliks:
+    def test_one_value_per_draw_from_aligned_rows(self):
+        a = np.arange(6.0).reshape(3, 2)
+        b = -np.arange(3.0).reshape(3, 1)
+        calls = []
+
+        def fn(row_a, row_b):
+            calls.append((row_a.copy(), row_b.copy()))
+            return row_a.sum() + 10.0 * row_b[0]
+
+        out = per_draw_logliks(fn, a, b)
+        np.testing.assert_array_equal(out, [1.0, -5.0, -11.0])
+        assert len(calls) == 3
+        for i, (ra, rb) in enumerate(calls):
+            np.testing.assert_array_equal(ra, a[i])
+            np.testing.assert_array_equal(rb, b[i])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_draw(self, bad):
+        values = [0.0, -1.0, bad, 2.0]
+        with pytest.raises(NumericalError, match="posterior draw 2") as err:
+            per_draw_logliks(lambda row: values[int(row[0])],
+                             np.arange(4.0)[:, None])
+        assert err.value.iteration == 2
+
+
 class TestDic1:
     def test_point_mass(self):
         phi = np.tile([2.0, 0.5], (5, 1))
         s = PosteriorSamples(phi=phi, phi_names=("a", "b"))
         ll = quad_loglik(phi[0])
-        assert dic1(s, quad_loglik) == pytest.approx(-2.0 * ll, abs=1e-12)
+        assert dic1_of(s, quad_loglik) == pytest.approx(-2.0 * ll, abs=1e-12)
 
     def test_two_draw_hand_case(self):
         phi = np.array([[0.0], [2.0]])
         s = PosteriorSamples(phi=phi, phi_names=("a",))
         # loglik values -1 and -1; plug-in at the mean phi = 1 gives 0
         expected = -4.0 * (-1.0) + 2.0 * 0.0
-        assert dic1(s, quad_loglik) == pytest.approx(expected, abs=1e-12)
+        assert dic1_of(s, quad_loglik) == pytest.approx(expected, abs=1e-12)
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(0)
         phi = rng.standard_normal((20, 3))
         s1 = PosteriorSamples(phi=phi, phi_names=("a", "b", "c"))
         s2 = PosteriorSamples(phi=phi[::-1], phi_names=("a", "b", "c"))
-        assert dic1(s1, quad_loglik) == pytest.approx(dic1(s2, quad_loglik),
-                                                      abs=1e-10)
+        assert dic1_of(s1, quad_loglik) == pytest.approx(
+            dic1_of(s2, quad_loglik), abs=1e-10)
 
     def test_additive_constant_shifts_by_minus_2c(self):
         rng = np.random.default_rng(1)
         phi = rng.standard_normal((15, 2))
         s = PosteriorSamples(phi=phi, phi_names=("a", "b"))
-        base = dic1(s, quad_loglik)
-        shifted = dic1(s, lambda row: quad_loglik(row) + 7.0)
+        base = dic1_of(s, quad_loglik)
+        shifted = dic1_of(s, lambda row: quad_loglik(row) + 7.0)
         assert shifted == pytest.approx(base - 14.0, abs=1e-10)
 
     def test_non_finite_draw_aborts(self):
         phi = np.array([[0.0], [np.nan], [1.0]])
         s = PosteriorSamples(phi=phi, phi_names=("a",))
         with pytest.raises(NumericalError) as err:
-            dic1(s, quad_loglik)
+            dic1_of(s, quad_loglik)
         assert err.value.iteration == 1
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(DimensionError):
+            dic1(np.empty(0), 0.0)
 
 
 class TestDic2:
     def test_point_mass_equals_dic1(self):
         phi = np.tile([0.3, -0.2], (4, 1))
         s = PosteriorSamples(phi=phi, phi_names=("a", "b"))
-        d1 = dic1(s, quad_loglik)
-        d2 = dic2(s, quad_loglik, lambda row: 0.0)
+        d1 = dic1_of(s, quad_loglik)
+        d2 = dic2_of(s, quad_loglik, lambda row: 0.0)
         assert d2 == pytest.approx(d1, abs=1e-12)
 
     def test_flat_prior_picks_max_loglik(self):
@@ -92,7 +142,7 @@ class TestDic2:
         s = PosteriorSamples(phi=phi, phi_names=("a",))
         lls = [quad_loglik(r) for r in phi]
         expected = -4.0 * np.mean(lls) + 2.0 * max(lls)
-        assert dic2(s, quad_loglik, lambda row: 0.0) == pytest.approx(
+        assert dic2_of(s, quad_loglik, lambda row: 0.0) == pytest.approx(
             expected, abs=1e-12)
 
     def test_prior_moves_plugin(self):
@@ -102,8 +152,18 @@ class TestDic2:
         prior = lambda row: 0.0 if row[0] > 1.0 else -100.0
         lls = [quad_loglik(r) for r in phi]
         expected = -4.0 * np.mean(lls) + 2.0 * lls[1]
-        assert dic2(s, quad_loglik, prior) == pytest.approx(expected,
-                                                            abs=1e-12)
+        assert dic2_of(s, quad_loglik, prior) == pytest.approx(expected,
+                                                               abs=1e-12)
+
+    def test_default_prior_is_flat(self):
+        lls = np.array([-3.0, -1.0, -2.0])
+        assert dic2(lls) == dic2(lls, np.zeros(3)) == dic2(lls, [5.0] * 3)
+
+    @pytest.mark.parametrize("log_priors", [[0.0, 0.0], [[0.0], [0.0],
+                                                         [0.0]]])
+    def test_one_prior_per_draw(self, log_priors):
+        with pytest.raises(DimensionError):
+            dic2(np.array([-3.0, -1.0, -2.0]), log_priors)
 
 
 class TestDic5:
@@ -124,24 +184,24 @@ class TestDic5:
         y_u = np.tile([2.0], (3, 1))
         s = PosteriorSamples(phi=phi, phi_names=("a", "b"), psi=psi, y_u=y_u)
         j = self.joint(phi[0], psi[0], y_u[0])
-        assert dic5(s, self.joint) == pytest.approx(-2.0 * j, abs=1e-12)
+        assert dic5_of(s, self.joint) == pytest.approx(-2.0 * j, abs=1e-12)
 
     def test_mean_and_plugin_assembly(self):
         s = self.make(np.random.default_rng(2))
         js = [self.joint(s.phi[i], s.psi[i], s.y_u[i])
               for i in range(s.n_draws)]
         expected = -4.0 * np.mean(js) + 2.0 * max(js)
-        assert dic5(s, self.joint) == pytest.approx(expected, abs=1e-10)
+        assert dic5_of(s, self.joint) == pytest.approx(expected, abs=1e-10)
 
     def test_requires_psi_and_yu(self):
         s = PosteriorSamples(phi=np.zeros((2, 1)), phi_names=("a",))
         with pytest.raises(DomainError):
-            dic5(s, self.joint)
+            dic5(s, np.zeros(2))
 
     def test_constant_shift(self):
         s = self.make(np.random.default_rng(3))
-        base = dic5(s, self.joint)
-        shifted = dic5(s, lambda p, q, y: self.joint(p, q, y) + 3.0)
+        base = dic5_of(s, self.joint)
+        shifted = dic5_of(s, lambda p, q, y: self.joint(p, q, y) + 3.0)
         assert shifted == pytest.approx(base - 6.0, abs=1e-10)
 
 
@@ -196,3 +256,58 @@ class TestModelBoundFns:
                       inst["psi"])
         assert fn(phi_row, psi_row, y_u_row) == pytest.approx(want,
                                                               abs=1e-10)
+
+
+def jittered_samples(inst, kind, n_draws, seed):
+    """Draws scattered about a random instance's parameters, with psi and
+    y_u blocks when the instance has missing responses."""
+    from semvb.model_select import phi_row
+    rng = np.random.default_rng(seed)
+    base = phi_row(inst["params"])
+    phi = base + 0.02 * rng.standard_normal((n_draws, base.size))
+    names = phi_names_for(kind, inst["data"].n_beta)
+    if inst["psi"] is None:
+        return PosteriorSamples(phi=phi, phi_names=names)
+    psi = inst["psi"].stacked + 0.1 * rng.standard_normal(
+        (n_draws, inst["psi"].stacked.size))
+    y_u = inst["y_u"] + 0.3 * rng.standard_normal((n_draws,
+                                                   inst["y_u"].size))
+    return PosteriorSamples(phi=phi, phi_names=names, psi=psi, y_u=y_u)
+
+
+class TestTwoPassOracle:
+    """The one-pass formulas give the two-pass functions' values bit for
+    bit: the same per-draw values in the same arithmetic."""
+
+    def test_quadratic_fixtures(self):
+        prior = lambda row: -0.5 * float(np.sum(row ** 2))
+        for seed, shape in ((0, (20, 3)), (1, (15, 2))):
+            phi = np.random.default_rng(seed).standard_normal(shape)
+            s = PosteriorSamples(phi=phi, phi_names=("a", "b", "c")[:shape[1]])
+            assert dic1_of(s, quad_loglik) == dic1_two_pass(s, quad_loglik)
+            assert dic2_of(s, quad_loglik, prior) == dic2_two_pass(
+                s, quad_loglik, prior)
+        s = TestDic5().make(np.random.default_rng(2))
+        joint = TestDic5().joint
+        assert dic5_of(s, joint) == dic5_two_pass(s, joint)
+
+    @pytest.mark.parametrize("kind", [ModelKind.SEM_GAU, ModelKind.SEM_T,
+                                      ModelKind.YJ_SEM_GAU,
+                                      ModelKind.YJ_SEM_T])
+    def test_model_fixtures(self, kind):
+        inst = random_instance(kind, seed=4)
+        data, n_beta = inst["data"], inst["data"].n_beta
+        s = jittered_samples(inst, kind, 25, seed=5)
+        loglik_fn = phi_loglik_fn(kind, data)
+        prior_fn = phi_logprior_fn(kind, n_beta, Priors())
+        assert dic1_of(s, loglik_fn) == dic1_two_pass(s, loglik_fn)
+        assert dic2_of(s, loglik_fn, prior_fn) == dic2_two_pass(
+            s, loglik_fn, prior_fn)
+
+        inst = random_instance(kind, seed=6, missing_frac=0.25)
+        s = jittered_samples(inst, kind, 25, seed=7)
+        joint = joint_loglik_fn(kind, inst["data"])
+        prior_fn = joint_logprior_fn(kind, n_beta, Priors())
+        assert dic5_of(s, joint, prior_fn) == dic5_two_pass(s, joint,
+                                                            prior_fn)
+        assert dic5_of(s, joint) == dic5_two_pass(s, joint)
