@@ -10,14 +10,14 @@ Each command loads only the modules it runs. The table and the config
 reader need no numpy, so `_pin_threads` applies --threads, or a config
 file's threads=, to the BLAS environment before numpy loads; the command
 functions import the numerical stack. No command imports the scipy
-package. The sparse solves, `simulate`'s draw and past the eigen cap the
-complex-step LU of the trace and of the log-det of W without a
-symmetrizer, call SuperLU's compiled extension, and the banded Cholesky
-factors, of the `hvb` conditionals and of the log-det past the cap, call
-scipy's compiled LAPACK wrapper; both are loaded by file, which runs no
-scipy package code. So every command loads numpy and no scipy module. A
-process start is a large share of a short pipeline stage, and
-`tests/test_cli.py::TestImports` holds the commands to this rule.
+package. `simulate`'s sparse solve and the complex-step LU of the log-det
+and trace routes (`spatial.plan_route`) call SuperLU's compiled extension,
+and the band eigenvalues of W and the banded Cholesky factors, of the
+`hvb` conditionals and of the log-dets, call scipy's compiled LAPACK
+wrapper; both are loaded by file, which runs no scipy package code. So
+every command loads numpy and no scipy module. A process start is a large
+share of a short pipeline stage, and `tests/test_cli.py::TestImports`
+holds the commands to this rule.
 """
 
 from __future__ import annotations
@@ -253,6 +253,7 @@ def cmd_fit(args) -> int:
     from . import io
     from .hvb import HvbConfig, draw_posterior_missing, hvb_fit
     from .models import ModelKind, Priors
+    from .spatial import plan_route
     from .variational import FitConfig, draw_posterior, vb_fit
 
     kind = ModelKind.from_string(args.kind)
@@ -291,6 +292,7 @@ def cmd_fit(args) -> int:
         "data": args.data, "weights": args.weights, "seed": args.seed,
         "max_iters": args.max_iters, "n_iters": result.n_iters,
         "n_factors": args.n_factors, "n_draws": args.n_draws,
+        "spectral_route": plan_route(data.W),
     })
     return 0
 
@@ -322,6 +324,7 @@ def cmd_dic(args) -> int:
                                joint_logprior_fn, per_draw_logliks,
                                phi_loglik_fn, phi_logprior_fn)
     from .models import ModelKind, Priors
+    from .spatial import plan_route
 
     data = _load_dataset(args.data, args.weights)
     priors = Priors()
@@ -343,6 +346,9 @@ def cmd_dic(args) -> int:
         raise DataFormatError(
             "cannot mix full-data and missing-data fits in one comparison")
 
+    # every model scores its draws, and a complete-data one its posterior
+    # mean, on the one W
+    plan_route(data.W, sum(s.n_draws + 1 for _, s in entries))
     rows = []
     for kind, s in entries:
         if s.y_u is None:  # one pass over the draws feeds DIC1 and DIC2

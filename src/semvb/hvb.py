@@ -37,7 +37,7 @@ from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, _log_p_m_eta, layout_missing, log_p_m
 from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
-from .spatial import ConditionalGaussian, conditional_gaussian
+from .spatial import ConditionalGaussian, conditional_gaussian, plan_route
 from .transforms import yj_forward, yj_inverse
 from .variational import (FitConfig, FitResult, VariationalParams, _sga,
                           init_lambda, sample_q)
@@ -331,6 +331,7 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
     t_start = time.perf_counter()
     layout = layout_missing(kind, data)
     rng = np.random.default_rng(config.seed) if rng is None else rng
+    plan_route(data.W, config.max_iters, config.max_iters)
     lam = init_lambda(kind, data, config, rng=rng, with_psi=True)
     scheme = config.block_scheme(data)
     acc_rows: list[tuple[int, int, int, int]] = []

@@ -90,8 +90,13 @@ class PosteriorSamples:
 
 def per_draw_logliks(loglik_fn, *blocks) -> np.ndarray:
     """loglik_fn(phi_i[, psi_i, y_u_i]) at every draw i of the row-aligned
-    blocks, as one array: dic1 and dic2 share it. A non-finite value raises
-    NumericalError naming its draw."""
+    blocks, as one array: dic1 and dic2 share it. A missing (None) block or
+    blocks of different lengths raise DimensionError; a non-finite value
+    raises NumericalError naming its draw."""
+    if any(block is None for block in blocks):
+        raise DimensionError("every sample block must be present")
+    if len({len(block) for block in blocks}) > 1:
+        raise DimensionError("sample blocks must have one row per draw")
     out = np.empty(len(blocks[0]))
     for i, rows in enumerate(zip(*blocks)):
         v = float(loglik_fn(*rows))

@@ -19,47 +19,47 @@ O(k b^2) for k sites and site-order bandwidth b; b is k - 1 when the
 block's sites follow no spatial order. The mean offset needs only products
 with W and W^T, so A is never formed there.
 
-log|det A| and tr(A^-1 W) are computed exactly. The route depends on n and
-on whether W is diagonally similar to a symmetric matrix, that is whether
-some positive h satisfies h_i W_ij = h_j W_ji
-(`SpatialWeights.symmetrizer`). Symmetric W and row-standardized
-W = D^-1 C with symmetric C both are. For such W, S = H^1/2 W H^-1/2 is
-symmetric with det(I - rho W) = det(I - rho S) and
-tr(A^-1 W) = tr((I - rho S)^-1 S).
+log|det A| and tr(A^-1 W) are computed exactly. The route depends on
+whether W is diagonally similar to a symmetric matrix, that is whether some
+positive h satisfies h_i W_ij = h_j W_ji (`SpatialWeights.symmetrizer`),
+and, for such W, on how many of them a caller plans (`plan_route`).
+Symmetric W and row-standardized W = D^-1 C with symmetric C both are
+symmetrizable. For such W, S = H^1/2 W H^-1/2 is symmetric with
+det(I - rho W) = det(I - rho S) and tr(A^-1 W) = tr((I - rho S)^-1 S).
 
-- n <= _EIGEN_MAX_N: the eigenvalues of W, once per weight matrix, make
-  both quantities O(n) per rho. They are real (`eigvalsh` of S) for
-  symmetrizable W and the general complex `eigvals` otherwise.
-- n > _EIGEN_MAX_N, log-det: a reverse Cuthill-McKee ordering and the band
-  of S are cached once, and each rho runs one banded Cholesky of
-  I - rho S, O(n b^2) for bandwidth b; the log-det is read off its
-  diagonal.
-- n > _EIGEN_MAX_N, everything else: one sparse LU of I - (rho + ih) W in
-  complex arithmetic (`_lu_route`) gives the log-det, the sign of the
-  determinant and, by the complex step, the trace. It serves the trace for
-  every W, and the log-det where W has no symmetrizer or I - rho S is not
-  safely positive definite, which keeps the SingularityError semantics
-  there.
+- Symmetrizable W whose spectrum a caller asked for ("band-eigen"): the
+  eigenvalues of S, once per weight matrix, from LAPACK's banded `dsbevd`
+  on the reverse Cuthill-McKee band of S (`sym_band`), at any n and with no
+  n x n matrix; both quantities are then O(n) per rho.
+- Symmetrizable W otherwise ("cholesky+lu"): the log-det from one banded
+  Cholesky of I - rho S per rho, O(n b^2) for bandwidth b, read off its
+  diagonal; the trace, and the log-det where I - rho S is not safely
+  positive definite, from the complex-step LU below.
+- W without a symmetrizer, n <= _EIGEN_MAX_N ("dense-eigen"): the general,
+  possibly complex, eigenvalues of a dense W, once per weight matrix.
+- W without a symmetrizer past the cap ("lu"): one sparse LU of
+  I - (rho + ih) W in complex arithmetic (`_lu_route`) gives the log-det,
+  the sign of the determinant and, by the complex step, the trace, and
+  keeps the SingularityError semantics.
 
-The cap stays at 2048 although the banded route is exact at any n: at
-n = 2116 one eigvalsh takes about 1 s at one thread, the cost of several
-hundred banded log-dets of about 2 ms, while a fit's rho-grid
-initialization (`variational._ml_init`) needs about ten log-dets on
-row-standardized W, so it is faster on the banded route. A complete-data
-DIC run needs one log-det per posterior draw plus one at the posterior
-mean, 10 001 at the CLI's default 10 000 draws; past a few hundred draws
-one eigvalsh would be the cheaper route, and the cap does not yet route
-by that count.
+A caller that knows how many log-dets and traces it will take asks for the
+spectrum through `plan_route`, which computes it when those evaluations
+would cost more on the factorizations (`_spectrum_pays`); once computed, it
+serves every later log-det and trace on that W. A fit plans its SGA
+iterations and `semvb dic` its posterior draws, so a long fit takes the
+spectrum and a probe, a short fit or a short DIC run the factorizations.
+The cap bounds only the dense eigenvalues of W without a symmetrizer.
 
 W is stored once, as the sorted triples `_entries`. Products with W and
-W^T, the block plans, the symmetrizer, the eigen route, the RCM ordering
-of `sym_band` and the CSC arrays of the sparse LU (`a_matrix`) run on
-numpy. No stage imports the scipy package: scipy supplies only two compiled
-extensions, which `_scipy_extension` loads by file on first use. The
-banded Cholesky factors and solves (`_pbtrf`, `_pbtrs`, `_tbtrs`) call the
-float64 routines of its LAPACK wrapper (`_flapack`), and the sparse LU past
-the cap (`_lu_route`) and `simulate`'s solve call SuperLU's `gstrf` and
-`gssv` (`_superlu`) as scipy's splu and spsolve do, bit for bit.
+W^T, the block plans, the symmetrizer, the dense eigen route, the RCM
+ordering of `sym_band` and the CSC arrays of the sparse LU (`a_matrix`) run
+on numpy. No stage imports the scipy package: scipy supplies only two compiled
+extensions, which `_scipy_extension` loads by file on first use. The band
+eigenvalues (`dsbevd`) and the banded Cholesky factors and solves (`_pbtrf`,
+`_pbtrs`, `_tbtrs`) call the float64 routines of its LAPACK wrapper
+(`_flapack`), and the complex-step LU (`_lu_route`) and `simulate`'s solve
+call SuperLU's `gstrf` and `gssv` (`_superlu`) as scipy's splu and spsolve
+do, bit for bit.
 """
 
 from __future__ import annotations
@@ -69,18 +69,26 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError
+from .errors import DimensionError, DomainError, NumericalError, SingularityError
 from .models import ModelKind
 
 __all__ = [
     "SpatialWeights", "ConditionalGaussian",
     "build_rook_lattice", "apply_A", "apply_At",
-    "logdet_A", "trace_AinvW", "logdet_M", "quad_form_M",
+    "plan_route", "logdet_A", "trace_AinvW", "logdet_M", "quad_form_M",
     "conditional_gaussian",
 ]
 
-# Largest n for which the eigenvalues of W are precomputed densely.
+# Largest n for which the eigenvalues of W without a symmetrizer are
+# computed densely.
 _EIGEN_MAX_N = 2048
+# The cost model of `_spectrum_pays`, in seconds: dsbevd per n^2 b, one
+# banded Cholesky log-det per n b^2, one complex-step LU trace per n, and
+# the fixed cost of either call.
+_DSBEVD_S = 1.4e-9
+_CHOLESKY_S = 1.6e-10
+_LU_S = 3.5e-6
+_CALL_S = 2e-5
 # |1 - rho*lambda| below this is treated as a singular A.
 _SINGULAR_TOL = 1e-10
 # Imaginary step h of the complex-step LU: far below the rounding of rho, so
@@ -270,26 +278,27 @@ class SpatialWeights:
             return None
         return np.exp(log_h)
 
-    def _symmetric_weights(self) -> np.ndarray:
-        """S_ij = sqrt(W_ij W_ji) on the entries of `_entries`: the entries of
-        S = H^1/2 W H^-1/2, exactly symmetric; valid only when `symmetrizer`
-        is not None."""
-        return np.sqrt(self._entries[2] * self._reverse)
-
     @cached_property
     def eigenvalues(self) -> np.ndarray | None:
-        """Eigenvalues of W, or None when n exceeds the dense-eigen cap.
+        """Eigenvalues of W; None for W without a symmetrizer past
+        _EIGEN_MAX_N.
 
-        Real (from `eigvalsh` of S) when W has a symmetrizer, otherwise the
-        general, possibly complex, eigenvalues of W.
+        With a symmetrizer they are the real eigenvalues of S, ascending,
+        from LAPACK's `dsbevd` on `sym_band`, at any n: the band is reduced
+        to tridiagonal form by orthogonal rotations, so no n x n matrix is
+        formed. Otherwise they are the general, possibly complex, eigenvalues
+        of a dense W.
         """
+        if self.symmetrizer is not None:
+            lam, _, info = _flapack().dsbevd(self.sym_band, compute_v=0,
+                                             lower=1, overwrite_ab=0)
+            if info:
+                raise NumericalError(f"dsbevd failed with info = {info}")
+            return lam
         if self.n > _EIGEN_MAX_N:
             return None
         rows, cols, w = self._entries
         dense = np.zeros((self.n, self.n))
-        if self.symmetrizer is not None:
-            dense[rows, cols] = self._symmetric_weights()
-            return np.linalg.eigvalsh(dense)
         dense[rows, cols] = w
         return np.linalg.eigvals(dense)
 
@@ -304,8 +313,8 @@ class SpatialWeights:
         """
         if self.symmetrizer is None:
             return None
-        rows, cols, _ = self._entries
-        data = self._symmetric_weights()
+        rows, cols, w = self._entries
+        data = np.sqrt(w * self._reverse)  # S_ij, exactly symmetric
         keep = data > 0
         rows, cols, data = rows[keep], cols[keep], data[keep]
         at = _slots(self.n, _reverse_cuthill_mckee(self.n, rows, cols))
@@ -562,10 +571,70 @@ def _banded_cholesky(W: SpatialWeights, rho: float) -> np.ndarray | None:
     return chol
 
 
+def _spectrum_pays(n: int, b: int, n_logdets: int, n_traces: int) -> bool:
+    """Whether one band spectrum of S costs less than n_logdets banded
+    Cholesky log-dets plus n_traces complex-step LU traces.
+
+    n is the order of W and b the bandwidth of `sym_band`. The constants
+    are fixed, so a rerun takes the same route and writes the same bits;
+    they were fitted to these timings, taken on a 2-vCPU Xeon at one BLAS
+    thread, on row-standardized rook lattices at rho = 0.8:
+
+        n (b)          banded Cholesky  complex LU  dsbevd   dense eigvalsh
+        625 (25)       0.10 ms          2.0 ms      12.9 ms  21 ms
+        900 (30)       0.18 ms          3.0 ms      33.5 ms  63 ms
+        2116 (46)      0.72 ms          7.4 ms      290 ms   786 ms
+        4900 (70)      4.3 ms           21.7 ms     2.3 s    -
+        10 000 (100)   8.0 ms           48 ms       15 s     -
+
+    dsbevd fits about _DSBEVD_S n^2 b. The band itself (1.4-4.7 ms at these
+    n) and the load of the LAPACK wrapper (3.2 ms) serve every route, so
+    they are left out. With these constants a 600-iteration fit at n = 900
+    takes the spectrum (33.5 ms against about 2 s of factorizations), and
+    so does a 5-iteration fit at n = 25; a 5-iteration fit at n = 625 and
+    101 log-dets at n = 900 take the factorizations.
+    """
+    spectrum = _DSBEVD_S * n * n * b
+    factored = (n_logdets * (_CHOLESKY_S * n * b * b + _CALL_S)
+                + n_traces * (_LU_S * n + _CALL_S))
+    return factored > spectrum
+
+
+def plan_route(W: SpatialWeights, n_logdets: int = 0,
+               n_traces: int = 0) -> str:
+    """Plan n_logdets log-dets and n_traces traces on W, and name the route
+    that serves them.
+
+    For symmetrizable W the band spectrum is computed here when the planned
+    work would cost more on the factorizations (`_spectrum_pays`); once
+    computed, it serves every later log-det and trace on W, whoever planned
+    it. With no planned work nothing is computed. The route is one of
+    "band-eigen", "cholesky+lu" (symmetrizable W without its spectrum),
+    "dense-eigen" or "lu" (W without a symmetrizer, within or past
+    _EIGEN_MAX_N).
+    """
+    if W.symmetrizer is None:
+        return "dense-eigen" if W.n <= _EIGEN_MAX_N else "lu"
+    if "eigenvalues" not in vars(W):
+        b = W.sym_band.shape[0] - 1
+        if not _spectrum_pays(W.n, b, n_logdets, n_traces):
+            return "cholesky+lu"
+        W.eigenvalues  # computed once, then cached on W
+    return "band-eigen"
+
+
+def _spectrum(W: SpatialWeights) -> np.ndarray | None:
+    """The eigenvalues that serve log-dets and traces on W; None where the
+    factorizations do (see `plan_route`)."""
+    if W.symmetrizer is None:
+        return W.eigenvalues
+    return vars(W).get("eigenvalues")  # set only once a caller asked
+
+
 def logdet_A(W: SpatialWeights, rho: float) -> float:
     """log det(I - rho W); raises SingularityError on a nonpositive determinant."""
     _check_rho(rho)
-    lam = W.eigenvalues
+    lam = _spectrum(W)
     if lam is None:
         chol = _banded_cholesky(W, rho)
         if chol is not None:
@@ -589,7 +658,7 @@ def logdet_A(W: SpatialWeights, rho: float) -> float:
 def trace_AinvW(W: SpatialWeights, rho: float) -> float:
     """tr(A^-1 W), the derivative -d log det(I - rho W)/d rho."""
     _check_rho(rho)
-    lam = W.eigenvalues
+    lam = _spectrum(W)
     if lam is not None:
         factors = 1.0 - rho * lam
         if np.any(np.abs(factors) < _SINGULAR_TOL):

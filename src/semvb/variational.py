@@ -27,7 +27,7 @@ from .likelihoods import Dataset, layout_full, layout_missing
 from .models import ModelKind, Priors, ThetaLayout, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .simulate import draw_inverse_gamma
-from .spatial import logdet_A
+from .spatial import logdet_A, plan_route
 from .transforms import gamma_link, omega_from_sigma2, rho_link
 
 __all__ = [
@@ -216,12 +216,23 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     sites. Returns (beta_hat, sigma2_hat, rho_hat): the fit at the first
     grid point, of the 199 in [-0.99, 0.99] (the log-det grid of LeSage &
     Pace 2009), with the highest score ld(rho) - (n/2) log sigma2_hat(rho),
-    where ld(rho) = log det(I - rho W). The result is that of a full scan
-    that computes ld at every point, bit for bit, but ld is computed only
-    where it can still change the pick.
+    where ld(rho) = log det(I - rho W) and sigma2_hat(rho) is the residual
+    mean square of the least-squares fit of (I - rho W) y on (I - rho W) X.
+    The result is that of a full scan that runs ld and that least-squares
+    fit at every point, bit for bit, but each runs only where it can still
+    change the pick.
 
-    The least-squares fit and the term -(n/2) log sigma2_hat run at every
-    point. ld runs at the first point, at every point outside the region R
+    The profile term comes first from Gram matrices, at every point
+    (`_gram_half`). With Z = [X, y], the Gram matrix of (I - rho W) Z is
+    Z^T Z - rho (Z^T W Z + its transpose) + rho^2 (WZ)^T WZ, so three
+    (p + 1) x (p + 1) products, built once, give it on the whole grid, and
+    its Schur complement is the residual sum of squares. That value comes
+    with a bound on its distance from the least-squares one, so each score
+    is known within a bracket. The least-squares fit then runs only at the
+    points whose bracket reaches the best lower end, usually the pick
+    alone, and those exact scores decide the pick.
+
+    ld runs at the first point, at every point outside the region R
     below, and lazily inside it. R holds the points with |rho| r < 1, r the largest row sum
     of W, when W has a symmetrizer. The eigenvalues of W are then real and,
     by Gershgorin, lie in [-r, r], so every factor 1 - rho lambda is positive
@@ -234,13 +245,17 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     either side (0 counts as known) bounds ld from above. The loop computes
     ld at the point whose bound plus its profile term is highest, and stops
     once none reaches the best score so far minus a margin delta; no
-    unevaluated point can then beat that score. Without a symmetrizer R is
-    empty and every point is evaluated.
+    unevaluated point can then beat that score. Here a candidate's score
+    takes the upper end of its bracket and the best score is the largest
+    lower end, so the brackets need no margin of their own. Without a
+    symmetrizer R is empty and every point is evaluated.
 
-    delta covers the rounding of the computed ld. Both log-det routes are
-    backward stable: the eigenvalues, or the banded Cholesky factor, are
-    exact for some A + Delta A with ||Delta A|| <= eta ||A||, taken as
-    eta = n eps, and
+    delta covers the rounding of the computed ld. Every log-det route for
+    symmetrizable W is backward stable: the band eigenvalues (`dsbevd`
+    reduces the band to tridiagonal form by orthogonal rotations, whose
+    computed result is that of an exact similarity of a nearby matrix), or
+    the banded Cholesky factor, are exact for some A + Delta A with
+    ||Delta A|| <= eta ||A||, taken as eta = n eps, and
     |log det(A + Delta A) - log det A| <= n ||A^-1 Delta A|| <= n kappa eta
     with kappa = (1 + |rho| r) / (1 - |rho| r) >= cond(A) on R. So each
     computed ld is within e = n^2 kappa eps of ld, for the largest kappa on
@@ -251,7 +266,9 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     own arithmetic are far below e. At n = 2116 and r = 1 (|rho| <= 0.99,
     kappa = 199) e is 2e-7 and delta 8e-5, while the banded-Cholesky and
     eigenvalue log-dets of the 46 x 46 rook lattice differ by at most
-    4.3e-13 over the grid.
+    4.3e-13 over the grid. A W whose spectrum a fit asked for scores the
+    grid from it, and one without, as a probe's, from the banded Cholesky
+    factors.
 
     Measured on row-standardized 30 x 30 and 46 x 46 rook lattices (true
     rho in {-0.5, 0, 0.8, 0.95}, seeds 0-5, sem-gau and yj-sem-t data) this
@@ -291,11 +308,12 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
         except SingularityError:
             pass
 
-    # the first point before the fits, as in a full scan: the log-det's
-    # one-off set-up then runs before the 199 fits have grown the heap,
-    # which keeps the process's peak memory that of a full scan
     evaluate(0)
-    half = np.array([0.5 * n * np.log(profile(rho)[1]) for rho in grid])
+    half, err = _gram_half(np.column_stack([X, y]), np.column_stack([WX, Wy]),
+                           grid)
+    # each score ld - half lies in [ld - half_hi, ld - half_lo]; NaN
+    # brackets (a non-finite response) prune nothing
+    half_lo, half_hi = half - err, half + err
     r = np.bincount(W.rows, weights=W.weights, minlength=W.n).max()
     concave = (np.abs(grid) * r < 1.0) & (W.symmetrizer is not None)
     for k in np.flatnonzero(~concave & ~done):
@@ -310,9 +328,9 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
         xs, first = np.unique(np.concatenate([[0.0], grid[known]]),
                               return_index=True)
         fs = np.concatenate([[0.0], ld[known]])[first]
-        reach = np.where(todo, _concave_bound(xs, fs, grid) - half, -np.inf)
-        # NaN once a score is NaN (a non-finite response): nothing is pruned
-        top = np.max(np.where(ok, ld - half, -np.inf))
+        reach = np.where(todo, _concave_bound(xs, fs, grid) - half_lo,
+                         -np.inf)
+        top = np.max(np.where(ok, ld - half_hi, -np.inf))
         j = int(np.argmax(reach))
         if reach[j] < top - delta:
             break
@@ -320,14 +338,57 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
         todo[j] = False
     if not ok.any():
         raise NumericalError("profile likelihood failed on the whole rho grid")
-    score = ld - half
-    best = None
-    for k in np.flatnonzero(ok):
-        if best is None or score[k] > score[best]:
-            best = k
-    # recomputed rather than kept for all 199 points: the same arithmetic
-    # gives the same bits
-    return *profile(grid[best]), grid[best]
+    # the exact score wherever the bracket reaches the best lower end
+    floor = np.max(np.where(ok, ld - half_hi, -np.inf))
+    fits = {k: profile(grid[k])
+            for k in np.flatnonzero(ok & ~(ld - half_lo < floor))}
+    score = {k: ld[k] - 0.5 * n * np.log(fit[1]) for k, fit in fits.items()}
+    best = max(score, key=score.get)   # the first in grid order on a tie
+    return *fits[best], grid[best]
+
+
+def _gram_half(Z: np.ndarray, WZ: np.ndarray, grid: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(n/2) log sigma2_hat(rho) at every rho of the grid from Gram
+    matrices, and a bound on its distance from the least-squares value.
+
+    Z = [X, y] and WZ = W Z. With v = [-beta_hat, 1] the residual sum of
+    squares is v^T G v for G the Gram matrix of Z - rho WZ, and it is
+    stationary in beta_hat, so the solve's error enters only to second
+    order. Let s_j = ||Z_j|| + |rho| ||WZ_j|| and t = sum_j |v_j| s_j; by
+    Cauchy-Schwarz |G_jk| <= s_j s_k. To first order, the rounding of G's
+    inner products and of the quadratic form moves v^T G v by at most
+    (n + 2 p + 5) eps t^2, and the least-squares residual, a sum of n
+    squares of entries computed from p + 1 terms each, is off by at most
+    (n + 2 p + 4) eps t^2 (its rss is at most t^2). So their distance is
+    within e = 4 (n + 2 p + 5) eps t^2, twice the first-order sum to cover
+    the second-order terms. The log then moves by at most e / (rss - e):
+    the bound is infinite where rss <= e, and NaN where the Gram system
+    cannot be solved, so that such points are scored by least squares.
+    """
+    n, q = Z.shape
+    p = q - 1
+    # einsum rather than BLAS products: those would touch OpenBLAS's
+    # packing buffer, which raised a probe's peak memory by 0.5 MB at
+    # n = 2116
+    G0, G1, G2 = (np.einsum("ij,ik->jk", a, b)
+                  for a, b in ((Z, Z), (Z, WZ), (WZ, WZ)))
+    rho = grid[:, None, None]
+    G = G0 - rho * (G1 + G1.T) + (rho * rho) * G2
+    v = np.ones((grid.size, q))
+    try:
+        v[:, :p] = -np.linalg.solve(G[:, :p, :p], G[:, :p, p:])[:, :, 0]
+    except np.linalg.LinAlgError:  # a rank-deficient design somewhere
+        v[:, :p] = np.nan
+    rss = np.einsum("ki,kij,kj->k", v, G, v)
+    s = (np.sqrt(np.diagonal(G0))
+         + np.abs(grid)[:, None] * np.sqrt(np.diagonal(G2)))
+    t = np.sum(np.abs(v) * s, axis=1)
+    e = 4.0 * (n + 2 * p + 5) * np.finfo(float).eps * t * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = 0.5 * n * np.log(np.maximum(rss / n, 1e-12))
+        err = np.where(rss > e, 0.5 * n * e / (rss - e), np.inf)
+    return half, np.where(np.isnan(rss), np.nan, err)
 
 
 def _concave_bound(xs: np.ndarray, fs: np.ndarray, x: np.ndarray
@@ -455,6 +516,8 @@ def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
     data.require_complete()
     layout = layout_full(kind, data)
     rng = np.random.default_rng(config.seed) if rng is None else rng
+    # before the rho grid, which then reuses a spectrum it asks for
+    plan_route(data.W, config.max_iters, config.max_iters)
     lam = init_lambda(kind, data, config, rng=rng)
 
     def target(theta, t):

@@ -9,8 +9,11 @@ Four references are simple compositions of the package's own pieces instead,
 and pin the faster code that replaced them: `ml_init_full_grid`, the rho-grid
 initialization as a full scan of 199 log-dets; `propose_yu` and
 `mh_accept_ratio`, one independence-MH step for one block at a time, against
-which the batched and blocked chains are checked; and `sym_band_scipy`, the
-reverse Cuthill-McKee band of S built with scipy's ordering.
+which the batched and blocked chains are checked; `sym_band_scipy`, the
+reverse Cuthill-McKee band of S built with scipy's ordering; and
+`eigenvalues_eigvalsh`, the eigenvalues of symmetrizable W as they were
+computed before the band route, from a dense S, against which the band
+eigenvalues are checked within a stated bound.
 
 The sparse LU pieces, `a_matrix_scipy`, `perm_sign_csgraph`, `lu_route_splu`
 and `simulate_sem_spsolve`, are the package's code as it was on
@@ -41,6 +44,15 @@ def csr(W):
                          shape=(W.n, W.n)).tocsr()
 
 
+def eigenvalues_eigvalsh(W):
+    """`SpatialWeights.eigenvalues` as it was for W with a symmetrizer:
+    numpy's `eigvalsh` of a dense S with S_ij = sqrt(W_ij W_ji)."""
+    rows, cols, w = W._entries
+    dense = np.zeros((W.n, W.n))
+    dense[rows, cols] = np.sqrt(w * W._reverse)
+    return np.linalg.eigvalsh(dense)
+
+
 def sym_band_scipy(W):
     """`SpatialWeights.sym_band` as it was built on scipy: the lower band of
     S permuted by scipy's reverse_cuthill_mckee(symmetric_mode=True)."""
@@ -48,8 +60,8 @@ def sym_band_scipy(W):
         return None
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    rows, cols, _ = W._entries
-    data = W._symmetric_weights()
+    rows, cols, w = W._entries
+    data = np.sqrt(w * W._reverse)
     keep = data > 0
     s = sp.csr_matrix((data[keep], (rows[keep], cols[keep])),
                       shape=(W.n, W.n))

@@ -185,6 +185,66 @@ class TestFit:
         rows = io.read_summary(out / "summary.csv")
         assert rows[-1][0] == f"yu_{np.flatnonzero(missing)[-1]}"
 
+    def test_manifest_records_the_spectral_route(self, tmp_path,
+                                                 monkeypatch):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        n = 20
+        ring = tmp_path / "ring.csv"   # a directed ring has no symmetrizer
+        ring.write_text(f"# n={n} row_standardized=1\ni,j,w\n" + "".join(
+            f"{i},{(i + 1) % n},1\n" for i in range(n)))
+
+        def route(name, weights=None, iters="30"):
+            args = self.fit_args(sim, tmp_path / name)
+            args[args.index("--max-iters") + 1] = iters
+            if weights is not None:
+                args[args.index("--weights") + 1] = str(weights)
+            assert main(args) == 0
+            manifest = io.read_keyvalues(tmp_path / name / "manifest.txt")
+            return manifest["spectral_route"]
+
+        assert route("spectrum") == "band-eigen"
+        assert route("probe", iters="0") == "cholesky+lu"
+        assert route("dense", weights=ring) == "dense-eigen"
+        from semvb import spatial
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        assert route("lu", weights=ring) == "lu"
+        monkeypatch.setattr(spatial, "_DSBEVD_S", float("inf"))
+        assert route("factored") == "cholesky+lu"
+
+    def test_no_stage_forms_a_dense_eigenproblem(self, tmp_path,
+                                                 monkeypatch):
+        # every stage on symmetrizable W, with numpy's dense eigensolvers
+        # refused: the spectrum comes from the band
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        sim, amp = tmp_path / "sim", tmp_path / "amp"
+        run_simulate(sim)
+        assert main(["amputate", "--data", str(sim / "dataset.csv"),
+                     "--seed", "5", "--out-dir", str(amp)]) == 0
+        fits = {"vb": (sim / "dataset.csv", ()),
+                "hvb": (amp / "amputated.csv", ("--n1", "2"))}
+        for method, (data, extra) in fits.items():
+            for iters in ("0", "30"):
+                out = tmp_path / f"{method}{iters}"
+                args = self.fit_args(sim, out, method=method, data=data,
+                                     extra=extra)
+                args[args.index("--max-iters") + 1] = iters
+                assert main(args) == 0
+                manifest = io.read_keyvalues(out / "manifest.txt")
+                assert manifest["spectral_route"] == (
+                    "band-eigen" if iters == "30" else "cholesky+lu")
+                assert main(["dic", "--data", str(data),
+                             "--weights", str(sim / "weights.csv"),
+                             "--models", f"sem-gau={out / 'samples.csv'}",
+                             "--out-dir", str(tmp_path / f"dic{method}"
+                                              f"{iters}")]) == 0
+        assert main(["summarize", "--samples", str(out / "samples.csv"),
+                     "--out-dir", str(tmp_path / "sum")]) == 0
+
     def test_fit_reproducible_bytes(self, tmp_path):
         sim = tmp_path / "sim"
         run_simulate(sim)
@@ -629,6 +689,7 @@ class TestDic:
         from semvb.model_select import (joint_loglik_fn, joint_logprior_fn,
                                         phi_loglik_fn, phi_logprior_fn)
         from semvb.models import Priors
+        from semvb.spatial import plan_route
         sim, amp, full, miss = self.make_fits(tmp_path)
         W = io.read_weights(sim / "weights.csv")
         kind = ModelKind.SEM_GAU
@@ -637,6 +698,8 @@ class TestDic:
             y, X, Xstar = io.read_dataset(data_path)
             data = Dataset(y=y, X=X, W=W, Xstar=Xstar)
             samples, _ = io.read_samples(fit / "samples.csv")
+            # the log-det route that `semvb dic` plans for these draws
+            plan_route(W, samples.n_draws + 1)
             out = tmp_path / "dic" / fit.name
             assert self.dic_rc(data_path, sim,
                                f"sem-gau={fit / 'samples.csv'}", out) == 0
@@ -764,14 +827,15 @@ class TestExitCodes:
 
 # Runs each argv list through cli.main in a fresh interpreter and prints, as
 # one JSON line after each, the watched modules loaded so far: those named,
-# and their submodules. A cap, when given, replaces spatial._EIGEN_MAX_N
-# before the first command runs.
+# and their submodules. The given constants of spatial (the eigen cap, the
+# budget rule's costs) are set before the first command runs.
 _MODULES_AFTER_EACH = """
 import json, sys
-argvs, watched, cap = json.loads(sys.argv[1])
-if cap is not None:
+argvs, watched, constants = json.loads(sys.argv[1])
+if constants:
     import semvb.spatial
-    semvb.spatial._EIGEN_MAX_N = cap
+    for name, value in constants.items():
+        setattr(semvb.spatial, name, value)
 from semvb.cli import main
 for argv in argvs:
     assert main(argv) == 0, argv
@@ -783,10 +847,10 @@ for argv in argvs:
 _FIT_MODULES = ("semvb.variational", "semvb.hvb")
 
 
-def _modules_after_each(argvs, watched=("scipy",), cap=None):
+def _modules_after_each(argvs, watched=("scipy",), constants=None):
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER_EACH,
-         json.dumps([argvs, watched, cap])],
+         json.dumps([argvs, watched, constants])],
         capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()
@@ -823,8 +887,9 @@ class TestImports:
         assert loaded == []
 
     def test_fit_and_dic_skip_scipy_special(self, tmp_path):
-        # below the eigen cap a vb fit and its DIC factor nothing, so they
-        # load no scipy module at all, nor the LAPACK wrapper
+        # on this small W the spectrum pays for a fit's two iterations and
+        # for the DIC's six log-dets: band eigenvalues from the LAPACK
+        # wrapper, loaded by file, and no scipy module at all
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "yj-sem-t", "--lattice-rows", "4",
               "--lattice-cols", "5", "--n-covariates", "2",
@@ -838,13 +903,14 @@ class TestImports:
              "--weights", str(sim / "weights.csv"),
              "--models", f"yj-sem-t={fit / 'samples.csv'}",
              "--out-dir", str(tmp_path / "dic")]],
-            watched=("scipy", "semvb._flapack"))
-        assert after == [[], []]
+            watched=("scipy", "semvb._flapack", "semvb._superlu"))
+        assert after == [["semvb._flapack"], ["semvb._flapack"]]
 
     def test_past_cap_probe_and_dic_load_no_scipy(self, tmp_path):
-        # past the cap, on W with a symmetrizer, the log-dets of the rho-grid
-        # initialization and of DIC are banded Cholesky factors of an RCM
-        # band; only a fit that iterates needs the sparse LU of the trace
+        # with the spectrum kept off, on W with a symmetrizer, the log-dets
+        # of the rho-grid initialization and of DIC are banded Cholesky
+        # factors of an RCM band; only a fit that iterates needs the sparse
+        # LU of the trace
         sim = tmp_path / "sim"
         run_simulate(sim)
         data = ["--data", str(sim / "dataset.csv"),
@@ -857,7 +923,8 @@ class TestImports:
              "--out-dir", str(tmp_path / "dic")],
             ["fit", *data, "--kind", "yj-sem-gau", "--max-iters", "2",
              "--n-draws", "5", "--out-dir", str(tmp_path / "fit")]],
-            watched=("scipy", "semvb._flapack", "semvb._superlu"), cap=0)
+            watched=("scipy", "semvb._flapack", "semvb._superlu"),
+            constants={"_EIGEN_MAX_N": 0, "_DSBEVD_S": float("inf")})
         assert after[0] == after[1] == ["semvb._flapack"]
         assert after[2] == ["semvb._flapack", "semvb._superlu"]
 
@@ -879,7 +946,8 @@ class TestImports:
              "--n-draws", "5", "--out-dir", str(tmp_path / "fit")],
             ["dic", *data, "--models", f"yj-sem-gau={probe / 'samples.csv'}",
              "--out-dir", str(tmp_path / "dic")]],
-            watched=("scipy", "semvb._flapack", "semvb._superlu"), cap=0)
+            watched=("scipy", "semvb._flapack", "semvb._superlu"),
+            constants={"_EIGEN_MAX_N": 0})
         assert after == [["semvb._superlu"]] * 3
 
     def test_summarize_loads_no_scipy(self, tmp_path):

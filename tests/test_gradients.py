@@ -14,7 +14,7 @@ from semvb.models import ModelKind, Priors, link_inverse
 from semvb.transforms import gamma_link
 
 from oracles import fd_derivative, fd_gradient
-from util import ALL_KINDS, random_instance
+from util import ALL_KINDS, random_instance, with_spectrum
 
 
 class TestFullDataFD:
@@ -117,21 +117,26 @@ class TestMissingDataFD:
         assert g[layout.psi_y] > 0
 
 
+def on_route(W, factored: bool):
+    """W on the factorization route, or with its spectrum computed."""
+    if not factored:
+        with_spectrum(W)
+    assert spatial.plan_route(W) == ("cholesky+lu" if factored
+                                     else "band-eigen")
+
+
 class TestFusedValue:
     """The value half of the fused pass is log h as the likelihood module
-    assembles it, on the eigen route and past the cap."""
+    assembles it, from W's spectrum and from its factorizations."""
 
-    @pytest.mark.parametrize("past_cap", [False, True])
+    @pytest.mark.parametrize("factored", [False, True])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_full_value_is_loglik_plus_prior(self, kind, past_cap,
-                                             monkeypatch):
-        if past_cap:
-            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+    def test_full_value_is_loglik_plus_prior(self, kind, factored):
         pri = Priors()
         for seed in range(3):
             inst = random_instance(kind, seed=40 + seed)
             d, layout, theta = inst["data"], inst["layout"], inst["theta"]
-            assert (d.W.eigenvalues is None) == past_cap
+            on_route(d.W, factored)
             params, tau, _ = link_inverse(kind, layout, theta)
             want = (lk.loglik(kind, d, params, tau)
                     + lk.log_prior(layout, theta, pri))
@@ -141,16 +146,14 @@ class TestFusedValue:
             np.testing.assert_array_equal(
                 g, gr.grad_log_h_full(kind, d, theta, pri)[0])
 
-    @pytest.mark.parametrize("past_cap", [False, True])
+    @pytest.mark.parametrize("factored", [False, True])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_missing_value_adds_log_p_m(self, kind, past_cap, monkeypatch):
-        if past_cap:
-            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+    def test_missing_value_adds_log_p_m(self, kind, factored):
         pri = Priors()
         for seed in range(3):
             inst = random_instance(kind, seed=50 + seed, missing_frac=0.25)
             d, layout, theta = inst["data"], inst["layout"], inst["theta"]
-            assert (d.W.eigenvalues is None) == past_cap
+            on_route(d.W, factored)
             y_u = inst["y_u"]
             params, tau, psi = link_inverse(kind, layout, theta)
             yc = d.complete(y_u)

@@ -86,6 +86,18 @@ class TestPerDrawLogliks:
                              np.arange(4.0)[:, None])
         assert err.value.iteration == 2
 
+    def test_missing_or_ragged_block_is_a_dimension_error(self):
+        phi = np.zeros((3, 2))
+
+        def fn(*rows):
+            raise AssertionError("no draw is scored")
+
+        with pytest.raises(DimensionError, match="present"):
+            per_draw_logliks(fn, phi, None, None)  # no psi or y_u blocks
+        for short in (np.zeros((2, 1)), np.zeros((4, 1))):
+            with pytest.raises(DimensionError, match="one row per draw"):
+                per_draw_logliks(fn, phi, short)
+
 
 class TestDic1:
     def test_point_mass(self):

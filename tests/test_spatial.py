@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from semvb.errors import DimensionError, DomainError, SingularityError
+from semvb.errors import (DimensionError, DomainError, NumericalError,
+                          SingularityError)
 from semvb.models import ModelKind, ModelParams
 from semvb import spatial
 
-from oracles import (csr, dense_M, fd_derivative, lu_route_splu,
-                     perm_sign_csgraph, schur_conditional,
+from oracles import (csr, dense_M, eigenvalues_eigvalsh, fd_derivative,
+                     lu_route_splu, perm_sign_csgraph, schur_conditional,
                      simulate_sem_spsolve, sym_band_scipy)
+from util import with_spectrum
 
 
 def two_node_raw() -> spatial.SpatialWeights:
@@ -199,7 +201,7 @@ class TestLogdet:
             assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-10)
 
     def test_splu_path_matches_eigen_path(self):
-        W = spatial.build_rook_lattice(6, 7)
+        W = with_spectrum(spatial.build_rook_lattice(6, 7))
         for rho in (-0.7, 0.2, 0.9):
             logdet, sign, trace = spatial._lu_route(W, rho)
             assert sign == 1
@@ -218,21 +220,20 @@ class TestLogdet:
             spatial._lu_route(W, 0.5)
         assert spatial._lu_route(W, 0.6)[1] == -1  # logdet_A rejects it
 
-    def test_indefinite_past_cap_takes_lu_value(self, monkeypatch):
+    def test_indefinite_past_cap_takes_lu_value(self):
         # two disjoint pairs with weight 2: eigenvalues 2, 2, -2, -2, so
         # I - 0.6 S is indefinite but det(A) = 0.04 * 4.84 > 0
         def make():
             return spatial.SpatialWeights(n=4, rows=[0, 1, 2, 3],
                                           cols=[1, 0, 3, 2],
                                           weights=[2.0, 2.0, 2.0, 2.0])
-        W_eig, rho = make(), 0.6
+        W_eig, rho = with_spectrum(make()), 0.6
         dense = csr(W_eig).toarray()
         A = np.eye(4) - rho * dense
         sign, ld = np.linalg.slogdet(A)
         assert sign > 0 and ld == pytest.approx(np.log(0.1936), abs=1e-12)
-        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 1)
         W = make()
-        assert W.eigenvalues is None and W.sym_band is not None
+        assert spatial.plan_route(W) == "cholesky+lu"
         assert spatial._banded_cholesky(W, rho) is None
         assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-12)
         assert spatial.logdet_A(W, rho) == pytest.approx(
@@ -373,24 +374,29 @@ class TestSymmetrizer:
         np.testing.assert_allclose(np.sort(W.eigenvalues), general, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIZABLE))
-    def test_eigenvalues_bit_for_bit_scipy_form(self, name):
+    def test_eigenvalues_match_eigvalsh_oracle(self, name):
+        # the band and dense reductions round differently; measured on
+        # row-standardized lattices up to n = 2116 they differ by 5.1e-15
         W = SYMMETRIZABLE[name][0]()
+        want = eigenvalues_eigvalsh(W)
         s = csr(W).multiply(csr(W).T.tocsr()).sqrt().toarray()
-        assert W.eigenvalues.tobytes() == np.linalg.eigvalsh(s).tobytes()
+        assert want.tobytes() == np.linalg.eigvalsh(s).tobytes()
+        assert W.eigenvalues.shape == want.shape
+        assert np.max(np.abs(W.eigenvalues - want)) <= 1e-13
 
 
 class TestBandedRoute:
-    """Past the eigen cap, lowered here below n, for symmetrizable W."""
+    """Symmetrizable W without its spectrum: the banded Cholesky log-det
+    and the complex-step LU trace."""
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIZABLE))
-    def test_matches_eigen_route(self, name, monkeypatch):
+    def test_matches_eigen_route(self, name):
         make, rhos = SYMMETRIZABLE[name]
-        W_eig = make()
+        W_eig = with_spectrum(make())
         expected = [(spatial.logdet_A(W_eig, r), spatial.trace_AinvW(W_eig, r))
                     for r in rhos]
-        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
         W = make()
-        assert W.eigenvalues is None and W.sym_band is not None
+        assert spatial.plan_route(W) == "cholesky+lu"
         for rho, (ld, tr) in zip(rhos, expected):
             assert spatial._banded_cholesky(W, rho) is not None
             assert spatial.logdet_A(W, rho) == pytest.approx(ld, abs=1e-10)
@@ -414,16 +420,15 @@ class TestBandedRoute:
         assert spatial._banded_cholesky(B, 0.5) is None
         assert spatial._banded_cholesky(B, 0.2) is not None
 
-    def test_trace_is_derivative_of_logdet(self, monkeypatch):
-        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+    def test_trace_is_derivative_of_logdet(self):
         W = spatial.build_rook_lattice(6, 5)
+        assert spatial.plan_route(W) == "cholesky+lu"
         for rho in (-0.6, 0.3, 0.85):
             fd = fd_derivative(lambda r: spatial.logdet_A(W, r), rho, h=1e-6)
             assert -fd == pytest.approx(spatial.trace_AinvW(W, rho), rel=1e-6)
 
-    def test_not_positive_definite_falls_back(self, monkeypatch):
+    def test_not_positive_definite_falls_back(self):
         # eigenvalues of W are +-2: I - 0.6 S is indefinite and det < 0
-        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 1)
         W = spatial.SpatialWeights(n=2, rows=[0, 1], cols=[1, 0],
                                    weights=[2.0, 2.0])
         assert spatial._banded_cholesky(W, 0.6) is None
@@ -433,6 +438,108 @@ class TestBandedRoute:
             spatial.logdet_A(W, 0.5)  # exactly singular
         with pytest.raises(SingularityError):
             spatial.trace_AinvW(W, 0.5)
+
+
+def route_cases(monkeypatch):
+    """A weight matrix on each route, named by `plan_route`."""
+    yield "band-eigen", with_spectrum(spatial.build_rook_lattice(5, 4))
+    yield "cholesky+lu", spatial.build_rook_lattice(5, 4)
+    yield "dense-eigen", reversed_ratio_lattice()
+    monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+    yield "lu", reversed_ratio_lattice()
+
+
+# (lattice side, planned log-dets, planned traces, whether the spectrum
+# pays) for the stages of the benchmark and for a long fit
+STAGE_PLANS = {
+    "t900 fit, 600 iterations": (30, 600, 600, True),
+    "nob fit, 200 iterations": (25, 200, 200, True),
+    "probe": (30, 0, 0, False),
+    "t900 dic, 100 draws": (30, 101, 0, False),
+    "nob dic, 50 draws": (25, 51, 0, False),
+    "allb dic, 5 draws": (25, 6, 0, False),
+    "allb fit, 5 iterations": (25, 5, 5, False),
+    "gau2116 fit, 2 iterations": (46, 2, 2, False),
+    "100 x 100 fit at the CLI defaults": (100, 10000, 10000, True),
+    "5 x 5 allb fit, 15 iterations": (5, 15, 15, True),
+}
+
+
+class TestRoutes:
+    """Each log-det and trace route, and the budget rule that picks one."""
+
+    def test_names(self, monkeypatch):
+        for name, W in route_cases(monkeypatch):
+            assert spatial.plan_route(W) == name
+
+    def test_trace_is_derivative_of_logdet_on_each_route(self, monkeypatch):
+        for name, W in route_cases(monkeypatch):
+            for rho in (-0.6, 0.3, 0.85):
+                fd = fd_derivative(lambda r: spatial.logdet_A(W, r), rho,
+                                   h=1e-6)
+                tr = spatial.trace_AinvW(W, rho)
+                assert -fd == pytest.approx(tr, rel=1e-6), name
+            assert spatial.plan_route(W) == name
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_PLANS))
+    def test_stage_plans(self, stage):
+        side, n_logdets, n_traces, pays = STAGE_PLANS[stage]
+        W = spatial.build_rook_lattice(side, side)
+        b = W.sym_band.shape[0] - 1
+        assert spatial._spectrum_pays(W.n, b, n_logdets, n_traces) == pays
+
+    def test_plan_computes_the_spectrum_only_when_it_pays(self):
+        W = spatial.build_rook_lattice(25, 25)
+        assert spatial.plan_route(W, 5, 5) == "cholesky+lu"
+        assert spatial.plan_route(W, 51) == "cholesky+lu"
+        assert "eigenvalues" not in vars(W)
+        assert spatial.plan_route(W, 200, 200) == "band-eigen"
+        lam = vars(W)["eigenvalues"]
+        # once computed the spectrum serves every later plan
+        assert spatial.plan_route(W) == "band-eigen"
+        assert W.eigenvalues is lam
+
+    def test_rule_constants(self, monkeypatch):
+        monkeypatch.setattr(spatial, "_DSBEVD_S", 0.0)
+        assert spatial.plan_route(spatial.build_rook_lattice(9, 9), 1) \
+            == "band-eigen"
+        monkeypatch.setattr(spatial, "_DSBEVD_S", np.inf)
+        assert spatial.plan_route(spatial.build_rook_lattice(5, 5),
+                                  10 ** 9, 10 ** 9) == "cholesky+lu"
+
+    def test_band_eigen_past_the_cap(self, monkeypatch):
+        # the cap bounds only the dense eigenvalues of W without a
+        # symmetrizer
+        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 4)
+        W = spatial.build_rook_lattice(6, 7)
+        assert W.eigenvalues.shape == (42,)
+        assert spatial.plan_route(W) == "band-eigen"
+        np.testing.assert_allclose(W.eigenvalues, eigenvalues_eigvalsh(W),
+                                   rtol=0, atol=1e-13)
+
+    def test_band_eigen_forms_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigen solver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        W = spatial.build_rook_lattice(8, 9)
+        band = W.sym_band.copy()
+        assert spatial.plan_route(W, 10 ** 6) == "band-eigen"
+        assert spatial.logdet_A(W, 0.5) < 0.0
+        # dsbevd destroys its input unless told not to; the cached band
+        # stays as it was
+        assert W.sym_band.tobytes() == band.tobytes()
+
+    def test_dsbevd_failure_raises(self, monkeypatch):
+        class Failing:
+            @staticmethod
+            def dsbevd(ab, **kwargs):
+                return np.zeros(ab.shape[1]), np.zeros((1, 1)), 3
+
+        monkeypatch.setattr(spatial, "_flapack", lambda: Failing)
+        with pytest.raises(NumericalError, match="info = 3"):
+            spatial.build_rook_lattice(3, 3).eigenvalues
 
 
 def random_components(seed: int) -> spatial.SpatialWeights:

@@ -14,7 +14,7 @@ from semvb.simulate import make_design, simulate_sem
 from semvb.spatial import SpatialWeights, build_rook_lattice
 
 from oracles import ml_init_full_grid
-from util import random_instance
+from util import random_instance, with_spectrum
 
 
 def small_lam(seed=0, s=4, p=2) -> vb.VariationalParams:
@@ -277,12 +277,15 @@ class TestMlInit:
 
     @pytest.mark.parametrize("capped", [False, True])
     def test_row_standardized_small(self, capped, monkeypatch):
-        if capped:
-            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 0)
+        # capped: the log-dets from banded Cholesky factors, else from the
+        # spectrum
         calls = count_logdets(monkeypatch)
         for kind, side, rho, seed in ROW_STANDARDIZED:
             data = sem_data(kind, side, rho, seed)
-            assert (data.W.eigenvalues is None) == capped
+            if not capped:
+                with_spectrum(data.W)
+            assert spatial.plan_route(data.W) == ("cholesky+lu" if capped
+                                                  else "band-eigen")
             del calls[:]
             got = vb._ml_init(data)
             assert 1 <= len(calls) <= 15
@@ -326,8 +329,13 @@ class TestMlInit:
 
     @pytest.mark.parametrize("capped", [False, True])
     def test_missing_responses(self, capped, monkeypatch):
-        if capped:
-            monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 0)
+        # the grid runs on the observed sites' W; unless capped, each
+        # restriction comes with its spectrum
+        if not capped:
+            restrict = SpatialWeights.restrict
+            monkeypatch.setattr(SpatialWeights, "restrict",
+                                lambda W, sites: with_spectrum(
+                                    restrict(W, sites)))
         calls = count_logdets(monkeypatch)
         for seed in range(3):
             data = sem_data(ModelKind.YJ_SEM_GAU, 12, 0.6, seed, missing=0.3)
@@ -361,6 +369,46 @@ class TestMlInit:
             assert_same_init(vb._ml_init(at(t)), want)
             picks.add(want[2])
         assert len(picks) == 2
+
+    def test_gram_scores_bracket_least_squares(self, monkeypatch):
+        # at every grid point the Gram profile term lies within its bound
+        # of the least-squares one, so least squares runs near the pick only
+        lstsq = np.linalg.lstsq
+        grid = np.linspace(-0.99, 0.99, 199)
+        fits = []
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return lstsq(*args, **kwargs)
+
+        for kind, side, rho, seed in ROW_STANDARDIZED:
+            data = sem_data(kind, side, rho, seed)
+            y, X, n = data.y, data.X, data.y.size
+            Wy, WX = data.W.matvec(y), data.W.matvec(X)
+            half, err = vb._gram_half(np.column_stack([X, y]),
+                                      np.column_stack([WX, Wy]), grid)
+            assert np.all(err < 1e-6)
+            for k, r in enumerate(grid):
+                ay, ax = y - r * Wy, X - r * WX
+                resid = ay - ax @ lstsq(ax, ay, rcond=None)[0]
+                want = 0.5 * n * np.log(max(float(resid @ resid) / n, 1e-12))
+                assert abs(half[k] - want) <= err[k]
+            want = ml_init_full_grid(fresh(data))
+            monkeypatch.setattr(np.linalg, "lstsq", counting)
+            del fits[:]
+            got = vb._ml_init(data)
+            monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+            assert_same_init(got, want)
+            assert 1 <= len(fits) <= 2
+
+    def test_singular_gram_scores_by_least_squares(self):
+        # a zero column makes every Gram system singular: the scan falls
+        # back to least squares at every point, which copes with it
+        data = sem_data(ModelKind.SEM_GAU, 6, 0.4, 12)
+        X = np.column_stack([data.X, np.zeros(data.n)])
+        data = Dataset(y=data.y, X=X, W=data.W)
+        got = vb._ml_init(data)
+        assert_same_init(got, ml_init_full_grid(data))
 
     def test_exact_tie_keeps_first_point(self):
         # with no weights every grid point has the same score, bit for bit
@@ -455,22 +503,24 @@ class TestVbFit:
 
     @pytest.mark.parametrize("kind", [ModelKind.SEM_GAU, ModelKind.YJ_SEM_T])
     def test_banded_route_fit_matches_eigen_route(self, kind, monkeypatch):
-        # the whole fit with the eigen cap lowered below n: the log-det runs
-        # on the banded Cholesky and the trace on the complex-step LU.
-        # Measured max |mu_band - mu_eigen| over seeds 0-2, 300 and 1000
-        # iterations, both kinds: 2.1e-14, against entries of size about 2.
-        # The routes differ only in rounding, about 1e-15 relative, and the
-        # ADADELTA steps carry it without amplifying it this far; 1e-12
-        # leaves a 50-fold margin.
+        # the whole fit with the spectrum kept off: the log-det runs on the
+        # banded Cholesky and the trace on the complex-step LU.
+        # Measured max |mu_band - mu_eigen| over fit seeds 0-2, both kinds:
+        # 2.0e-15 at 300 iterations and 6.1e-13 at 1000, against entries of
+        # size about 2. The routes differ only in rounding, about 1e-15
+        # relative, and the ADADELTA steps carry it without amplifying it
+        # much in 300 steps; 1e-12 leaves a 500-fold margin there.
         data = sem_data(kind, 8, 0.6, 2)
         cfg = vb.FitConfig(max_iters=300, seed=2)
         init = vb._ml_init(data)
         eig = vb.vb_fit(kind, data, Priors(), cfg)
-        monkeypatch.setattr(spatial, "_EIGEN_MAX_N", 0)
+        assert spatial.plan_route(data.W) == "band-eigen"
+        # a spectrum that never pays keeps the fit on the factorizations
+        monkeypatch.setattr(spatial, "_DSBEVD_S", np.inf)
         banded = fresh(data)
         assert_same_init(vb._ml_init(banded), init)
-        assert banded.W.eigenvalues is None
         band = vb.vb_fit(kind, banded, Priors(), cfg)
+        assert spatial.plan_route(banded.W) == "cholesky+lu"
         np.testing.assert_allclose(band.lam.mu, eig.lam.mu, rtol=0, atol=1e-12)
 
     def test_missing_data_rejected(self):

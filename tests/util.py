@@ -76,5 +76,12 @@ def random_instance(kind: ModelKind, seed: int, lattice=(4, 4),
     }
 
 
+def with_spectrum(W):
+    """W with its band spectrum computed, which then serves every log-det
+    and trace on it (`spatial.plan_route`)."""
+    assert W.eigenvalues is not None
+    return W
+
+
 ALL_KINDS = [ModelKind.SEM_GAU, ModelKind.SEM_T,
              ModelKind.YJ_SEM_GAU, ModelKind.YJ_SEM_T]
