@@ -9,12 +9,20 @@ reader and writer come from `keyvalues`, which needs no numpy.
 
 Each CSV artifact declares its columns once, as (name, type) pairs. A type
 is float, int or str, or `float | None` / `int | None`, whose empty cell is
-None. One codec formats and parses every cell a whole column at a time.
+None; an int cell must fit in int64. One codec formats and parses every
+table in chunks of _CHUNK_CELLS cells (whole rows), so that neither a
+reader nor a writer holds more than one chunk of cells as Python objects:
+a reader's memory is bounded by the arrays it returns. A reader converts a
+chunk's float and int columns with `np.array(cells, dtype=...)`, which
+accepts and rounds exactly as `float()` and `int()` do, and names a refused
+cell by its row in the file.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
+from itertools import chain, islice
 from types import UnionType
 from typing import TYPE_CHECKING
 
@@ -37,6 +45,9 @@ __all__ = [
     "write_lambda", "read_lambda", "write_summary", "read_summary",
 ]
 
+# cells per chunk that a reader parses or a writer formats at a time
+_CHUNK_CELLS = 4096
+
 _WEIGHTS = (("i", int), ("j", int), ("w", float))
 _TRACE = (("iter", int), ("param_name", str), ("value", float))
 _ACCEPTANCE = (("iter", int), ("block", int), ("accepts", int),
@@ -55,6 +66,10 @@ def _cell_type(column_type) -> tuple[type, bool]:
     return column_type, False
 
 
+def _dtype(base: type):
+    return np.int64 if base is int else float
+
+
 def _column_cells(column_type, values) -> list:
     """values as the Python objects that csv writes as the column's cells.
 
@@ -70,74 +85,142 @@ def _column_cells(column_type, values) -> list:
 
 
 def _write_table(path, columns, data, head: str = "") -> None:
-    """Write one sequence of values per (name, type) column, after head."""
-    cells = [_column_cells(t, values) for (_, t), values in zip(columns, data)]
+    """Write the (name, type) columns' values after head, in row chunks.
+
+    data holds one sequence of values per column, or a 2-D array in place
+    of as many adjacent columns of one numeric type as it has columns. Each
+    chunk of _CHUNK_CELLS cells is formatted and written before the next.
+    """
+    n = len(data[0]) if len(data) else 0
+    step = max(1, _CHUNK_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as f:
         f.write(head)
         w = csv.writer(f, lineterminator="\n")
         w.writerow([name for name, _ in columns])
-        w.writerows(zip(*cells))
+        for a in range(0, n, step):
+            cells, j = [], 0
+            for values in data:
+                if isinstance(values, np.ndarray) and values.ndim == 2:
+                    base = _cell_type(columns[j][1])[0]
+                    cells += np.asarray(values[a:a + step],
+                                        dtype=base).T.tolist()
+                    j += values.shape[1]
+                else:
+                    cells.append(_column_cells(columns[j][1],
+                                               values[a:a + step]))
+                    j += 1
+            w.writerows(zip(*cells))
 
 
-def _parse_column(path, name: str, column_type, cells, line: int | None
-                  ) -> list:
-    """The values of one column's cells, the first of which is on `line`.
+def _parse_column(path, name: str, column_type, cells, line: int | None):
+    """The values of one column's cells, the first of which is on `line`:
+    an int64 or float array, or a list for a str or optional column (None
+    for an empty cell).
 
-    A refused cell raises DataFormatError naming path, the row and the
-    column; with line None (a cell outside the table) it names `name` only.
+    A refused cell, an int outside int64 included, raises DataFormatError
+    naming path, the row and the column; with line None (a cell outside
+    the table) it names `name` only.
     """
     base, optional = _cell_type(column_type)
     if base is str:
         return list(cells)
+    dtype = _dtype(base)
     try:
         if optional:
-            return [None if c == "" else base(c) for c in cells]
-        return list(map(base, cells))
-    except ValueError:
+            given = iter(np.array([c for c in cells if c],
+                                  dtype=dtype).tolist())
+            return [next(given) if c else None for c in cells]
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
         for k, c in enumerate(cells):
             try:
                 if c or not optional:
-                    base(c)
-            except ValueError:
+                    np.array(c, dtype=dtype)
+            except (ValueError, OverflowError):
                 where = (f"row {line + k}, column {name}: bad"
                          if line is not None else f"bad {name}")
                 raise DataFormatError(f"{path}: {where} value {c!r}") from None
         raise
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_rows(path) -> Iterator[list[str]]:
+    """The csv rows of path, read as they are consumed."""
     try:
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+            rows = csv.reader(f)
+            first = next(rows, None)
+            if first is None:
+                raise DataFormatError(f"{path}: empty file")
+            yield first
+            yield from rows
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    return rows
 
 
-def _parse(path, columns, rows, line: int = 1) -> list[list]:
-    """One list of values per column of a table whose header is on `line`.
+def _runs(columns) -> list[tuple[int, int]]:
+    """(start, stop) of each run of adjacent columns of one type."""
+    starts = [j for j, (_, t) in enumerate(columns)
+              if j == 0 or t != columns[j - 1][1]]
+    return list(zip(starts, starts[1:] + [len(columns)]))
 
-    rows[0] must be the columns' header and every later row must have one
-    cell per column.
+
+def _parse_run(path, columns, cells, line: int):
+    """One chunk of a run of columns of one type, as one tuple of cells per
+    column: a (columns, rows) array for float or int, else one list each."""
+    base, optional = _cell_type(columns[0][1])
+    if base is str or optional:
+        return [_parse_column(path, name, t, col, line)
+                for (name, t), col in zip(columns, cells)]
+    try:
+        return np.array(cells, dtype=_dtype(base))
+    except (ValueError, OverflowError):
+        for (name, t), col in zip(columns, cells):
+            _parse_column(path, name, t, col, line)
+        raise
+
+
+def _parse(path, columns, rows, line: int = 1) -> list:
+    """The values of each column of the table that rows yields, header
+    first, with the header on `line`.
+
+    The header must be the columns' names and every later row must have one
+    cell per column. Rows are parsed in chunks of _CHUNK_CELLS cells: a
+    float or int column comes back as a 1-D float or int64 array, a str or
+    optional column as a list (None for an empty cell).
     """
     names = [name for name, _ in columns]
-    if not rows or rows[0] != names:
-        got = ",".join(rows[0]) if rows else ""
+    header = next(rows, None)
+    if header != names:
+        got = ",".join(header) if header is not None else ""
         raise DataFormatError(f"{path}: expected header {','.join(names)!r}, "
                               f"got {got!r}")
-    body = rows[1:]
-    for k, row in enumerate(body):
-        if len(row) != len(names):
-            raise DataFormatError(f"{path}: row {line + 1 + k} has "
-                                  f"{len(row)} cells, expected {len(names)}")
-    cells = list(zip(*body)) if body else [()] * len(names)
-    return [_parse_column(path, name, t, col, line + 1)
-            for (name, t), col in zip(columns, cells)]
+    runs = _runs(columns)
+    chunks = [[] for _ in runs]
+    step = max(1, _CHUNK_CELLS // max(1, len(names)))
+    first = line + 1
+    while body := list(islice(rows, step)):
+        for k, row in enumerate(body):
+            if len(row) != len(names):
+                raise DataFormatError(f"{path}: row {first + k} has "
+                                      f"{len(row)} cells, expected "
+                                      f"{len(names)}")
+        cells = list(zip(*body))
+        for (a, b), parts in zip(runs, chunks):
+            parts.append(_parse_run(path, columns[a:b], cells[a:b], first))
+        first += len(body)
+    values = []
+    for (a, b), parts in zip(runs, chunks):
+        base, optional = _cell_type(columns[a][1])
+        if base is str or optional:
+            values += [list(chain.from_iterable(part[j] for part in parts))
+                       for j in range(b - a)]
+        else:
+            values += list(np.concatenate(parts, axis=1) if parts
+                           else np.empty((b - a, 0), dtype=_dtype(base)))
+    return values
 
 
-def _read_table(path, columns) -> list[list]:
+def _read_table(path, columns) -> list:
     return _parse(path, columns, _read_rows(path))
 
 
@@ -146,10 +229,13 @@ def _dataset_columns(n_x: int, n_s: int):
             *((f"xs{j + 1}", float) for j in range(n_s)))
 
 
-def _matrix(columns: list[list], n: int) -> np.ndarray:
-    """The columns of n values side by side as a C-ordered float matrix."""
-    return np.ascontiguousarray(
-        np.array(columns, dtype=float).reshape(len(columns), n).T)
+def _matrix(columns, n: int) -> np.ndarray:
+    """The columns of n values (a scalar fills its column) side by side as a
+    C-ordered float matrix."""
+    out = np.empty((n, len(columns)))
+    for j, column in enumerate(columns):
+        out[:, j] = column
+    return out
 
 
 def write_dataset(path, y: np.ndarray, X: np.ndarray,
@@ -175,22 +261,25 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     hold a finite number, so `inf`, `-inf` and `nan` raise DataFormatError.
     """
     rows = _read_rows(path)
-    n_x = sum(1 for h in rows[0] if h.startswith("x")
+    header = next(rows)
+    n_x = sum(1 for h in header if h.startswith("x")
               and not h.startswith("xs"))
-    n_s = sum(1 for h in rows[0] if h.startswith("xs"))
-    y_cells, *cols = _parse(path, _dataset_columns(n_x, n_s), rows)
+    n_s = sum(1 for h in header if h.startswith("xs"))
+    y_cells, *cols = _parse(path, _dataset_columns(n_x, n_s),
+                            chain([header], rows))
     y = np.array(y_cells, dtype=float)
     n = y.size
-    X = _matrix([[1.0] * n, *cols[:n_x]], n)
-    Xs = _matrix([[1.0] * n, *cols[n_x:]], n) if n_s else None
+    X = _matrix([1.0, *cols[:n_x]], n)
+    Xs = _matrix([1.0, *cols[n_x:]], n) if n_s else None
     given = np.array([v is not None for v in y_cells], dtype=bool)
     values = np.hstack([np.where(given, y, 0.0)[:, None], X[:, 1:],
                         *([Xs[:, 1:]] if n_s else [])])
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        raise DataFormatError(f"{path}: row {i + 2}, column {rows[0][j]}: "
-                              f"non-finite value {rows[i + 1][j]!r}")
+        cell = next(islice(_read_rows(path), i + 1, None))[j]
+        raise DataFormatError(f"{path}: row {i + 2}, column {header[j]}: "
+                              f"non-finite value {cell!r}")
     return y, X, Xs
 
 
@@ -205,19 +294,17 @@ def write_weights(path, W: SpatialWeights) -> None:
 def read_weights(path) -> SpatialWeights:
     from .spatial import SpatialWeights
 
-    head, *rows = _read_rows(path)
-    text = ",".join(head)
+    rows = _read_rows(path)
+    text = ",".join(next(rows))
     fields = dict(part.split("=", 1) for part in text.lstrip("# ").split()
                   if "=" in part)
     if not text.startswith("#") or "n" not in fields:
         raise DataFormatError(f"{path}: missing '# n=...' size line")
     n, standardized = _parse_column(
         path, "size line", int,
-        [fields["n"], fields.get("row_standardized", "0")], None)
+        [fields["n"], fields.get("row_standardized", "0")], None).tolist()
     ii, jj, ww = _parse(path, _WEIGHTS, rows, line=2)
-    return SpatialWeights(n=n, rows=np.array(ii, dtype=np.int64),
-                          cols=np.array(jj, dtype=np.int64),
-                          weights=np.array(ww, dtype=float),
+    return SpatialWeights(n=n, rows=ii, cols=jj, weights=ww,
                           row_standardized=bool(standardized))
 
 
@@ -233,6 +320,7 @@ def write_trace(path, trace_iters: np.ndarray, mu_trace: np.ndarray,
 def read_trace(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Returns (iters, names, values) with values shaped (len(iters), len(names))."""
     it_col, name_col, value_col = _read_table(path, _TRACE)
+    it_col, value_col = it_col.tolist(), value_col.tolist()
     iters = [it for k, it in enumerate(it_col)
              if k == 0 or it != it_col[k - 1]]
     names = list(dict.fromkeys(name_col))
@@ -261,7 +349,8 @@ def write_dic_report(path, rows) -> None:
 
 
 def read_dic_report(path):
-    return list(zip(*_read_table(path, _DIC)))
+    *cells, n_draws = _read_table(path, _DIC)
+    return list(zip(*cells, n_draws.tolist()))
 
 
 def write_sidecar(path, missing: np.ndarray, true_y: np.ndarray) -> None:
@@ -272,20 +361,19 @@ def write_sidecar(path, missing: np.ndarray, true_y: np.ndarray) -> None:
 
 def read_sidecar(path) -> tuple[np.ndarray, np.ndarray]:
     sites, m, true_y = _read_table(path, _SIDECAR)
-    if sites != list(range(len(sites))):
+    if not np.array_equal(sites, np.arange(sites.size)):
         raise DataFormatError(f"{path}: sidecar rows must cover 0..n-1")
-    bad = next((k for k, flag in enumerate(m) if flag not in (0, 1)), None)
-    if bad is not None:
-        raise DataFormatError(f"{path}: row {bad + 2}, column m: "
-                              f"{m[bad]} is not 0 or 1")
-    return np.array(m, dtype=bool), np.array(true_y, dtype=float)
+    bad = np.flatnonzero((m != 0) & (m != 1))
+    if bad.size:
+        raise DataFormatError(f"{path}: row {bad[0] + 2}, column m: "
+                              f"{m[bad[0]]} is not 0 or 1")
+    return m.astype(bool), true_y
 
 
-def samples_table(samples: PosteriorSamples,
-                  unobserved_idx: np.ndarray | None = None
-                  ) -> tuple[list[str], np.ndarray]:
-    """Column names and the draws as columns phi | psi | y_u, one row per
-    draw; unobserved_idx names the y_u columns yu_<site>."""
+def _samples_blocks(samples: PosteriorSamples,
+                    unobserved_idx: np.ndarray | None
+                    ) -> tuple[list[str], list[np.ndarray]]:
+    """Column names and the draws' blocks phi, psi, y_u that hold them."""
     header = list(samples.phi_names)
     blocks = [samples.phi]
     if samples.psi is not None:
@@ -298,36 +386,46 @@ def samples_table(samples: PosteriorSamples,
                 "unobserved_idx must name every y_u column")
         header += [f"yu_{int(i)}" for i in unobserved_idx]
         blocks.append(samples.y_u)
+    return header, blocks
+
+
+def samples_table(samples: PosteriorSamples,
+                  unobserved_idx: np.ndarray | None = None
+                  ) -> tuple[list[str], np.ndarray]:
+    """Column names and the draws as columns phi | psi | y_u, one row per
+    draw; unobserved_idx names the y_u columns yu_<site>."""
+    header, blocks = _samples_blocks(samples, unobserved_idx)
     return header, np.hstack(blocks)
 
 
 def write_samples(path, samples: PosteriorSamples,
                   unobserved_idx: np.ndarray | None = None) -> None:
-    """Posterior draws, one row per draw; y_u columns keyed by site index."""
-    header, mat = samples_table(samples, unobserved_idx)
-    _write_table(path, [(h, float) for h in header], list(mat.T))
+    """Posterior draws, one row per draw; y_u columns keyed by site index.
+
+    The blocks are written as they are, so no draws table is built."""
+    header, blocks = _samples_blocks(samples, unobserved_idx)
+    _write_table(path, [(h, float) for h in header], blocks)
 
 
 def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:
     from .model_select import PosteriorSamples
 
     rows = _read_rows(path)
-    header = rows[0]
+    header = next(rows)
     i_psi = next((k for k, h in enumerate(header)
                   if h.startswith("psi")), len(header))
     i_yu = next((k for k, h in enumerate(header)
                  if h.startswith("yu_")), len(header))
     if i_yu < i_psi:
         raise DataFormatError(f"{path}: psi columns must precede y_u columns")
-    cols = _parse(path, [(h, float) for h in header], rows)
-    n = len(rows) - 1
+    cols = _parse(path, [(h, float) for h in header], chain([header], rows))
+    n = cols[0].size if cols else 0
     if n == 0:
         raise DataFormatError(f"{path}: no sample rows")
     psi = _matrix(cols[i_psi:i_yu], n) if i_psi < i_yu else None
     y_u = _matrix(cols[i_yu:], n) if i_yu < len(header) else None
-    idx = (np.array(_parse_column(path, "yu_ site", int,
-                                  [h[3:] for h in header[i_yu:]], None),
-                    dtype=np.int64)
+    idx = (_parse_column(path, "yu_ site", int,
+                         [h[3:] for h in header[i_yu:]], None)
            if y_u is not None else None)
     return PosteriorSamples(phi=_matrix(cols[:i_psi], n),
                             phi_names=tuple(header[:i_psi]),
@@ -351,6 +449,7 @@ def read_lambda(path) -> VariationalParams:
     from .variational import VariationalParams
 
     parts, ii, jj, values = _read_table(path, _LAMBDA)
+    ii, values = ii.tolist(), values.tolist()
     s = parts.count("mu")
     next_i = {"mu": 0, "d": 0}
     for k, (part, i, j) in enumerate(zip(parts, ii, jj)):
@@ -390,4 +489,5 @@ def write_summary(path, names: list[str], draws: np.ndarray) -> None:
 
 
 def read_summary(path):
-    return list(zip(*_read_table(path, _SUMMARY)))
+    names, *stats = _read_table(path, _SUMMARY)
+    return list(zip(names, *(column.tolist() for column in stats)))

@@ -30,6 +30,12 @@ as they were when each took the log-likelihood as a callable and scored
 every draw itself, so that DIC1 and DIC2 each made their own pass over the
 draws. They are kept verbatim, and the one-pass formulas over per-draw
 arrays that replaced them are checked against them bit for bit.
+
+`write_table_whole`, `read_rows_whole`, `parse_whole` and
+`parse_column_whole` are the CSV codec of `semvb.io` as it was when it held
+a whole table as Python objects, kept verbatim: the codec that streams
+tables in fixed-size row chunks is checked against them, byte for byte on
+write and bit for bit on read.
 """
 
 from __future__ import annotations
@@ -411,3 +417,80 @@ def discrete_mh_transition(weights_target: np.ndarray,
             stay += q[j] * (1.0 - a)
         T[i, i] = q[i] + stay
     return T
+
+
+def write_table_whole(path, columns, data, head: str = "") -> None:
+    """Write one sequence of values per (name, type) column, after head."""
+    import csv
+
+    from semvb.io import _column_cells
+    cells = [_column_cells(t, values) for (_, t), values in zip(columns, data)]
+    with open(path, "w", newline="") as f:
+        f.write(head)
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow([name for name, _ in columns])
+        w.writerows(zip(*cells))
+
+
+def parse_column_whole(path, name: str, column_type, cells, line: int | None
+                       ) -> list:
+    """The values of one column's cells, the first of which is on `line`.
+
+    A refused cell raises DataFormatError naming path, the row and the
+    column; with line None (a cell outside the table) it names `name` only.
+    """
+    from semvb.errors import DataFormatError
+    from semvb.io import _cell_type
+    base, optional = _cell_type(column_type)
+    if base is str:
+        return list(cells)
+    try:
+        if optional:
+            return [None if c == "" else base(c) for c in cells]
+        return list(map(base, cells))
+    except ValueError:
+        for k, c in enumerate(cells):
+            try:
+                if c or not optional:
+                    base(c)
+            except ValueError:
+                where = (f"row {line + k}, column {name}: bad"
+                         if line is not None else f"bad {name}")
+                raise DataFormatError(f"{path}: {where} value {c!r}") from None
+        raise
+
+
+def read_rows_whole(path) -> list[list[str]]:
+    import csv
+
+    from semvb.errors import DataFormatError
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    return rows
+
+
+def parse_whole(path, columns, rows, line: int = 1) -> list[list]:
+    """One list of values per column of a table whose header is on `line`.
+
+    rows[0] must be the columns' header and every later row must have one
+    cell per column.
+    """
+    from semvb.errors import DataFormatError
+    names = [name for name, _ in columns]
+    if not rows or rows[0] != names:
+        got = ",".join(rows[0]) if rows else ""
+        raise DataFormatError(f"{path}: expected header {','.join(names)!r}, "
+                              f"got {got!r}")
+    body = rows[1:]
+    for k, row in enumerate(body):
+        if len(row) != len(names):
+            raise DataFormatError(f"{path}: row {line + 1 + k} has "
+                                  f"{len(row)} cells, expected {len(names)}")
+    cells = list(zip(*body)) if body else [()] * len(names)
+    return [parse_column_whole(path, name, t, col, line + 1)
+            for (name, t), col in zip(columns, cells)]

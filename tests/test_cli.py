@@ -783,6 +783,37 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert str(bad) in err and "bad yu_ site value 'x'" in err
 
+    def test_weights_index_outside_int64(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        weights = sim / "weights.csv"
+        lines = weights.read_text().splitlines(keepends=True)
+        lines[2] = "0,99999999999999999999,1.0\n"
+        weights.write_text("".join(lines))
+        capsys.readouterr()
+        rc = main(["fit", "--data", str(sim / "dataset.csv"),
+                   "--weights", str(weights), "--max-iters", "2",
+                   "--n-draws", "2", "--out-dir", str(tmp_path / "fit")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(weights) in err
+        assert "row 3, column j: bad value '99999999999999999999'" in err
+
+    def test_yu_site_outside_int64(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        bad = tmp_path / "samples.csv"
+        bad.write_text("beta0,psi_y,yu_99999999999999999999\n1.0,2.0,3.0\n")
+        capsys.readouterr()
+        rc = main(["dic", "--data", str(sim / "dataset.csv"),
+                   "--weights", str(sim / "weights.csv"),
+                   "--models", f"sem-gau={bad}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "bad yu_ site value '99999999999999999999'" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out

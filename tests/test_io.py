@@ -1,6 +1,8 @@
 """Artifact serialization: byte-identical round trips and format errors."""
 
+import dataclasses
 import filecmp
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from semvb.model_select import PosteriorSamples
 from semvb.spatial import SpatialWeights, build_rook_lattice
 from semvb.variational import VariationalParams
 
+import oracles
 from oracles import csr
 
 
@@ -427,11 +430,17 @@ READERS = {
     "summary": (io.read_summary, "param,mean,q025,q975\nrho,0.5,0.1,0.9\n",
                 None, (1, 3)),
 }
+# A case ending in -past-chunk puts a chunk's worth of valid rows before the
+# faulty one, so that the fault lies past the first chunk.
 CODEC_CASES = [(name, case) for name, (_, _, at_int, at_float)
                in READERS.items()
                for case, at in (("int", at_int), ("float", at_float),
-                                ("ragged", 1), ("header", 1))
+                                ("overflow", at_int), ("ragged", 1),
+                                ("header", 1), ("int-past-chunk", at_int),
+                                ("float-past-chunk", at_float),
+                                ("ragged-past-chunk", 1))
                if at is not None]
+BAD_CELL = {"int": "1.5", "float": "oops", "overflow": "99999999999999999999"}
 
 
 class TestCodec:
@@ -447,9 +456,15 @@ class TestCodec:
         read, text, at_int, at_float = READERS[name]
         lines = [line.split(",") for line in text.splitlines()]
         header_line = 1 if name == "weights" else 0
-        if case in ("int", "float"):
-            k, j = at_int if case == "int" else at_float
-            lines[k][j] = "1.5" if case == "int" else "oops"
+        case, past_chunk, _ = case.partition("-past-chunk")
+        pad = io._CHUNK_CELLS if past_chunk else 0
+        lines[header_line + 1:header_line + 1] = [
+            list(lines[header_line + 1]) for _ in range(pad)]
+        at_int, at_float = (at and (at[0] + pad, at[1])
+                            for at in (at_int, at_float))
+        if case in BAD_CELL:
+            k, j = at_float if case == "float" else at_int
+            lines[k][j] = BAD_CELL[case]
             column = lines[header_line][j]
             message = (f"row {k + 1}, column {column}: bad value "
                        f"{lines[k][j]!r}")
@@ -481,6 +496,182 @@ class TestCodec:
         loaded, _ = io.read_samples(tmp_path / "s.csv")
         for a in (X2, Xs2, loaded.phi, loaded.psi, loaded.y_u):
             assert a.flags.c_contiguous
+
+
+def _artifact(name, m, rng):
+    """(write(path), read) for a table of m rows of the named artifact."""
+    if name in ("dataset", "dataset-y"):
+        y = rng.normal(size=m)
+        y[::3] = np.nan
+        X = np.column_stack([np.ones(m), rng.normal(size=m)])
+        Xs = np.column_stack([np.ones(m), rng.lognormal(size=m)])
+        if name == "dataset-y":
+            return (lambda p: io.write_dataset(p, y, X[:, :1]),
+                    io.read_dataset)
+        return lambda p: io.write_dataset(p, y, X, Xs), io.read_dataset
+    if name == "weights":
+        W = SpatialWeights(n=m + 1, rows=np.arange(m), cols=np.arange(m) + 1,
+                           weights=rng.uniform(0.1, 1.0, size=m))
+        return lambda p: io.write_weights(p, W), io.read_weights
+    if name == "trace":
+        values = rng.normal(size=(m, 1))
+        return (lambda p: io.write_trace(p, 10 * np.arange(m), values,
+                                         ["rho_z"]), io.read_trace)
+    if name == "acceptance":
+        acc = rng.integers(0, 50, size=(m, 4))
+        return lambda p: io.write_acceptance(p, acc), io.read_acceptance
+    if name == "dic":
+        rows = [(f"m{k}", *(None if (k + c) % 3 == 0 else float(v)
+                            for c, v in enumerate(rng.normal(size=3))), k)
+                for k in range(m)]
+        return lambda p: io.write_dic_report(p, rows), io.read_dic_report
+    if name == "sidecar":
+        missing, true_y = rng.random(m) < 0.4, rng.normal(size=m)
+        return (lambda p: io.write_sidecar(p, missing, true_y),
+                io.read_sidecar)
+    if name == "samples":
+        samples = PosteriorSamples(
+            phi=rng.normal(size=(m, 2)), phi_names=("sigma2", "rho"),
+            psi=rng.normal(size=(m, 2)), y_u=rng.normal(size=(m, 3)))
+        return (lambda p: io.write_samples(p, samples, np.array([1, 4, 6])),
+                io.read_samples)
+    if name == "lambda":  # 3 max(m, 1) rows, with one factor
+        s = max(m, 1)
+        lam = VariationalParams(mu=rng.normal(size=s),
+                                B=rng.normal(size=(s, 1)),
+                                d=rng.normal(size=s))
+        return lambda p: io.write_lambda(p, lam), io.read_lambda
+    names = [f"p{k}" for k in range(m)]
+    draws = rng.normal(size=(5, m))
+    return lambda p: io.write_summary(p, names, draws), io.read_summary
+
+
+ARTIFACTS = ["dataset", "dataset-y", "weights", "trace", "acceptance", "dic",
+             "sidecar", "samples", "lambda", "summary"]
+# 0 rows, 1 row, and one row less than, as many as and one more than a chunk
+# holds at every chunk size and column count below, and many rows
+ROW_COUNTS = [0, 1, 2, 3, 6, 7, 8, 50]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataFormatError as exc:
+        return exc
+
+
+def _assert_same(new, old):
+    """Equal values: arrays of one dtype and shape with equal bytes, the new
+    ones C-ordered; floats with equal bits; None where old has None."""
+    assert type(new) is type(old)
+    if isinstance(new, np.ndarray):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.flags.c_contiguous
+        assert new.tobytes() == old.tobytes()
+    elif isinstance(new, (list, tuple)):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            _assert_same(a, b)
+    elif dataclasses.is_dataclass(new):
+        for f in dataclasses.fields(new):
+            _assert_same(getattr(new, f.name), getattr(old, f.name))
+    elif isinstance(new, float):
+        assert new.hex() == old.hex()
+    elif isinstance(new, Exception):
+        assert str(new) == str(old)
+    else:
+        assert new == old
+
+
+def _whole_table_codec(monkeypatch):
+    """Route io through the codec that held whole tables (oracles), with
+    its lists of float and int values as the arrays today's codec gives."""
+    def parse(path, columns, rows, line=1):
+        values = oracles.parse_whole(path, columns, list(rows), line)
+        kinds = (io._cell_type(t) for _, t in columns)
+        return [v if base is str or optional
+                else np.array(v, dtype=io._dtype(base))
+                for (base, optional), v in zip(kinds, values)]
+
+    def write_table(path, columns, data, head=""):
+        columns_data = [column for values in data for column in (
+            values.T if isinstance(values, np.ndarray) and values.ndim == 2
+            else [values])]
+        oracles.write_table_whole(path, columns, columns_data, head)
+
+    monkeypatch.setattr(io, "_read_rows",
+                        lambda path: iter(oracles.read_rows_whole(path)))
+    monkeypatch.setattr(io, "_parse", parse)
+    monkeypatch.setattr(io, "_write_table", write_table)
+
+
+class TestChunks:
+    """The chunked codec against the whole-table one, at chunks of 1, 2 and
+    7 cells: one or two rows of each table at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_writers_match_whole_table_codec(self, tmp_path, monkeypatch,
+                                             name, chunk):
+        monkeypatch.setattr(io, "_CHUNK_CELLS", chunk)
+        for m in ROW_COUNTS:
+            write, _ = _artifact(name, m, np.random.default_rng(m))
+            write(tmp_path / "chunked.csv")
+            with monkeypatch.context() as whole:
+                _whole_table_codec(whole)
+                write(tmp_path / "whole.csv")
+            assert filecmp.cmp(tmp_path / "chunked.csv",
+                               tmp_path / "whole.csv", shallow=False), m
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_readers_match_whole_table_codec(self, tmp_path, monkeypatch,
+                                             name, chunk):
+        monkeypatch.setattr(io, "_CHUNK_CELLS", chunk)
+        p = tmp_path / f"{name}.csv"
+        for m in ROW_COUNTS:
+            write, read = _artifact(name, m, np.random.default_rng(m))
+            write(p)
+            chunked = _outcome(read, p)
+            with monkeypatch.context() as whole:
+                _whole_table_codec(whole)
+                _assert_same(chunked, _outcome(read, p))
+
+
+class TestMemory:
+    """A draws table of many chunks is streamed: reading it holds the result
+    and about one copy of it, and writing it holds no copy at all."""
+
+    N_DRAWS, N_COLUMNS = 2000, 300
+
+    @pytest.mark.parametrize("direction", ["write", "read"])
+    def test_samples_peak_is_bounded_by_the_matrix(self, tmp_path,
+                                                   direction):
+        rng = np.random.default_rng(0)
+        n_yu = self.N_COLUMNS - 4 - 3
+        samples = PosteriorSamples(
+            phi=rng.normal(size=(self.N_DRAWS, 4)),
+            phi_names=("beta0", "beta1", "sigma2", "rho"),
+            psi=rng.normal(size=(self.N_DRAWS, 3)),
+            y_u=rng.normal(size=(self.N_DRAWS, n_yu)))
+        p = tmp_path / "samples.csv"
+        if direction == "read":
+            io.write_samples(p, samples, np.arange(n_yu))
+        tracemalloc.start()
+        try:
+            if direction == "read":
+                loaded, _ = io.read_samples(p)
+            else:
+                io.write_samples(p, samples, np.arange(n_yu))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = self.N_DRAWS * self.N_COLUMNS * 8
+        assert peak <= 2.5 * matrix + 2**20, peak / matrix
+        if direction == "read":
+            for block in ("phi", "psi", "y_u"):
+                np.testing.assert_array_equal(getattr(loaded, block),
+                                              getattr(samples, block))
 
 
 class TestSummary:
