@@ -8,20 +8,21 @@ conditioned on, so the model likelihood cancels from the acceptance ratio
 and only the missingness likelihood remains. That likelihood factorizes over
 sites, so a step's ratio is taken over the sites it updates.
 
-Both inner kernels run one sweep (`_mh_sweep`) over blocks of unobserved
-sites: the blocked kernel, which keeps acceptance rates workable when many
-responses are missing, and the whole-vector kernel as its one-block case.
-A sweep factors each block's conditional precision once per chain, at the
-drawn parameters, by a banded Cholesky in the block's site order, from a
-band map that `spatial` caches per block; no sparse matrix is built per
-chain. A block's mean offset is recomputed only after another block has
-moved, and its missingness log-pmf only when it accepts a proposal.
-
-A chain of one block has a conditional that no step changes, so its
-proposals do not depend on the chain state. It draws, transforms and scores
-all n1 proposals in one batch, and only the accept/reject decisions run
-step by step (the independence-sampler scheme of Jacob, Robert & Smith
-2011), with the random numbers drawn in the step-by-step order.
+Both inner kernels are one engine, `_mh_sweep`: n1 sweeps of steps over
+blocks of unobserved sites. The blocked kernel, which keeps acceptance
+rates workable when many responses are missing, has several blocks; the
+whole-vector kernel is the one-block case. The engine draws every step's
+random numbers before the first step, in step order. It factors each
+block's conditional precision once per chain, at the drawn parameters, by a
+banded Cholesky in the block's site order, from a band map that `spatial`
+caches per block; no sparse matrix is built per chain. One banded solve
+then gives all of the block's noise vectors. A block's mean offset changes
+only after another block moves, so the block's proposals are drawn,
+transformed and scored as one batch for every step at which its offset
+holds: the whole chain for one block (the independence-sampler scheme of
+Jacob, Robert & Smith 2011), one step at a time for several. Only the
+re-conditioning, the accept/reject decisions and their bookkeeping run step
+by step; a block's missingness log-pmf is replaced only when it accepts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, _log_p_m_eta, layout_missing, log_p_m
-from .models import MissingnessParams, ModelKind, ModelParams, Priors, link_inverse
+from .models import ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .spatial import ConditionalGaussian, conditional_gaussian, plan_route
 from .transforms import yj_forward, yj_inverse
@@ -139,24 +140,15 @@ def _ystar(kind: ModelKind, y: np.ndarray, params: ModelParams) -> np.ndarray:
     return yj_forward(y, params.gamma) if kind.yeo_johnson else y
 
 
-def _draw_proposal(kind: ModelKind, params: ModelParams,
-                   cond: ConditionalGaussian, mean_u: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    return _proposal(kind, params, cond, mean_u,
-                     rng.standard_normal(mean_u.size))
-
-
-def _proposal(kind: ModelKind, params: ModelParams, cond: ConditionalGaussian,
-              mean_u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The proposal for standard normals z; one proposal per row when z
-    stacks them as rows."""
-    ystar_u = mean_u + cond.sample(params.sigma2, z)
+def _response(kind: ModelKind, params: ModelParams,
+              ystar: np.ndarray) -> np.ndarray:
+    """Responses from values on the model's scale: the inverse of `_ystar`."""
     if not kind.yeo_johnson:
-        return ystar_u
+        return ystar
     with np.errstate(over="ignore"):
         # overflow in the inverse transform surfaces as a non-finite
-        # proposal, which the MH kernels reject outright
-        return yj_inverse(ystar_u, params.gamma)
+        # proposal, which the MH kernel rejects outright
+        return yj_inverse(ystar, params.gamma)
 
 
 def _accept_prob(delta: float) -> float:
@@ -173,15 +165,17 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     blocks partition the unobserved sites: `conditional_gaussian` checks
     each block's order and range, and `mcmc_allb` the covering. The chain
     starts from a draw of the whole unobserved vector's conditional unless
-    y_u_init is given. Each block's M_uu is factored once per call; its mean
-    offset is recomputed only after another block has moved. The acceptance
-    ratio is taken over the block's own sites: every other factor of
-    p(m | y, psi) cancels. Each block's current log p(m_b | y_b, psi) is
-    kept and replaced on acceptance, so a step evaluates the missingness pmf
-    once, at its proposal. A single block's chain runs as one batch
-    (`_one_block_chain`), with the same draws, decisions and result as the
-    step-by-step sweep. Returns the final imputation and per-block
-    acceptance counts.
+    y_u_init is given; a single block is that vector, so it keeps the
+    start's conditional. Every step's (z, u) pair is drawn before the first
+    step, in step order. Each block's M_uu is factored once per call and its
+    n1 noise vectors come from one banded solve. A block's mean offset
+    changes only when another block moves, so its proposals and their
+    missingness scores are computed as one batch for every step at which
+    the offset holds: all n1 for a single block, the current step
+    otherwise. The acceptance ratio is taken over the block's own sites:
+    every other factor of p(m | y, psi) cancels, and a non-finite proposal
+    is rejected after its uniform. Returns the final imputation and
+    per-block acceptance counts.
     """
     params, tau, psi = link_inverse(kind, layout_missing(kind, data), theta)
     obs, u_idx = ~data.missing, data.unobserved_idx
@@ -192,84 +186,62 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     start = None
     if y_u_init is None:
         start = conditional_gaussian(kind, data.W, params.rho, tau, u_idx, r)
-        y[u_idx] = _draw_proposal(kind, params, start, mean[u_idx], rng)
+        z = rng.standard_normal(u_idx.size)
+        y[u_idx] = _response(kind, params,
+                             mean[u_idx] + start.sample(params.sigma2, z))
     else:
         y_u_init = np.asarray(y_u_init, dtype=float)
         if y_u_init.shape != (u_idx.size,):
             raise DimensionError("y_u_init must match the unobserved count")
         y[u_idx] = y_u_init
-    if len(blocks) == 1:
-        # the one block is the whole unobserved vector, and its conditional
-        # reads no unobserved residual
-        if start is None:
-            start = conditional_gaussian(kind, data.W, params.rho, tau,
-                                         blocks[0], r)
-        y_u, accepts = _one_block_chain(
-            kind, params, psi, start, mean[u_idx], data.missing[u_idx],
-            data.Xstar[u_idx], y[u_idx], n1, rng)
-        return y_u, np.array([accepts])
-    r[u_idx] = _ystar(kind, y[u_idx], params) - mean[u_idx]
-    conds = [conditional_gaussian(kind, data.W, params.rho, tau, b, r)
+    zs = [np.empty((n1, b.size)) for b in blocks]
+    us = np.empty((n1, len(blocks)))
+    for i in range(n1):
+        for j, b in enumerate(blocks):
+            zs[j][i] = rng.standard_normal(b.size)
+            us[i, j] = rng.uniform()
+    # with several blocks, each conditions on the residual at the others
+    several = len(blocks) > 1
+    if several:
+        r[u_idx] = _ystar(kind, y[u_idx], params) - mean[u_idx]
+    conds = [start if start is not None and not several
+             else conditional_gaussian(kind, data.W, params.rho, tau, b, r)
              for b in blocks]
+    noise = [c.noise(params.sigma2, z_b) for c, z_b in zip(conds, zs)]
     means = [mean[b] for b in blocks]
     m = [data.missing[b] for b in blocks]
     Xstar = [data.Xstar[b] for b in blocks]
+    eta_x = [x_b @ psi.psi_x for x_b in Xstar]
     log_pm = [log_p_m(m_b, y[b], x_b, psi)
               for m_b, b, x_b in zip(m, blocks, Xstar)]
+    # steps one batch of proposals serves; with several blocks a batch is
+    # made at every step, so the batch in hand is always the block's own
+    span = 1 if several else n1
     stale = np.zeros(len(blocks), dtype=bool)
     accepts = np.zeros(len(blocks), dtype=int)
-    for _ in range(n1):
+    for i in range(n1):
         for j, b in enumerate(blocks):
             if stale[j]:
                 conds[j] = conds[j].given(r)
                 stale[j] = False
-            y_prop = _draw_proposal(kind, params, conds[j], means[j], rng)
-            u = rng.uniform()
-            a = 0.0
-            if np.all(np.isfinite(y_prop)):
-                log_pm_prop = log_p_m(m[j], y_prop, Xstar[j], psi)
-                a = _accept_prob(log_pm_prop - log_pm[j])
-            if a > u:
-                log_pm[j] = log_pm_prop
-                y[b] = y_prop
-                r[b] = _ystar(kind, y_prop, params) - means[j]
+            k = i % span
+            if k == 0:
+                props = _response(kind, params, means[j] + (
+                    conds[j].mean_offset + noise[j][i:i + span]))
+                finite = np.all(np.isfinite(props), axis=1)
+                scores = np.empty(span)
+                # a row that is not finite gets no score
+                scores[finite] = _log_p_m_eta(
+                    m[j], eta_x[j] + psi.psi_y * props[finite])
+            if finite[k] and _accept_prob(scores[k] - log_pm[j]) > us[i, j]:
+                log_pm[j] = scores[k]
+                y[b] = props[k]
+                if several:
+                    r[b] = _ystar(kind, y[b], params) - means[j]
                 stale[:] = True
                 stale[j] = False
                 accepts[j] += 1
     return y[u_idx], accepts
-
-
-def _one_block_chain(kind: ModelKind, params: ModelParams,
-                     psi: MissingnessParams, cond: ConditionalGaussian,
-                     mean_u: np.ndarray, m: np.ndarray, Xstar: np.ndarray,
-                     y_u: np.ndarray, n1: int, rng: np.random.Generator
-                     ) -> tuple[np.ndarray, int]:
-    """n1 independence MH steps on one block whose conditional is fixed.
-
-    The n1 (z, u) pairs are drawn in the step-by-step order. One banded
-    solve with n1 right-hand sides, one inverse transform and one pass of
-    log p(m | y, psi) then give every proposal and its score; a row that is
-    not finite gets no score and is rejected after its uniform. Only the
-    accept/reject decisions run as a loop. Returns the final imputation,
-    starting from y_u, and the acceptance count.
-    """
-    z = np.empty((n1, mean_u.size))
-    u = np.empty(n1)
-    for i in range(n1):
-        z[i] = rng.standard_normal(mean_u.size)
-        u[i] = rng.uniform()
-    props = _proposal(kind, params, cond, mean_u, z)
-    finite = np.all(np.isfinite(props), axis=1)
-    scores = np.empty(n1)
-    scores[finite] = _log_p_m_eta(
-        m, Xstar @ psi.psi_x + psi.psi_y * props[finite])
-    log_pm = log_p_m(m, y_u, Xstar, psi)
-    current, accepts = None, 0
-    for i in range(n1):
-        if finite[i] and _accept_prob(scores[i] - log_pm) > u[i]:
-            log_pm, current = scores[i], i
-            accepts += 1
-    return (y_u if current is None else props[current].copy()), accepts
 
 
 def mcmc_nob(kind: ModelKind, data: Dataset, theta: np.ndarray,
@@ -277,11 +249,12 @@ def mcmc_nob(kind: ModelKind, data: Dataset, theta: np.ndarray,
              rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Whole-vector MH pass: n1 independence-proposal steps.
 
-    The one-block case of the blocked sweep: the conditional is factored
-    and its mean offset computed once, and the n1 proposals are drawn and
-    scored as one batch before the accept/reject decisions run in order.
-    The chain starts from a fresh conditional draw unless y_u_init is
-    given. Returns the final imputation and the acceptance count.
+    `_mh_sweep` with the whole unobserved vector as its one block: the
+    conditional is factored once, its mean offset never changes, and the n1
+    proposals are drawn, solved and scored as one batch before the
+    accept/reject decisions run in order. The chain starts from a fresh
+    conditional draw, whose conditional it keeps, unless y_u_init is given.
+    Returns the final imputation and the acceptance count.
     """
     y_u, accepts = _mh_sweep(kind, data, theta,
                              (data.unobserved_idx,), y_u_init, n1,

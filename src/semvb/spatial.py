@@ -800,8 +800,8 @@ class ConditionalGaussian:
             raise SingularityError(f"pbtrs failed with info = {info}")
         return sigma2 * inv
 
-    def sample(self, sigma2: float, z: np.ndarray) -> np.ndarray:
-        """mean_offset + sigma L^-T z, a draw with covariance sigma^2 M_uu^-1.
+    def noise(self, sigma2: float, z: np.ndarray) -> np.ndarray:
+        """sigma L^-T z, a zero-mean draw with covariance sigma^2 M_uu^-1.
 
         z may stack standard-normal vectors as rows; the draws then come
         back as rows from one banded solve with a right-hand side per row,
@@ -811,7 +811,12 @@ class ConditionalGaussian:
             # tbtrs corrupts the heap when it is given no right-hand side
             return np.empty(z.shape)
         x, _ = _tbtrs(self.chol_lower, z.T, uplo="L", trans="T")
-        return self.mean_offset + np.sqrt(sigma2) * x.T
+        return np.sqrt(sigma2) * x.T
+
+    def sample(self, sigma2: float, z: np.ndarray) -> np.ndarray:
+        """mean_offset + `noise`: a draw of the block given the others, one
+        per row when z stacks standard normals as rows."""
+        return self.mean_offset + self.noise(sigma2, z)
 
     def given(self, r: np.ndarray) -> "ConditionalGaussian":
         """The same block conditioned on the residual r over all n sites.

@@ -5,11 +5,13 @@ density formulas, central finite differences. None of those import the
 package's own likelihood or gradient code, so agreement between the two is
 evidence, not tautology.
 
-Four references are simple compositions of the package's own pieces instead,
+Five references are simple compositions of the package's own pieces instead,
 and pin the faster code that replaced them: `ml_init_full_grid`, the rho-grid
 initialization as a full scan of 199 log-dets; `propose_yu` and
-`mh_accept_ratio`, one independence-MH step for one block at a time, against
-which the batched and blocked chains are checked; `sym_band_scipy`, the
+`mh_accept_ratio`, one independence-MH step for one block at a time, and
+`step_by_step_sweep`, the blocked sweep built from such steps as the package
+ran it before its MH engine drew and scored proposals in batches, against
+which that engine is checked bit for bit; `sym_band_scipy`, the
 reverse Cuthill-McKee band of S built with scipy's ordering; and
 `eigenvalues_eigvalsh`, the eigenvalues of symmetrizable W as they were
 computed before the band route, from a dense S, against which the band
@@ -190,6 +192,20 @@ def ml_init_full_grid(data):
     return best[1], best[2], best[3]
 
 
+def draw_conditional(kind, params, cond, mean_u, rng):
+    """One proposal from the conditional cond of a block whose sites have
+    mean mean_u: standard normals of the block's size through
+    `ConditionalGaussian.sample`, then the inverse transform for YJ kinds.
+    """
+    from semvb.transforms import yj_inverse
+    z = rng.standard_normal(mean_u.size)
+    ystar_u = mean_u + cond.sample(params.sigma2, z)
+    if not kind.yeo_johnson:
+        return ystar_u
+    with np.errstate(over="ignore"):
+        return yj_inverse(ystar_u, params.gamma)
+
+
 def propose_yu(kind, data, params, tau, block, y, rng):
     """One independence-proposal draw for the sites in block.
 
@@ -200,17 +216,83 @@ def propose_yu(kind, data, params, tau, block, y, rng):
     transformed scale and map back through the inverse transform.
     """
     from semvb.errors import DimensionError
-    from semvb.hvb import _draw_proposal, _ystar
     from semvb.spatial import conditional_gaussian
+    from semvb.transforms import yj_forward
     y = np.asarray(y, dtype=float)
     if y.shape != (data.n,):
         raise DimensionError("y must have one entry per site")
     known = np.setdiff1d(np.arange(data.n), block)
+    y_known = y[known]
+    if kind.yeo_johnson:
+        y_known = yj_forward(y_known, params.gamma)
     r = np.zeros(data.n)
-    r[known] = _ystar(kind, y[known], params) - data.X[known] @ params.beta
+    r[known] = y_known - data.X[known] @ params.beta
     cond = conditional_gaussian(kind, data.W, params.rho, tau, block, r)
     mean_u = data.X[block] @ params.beta
-    return _draw_proposal(kind, params, cond, mean_u, rng)
+    return draw_conditional(kind, params, cond, mean_u, rng)
+
+
+def step_by_step_sweep(kind, data, theta, blocks, y_u_init, n1, rng):
+    """The blocked MH sweep one step at a time, as the package ran it
+    before its proposals were drawn and scored in batches: n1 sweeps, each
+    drawing, scoring and deciding one block's proposal at a time, with a
+    block's mean offset refreshed by `given` after another block moved.
+    Returns the final imputation and the per-block accept counts."""
+    from semvb.errors import DimensionError
+    from semvb.likelihoods import layout_missing, log_p_m
+    from semvb.models import link_inverse
+    from semvb.spatial import conditional_gaussian
+    from semvb.transforms import yj_forward
+
+    def _ystar(kind, y, params):
+        return yj_forward(y, params.gamma) if kind.yeo_johnson else y
+
+    def _accept_prob(delta):
+        return min(1.0, float(np.exp(min(delta, 0.0))))
+
+    params, tau, psi = link_inverse(kind, layout_missing(kind, data), theta)
+    obs, u_idx = ~data.missing, data.unobserved_idx
+    mean = data.X @ params.beta
+    y = data.y.copy()
+    r = np.zeros(data.n)   # residual on the model's scale
+    r[obs] = _ystar(kind, y[obs], params) - mean[obs]
+    if y_u_init is None:
+        start = conditional_gaussian(kind, data.W, params.rho, tau, u_idx, r)
+        y[u_idx] = draw_conditional(kind, params, start, mean[u_idx], rng)
+    else:
+        y_u_init = np.asarray(y_u_init, dtype=float)
+        if y_u_init.shape != (u_idx.size,):
+            raise DimensionError("y_u_init must match the unobserved count")
+        y[u_idx] = y_u_init
+    r[u_idx] = _ystar(kind, y[u_idx], params) - mean[u_idx]
+    conds = [conditional_gaussian(kind, data.W, params.rho, tau, b, r)
+             for b in blocks]
+    means = [mean[b] for b in blocks]
+    m = [data.missing[b] for b in blocks]
+    Xstar = [data.Xstar[b] for b in blocks]
+    log_pm = [log_p_m(m_b, y[b], x_b, psi)
+              for m_b, b, x_b in zip(m, blocks, Xstar)]
+    stale = np.zeros(len(blocks), dtype=bool)
+    accepts = np.zeros(len(blocks), dtype=int)
+    for _ in range(n1):
+        for j, b in enumerate(blocks):
+            if stale[j]:
+                conds[j] = conds[j].given(r)
+                stale[j] = False
+            y_prop = draw_conditional(kind, params, conds[j], means[j], rng)
+            u = rng.uniform()
+            a = 0.0
+            if np.all(np.isfinite(y_prop)):
+                log_pm_prop = log_p_m(m[j], y_prop, Xstar[j], psi)
+                a = _accept_prob(log_pm_prop - log_pm[j])
+            if a > u:
+                log_pm[j] = log_pm_prop
+                y[b] = y_prop
+                r[b] = _ystar(kind, y_prop, params) - means[j]
+                stale[:] = True
+                stale[j] = False
+                accepts[j] += 1
+    return y[u_idx], accepts
 
 
 def mh_accept_ratio(m, y_proposed_complete, y_current_complete, Xstar, psi):

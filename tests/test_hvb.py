@@ -13,8 +13,9 @@ from semvb.spatial import build_rook_lattice, conditional_gaussian
 from semvb.transforms import yj_forward
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
-from oracles import (csr, dense_M, discrete_mh_transition, mh_accept_ratio,
-                     propose_yu, schur_conditional, sem_cov)
+from oracles import (csr, dense_M, discrete_mh_transition, draw_conditional,
+                     mh_accept_ratio, propose_yu, schur_conditional, sem_cov,
+                     step_by_step_sweep)
 from util import ALL_KINDS, random_instance
 
 
@@ -281,11 +282,11 @@ def step_by_step_nob(kind, data, theta, y_u_init, n1, rng):
     r = np.zeros(data.n)
     r[obs] = y_obs - mean[obs]
     cond = conditional_gaussian(kind, data.W, params.rho, tau, u_idx, r)
-    y_u = (hvb._draw_proposal(kind, params, cond, mean[u_idx], rng)
+    y_u = (draw_conditional(kind, params, cond, mean[u_idx], rng)
            if y_u_init is None else y_u_init.copy())
     accepts, proposals = 0, []
     for _ in range(n1):
-        prop = hvb._draw_proposal(kind, params, cond, mean[u_idx], rng)
+        prop = draw_conditional(kind, params, cond, mean[u_idx], rng)
         uniform = rng.uniform()
         proposals.append(prop)
         a = 0.0
@@ -421,6 +422,57 @@ class TestMcmcAllb:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
         np.testing.assert_array_equal(accs, [2, 2, 2])
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.34, None],
+                             ids=["one-block", "three-blocks", "site-blocks"])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_step_by_step_sweep(self, kind, warm, fraction):
+        inst = random_instance(kind, seed=21, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        u_idx = data.unobserved_idx
+        theta = theta_for(inst)
+        # a steep psi_y keeps some block's acceptance rate away from 0 and 1
+        theta[inst["layout"].psi_y] = 1.5
+        scheme = (hvb.BlockScheme(blocks=tuple(u_idx[:, None]))
+                  if fraction is None
+                  else hvb.BlockScheme.from_fraction(u_idx, fraction))
+        init = inst["y_u"] + 0.25 if warm else None
+        rng = np.random.default_rng(22)
+        got, accs = hvb.mcmc_allb(kind, data, theta, scheme, init, 12, rng)
+        ref = np.random.default_rng(22)
+        want, want_accs = step_by_step_sweep(kind, data, theta,
+                                             scheme.blocks, init, 12, ref)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(accs, want_accs)
+        assert np.any((accs > 0) & (accs < 12))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_factorization_per_block(self, warm, monkeypatch):
+        inst = random_instance(ModelKind.SEM_T, seed=19, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        theta = theta_for(inst)
+        init = inst["y_u"] if warm else None
+        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx, 0.34)
+        assert scheme.n_blocks == 3
+        factored = []
+        real = spatial._pbtrf
+
+        def counted(*args, **kwargs):
+            factored.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "_pbtrf", counted)
+        rng = np.random.default_rng(20)
+        # the whole-vector chain keeps its start's conditional
+        hvb.mcmc_nob(ModelKind.SEM_T, data, theta, init, 4, rng)
+        assert len(factored) == 1
+        factored.clear()
+        hvb.mcmc_allb(ModelKind.SEM_T, data, theta, scheme, init, 4, rng)
+        assert len(factored) == scheme.n_blocks + (not warm)
+
     def test_block_plans_built_once_per_block(self, monkeypatch):
         inst = random_instance(ModelKind.SEM_T, seed=19, lattice=(5, 5),
                                missing_frac=0.4)
@@ -489,14 +541,14 @@ class TestBlockRatio:
         data = inst["data"]
         scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
                                                0.5)
-        draw = hvb._draw_proposal
+        real = hvb.yj_inverse
 
-        def with_inf(*args):
-            y = draw(*args)
-            y[0] = np.inf
-            return y
+        def with_inf(z, gamma):
+            out = real(z, gamma)
+            out[..., 0] = np.inf
+            return out
 
-        monkeypatch.setattr(hvb, "_draw_proposal", with_inf)
+        monkeypatch.setattr(hvb, "yj_inverse", with_inf)
         init = inst["y_u"].copy()
         rng = np.random.default_rng(18)
         # psi = 0 would accept any finite proposal
