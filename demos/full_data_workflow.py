@@ -10,7 +10,7 @@ import numpy as np
 
 from semvb import (Dataset, FitConfig, ModelKind, ModelParams, Priors,
                    build_rook_lattice, dic1, draw_beta_preset, draw_posterior,
-                   make_design, per_draw_logliks, phi_loglik_fn, simulate_sem,
+                   make_design, per_draw_logliks, phi_loglik, simulate_sem,
                    vb_fit)
 
 SEED = 7
@@ -48,7 +48,6 @@ for kind in (ModelKind.SEM_GAU, ModelKind.YJ_SEM_GAU):
     res = vb_fit(kind, data, Priors(), config, rng=k_rng)
     draws = draw_posterior(res.lam, res.layout, 1000, k_rng)
     # one log-likelihood per draw, plus one at the posterior mean
-    loglik_fn = phi_loglik_fn(kind, data)
-    d1 = dic1(per_draw_logliks(loglik_fn, draws.phi),
-              loglik_fn(draws.phi.mean(axis=0)))
+    d1 = dic1(per_draw_logliks(kind, data, draws),
+              phi_loglik(kind, data, draws.phi.mean(axis=0)))
     print(f"  {kind.value:12s} DIC1 = {d1:9.1f}")

@@ -51,11 +51,9 @@ _EXPORTS = {
     "dic1": "model_select",
     "dic2": "model_select",
     "dic5": "model_select",
-    "joint_loglik_fn": "model_select",
-    "joint_logprior_fn": "model_select",
     "per_draw_logliks": "model_select",
-    "phi_loglik_fn": "model_select",
-    "phi_logprior_fn": "model_select",
+    "per_draw_logpriors": "model_select",
+    "phi_loglik": "model_select",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

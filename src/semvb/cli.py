@@ -287,13 +287,18 @@ def cmd_fit(args) -> int:
            *io.samples_table(samples, unobserved_idx))
     if result.acceptance is not None:
         _write(args, "acceptance.csv", io.write_acceptance, result.acceptance)
-    _write(args, "manifest.txt", io.write_manifest, {
+    manifest = {
         "command": "fit", "kind": kind.value, "method": args.method,
         "data": args.data, "weights": args.weights, "seed": args.seed,
         "max_iters": args.max_iters, "n_iters": result.n_iters,
         "n_factors": args.n_factors, "n_draws": args.n_draws,
         "spectral_route": plan_route(data.W),
-    })
+    }
+    if args.method == "hvb":  # how the imputations were made
+        manifest.update(kernel=config.resolve_kernel(data.n_missing),
+                        n1=config.n1, block_fraction=config.block_fraction,
+                        warm_start=int(config.warm_start))
+    _write(args, "manifest.txt", io.write_manifest, manifest)
     return 0
 
 
@@ -320,9 +325,8 @@ def _sample_mismatch(kind, data, samples, sites) -> str | None:
 
 def cmd_dic(args) -> int:
     from . import io
-    from .model_select import (dic1, dic2, dic5, joint_loglik_fn,
-                               joint_logprior_fn, per_draw_logliks,
-                               phi_loglik_fn, phi_logprior_fn)
+    from .model_select import (dic1, dic2, dic5, per_draw_logliks,
+                               per_draw_logpriors, phi_loglik)
     from .models import ModelKind, Priors
     from .spatial import plan_route
 
@@ -341,29 +345,23 @@ def cmd_dic(args) -> int:
             raise DataFormatError(f"{path}: {problem}")
         entries.append((kind, samples))
 
-    missing_fit = [s.y_u is not None for _, s in entries]
-    if any(missing_fit) and not all(missing_fit):
+    if len({s.y_u is None for _, s in entries}) > 1:
         raise DataFormatError(
             "cannot mix full-data and missing-data fits in one comparison")
 
     # every model scores its draws, and a complete-data one its posterior
     # mean, on the one W
-    plan_route(data.W, sum(s.n_draws + 1 for _, s in entries))
+    plan_route(data.W, sum(s.n_draws + (s.y_u is None) for _, s in entries))
     rows = []
     for kind, s in entries:
+        lls = per_draw_logliks(kind, data, s)
+        log_priors = per_draw_logpriors(kind, priors, s)
         if s.y_u is None:  # one pass over the draws feeds DIC1 and DIC2
-            loglik_fn = phi_loglik_fn(kind, data)
-            prior_fn = phi_logprior_fn(kind, data.n_beta, priors)
-            lls = per_draw_logliks(loglik_fn, s.phi)
-            rows.append((kind.value, dic1(lls, loglik_fn(s.phi.mean(axis=0))),
-                         dic2(lls, [prior_fn(r) for r in s.phi]), None,
-                         s.n_draws))
+            dics = (dic1(lls, phi_loglik(kind, data, s.phi.mean(axis=0))),
+                    dic2(lls, log_priors), None)
         else:
-            prior_fn = joint_logprior_fn(kind, data.n_beta, priors)
-            lls = per_draw_logliks(joint_loglik_fn(kind, data), s.phi, s.psi,
-                                   s.y_u)
-            d5 = dic5(s, lls, [prior_fn(*r) for r in zip(s.phi, s.psi)])
-            rows.append((kind.value, None, None, d5, s.n_draws))
+            dics = (None, None, dic5(lls, log_priors))
+        rows.append((kind.value, *dics, s.n_draws))
     _write(args, "dic.csv", io.write_dic_report, rows)
     return 0
 

@@ -3,11 +3,11 @@
 DIC1 plugs in the posterior mean of the constrained parameters; DIC2 plugs
 in the drawn sample maximizing likelihood times prior; DIC5 extends the
 deviance to the joint response-missingness likelihood for models fitted to
-incomplete data. The three are formulas over per-draw values: one pass,
-`per_draw_logliks`, scores each draw once, and a non-finite value aborts
-with the offending draw index. DIC1 and DIC2 share that array, so a
-complete-data model costs n_draws + 1 log-likelihoods (the one extra at the
-posterior mean) and a DIC5 model n_draws.
+incomplete data. The three are formulas over the per-draw values of one
+scorer: `per_draw_logliks` scores each draw of a `PosteriorSamples` once
+(jointly when it carries y_u), naming any non-finite draw, and
+`per_draw_logpriors` gives each draw's log prior. A complete-data model
+costs n_draws + 1 log-likelihoods (`phi_loglik` at the posterior mean).
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .likelihoods import Dataset, log_p_m, loglik, marginal_loglik_t
 from .models import MissingnessParams, ModelKind, ModelParams, Priors
 from . import transforms as tr
 
-__all__ = ["PosteriorSamples", "per_draw_logliks", "dic1", "dic2", "dic5",
-           "phi_loglik_fn", "phi_logprior_fn", "joint_loglik_fn",
-           "joint_logprior_fn",
+__all__ = ["PosteriorSamples", "phi_loglik", "per_draw_logliks",
+           "per_draw_logpriors", "dic1", "dic2", "dic5",
            "phi_names_for", "phi_row", "params_from_row"]
 
 
@@ -88,21 +87,65 @@ class PosteriorSamples:
         return self.phi.shape[0]
 
 
-def per_draw_logliks(loglik_fn, *blocks) -> np.ndarray:
-    """loglik_fn(phi_i[, psi_i, y_u_i]) at every draw i of the row-aligned
-    blocks, as one array: dic1 and dic2 share it. A missing (None) block or
-    blocks of different lengths raise DimensionError; a non-finite value
-    raises NumericalError naming its draw."""
-    if any(block is None for block in blocks):
-        raise DimensionError("every sample block must be present")
-    if len({len(block) for block in blocks}) > 1:
-        raise DimensionError("sample blocks must have one row per draw")
-    out = np.empty(len(blocks[0]))
-    for i, rows in enumerate(zip(*blocks)):
-        v = float(loglik_fn(*rows))
-        if not np.isfinite(v):
+def phi_loglik(kind: ModelKind, data: Dataset, row: np.ndarray) -> float:
+    """log p(y | phi) at one constrained phi row: the scale-mixture-
+    marginalized multivariate-t form for Student-t kinds, the Gaussian form
+    otherwise."""
+    params = params_from_row(kind, phi_names_for(kind, data.n_beta), row)
+    if kind.student_t:
+        return marginal_loglik_t(kind, data, params)
+    return loglik(kind, data, params)
+
+
+def per_draw_logliks(kind: ModelKind, data: Dataset,
+                     samples: PosteriorSamples) -> np.ndarray:
+    """The log-likelihood of every draw, as one array: dic1 and dic2 share it.
+
+    For samples with a y_u block it is DIC5's joint log-likelihood: phi_loglik
+    of the response completed by the draw's y_u, plus the logistic
+    missingness log pmf at the draw's psi. y_u without psi raises
+    DomainError; a non-finite value raises NumericalError naming its draw.
+    """
+    if samples.y_u is not None and samples.psi is None:
+        raise DomainError("scoring a y_u block needs its psi block")
+    out = np.empty(samples.n_draws)
+    for i, row in enumerate(samples.phi):
+        if samples.y_u is None:
+            out[i] = phi_loglik(kind, data, row)
+        else:
+            psi, y = samples.psi[i], data.complete(samples.y_u[i])
+            out[i] = phi_loglik(kind, data.with_y(y), row) + log_p_m(
+                data.missing, y, data.Xstar,
+                MissingnessParams(psi_x=psi[:-1], psi_y=float(psi[-1])))
+        if not np.isfinite(out[i]):
             raise NumericalError(
                 f"non-finite log-likelihood at posterior draw {i}", iteration=i)
+    return out
+
+
+def per_draw_logpriors(kind: ModelKind, priors: Priors,
+                       samples: PosteriorSamples) -> np.ndarray:
+    """The log prior density of every draw on the constrained scale (the
+    links' changes of variable included): phi's, plus the normal prior on
+    the missingness coefficients when the samples carry psi. dic2 and dic5
+    take it to choose their plug-in draw."""
+    out = np.empty(samples.n_draws)
+    for i, row in enumerate(samples.phi):
+        params = params_from_row(kind, samples.phi_names, row)
+        v = -0.5 * float(np.sum(params.beta ** 2)) / priors.var_beta
+        omega = tr.omega_from_sigma2(params.sigma2)
+        v += -0.5 * omega ** 2 / priors.var_omega - omega
+        rho_z = tr.rho_link(params.rho)
+        v += -0.5 * rho_z ** 2 / priors.var_rho - np.log(tr.dtwo_expit(rho_z))
+        if kind.student_t:
+            nu_z = tr.nu_link(params.nu)
+            v += -0.5 * nu_z ** 2 / priors.var_nu - nu_z
+        if kind.yeo_johnson:
+            g_z = tr.gamma_link(params.gamma)
+            v += (-0.5 * g_z ** 2 / priors.var_gamma
+                  - np.log(tr.dtwo_expit(g_z)))
+        if samples.psi is not None:
+            v -= 0.5 * float(np.sum(samples.psi[i] ** 2)) / priors.var_psi
         out[i] = v
     return out
 
@@ -130,75 +173,11 @@ def dic2(lls, log_priors=0.0) -> float:
     return float(-4.0 * lls.mean() + 2.0 * lls[best])
 
 
-def dic5(samples: PosteriorSamples, joint_lls, log_priors=0.0) -> float:
-    """Missing-data DIC over the joint likelihood p(y, m | phi, psi): dic2
-    on the per-draw joint log-likelihoods of the completed data (see
-    joint_loglik_fn), with the log priors of (phi, psi) choosing the
-    plug-in draw."""
-    if samples.psi is None or samples.y_u is None:
-        raise DomainError("dic5 needs psi and y_u sample blocks")
+
+
+def dic5(joint_lls, log_priors=0.0) -> float:
+    """Missing-data DIC over the joint likelihood p(y, m | phi, psi): dic2's
+    rule on the per-draw joint log-likelihoods of the completed data
+    (per_draw_logliks of samples with psi and y_u), with the log priors of
+    (phi, psi) choosing the plug-in draw."""
     return dic2(joint_lls, log_priors)
-
-
-def phi_loglik_fn(kind: ModelKind, data: Dataset):
-    """Per-draw log-likelihood for DIC1/DIC2: the scale-mixture-marginalized
-    multivariate-t form for Student-t kinds, the Gaussian form otherwise."""
-    names = phi_names_for(kind, data.n_beta)
-
-    def fn(row: np.ndarray) -> float:
-        params = params_from_row(kind, names, row)
-        if kind.student_t:
-            return marginal_loglik_t(kind, data, params)
-        return loglik(kind, data, params)
-
-    return fn
-
-
-def phi_logprior_fn(kind: ModelKind, n_beta: int, priors: Priors):
-    """Log prior density of the constrained phi (links changed-of-variable)."""
-    names = phi_names_for(kind, n_beta)
-
-    def fn(row: np.ndarray) -> float:
-        params = params_from_row(kind, names, row)
-        out = -0.5 * float(np.sum(params.beta ** 2)) / priors.var_beta
-        omega = tr.omega_from_sigma2(params.sigma2)
-        out += -0.5 * omega ** 2 / priors.var_omega - omega
-        rho_z = tr.rho_link(params.rho)
-        out += (-0.5 * rho_z ** 2 / priors.var_rho
-                - np.log(tr.dtwo_expit(rho_z)))
-        if kind.student_t:
-            nu_z = tr.nu_link(params.nu)
-            out += -0.5 * nu_z ** 2 / priors.var_nu - nu_z
-        if kind.yeo_johnson:
-            g_z = tr.gamma_link(params.gamma)
-            out += (-0.5 * g_z ** 2 / priors.var_gamma
-                    - np.log(tr.dtwo_expit(g_z)))
-        return float(out)
-
-    return fn
-
-
-def joint_logprior_fn(kind: ModelKind, n_beta: int, priors: Priors):
-    """Log prior density of (phi, psi) for DIC5's plug-in draw: the phi
-    prior plus the normal prior on the missingness coefficients."""
-    phi_prior = phi_logprior_fn(kind, n_beta, priors)
-
-    def fn(phi_row: np.ndarray, psi_row: np.ndarray) -> float:
-        return phi_prior(phi_row) \
-            - 0.5 * float(np.sum(psi_row ** 2)) / priors.var_psi
-
-    return fn
-
-
-def joint_loglik_fn(kind: ModelKind, data: Dataset):
-    """Per-draw joint log-likelihood for DIC5: completed-data likelihood of
-    the model plus the logistic missingness pmf."""
-    def fn(phi_row: np.ndarray, psi_row: np.ndarray,
-           y_u_row: np.ndarray) -> float:
-        psi = MissingnessParams(psi_x=np.asarray(psi_row[:-1], dtype=float),
-                                psi_y=float(psi_row[-1]))
-        y_complete = data.complete(y_u_row)
-        return (phi_loglik_fn(kind, data.with_y(y_complete))(phi_row)
-                + log_p_m(data.missing, y_complete, data.Xstar, psi))
-
-    return fn

@@ -31,7 +31,12 @@ checked bit for bit.
 as they were when each took the log-likelihood as a callable and scored
 every draw itself, so that DIC1 and DIC2 each made their own pass over the
 draws. They are kept verbatim, and the one-pass formulas over per-draw
-arrays that replaced them are checked against them bit for bit.
+arrays that replaced them are checked against them bit for bit. Their
+reference callables, `phi_loglik_fn`, `phi_logprior_fn`, `joint_loglik_fn`
+and `joint_logprior_fn`, are the closure factories `semvb.model_select`
+scored draws with before its one scorer over `PosteriorSamples`
+(`per_draw_logliks`, `per_draw_logpriors`), kept verbatim and checked
+against it bit for bit.
 
 `write_table_whole`, `read_rows_whole`, `parse_whole` and
 `parse_column_whole` are the CSV codec of `semvb.io` as it was when it held
@@ -394,6 +399,77 @@ def dic5_two_pass(samples, joint_loglik_fn, prior_fn=None) -> float:
                                   samples.y_u[i]),
         None if prior_fn is None
         else lambda i: prior_fn(samples.phi[i], samples.psi[i]))
+
+
+def phi_loglik_fn(kind, data):
+    """Per-draw log-likelihood for DIC1/DIC2: the scale-mixture-marginalized
+    multivariate-t form for Student-t kinds, the Gaussian form otherwise."""
+    from semvb.likelihoods import loglik, marginal_loglik_t
+    from semvb.model_select import params_from_row, phi_names_for
+    names = phi_names_for(kind, data.n_beta)
+
+    def fn(row: np.ndarray) -> float:
+        params = params_from_row(kind, names, row)
+        if kind.student_t:
+            return marginal_loglik_t(kind, data, params)
+        return loglik(kind, data, params)
+
+    return fn
+
+
+def phi_logprior_fn(kind, n_beta: int, priors):
+    """Log prior density of the constrained phi (links changed-of-variable)."""
+    from semvb import transforms as tr
+    from semvb.model_select import params_from_row, phi_names_for
+    names = phi_names_for(kind, n_beta)
+
+    def fn(row: np.ndarray) -> float:
+        params = params_from_row(kind, names, row)
+        out = -0.5 * float(np.sum(params.beta ** 2)) / priors.var_beta
+        omega = tr.omega_from_sigma2(params.sigma2)
+        out += -0.5 * omega ** 2 / priors.var_omega - omega
+        rho_z = tr.rho_link(params.rho)
+        out += (-0.5 * rho_z ** 2 / priors.var_rho
+                - np.log(tr.dtwo_expit(rho_z)))
+        if kind.student_t:
+            nu_z = tr.nu_link(params.nu)
+            out += -0.5 * nu_z ** 2 / priors.var_nu - nu_z
+        if kind.yeo_johnson:
+            g_z = tr.gamma_link(params.gamma)
+            out += (-0.5 * g_z ** 2 / priors.var_gamma
+                    - np.log(tr.dtwo_expit(g_z)))
+        return float(out)
+
+    return fn
+
+
+def joint_logprior_fn(kind, n_beta: int, priors):
+    """Log prior density of (phi, psi) for DIC5's plug-in draw: the phi
+    prior plus the normal prior on the missingness coefficients."""
+    phi_prior = phi_logprior_fn(kind, n_beta, priors)
+
+    def fn(phi_row: np.ndarray, psi_row: np.ndarray) -> float:
+        return phi_prior(phi_row) \
+            - 0.5 * float(np.sum(psi_row ** 2)) / priors.var_psi
+
+    return fn
+
+
+def joint_loglik_fn(kind, data):
+    """Per-draw joint log-likelihood for DIC5: completed-data likelihood of
+    the model plus the logistic missingness pmf."""
+    from semvb.likelihoods import log_p_m
+    from semvb.models import MissingnessParams
+
+    def fn(phi_row: np.ndarray, psi_row: np.ndarray,
+           y_u_row: np.ndarray) -> float:
+        psi = MissingnessParams(psi_x=np.asarray(psi_row[:-1], dtype=float),
+                                psi_y=float(psi_row[-1]))
+        y_complete = data.complete(y_u_row)
+        return (phi_loglik_fn(kind, data.with_y(y_complete))(phi_row)
+                + log_p_m(data.missing, y_complete, data.Xstar, psi))
+
+    return fn
 
 
 def dense_A(W_dense: np.ndarray, rho: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from semvb import hvb
 from semvb import likelihoods as lk
 from semvb.cli import main as cli_main
 from semvb.missingness import make_missingness_design, simulate_missing
-from semvb.model_select import dic1, per_draw_logliks, phi_loglik_fn
+from semvb.model_select import dic1, per_draw_logliks, phi_loglik
 from semvb.models import (MissingnessParams, ModelKind, ModelParams, Priors,
                           link_forward)
 from semvb.simulate import draw_beta_preset, make_design, simulate_sem
@@ -222,9 +222,9 @@ def test_criterion_7_dic_ordering():
         rng = np.random.default_rng(1000)
         res = vb_fit(kind, data, Priors(), cfg, rng=rng)
         samples = draw_posterior(res.lam, res.layout, 1000, rng)
-        loglik_fn = phi_loglik_fn(kind, data)
-        dics[kind.value] = dic1(per_draw_logliks(loglik_fn, samples.phi),
-                                loglik_fn(samples.phi.mean(axis=0)))
+        dics[kind.value] = dic1(per_draw_logliks(kind, data, samples),
+                                phi_loglik(kind, data,
+                                           samples.phi.mean(axis=0)))
     elapsed = time.perf_counter() - t0
     ok = (dics["yj-sem-gau"] < dics["sem-gau"]
           and dics["yj-sem-t"] < dics["sem-gau"] and elapsed < 900)

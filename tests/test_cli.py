@@ -212,6 +212,34 @@ class TestFit:
         monkeypatch.setattr(spatial, "_DSBEVD_S", float("inf"))
         assert route("factored") == "cholesky+lu"
 
+    def test_hvb_manifest_records_the_imputation(self, tmp_path):
+        sim, amp = tmp_path / "sim", tmp_path / "amp"
+        run_simulate(sim)
+        assert main(["amputate", "--data", str(sim / "dataset.csv"),
+                     "--seed", "5", "--out-dir", str(amp)]) == 0
+
+        def manifest(name, *extra):
+            out = tmp_path / name
+            assert main(self.fit_args(sim, out, method="hvb",
+                                      data=amp / "amputated.csv",
+                                      extra=("--n1", "2", *extra))) == 0
+            return (out / "manifest.txt").read_text()
+
+        cold = manifest("cold", "--kernel", "nob").splitlines()
+        warm = manifest("warm", "--kernel", "nob", "--warm-start", "1")
+        # a cold and a warm-start fit at one seed draw different imputations
+        assert cold[-4:] == ["kernel=nob", "n1=2", "block_fraction=0.1",
+                             "warm_start=0"]
+        assert warm.splitlines() == cold[:-1] + ["warm_start=1"]
+        # auto is recorded as the kernel it resolved to
+        from semvb.hvb import HvbConfig
+        n_missing = int(io.read_sidecar(amp / "sidecar.csv")[0].sum())
+        assert f"kernel={HvbConfig().resolve_kernel(n_missing)}" in \
+            manifest("auto").splitlines()
+        vb = tmp_path / "vb"
+        assert main(self.fit_args(sim, vb)) == 0
+        assert "kernel" not in io.read_keyvalues(vb / "manifest.txt")
+
     def test_no_stage_forms_a_dense_eigenproblem(self, tmp_path,
                                                  monkeypatch):
         # every stage on symmetrizable W, with numpy's dense eigensolvers
@@ -684,10 +712,10 @@ class TestDic:
 
     def test_report_matches_two_pass_oracle(self, tmp_path):
         """dic.csv holds the two-pass functions' values bit for bit."""
-        from oracles import dic1_two_pass, dic2_two_pass, dic5_two_pass
+        from oracles import (dic1_two_pass, dic2_two_pass, dic5_two_pass,
+                             joint_loglik_fn, joint_logprior_fn,
+                             phi_loglik_fn, phi_logprior_fn)
         from semvb.likelihoods import Dataset
-        from semvb.model_select import (joint_loglik_fn, joint_logprior_fn,
-                                        phi_loglik_fn, phi_logprior_fn)
         from semvb.models import Priors
         from semvb.spatial import plan_route
         sim, amp, full, miss = self.make_fits(tmp_path)
@@ -699,7 +727,7 @@ class TestDic:
             data = Dataset(y=y, X=X, W=W, Xstar=Xstar)
             samples, _ = io.read_samples(fit / "samples.csv")
             # the log-det route that `semvb dic` plans for these draws
-            plan_route(W, samples.n_draws + 1)
+            plan_route(W, samples.n_draws + (samples.y_u is None))
             out = tmp_path / "dic" / fit.name
             assert self.dic_rc(data_path, sim,
                                f"sem-gau={fit / 'samples.csv'}", out) == 0

@@ -1,19 +1,25 @@
-"""The demos stay in step with the library without being run.
+"""The demos and README's code stay in step with the library without being run.
 
-Each demo takes up to a minute, so this reads them instead: every demo
-compiles, every name it imports from semvb resolves, every semvb function
-or class it calls still exists under the name it uses, and accepts the
-positional and keyword arguments the call passes.
+Each demo takes up to a minute, and README's snippets use data they do not
+define, so this reads them instead: every demo and every ```python block of
+README compiles, every name it imports from semvb resolves, every semvb
+function or class it calls still exists under the name it uses, and accepts
+the positional and keyword arguments the call passes. A README block may
+call what an earlier block imported.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def semvb_names(tree: ast.Module) -> dict[str, object]:
@@ -50,13 +56,14 @@ def resolve(func: ast.expr, bound: dict[str, object]):
     return None
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_matches_library(demo):
-    source = demo.read_text()
-    compile(source, str(demo), "exec")
+def check_calls(name: str, source: str, in_scope=None) -> dict:
+    """Compile source and bind each of its semvb calls, with its own semvb
+    imports on top of in_scope; returns the semvb names then in scope."""
+    compile(source, name, "exec")
     tree = ast.parse(source)
-    bound = semvb_names(tree)
-    assert bound, f"{demo.name} imports nothing from semvb"
+    imported = semvb_names(tree)
+    assert imported, f"{name} imports nothing from semvb"
+    bound = {**(in_scope or {}), **imported}
     checked = 0
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -72,9 +79,22 @@ def test_demo_matches_library(demo):
             inspect.signature(target).bind(
                 *node.args, **{k.arg: k.value for k in node.keywords})
         except TypeError as exc:
-            pytest.fail(f"{demo.name} line {node.lineno}: "
+            pytest.fail(f"{name} line {node.lineno}: "
                         f"{ast.unparse(node.func)}(...) {exc}")
-    assert checked, f"{demo.name} calls no semvb function"
+    assert checked, f"{name} calls no semvb function"
+    return bound
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_matches_library(demo):
+    check_calls(demo.name, demo.read_text())
+
+
+def test_readme_code_matches_library():
+    assert len(README_BLOCKS) >= 2, "README's python blocks were not found"
+    in_scope = {}
+    for i, block in enumerate(README_BLOCKS, start=1):
+        in_scope = check_calls(f"README python block {i}", block, in_scope)
 
 
 def test_demos_found():

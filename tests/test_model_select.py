@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
+from semvb import model_select
 from semvb.errors import DimensionError, DomainError, NumericalError
-from semvb.likelihoods import loglik, marginal_loglik_t
-from semvb.models import ModelKind, ModelParams, Priors
+from semvb.likelihoods import log_p_m, loglik, marginal_loglik_t
+from semvb.models import ModelKind, Priors
 from semvb.model_select import (PosteriorSamples, dic1, dic2, dic5,
-                                joint_loglik_fn, joint_logprior_fn,
                                 params_from_row, per_draw_logliks,
-                                phi_loglik_fn, phi_logprior_fn,
+                                per_draw_logpriors, phi_loglik,
                                 phi_names_for)
 
-from oracles import dic1_two_pass, dic2_two_pass, dic5_two_pass
+from oracles import (dic1_two_pass, dic2_two_pass, dic5_two_pass,
+                     joint_loglik_fn, joint_logprior_fn, phi_loglik_fn,
+                     phi_logprior_fn)
 from util import random_instance
+
+KINDS = [ModelKind.SEM_GAU, ModelKind.SEM_T, ModelKind.YJ_SEM_GAU,
+         ModelKind.YJ_SEM_T]
 
 
 def quad_loglik(phi_row):
@@ -21,21 +26,48 @@ def quad_loglik(phi_row):
 
 
 # The DIC functions are formulas over per-draw values; these score the
-# draws of a PosteriorSamples once and apply them.
+# draws of a PosteriorSamples with a test's own functions and apply them.
+def scores(fn, *blocks):
+    """fn at every row of the row-aligned blocks, as one array."""
+    return np.array([fn(*rows) for rows in zip(*blocks)])
+
+
 def dic1_of(s, loglik_fn):
-    return dic1(per_draw_logliks(loglik_fn, s.phi),
-                loglik_fn(s.phi.mean(axis=0)))
+    return dic1(scores(loglik_fn, s.phi), loglik_fn(s.phi.mean(axis=0)))
 
 
 def dic2_of(s, loglik_fn, prior_fn):
-    return dic2(per_draw_logliks(loglik_fn, s.phi),
-                [prior_fn(row) for row in s.phi])
+    return dic2(scores(loglik_fn, s.phi), scores(prior_fn, s.phi))
 
 
 def dic5_of(s, joint_fn, prior_fn=None):
-    lls = per_draw_logliks(joint_fn, s.phi, s.psi, s.y_u)
-    return dic5(s, lls, 0.0 if prior_fn is None
-                else [prior_fn(*rows) for rows in zip(s.phi, s.psi)])
+    return dic5(scores(joint_fn, s.phi, s.psi, s.y_u),
+                0.0 if prior_fn is None else scores(prior_fn, s.phi, s.psi))
+
+
+def jittered_samples(inst, kind, n_draws, seed):
+    """Draws scattered about a random instance's parameters, with psi and
+    y_u blocks when the instance has missing responses."""
+    from semvb.model_select import phi_row
+    rng = np.random.default_rng(seed)
+    base = phi_row(inst["params"])
+    phi = base + 0.02 * rng.standard_normal((n_draws, base.size))
+    names = phi_names_for(kind, inst["data"].n_beta)
+    if inst["psi"] is None:
+        return PosteriorSamples(phi=phi, phi_names=names)
+    psi = inst["psi"].stacked + 0.1 * rng.standard_normal(
+        (n_draws, inst["psi"].stacked.size))
+    y_u = inst["y_u"] + 0.3 * rng.standard_normal((n_draws,
+                                                   inst["y_u"].size))
+    return PosteriorSamples(phi=phi, phi_names=names, psi=psi, y_u=y_u)
+
+
+def draw(s, i):
+    """Draw i of s alone, as one-draw samples."""
+    return PosteriorSamples(
+        phi=s.phi[i:i + 1], phi_names=s.phi_names,
+        psi=None if s.psi is None else s.psi[i:i + 1],
+        y_u=None if s.y_u is None else s.y_u[i:i + 1])
 
 
 class TestContainers:
@@ -62,41 +94,50 @@ class TestContainers:
 
 
 class TestPerDrawLogliks:
-    def test_one_value_per_draw_from_aligned_rows(self):
-        a = np.arange(6.0).reshape(3, 2)
-        b = -np.arange(3.0).reshape(3, 1)
+    def test_one_value_per_draw_from_aligned_rows(self, monkeypatch):
+        kind = ModelKind.SEM_GAU
         calls = []
-
-        def fn(row_a, row_b):
-            calls.append((row_a.copy(), row_b.copy()))
-            return row_a.sum() + 10.0 * row_b[0]
-
-        out = per_draw_logliks(fn, a, b)
-        np.testing.assert_array_equal(out, [1.0, -5.0, -11.0])
-        assert len(calls) == 3
-        for i, (ra, rb) in enumerate(calls):
-            np.testing.assert_array_equal(ra, a[i])
-            np.testing.assert_array_equal(rb, b[i])
+        monkeypatch.setattr(model_select, "loglik",
+                            lambda *a: calls.append(a) or loglik(*a))
+        for missing_frac in (0.0, 0.25):  # complete, then joint, values
+            inst = random_instance(kind, seed=3, missing_frac=missing_frac)
+            s = jittered_samples(inst, kind, 4, seed=1)
+            calls.clear()
+            out = per_draw_logliks(kind, inst["data"], s)
+            assert out.shape == (4,) and len(calls) == 4
+            for i in range(4):  # draw i is scored from row i of each block
+                assert out[i] == per_draw_logliks(kind, inst["data"],
+                                                  draw(s, i))[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_names_its_draw(self, bad):
-        values = [0.0, -1.0, bad, 2.0]
+    def test_non_finite_value_names_its_draw(self, monkeypatch, bad):
+        values = iter([0.0, -1.0, bad, 2.0])
+        monkeypatch.setattr(model_select, "loglik", lambda *a: next(values))
+        inst = random_instance(ModelKind.SEM_GAU, seed=0)
+        s = jittered_samples(inst, ModelKind.SEM_GAU, 4, seed=1)
         with pytest.raises(NumericalError, match="posterior draw 2") as err:
-            per_draw_logliks(lambda row: values[int(row[0])],
-                             np.arange(4.0)[:, None])
+            per_draw_logliks(ModelKind.SEM_GAU, inst["data"], s)
         assert err.value.iteration == 2
 
-    def test_missing_or_ragged_block_is_a_dimension_error(self):
-        phi = np.zeros((3, 2))
-
-        def fn(*rows):
+    def test_missing_or_ragged_block_is_refused(self, monkeypatch):
+        def refuse(*args):
             raise AssertionError("no draw is scored")
 
-        with pytest.raises(DimensionError, match="present"):
-            per_draw_logliks(fn, phi, None, None)  # no psi or y_u blocks
+        monkeypatch.setattr(model_select, "loglik", refuse)
+        inst = random_instance(ModelKind.SEM_GAU, seed=3, missing_frac=0.25)
+        data, s = inst["data"], jittered_samples(inst, ModelKind.SEM_GAU, 3,
+                                                 seed=1)
+        no_psi = PosteriorSamples(phi=s.phi, phi_names=s.phi_names, y_u=s.y_u)
+        with pytest.raises(DomainError, match="psi"):
+            per_draw_logliks(ModelKind.SEM_GAU, data, no_psi)
         for short in (np.zeros((2, 1)), np.zeros((4, 1))):
-            with pytest.raises(DimensionError, match="one row per draw"):
-                per_draw_logliks(fn, phi, short)
+            with pytest.raises(DimensionError, match="rows do not match"):
+                PosteriorSamples(phi=s.phi, phi_names=s.phi_names, psi=s.psi,
+                                 y_u=short)
+        wide = PosteriorSamples(phi=s.phi, phi_names=s.phi_names, psi=s.psi,
+                                y_u=np.zeros((3, data.n_missing + 1)))
+        with pytest.raises(DimensionError, match="y_u has length"):
+            per_draw_logliks(ModelKind.SEM_GAU, data, wide)
 
 
 class TestDic1:
@@ -130,10 +171,13 @@ class TestDic1:
         assert shifted == pytest.approx(base - 14.0, abs=1e-10)
 
     def test_non_finite_draw_aborts(self):
-        phi = np.array([[0.0], [np.nan], [1.0]])
-        s = PosteriorSamples(phi=phi, phi_names=("a",))
+        kind = ModelKind.SEM_GAU
+        inst = random_instance(kind, seed=0)
+        s = jittered_samples(inst, kind, 3, seed=1)
+        s.phi[1, s.phi_names.index("sigma2")] = 1e-320
         with pytest.raises(NumericalError) as err:
-            dic1_of(s, quad_loglik)
+            dic1(per_draw_logliks(kind, inst["data"], s),
+                 phi_loglik(kind, inst["data"], s.phi.mean(axis=0)))
         assert err.value.iteration == 1
 
     def test_no_draws_rejected(self):
@@ -206,9 +250,19 @@ class TestDic5:
         assert dic5_of(s, self.joint) == pytest.approx(expected, abs=1e-10)
 
     def test_requires_psi_and_yu(self):
-        s = PosteriorSamples(phi=np.zeros((2, 1)), phi_names=("a",))
+        # the joint log-likelihoods of y_u draws need their psi draws
+        kind = ModelKind.SEM_GAU
+        inst = random_instance(kind, seed=3, missing_frac=0.25)
+        s = jittered_samples(inst, kind, 2, seed=1)
         with pytest.raises(DomainError):
-            dic5(s, np.zeros(2))
+            dic5(per_draw_logliks(kind, inst["data"], PosteriorSamples(
+                phi=s.phi, phi_names=s.phi_names, y_u=s.y_u)))
+
+    def test_is_dic2_on_joint_values(self):
+        s = self.make(np.random.default_rng(4))
+        js = scores(self.joint, s.phi, s.psi, s.y_u)
+        priors = -np.arange(float(s.n_draws))
+        assert dic5(js) == dic2(js) and dic5(js, priors) == dic2(js, priors)
 
     def test_constant_shift(self):
         s = self.make(np.random.default_rng(3))
@@ -220,71 +274,63 @@ class TestDic5:
 class TestModelBoundFns:
     def test_gaussian_loglik_fn(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=0)
-        fn = phi_loglik_fn(ModelKind.SEM_GAU, inst["data"])
         p = inst["params"]
         row = np.concatenate([p.beta, [p.sigma2, p.rho]])
-        assert fn(row) == pytest.approx(
-            loglik(ModelKind.SEM_GAU, inst["data"], p), abs=1e-10)
+        assert phi_loglik(ModelKind.SEM_GAU, inst["data"], row) == loglik(
+            ModelKind.SEM_GAU, inst["data"], p)
 
     def test_t_kind_uses_marginal(self):
         inst = random_instance(ModelKind.SEM_T, seed=1)
-        fn = phi_loglik_fn(ModelKind.SEM_T, inst["data"])
         p = inst["params"]
         row = np.concatenate([p.beta, [p.sigma2, p.rho, p.nu]])
-        assert fn(row) == pytest.approx(
-            marginal_loglik_t(ModelKind.SEM_T, inst["data"], p), abs=1e-10)
+        assert phi_loglik(ModelKind.SEM_T, inst["data"], row) == \
+            marginal_loglik_t(ModelKind.SEM_T, inst["data"], p)
 
     def test_logprior_sigma2_change_of_variables(self):
         import scipy.stats as st
         inst = random_instance(ModelKind.SEM_GAU, seed=2)
         n_beta = inst["data"].n_beta
-        fn = phi_logprior_fn(ModelKind.SEM_GAU, n_beta, Priors())
-        row1 = np.concatenate([np.zeros(n_beta), [0.5, 0.0]])
-        row2 = np.concatenate([np.zeros(n_beta), [2.5, 0.0]])
+        rows = [np.concatenate([np.zeros(n_beta), [sigma2, 0.0]])
+                for sigma2 in (0.5, 2.5)]
+        lp = per_draw_logpriors(ModelKind.SEM_GAU, Priors(), PosteriorSamples(
+            phi=rows, phi_names=phi_names_for(ModelKind.SEM_GAU, n_beta)))
         # log sigma2 ~ N(0, 100): density ratios follow the lognormal law
         ref = st.lognorm(s=10.0)
-        got = fn(row1) - fn(row2)
         want = ref.logpdf(0.5) - ref.logpdf(2.5)
-        assert got == pytest.approx(float(want), abs=1e-10)
+        assert lp[0] - lp[1] == pytest.approx(float(want), abs=1e-10)
 
     def test_logprior_beta_kernel(self):
-        fn = phi_logprior_fn(ModelKind.SEM_GAU, 1, Priors())
-        base = fn(np.array([0.0, 1.0, 0.0]))
-        moved = fn(np.array([10.0, 1.0, 0.0]))
-        assert base - moved == pytest.approx(100.0 / 200.0, abs=1e-10)
+        lp = per_draw_logpriors(ModelKind.SEM_GAU, Priors(), PosteriorSamples(
+            phi=[[0.0, 1.0, 0.0], [10.0, 1.0, 0.0]],
+            phi_names=phi_names_for(ModelKind.SEM_GAU, 1)))
+        assert lp[0] - lp[1] == pytest.approx(100.0 / 200.0, abs=1e-10)
 
     def test_joint_fn_matches_manual_assembly(self):
-        from semvb.likelihoods import log_p_m
         inst = random_instance(ModelKind.SEM_GAU, seed=3, missing_frac=0.25)
-        data = inst["data"]
-        fn = joint_loglik_fn(ModelKind.SEM_GAU, data)
-        p = inst["params"]
-        phi_row = np.concatenate([p.beta, [p.sigma2, p.rho]])
-        psi_row = inst["psi"].stacked
-        y_u_row = inst["y_u"]
-        y_full = data.complete(y_u_row)
+        data, p = inst["data"], inst["params"]
+        y_full = data.complete(inst["y_u"])
         want = loglik(ModelKind.SEM_GAU, data.with_y(y_full), p) \
             + log_p_m(data.missing.astype(float), y_full, data.Xstar,
                       inst["psi"])
-        assert fn(phi_row, psi_row, y_u_row) == pytest.approx(want,
-                                                              abs=1e-10)
+        s = PosteriorSamples(
+            phi=np.concatenate([p.beta, [p.sigma2, p.rho]]),
+            phi_names=phi_names_for(ModelKind.SEM_GAU, data.n_beta),
+            psi=inst["psi"].stacked, y_u=inst["y_u"])
+        assert per_draw_logliks(ModelKind.SEM_GAU, data, s)[0] == \
+            pytest.approx(want, abs=1e-10)
 
-
-def jittered_samples(inst, kind, n_draws, seed):
-    """Draws scattered about a random instance's parameters, with psi and
-    y_u blocks when the instance has missing responses."""
-    from semvb.model_select import phi_row
-    rng = np.random.default_rng(seed)
-    base = phi_row(inst["params"])
-    phi = base + 0.02 * rng.standard_normal((n_draws, base.size))
-    names = phi_names_for(kind, inst["data"].n_beta)
-    if inst["psi"] is None:
-        return PosteriorSamples(phi=phi, phi_names=names)
-    psi = inst["psi"].stacked + 0.1 * rng.standard_normal(
-        (n_draws, inst["psi"].stacked.size))
-    y_u = inst["y_u"] + 0.3 * rng.standard_normal((n_draws,
-                                                   inst["y_u"].size))
-    return PosteriorSamples(phi=phi, phi_names=names, psi=psi, y_u=y_u)
+    def test_joint_logprior_adds_the_psi_prior(self):
+        priors = Priors()
+        psi = np.random.default_rng(5).standard_normal((4, 3))
+        s = PosteriorSamples(phi=np.tile([0.3, 1.5, 0.2], (4, 1)),
+                             phi_names=phi_names_for(ModelKind.SEM_GAU, 1),
+                             psi=psi)
+        phi_only = per_draw_logpriors(ModelKind.SEM_GAU, priors,
+                                      PosteriorSamples(s.phi, s.phi_names))
+        want = phi_only - 0.5 * np.sum(psi ** 2, axis=1) / priors.var_psi
+        np.testing.assert_allclose(
+            per_draw_logpriors(ModelKind.SEM_GAU, priors, s), want,
+            rtol=0, atol=1e-12)
 
 
 class TestTwoPassOracle:
@@ -303,23 +349,48 @@ class TestTwoPassOracle:
         joint = TestDic5().joint
         assert dic5_of(s, joint) == dic5_two_pass(s, joint)
 
-    @pytest.mark.parametrize("kind", [ModelKind.SEM_GAU, ModelKind.SEM_T,
-                                      ModelKind.YJ_SEM_GAU,
-                                      ModelKind.YJ_SEM_T])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_model_fixtures(self, kind):
         inst = random_instance(kind, seed=4)
         data, n_beta = inst["data"], inst["data"].n_beta
         s = jittered_samples(inst, kind, 25, seed=5)
+        lls = per_draw_logliks(kind, data, s)
         loglik_fn = phi_loglik_fn(kind, data)
-        prior_fn = phi_logprior_fn(kind, n_beta, Priors())
-        assert dic1_of(s, loglik_fn) == dic1_two_pass(s, loglik_fn)
-        assert dic2_of(s, loglik_fn, prior_fn) == dic2_two_pass(
-            s, loglik_fn, prior_fn)
+        assert dic1(lls, phi_loglik(kind, data, s.phi.mean(axis=0))) == \
+            dic1_two_pass(s, loglik_fn)
+        assert dic2(lls, per_draw_logpriors(kind, Priors(), s)) == \
+            dic2_two_pass(s, loglik_fn, phi_logprior_fn(kind, n_beta,
+                                                        Priors()))
 
         inst = random_instance(kind, seed=6, missing_frac=0.25)
         s = jittered_samples(inst, kind, 25, seed=7)
+        lls = per_draw_logliks(kind, inst["data"], s)
         joint = joint_loglik_fn(kind, inst["data"])
-        prior_fn = joint_logprior_fn(kind, n_beta, Priors())
-        assert dic5_of(s, joint, prior_fn) == dic5_two_pass(s, joint,
-                                                            prior_fn)
-        assert dic5_of(s, joint) == dic5_two_pass(s, joint)
+        assert dic5(lls, per_draw_logpriors(kind, Priors(), s)) == \
+            dic5_two_pass(s, joint, joint_logprior_fn(kind, n_beta, Priors()))
+        assert dic5(lls) == dic5_two_pass(s, joint)
+
+    @pytest.mark.parametrize("samples", ["complete", "missing"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scorer_matches_oracle_callables(self, kind, samples):
+        """Each per-draw value is the closure factories' value, bit for bit."""
+        inst = random_instance(kind, seed=8,
+                               missing_frac=0.25 * (samples == "missing"))
+        data, n_beta = inst["data"], inst["data"].n_beta
+        s = jittered_samples(inst, kind, 12, seed=9)
+        lls = per_draw_logliks(kind, data, s)
+        log_priors = per_draw_logpriors(kind, Priors(), s)
+        if samples == "complete":
+            loglik_fn = phi_loglik_fn(kind, data)
+            prior_fn = phi_logprior_fn(kind, n_beta, Priors())
+            assert list(lls) == [loglik_fn(row) for row in s.phi]
+            assert list(log_priors) == [prior_fn(row) for row in s.phi]
+            mean = s.phi.mean(axis=0)
+            assert phi_loglik(kind, data, mean) == loglik_fn(mean)
+        else:
+            joint = joint_loglik_fn(kind, data)
+            prior_fn = joint_logprior_fn(kind, n_beta, Priors())
+            assert list(lls) == [joint(*rows)
+                                 for rows in zip(s.phi, s.psi, s.y_u)]
+            assert list(log_priors) == [prior_fn(*rows)
+                                        for rows in zip(s.phi, s.psi)]

@@ -456,8 +456,8 @@ STAGE_PLANS = {
     "nob fit, 200 iterations": (25, 200, 200, True),
     "probe": (30, 0, 0, False),
     "t900 dic, 100 draws": (30, 101, 0, False),
-    "nob dic, 50 draws": (25, 51, 0, False),
-    "allb dic, 5 draws": (25, 6, 0, False),
+    "nob dic, 50 draws": (25, 50, 0, False),
+    "allb dic, 5 draws": (25, 5, 0, False),
     "allb fit, 5 iterations": (25, 5, 5, False),
     "gau2116 fit, 2 iterations": (46, 2, 2, False),
     "100 x 100 fit at the CLI defaults": (100, 10000, 10000, True),
