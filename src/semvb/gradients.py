@@ -1,11 +1,11 @@
 """Analytic gradients of the log h targets and of the variational density.
 
 `grad_log_h_full` and `grad_log_h_missing` return the gradient and the value
-of log h from one pass: the link inverse, the residual with its Yeo-Johnson
-transform, A r and the missingness predictor eta are computed once per draw
-and serve both, and the log-det comes from `spatial.logdet_M`. That value is
-the one implementation of log h. `grad_log_q0` and `variational.log_q0` share
-one Woodbury core, `_log_q0_and_grad`, which the SGA loop calls once a draw.
+of log h from one pass: the link inverse, the missingness predictor eta and
+the complete-data log-likelihood with its residual, A r and r^T M r
+(`likelihoods._loglik_terms`) are computed once per draw and serve both.
+`grad_log_q0` and `variational.log_q0` share one Woodbury core,
+`_log_q0_and_grad`, which the SGA loop calls once a draw.
 
 Every gradient here is the exact chain-rule derivative of the corresponding
 implemented target over the unconstrained vector theta, and the test suite
@@ -20,12 +20,12 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError
-from .likelihoods import (Dataset, _log_p_m_eta, _loglik_shell, layout_full,
-                          layout_missing, log_prior, residual_r)
+from .errors import DomainError, SingularityError
+from .likelihoods import (Dataset, _log_p_m_eta, _loglik_terms, layout_full,
+                          layout_missing, log_prior)
 from .models import ModelKind, ModelParams, Priors, ThetaLayout, link_inverse
-from .spatial import apply_A, apply_At, logdet_M, trace_AinvW
-from .transforms import dtwo_expit, expit, yj_dgamma, yj_dlogdy_dgamma
+from .spatial import apply_At, trace_AinvW
+from .transforms import dtwo_expit, expit, yj_dgamma
 
 __all__ = ["digamma", "grad_log_h_full", "grad_log_h_missing", "grad_log_q0"]
 
@@ -69,15 +69,10 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
     W = data.W
     n = data.n
     inv_sig2 = 1.0 / params.sigma2
-    r = residual_r(kind, y_complete, data.X, params.beta, params.gamma)
     s = 1.0 / tau if tau is not None else None
-
-    ar = apply_A(W, params.rho, r)
-    s_ar = s * ar if s is not None else ar
+    ll, r, ar, s_ar, quad, dlogjac = _loglik_terms(kind, data, params, s,
+                                                   y_complete)
     mr = apply_At(W, params.rho, s_ar)          # M r
-    quad = float(ar @ s_ar)                     # r^T M r
-    ll = _loglik_shell(n, params.sigma2, logdet_M(kind, W, params.rho, tau),
-                       quad)
 
     grad[layout.beta] = inv_sig2 * (data.X.T @ mr) \
         - theta[layout.beta] / priors.var_beta
@@ -104,14 +99,10 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
                             + half_nu * (exp_neg - 1.0))
 
     if kind.yeo_johnson:
-        # log dt/dy is linear in gamma on each branch, so the log-Jacobian
-        # sum log dt/dy is (gamma - 1) times its gamma-derivative
-        dlogjac = float(np.sum(yj_dlogdy_dgamma(y_complete)))
         dll_dgamma = (-inv_sig2 * float(mr @ yj_dgamma(y_complete, params.gamma))
                       + dlogjac)
         grad[layout.gamma] = (dll_dgamma * dtwo_expit(theta[layout.gamma])
                               - theta[layout.gamma] / priors.var_gamma)
-        ll += (params.gamma - 1.0) * dlogjac
     return ll
 
 
@@ -122,8 +113,6 @@ def grad_log_h_full(kind: ModelKind, data: Dataset, theta: np.ndarray,
     data.require_complete()
     layout = layout_full(kind, data)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (layout.size,):
-        raise DimensionError("theta does not match the full-data layout")
     params, tau, _ = link_inverse(kind, layout, theta)
     grad = np.empty(layout.size)
     ll = _grad_core(kind, data, layout, theta, params, tau, priors, data.y,
@@ -145,8 +134,6 @@ def grad_log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
     """
     layout = layout_missing(kind, data)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (layout.size,):
-        raise DimensionError("theta does not match the missing-data layout")
     y_complete = data.complete(y_u)
     params, tau, psi = link_inverse(kind, layout, theta)
     grad = np.empty(layout.size)

@@ -11,9 +11,12 @@ theta: the likelihood plus Gaussian prior kernels on the link scale, plus the
 inverse-gamma mixing density (with its log-Jacobian) for the Student-t scale
 block, plus the logistic missingness term when responses are missing.
 
-log h has one implementation: `log_h_full` and `log_h_missing` return the
-value that `gradients.grad_log_h_*` computes with the gradient in one pass.
-`loglik`, which DIC evaluates per draw, stays standalone.
+The shell and the YJ log-Jacobian are written once, in `_loglik_terms`:
+`loglik` and `marginal_loglik_t` (which DIC evaluates per draw) are their
+input checks plus that call, `log_h_full` and `log_h_missing` add the prior
+(and the missingness pmf) to `loglik`, and the SGA's gradient pass
+(`gradients.grad_log_h_full` and `gradients.grad_log_h_missing`) takes its
+value and its residual terms from it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .models import (MissingnessParams, ModelKind, ModelParams, Priors,
-                     ThetaLayout)
-from .spatial import SpatialWeights, logdet_M, quad_form_M
-from .transforms import yj_dy, yj_forward
+                     ThetaLayout, link_inverse)
+from .spatial import SpatialWeights, _inv_tau, apply_A, logdet_A
+from .transforms import yj_dlogdy_dgamma, yj_forward
 
 __all__ = [
     "Dataset", "layout_full", "layout_missing",
@@ -149,12 +152,41 @@ def residual_r(kind: ModelKind, y_complete: np.ndarray, X: np.ndarray,
     return y_complete - X @ beta
 
 
-def _loglik_shell(n: int, sigma2: float, logdet_m: float, quad: float
-                  ) -> float:
-    """The shared shell without the YJ log-Jacobian: the Gaussian log
-    density of r with precision M / sigma^2, given log|M| and r^T M r."""
-    return (-0.5 * n * _LOG_2PI - 0.5 * n * np.log(sigma2)
-            + 0.5 * logdet_m - quad / (2.0 * sigma2))
+def _loglik_terms(kind: ModelKind, data: Dataset, params: ModelParams,
+                  s: np.ndarray | None, y: np.ndarray, marginal: bool = False):
+    """The log-likelihood at the response y, with the terms the gradient
+    reuses: (loglik, r, A r, s A r, r^T M r, the gamma-derivative of the YJ
+    log-Jacobian).
+
+    s is the diagonal of Sigma_tau^-1 (1/tau) for the complete-data density
+    of Student-t kinds and None otherwise, so log|M| = 2 log det A +
+    sum log s and r^T M r = (A r)^T (s A r). With marginal (and s None) the
+    value is the multivariate t left by integrating tau out: scale matrix
+    sigma^2 M^-1, nu degrees of freedom. log dt/dy is linear in gamma on
+    each branch, so the YJ log-Jacobian sum log dt/dy is (gamma - 1) times
+    its gamma-derivative. Neither s nor y is checked here.
+    """
+    n, W, sigma2 = data.n, data.W, params.sigma2
+    r = residual_r(kind, y, data.X, params.beta, params.gamma)
+    ar = apply_A(W, params.rho, r)
+    s_ar = ar if s is None else s * ar
+    quad = float(ar @ s_ar)
+    logdet_m = 2.0 * logdet_A(W, params.rho)
+    if s is not None:
+        logdet_m += float(np.sum(np.log(s)))
+    if marginal:
+        nu = params.nu
+        const = (lgamma(0.5 * (nu + n)) - lgamma(0.5 * nu)
+                 - 0.5 * n * np.log(nu * np.pi))
+        kernel = 0.5 * (nu + n) * np.log1p(quad / (nu * sigma2))
+    else:
+        const, kernel = -0.5 * n * _LOG_2PI, quad / (2.0 * sigma2)
+    ll = const - 0.5 * n * np.log(sigma2) + 0.5 * logdet_m - kernel
+    dlogjac = None
+    if kind.yeo_johnson:
+        dlogjac = float(np.sum(yj_dlogdy_dgamma(y)))
+        ll += (params.gamma - 1.0) * dlogjac
+    return float(ll), r, ar, s_ar, quad, dlogjac
 
 
 def loglik(kind: ModelKind, data: Dataset, params: ModelParams,
@@ -162,13 +194,8 @@ def loglik(kind: ModelKind, data: Dataset, params: ModelParams,
     """Complete-data log-likelihood, additive constants included."""
     data.require_complete()
     params.require_kind(kind)
-    r = residual_r(kind, data.y, data.X, params.beta, params.gamma)
-    out = _loglik_shell(data.n, params.sigma2,
-                        logdet_M(kind, data.W, params.rho, tau),
-                        quad_form_M(kind, data.W, params.rho, tau, r))
-    if kind.yeo_johnson:
-        out += float(np.sum(np.log(yj_dy(data.y, params.gamma))))
-    return float(out)
+    s = _inv_tau(kind, data.W, tau)
+    return _loglik_terms(kind, data, params, s, data.y)[0]
 
 
 def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> float:
@@ -182,17 +209,7 @@ def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> fl
         raise DomainError("marginal_loglik_t applies to Student-t kinds only")
     data.require_complete()
     params.require_kind(kind)
-    n = data.n
-    nu = params.nu
-    r = residual_r(kind, data.y, data.X, params.beta, params.gamma)
-    quad = quad_form_M(ModelKind.SEM_GAU, data.W, params.rho, None, r)
-    out = (lgamma(0.5 * (nu + n)) - lgamma(0.5 * nu)
-           - 0.5 * n * np.log(nu * np.pi) - 0.5 * n * np.log(params.sigma2)
-           + 0.5 * logdet_M(ModelKind.SEM_GAU, data.W, params.rho, None)
-           - 0.5 * (nu + n) * np.log1p(quad / (nu * params.sigma2)))
-    if kind.yeo_johnson:
-        out += float(np.sum(np.log(yj_dy(data.y, params.gamma))))
-    return float(out)
+    return _loglik_terms(kind, data, params, None, data.y, marginal=True)[0]
 
 
 def log_p_m(m: np.ndarray, y_complete: np.ndarray, Xstar: np.ndarray,
@@ -252,13 +269,10 @@ def log_prior(layout: ThetaLayout, theta: np.ndarray, priors: Priors) -> float:
 
 def log_h_full(kind: ModelKind, data: Dataset, theta: np.ndarray,
                priors: Priors) -> float:
-    """Complete-data target: loglik + log prior at the unconstrained theta.
-
-    This is the value of `gradients.grad_log_h_full`'s one pass, which
-    takes the gradient as well.
-    """
-    from .gradients import grad_log_h_full  # gradients imports this module
-    return grad_log_h_full(kind, data, theta, priors)[1]
+    """Complete-data target: loglik + log prior at the unconstrained theta."""
+    layout = layout_full(kind, data)
+    params, tau, _ = link_inverse(kind, layout, theta)
+    return loglik(kind, data, params, tau) + log_prior(layout, theta, priors)
 
 
 def log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
@@ -266,8 +280,10 @@ def log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
     """Missing-data target: completed-data log h plus the missingness pmf.
 
     theta carries the psi block; y_u fills the unobserved response slots.
-    This is the value of `gradients.grad_log_h_missing`'s one pass, which
-    takes the gradient as well.
     """
-    from .gradients import grad_log_h_missing  # gradients imports this module
-    return grad_log_h_missing(kind, data, theta, y_u, priors)[1]
+    layout = layout_missing(kind, data)
+    params, tau, psi = link_inverse(kind, layout, theta)
+    y = data.complete(y_u)
+    return (loglik(kind, data.with_y(y), params, tau)
+            + log_p_m(data.missing, y, data.Xstar, psi)
+            + log_prior(layout, theta, priors))

@@ -101,15 +101,23 @@ def per_draw_logliks(kind: ModelKind, data: Dataset,
                      samples: PosteriorSamples) -> np.ndarray:
     """The log-likelihood of every draw, as one array: dic1 and dic2 share it.
 
-    For samples with a y_u block it is DIC5's joint log-likelihood: phi_loglik
-    of the response completed by the draw's y_u, plus the logistic
-    missingness log pmf at the draw's psi. y_u without psi raises
-    DomainError; a non-finite value raises NumericalError naming its draw.
+    The kind's phi columns are taken from the samples by name. For samples
+    with a y_u block it is DIC5's joint log-likelihood: phi_loglik of the
+    response completed by the draw's y_u, plus the logistic missingness log
+    pmf at the draw's psi. y_u without psi, or a phi column the kind needs
+    that the samples lack, raises DomainError; a non-finite value raises
+    NumericalError naming its draw.
     """
     if samples.y_u is not None and samples.psi is None:
         raise DomainError("scoring a y_u block needs its psi block")
+    pos = {name: j for j, name in enumerate(samples.phi_names)}
+    names = phi_names_for(kind, data.n_beta)
+    for name in names:
+        if name not in pos:
+            raise DomainError(f"the samples have no {name} column, which "
+                              f"{kind.value} needs")
     out = np.empty(samples.n_draws)
-    for i, row in enumerate(samples.phi):
+    for i, row in enumerate(samples.phi[:, [pos[name] for name in names]]):
         if samples.y_u is None:
             out[i] = phi_loglik(kind, data, row)
         else:
@@ -171,8 +179,6 @@ def dic2(lls, log_priors=0.0) -> float:
         raise DimensionError("log_priors must hold one value per draw")
     best = int(np.argmax(lls + log_priors))
     return float(-4.0 * lls.mean() + 2.0 * lls[best])
-
-
 
 
 def dic5(joint_lls, log_priors=0.0) -> float:

@@ -1,12 +1,13 @@
 """Spatial weight matrices and the operator A = I - rho W.
 
 Everything the model family needs from the spatial side lives here: rook
-lattice construction, matrix-vector products with A and A^T, log-determinants
-and quadratic forms in M (A^T A for Gaussian error kinds, A^T Sigma_tau^-1 A
-for Student-t kinds), and the conditional Gaussian of a block of sites given
-all the others (`conditional_gaussian`), used both by oracle tests and by the
-missing-data samplers. The samplers build one conditional per block,
-factored once, and re-condition it on the other blocks' new values with
+lattice construction, matrix-vector products with A and A^T, log det A and
+tr(A^-1 W), and the conditional Gaussian of a block of sites given all the
+others (`conditional_gaussian`), used both by oracle tests and by the
+missing-data samplers. The likelihood assembles log|M| and r^T M r, for
+M = A^T A or A^T Sigma_tau^-1 A, from these (`likelihoods._loglik_terms`).
+The samplers build one conditional per block, factored once, and
+re-condition it on the other blocks' new values with
 `ConditionalGaussian.given`.
 
 A block's precision M_uu = A_u^T diag(s) A_u is a banded GMRF precision
@@ -75,8 +76,7 @@ from .models import ModelKind
 __all__ = [
     "SpatialWeights", "ConditionalGaussian",
     "build_rook_lattice", "apply_A", "apply_At",
-    "plan_route", "logdet_A", "trace_AinvW", "logdet_M", "quad_form_M",
-    "conditional_gaussian",
+    "plan_route", "logdet_A", "trace_AinvW", "conditional_gaussian",
 ]
 
 # Largest n for which the eigenvalues of W without a symmetrizer are
@@ -678,26 +678,6 @@ def _inv_tau(kind: ModelKind, W: SpatialWeights, tau: np.ndarray | None) -> np.n
     if np.any(tau <= 0):
         raise DomainError("tau must be strictly positive")
     return 1.0 / tau
-
-
-def logdet_M(kind: ModelKind, W: SpatialWeights, rho: float,
-             tau: np.ndarray | None = None) -> float:
-    """log|M|: 2 log det A for Gaussian kinds, minus sum(log tau) for t kinds."""
-    inv_tau = _inv_tau(kind, W, tau)
-    out = 2.0 * logdet_A(W, rho)
-    if inv_tau is not None:
-        out += float(np.sum(np.log(inv_tau)))
-    return out
-
-
-def quad_form_M(kind: ModelKind, W: SpatialWeights, rho: float,
-                tau: np.ndarray | None, r: np.ndarray) -> float:
-    """r^T M r computed from matrix-vector products, never forming M."""
-    inv_tau = _inv_tau(kind, W, tau)
-    ar = apply_A(W, rho, r)
-    if inv_tau is None:
-        return float(ar @ ar)
-    return float(ar @ (inv_tau * ar))
 
 
 @dataclass(frozen=True)

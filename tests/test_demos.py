@@ -1,17 +1,22 @@
-"""The demos and README's code stay in step with the library without being run.
+"""The demos, README and the package's docs stay in step with the library
+without being run.
 
 Each demo takes up to a minute, and README's snippets use data they do not
 define, so this reads them instead: every demo and every ```python block of
 README compiles, every name it imports from semvb resolves, every semvb
 function or class it calls still exists under the name it uses, and accepts
 the positional and keyword arguments the call passes. A README block may
-call what an earlier block imported.
+call what an earlier block imported. Every backticked dotted name in README
+or in the package's docstrings and comments that starts at a semvb module or
+class names something that still exists.
 """
 
 import ast
 import importlib
 import inspect
+import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -100,3 +105,56 @@ def test_readme_code_matches_library():
 def test_demos_found():
     assert {d.name for d in DEMOS} >= {"full_data_workflow.py",
                                        "missing_data_workflow.py"}
+
+
+# A backticked dotted name, possibly followed by call arguments; a name that
+# ends in a wildcard (`grad_log_h_*`) does not match.
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?![\w*])")
+FILE_SUFFIXES = {"py", "csv", "md", "txt", "json", "toml"}
+
+
+def doc_texts():
+    """(file, first line, text) of README and of each docstring or comment
+    of the package."""
+    yield "README.md", 1, (ROOT / "README.md").read_text()
+    for path in sorted((ROOT / "src" / "semvb").glob("*.py")):
+        with open(path, "rb") as f:
+            for tok in tokenize.tokenize(f.readline):
+                if tok.type in (tokenize.STRING, tokenize.COMMENT):
+                    yield path.name, tok.start[0], tok.string
+
+
+def semvb_roots() -> dict[str, object]:
+    """The semvb package, its modules and the classes they define, by name."""
+    import semvb
+    roots = {"semvb": semvb}
+    for info in pkgutil.iter_modules(semvb.__path__):
+        module = importlib.import_module(f"semvb.{info.name}")
+        roots[info.name] = module
+        roots.update((name, obj) for name, obj in vars(module).items()
+                     if inspect.isclass(obj)
+                     and obj.__module__.startswith("semvb"))
+    return roots
+
+
+def test_docs_name_only_existing_code():
+    roots = semvb_roots()
+    checked, broken = 0, []
+    for name, line, text in doc_texts():
+        for match in DOTTED.finditer(text):
+            head, *attrs = match[1].split(".")
+            if head not in roots or attrs[-1] in FILE_SUFFIXES:
+                continue
+            checked += 1
+            owner = roots[head]
+            for attr in attrs:
+                if attr in getattr(owner, "__dataclass_fields__", {}):
+                    break  # a field without a default is no class attribute
+                if not hasattr(owner, attr):
+                    at = line + text.count("\n", 0, match.start())
+                    broken.append(f"{name}:{at} `{match[1]}`")
+                    break
+                owner = getattr(owner, attr)
+    assert checked >= 10, "the docs' references to semvb were not found"
+    assert not broken, "docs name code that does not exist: " + ", ".join(
+        broken)

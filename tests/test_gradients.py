@@ -141,7 +141,7 @@ class TestFusedValue:
             want = (lk.loglik(kind, d, params, tau)
                     + lk.log_prior(layout, theta, pri))
             g, got = gr.grad_log_h_full(kind, d, theta, pri)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert got == want
             assert lk.log_h_full(kind, d, theta, pri) == got
             np.testing.assert_array_equal(
                 g, gr.grad_log_h_full(kind, d, theta, pri)[0])
@@ -161,7 +161,7 @@ class TestFusedValue:
                     + lk.log_p_m(d.missing, yc, d.Xstar, psi)
                     + lk.log_prior(layout, theta, pri))
             _, got = gr.grad_log_h_missing(kind, d, theta, y_u, pri)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert got == want
             assert lk.log_h_missing(kind, d, theta, y_u, pri) == got
 
 

@@ -140,6 +140,28 @@ class TestPerDrawLogliks:
             per_draw_logliks(ModelKind.SEM_GAU, data, wide)
 
 
+    @pytest.mark.parametrize("missing_frac", [0.0, 0.25])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_columns_are_read_by_name(self, kind, missing_frac):
+        inst = random_instance(kind, seed=5, missing_frac=missing_frac)
+        s = jittered_samples(inst, kind, 4, seed=2)
+        reversed_ = PosteriorSamples(phi=s.phi[:, ::-1],
+                                     phi_names=s.phi_names[::-1],
+                                     psi=s.psi, y_u=s.y_u)
+        np.testing.assert_array_equal(
+            per_draw_logliks(kind, inst["data"], reversed_),
+            per_draw_logliks(kind, inst["data"], s))
+
+    def test_sample_without_a_kind_column_is_refused(self):
+        inst = random_instance(ModelKind.SEM_GAU, seed=3)
+        s = jittered_samples(inst, ModelKind.SEM_GAU, 3, seed=1)
+        keep = [j for j, name in enumerate(s.phi_names) if name != "rho"]
+        no_rho = PosteriorSamples(phi=s.phi[:, keep],
+                                  phi_names=[s.phi_names[j] for j in keep])
+        with pytest.raises(DomainError, match="no rho column"):
+            per_draw_logliks(ModelKind.SEM_GAU, inst["data"], no_rho)
+
+
 class TestDic1:
     def test_point_mass(self):
         phi = np.tile([2.0, 0.5], (5, 1))

@@ -5,6 +5,7 @@ import pytest
 
 from semvb.errors import (DimensionError, DomainError, NumericalError,
                           SingularityError)
+from semvb.likelihoods import Dataset, loglik
 from semvb.models import ModelKind, ModelParams
 from semvb import spatial
 
@@ -177,11 +178,29 @@ class TestApplyA:
             spatial.apply_A(W, 0.3, np.zeros(3))
 
 
+def loglik_at(kind, W, rho, y, tau=None, sigma2=1.0):
+    """The likelihood's loglik of response y under an intercept-only X with
+    beta = 0, so that r = y."""
+    data = Dataset(y=y, X=np.ones((W.n, 1)), W=W)
+    params = ModelParams(beta=[0.0], sigma2=sigma2, rho=rho,
+                         nu=5.0 if kind.student_t else None)
+    return loglik(kind, data, params, tau)
+
+
+def logdet_M_at(kind, W, rho, tau=None):
+    """log|M| read off loglik at r = 0 and sigma^2 = 1, where loglik is
+    -(n/2) log 2 pi + log|M| / 2."""
+    ll = loglik_at(kind, W, rho, np.zeros(W.n), tau)
+    return 2.0 * ll + W.n * np.log(2.0 * np.pi)
+
+
 class TestLogdet:
     def test_two_node_hand_value(self):
         # det(A^T A) = det(A)^2 = (1 - 0.25)^2
         W = two_node_raw()
-        got = spatial.logdet_M(ModelKind.SEM_GAU, W, 0.5)
+        assert 2.0 * spatial.logdet_A(W, 0.5) == pytest.approx(
+            2.0 * np.log(0.75), abs=1e-12)
+        got = logdet_M_at(ModelKind.SEM_GAU, W, 0.5)
         assert got == pytest.approx(2.0 * np.log(0.75), abs=1e-12)
 
     def test_t_kind_tau_contribution(self):
@@ -189,7 +208,7 @@ class TestLogdet:
         W = spatial.SpatialWeights(n=3, rows=[0, 1, 2], cols=[1, 2, 0],
                                    weights=[1.0, 1.0, 1.0])
         tau = np.full(3, np.e)
-        got = spatial.logdet_M(ModelKind.SEM_T, W, 0.0, tau)
+        got = logdet_M_at(ModelKind.SEM_T, W, 0.0, tau)
         assert got == pytest.approx(-3.0, abs=1e-12)
 
     def test_matches_slogdet_on_lattice(self):
@@ -251,10 +270,10 @@ class TestLogdet:
 
     def test_tau_required_and_positive(self):
         W = two_node_raw()
-        with pytest.raises(DomainError):
-            spatial.logdet_M(ModelKind.SEM_T, W, 0.2, None)
-        with pytest.raises(DomainError):
-            spatial.logdet_M(ModelKind.SEM_T, W, 0.2, np.array([1.0, -1.0]))
+        with pytest.raises(DomainError, match="tau is required"):
+            logdet_M_at(ModelKind.SEM_T, W, 0.2, None)
+        with pytest.raises(DomainError, match="strictly positive"):
+            logdet_M_at(ModelKind.SEM_T, W, 0.2, np.array([1.0, -1.0]))
 
 
 class TestTrace:
@@ -809,15 +828,18 @@ class TestSparseLuRoute:
 
 class TestQuadForm:
     def test_matches_dense(self):
+        # at sigma^2 = 1/2, loglik falls by exactly r^T M r from r = 0 to r
         rng = np.random.default_rng(3)
         W = spatial.build_rook_lattice(4, 4)
         dense = csr(W).toarray()
         r = rng.standard_normal(16)
         tau = rng.gamma(3.0, 1.0, size=16)
-        got = spatial.quad_form_M(ModelKind.SEM_GAU, W, 0.55, None, r)
-        assert got == pytest.approx(r @ dense_M(dense, 0.55, None) @ r, rel=1e-12)
-        got_t = spatial.quad_form_M(ModelKind.YJ_SEM_T, W, -0.4, tau, r)
-        assert got_t == pytest.approx(r @ dense_M(dense, -0.4, tau) @ r, rel=1e-12)
+        for kind, rho, t in ((ModelKind.SEM_GAU, 0.55, None),
+                             (ModelKind.SEM_T, -0.4, tau)):
+            got = (loglik_at(kind, W, rho, np.zeros(16), t, sigma2=0.5)
+                   - loglik_at(kind, W, rho, r, t, sigma2=0.5))
+            assert got == pytest.approx(r @ dense_M(dense, rho, t) @ r,
+                                        rel=1e-12)
 
 
 def _over_all(n: int, known: np.ndarray, r_known: np.ndarray) -> np.ndarray:
