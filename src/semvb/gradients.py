@@ -21,11 +21,12 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .likelihoods import (Dataset, _log_p_m_eta, _loglik_terms, layout_full,
-                          layout_missing, log_prior)
+from .likelihoods import (Dataset, _Response, _log_p_m_eta, _log_prior,
+                          _loglik_terms, _tau_sum, layout_full,
+                          layout_missing)
 from .models import ModelKind, ModelParams, Priors, ThetaLayout, link_inverse
 from .spatial import apply_At, trace_AinvW
-from .transforms import dtwo_expit, expit, yj_dgamma
+from .transforms import dtwo_expit, expit
 
 __all__ = ["digamma", "grad_log_h_full", "grad_log_h_missing", "grad_log_q0"]
 
@@ -63,15 +64,20 @@ def digamma(x: float) -> float:
 def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
                theta: np.ndarray, params: ModelParams,
                tau: np.ndarray | None, priors: Priors,
-               y_complete: np.ndarray, grad: np.ndarray) -> float:
-    """Fill the likelihood + prior gradient blocks shared by both targets
-    and return the complete-data log-likelihood at y_complete."""
+               resp: _Response, grad: np.ndarray
+               ) -> tuple[float, float | None]:
+    """Fill the likelihood + prior gradient blocks shared by both targets.
+
+    Returns the complete-data log-likelihood at resp.y and, for Student-t
+    kinds, the draw's sum of tau' + e^{-tau'}, which the log prior reuses
+    (None otherwise).
+    """
     W = data.W
     n = data.n
     inv_sig2 = 1.0 / params.sigma2
     s = 1.0 / tau if tau is not None else None
-    ll, r, ar, s_ar, quad, dlogjac = _loglik_terms(kind, data, params, s,
-                                                   y_complete)
+    ll, r, wr, ar, s_ar, quad, dt_dgamma = _loglik_terms(
+        kind, data, params, s, resp, dgamma=True)
     mr = apply_At(W, params.rho, s_ar)          # M r
 
     grad[layout.beta] = inv_sig2 * (data.X.T @ mr) \
@@ -79,19 +85,20 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
     grad[layout.omega] = (-0.5 * n + 0.5 * inv_sig2 * quad
                           - theta[layout.omega] / priors.var_omega)
 
-    wr = W.matvec(r)
     s_wr = s * wr if s is not None else wr
     dll_drho = -trace_AinvW(W, params.rho) + inv_sig2 * float(ar @ s_wr)
     grad[layout.rho] = (dll_drho * dtwo_expit(theta[layout.rho])
                         - theta[layout.rho] / priors.var_rho)
 
+    tau_sum = None
     if kind.student_t:
         nu = params.nu
         tau_z = theta[layout.tau]
         exp_neg = np.exp(-tau_z)
         half_nu = 0.5 * nu
+        tau_sum = _tau_sum(tau_z, exp_neg)
         dnu = 0.5 * (n * np.log(half_nu) + n - n * digamma(half_nu)
-                     - float(np.sum(tau_z + exp_neg)))
+                     - tau_sum)
         # d nu / d nu' = e^{nu'}
         grad[layout.nu] = (dnu * np.exp(theta[layout.nu])
                            - theta[layout.nu] / priors.var_nu)
@@ -99,25 +106,24 @@ def _grad_core(kind: ModelKind, data: Dataset, layout: ThetaLayout,
                             + half_nu * (exp_neg - 1.0))
 
     if kind.yeo_johnson:
-        dll_dgamma = (-inv_sig2 * float(mr @ yj_dgamma(y_complete, params.gamma))
-                      + dlogjac)
+        dll_dgamma = -inv_sig2 * float(mr @ dt_dgamma) + resp.dlogjac
         grad[layout.gamma] = (dll_dgamma * dtwo_expit(theta[layout.gamma])
                               - theta[layout.gamma] / priors.var_gamma)
-    return ll
+    return ll, tau_sum
 
 
 def grad_log_h_full(kind: ModelKind, data: Dataset, theta: np.ndarray,
                     priors: Priors) -> tuple[np.ndarray, float]:
     """Gradient of the complete-data log h with respect to theta, and log h
     (loglik + log prior) from the same pass."""
-    data.require_complete()
+    resp = data.response   # per fit: raises on missing responses
     layout = layout_full(kind, data)
     theta = np.asarray(theta, dtype=float)
     params, tau, _ = link_inverse(kind, layout, theta)
     grad = np.empty(layout.size)
-    ll = _grad_core(kind, data, layout, theta, params, tau, priors, data.y,
-                    grad)
-    return grad, ll + log_prior(layout, theta, priors)
+    ll, tau_sum = _grad_core(kind, data, layout, theta, params, tau, priors,
+                             resp, grad)
+    return grad, ll + _log_prior(layout, theta, priors, tau_sum)
 
 
 def grad_log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
@@ -134,19 +140,21 @@ def grad_log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
     """
     layout = layout_missing(kind, data)
     theta = np.asarray(theta, dtype=float)
-    y_complete = data.complete(y_u)
+    resp = _Response(data, y_u)
+    y_complete = resp.y
     params, tau, psi = link_inverse(kind, layout, theta)
     grad = np.empty(layout.size)
-    ll = _grad_core(kind, data, layout, theta, params, tau, priors,
-                    y_complete, grad)
+    ll, tau_sum = _grad_core(kind, data, layout, theta, params, tau, priors,
+                             resp, grad)
 
-    m = data.missing.astype(float)
+    m = data.missing_float
     eta = data.Xstar @ psi.psi_x + psi.psi_y * y_complete
     resid = m - expit(eta)
     grad[layout.psi] = np.concatenate([
         data.Xstar.T @ resid, [float(resid @ y_complete)]
     ]) - theta[layout.psi] / priors.var_psi
-    log_h = ll + float(_log_p_m_eta(m, eta)) + log_prior(layout, theta, priors)
+    log_h = (ll + float(_log_p_m_eta(m, eta))
+             + _log_prior(layout, theta, priors, tau_sum))
     return grad, log_h
 
 

@@ -23,6 +23,11 @@ holds: the whole chain for one block (the independence-sampler scheme of
 Jacob, Robert & Smith 2011), one step at a time for several. Only the
 re-conditioning, the accept/reject decisions and their bookkeeping run step
 by step; a block's missingness log-pmf is replaced only when it accepts.
+
+Per fit, a chain reads the observed responses' Yeo-Johnson bases and the
+0/1 missingness mask from their caches on the `Dataset`, so the observed
+residual costs one pair of powers per draw. Everything else a chain does
+depends on the draw (xi, psi) and is per draw.
 """
 
 from __future__ import annotations
@@ -178,11 +183,18 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     per-block acceptance counts.
     """
     params, tau, psi = link_inverse(kind, layout_missing(kind, data), theta)
-    obs, u_idx = ~data.missing, data.unobserved_idx
+    u_idx = data.unobserved_idx
     mean = data.X @ params.beta
     y = data.y.copy()
-    r = np.zeros(data.n)   # residual on the model's scale
-    r[obs] = _ystar(kind, y[obs], params) - mean[obs]
+    # residual on the model's scale, from the observed responses' cached
+    # Yeo-Johnson bases; 0 at the unobserved sites
+    if kind.yeo_johnson:
+        r = np.zeros(data.n)
+        data.yj_observed.forward(params.gamma, r)
+        r -= mean
+    else:
+        r = y - mean
+    r[u_idx] = 0.0
     start = None
     if y_u_init is None:
         start = conditional_gaussian(kind, data.W, params.rho, tau, u_idx, r)
@@ -197,9 +209,9 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
     zs = [np.empty((n1, b.size)) for b in blocks]
     us = np.empty((n1, len(blocks)))
     for i in range(n1):
-        for j, b in enumerate(blocks):
-            zs[j][i] = rng.standard_normal(b.size)
-            us[i, j] = rng.uniform()
+        for j in range(len(blocks)):
+            rng.standard_normal(out=zs[j][i])
+            us[i, j] = rng.random()   # uniform() on [0, 1), bit for bit
     # with several blocks, each conditions on the residual at the others
     several = len(blocks) > 1
     if several:
@@ -209,7 +221,7 @@ def _mh_sweep(kind: ModelKind, data: Dataset, theta: np.ndarray,
              for b in blocks]
     noise = [c.noise(params.sigma2, z_b) for c, z_b in zip(conds, zs)]
     means = [mean[b] for b in blocks]
-    m = [data.missing[b] for b in blocks]
+    m = [data.missing_float[b] for b in blocks]
     Xstar = [data.Xstar[b] for b in blocks]
     eta_x = [x_b @ psi.psi_x for x_b in Xstar]
     log_pm = [log_p_m(m_b, y[b], x_b, psi)

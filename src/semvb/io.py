@@ -90,9 +90,15 @@ def _write_table(path, columns, data, head: str = "") -> None:
     data holds one sequence of values per column, or a 2-D array in place
     of as many adjacent columns of one numeric type as it has columns. Each
     chunk of _CHUNK_CELLS cells is formatted and written before the next.
+    A table whose columns are all float or int skips csv's per-cell work:
+    csv writes a float as its repr and an int as its str, which is its
+    repr, and quotes neither, so joining the reprs by commas is the same
+    text.
     """
     n = len(data[0]) if len(data) else 0
     step = max(1, _CHUNK_CELLS // max(1, len(columns)))
+    numeric = all(_cell_type(t) in ((float, False), (int, False))
+                  for _, t in columns)
     with open(path, "w", newline="") as f:
         f.write(head)
         w = csv.writer(f, lineterminator="\n")
@@ -109,7 +115,11 @@ def _write_table(path, columns, data, head: str = "") -> None:
                     cells.append(_column_cells(columns[j][1],
                                                values[a:a + step]))
                     j += 1
-            w.writerows(zip(*cells))
+            if numeric:
+                f.write("".join([",".join(map(repr, row)) + "\n"
+                                 for row in zip(*cells)]))
+            else:
+                w.writerows(zip(*cells))
 
 
 def _parse_column(path, name: str, column_type, cells, line: int | None):
@@ -484,8 +494,37 @@ def write_summary(path, names: list[str], draws: np.ndarray) -> None:
         raise DataFormatError("summary names do not match draw columns")
     if draws.shape[0] == 0:
         raise DataFormatError("a summary needs at least one draw")
-    lo, hi = np.quantile(draws, [0.025, 0.975], axis=0)
+    lo, hi = _quantiles(draws, np.array([0.025, 0.975]))
     _write_table(path, _SUMMARY, [names, draws.mean(axis=0), lo, hi])
+
+
+def _quantiles(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(draws, q, axis=0) for 1-D q in [0, 1], bit for bit.
+
+    This is numpy's default `linear` method written out. numpy picks the
+    order statistics to partition on with np.unique, which imports numpy.ma
+    (11-16 ms, and no stage needs it otherwise); the sorted set of the same
+    indices goes to the same partition here. Then, as numpy does: each
+    quantile lerps between its two order statistics, from below when its
+    weight t is under 0.5 and from above otherwise, and a column holding a
+    NaN, which the partition puts last, gets that NaN.
+    """
+    n = draws.shape[0]
+    virtual = (n - 1) * q
+    prev = np.floor(virtual)
+    after = prev + 1
+    top = virtual >= n - 1
+    prev[top] = after[top] = -1
+    prev, after = prev.astype(np.intp), after.astype(np.intp)
+    arr = draws.copy()
+    arr.partition(sorted({0, -1, *prev.tolist(), *after.tolist()}), axis=0)
+    a, b = arr[prev], arr[after]
+    t = (virtual - prev).reshape(-1, 1)
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, arr[-1], where=np.isnan(arr[-1]))
+    return out
 
 
 def read_summary(path):

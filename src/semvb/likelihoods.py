@@ -17,10 +17,23 @@ input checks plus that call, `log_h_full` and `log_h_missing` add the prior
 (and the missingness pmf) to `loglik`, and the SGA's gradient pass
 (`gradients.grad_log_h_full` and `gradients.grad_log_h_missing`) takes its
 value and its residual terms from it.
+
+Work that depends on the data alone is done once per `Dataset` and cached
+on it: the missingness mask as 0/1 floats and its complement, the theta
+layouts (one per shape), and the Yeo-Johnson parts of the observed
+responses that do not depend on gamma (`Dataset.yj_observed`: the bases
+1 + y and 1 - y with their logs, and d log(dt/dy)/dgamma, summed once for
+complete data). Per draw, a `_Response` holds the complete response (the
+data's own, or one completed by the draw's y_u, whose parts and NaN check
+are the draw's); one pair of powers then gives t_gamma(y) and its
+gamma-derivative, and the rest of `_loglik_terms` (residual, W r, A r,
+log det A, the quadratic form) is per draw. The prior's tau block shares
+the draw's sum of tau' + e^{-tau'} with the nu gradient.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import lgamma
@@ -30,12 +43,12 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .models import (MissingnessParams, ModelKind, ModelParams, Priors,
                      ThetaLayout, link_inverse)
-from .spatial import SpatialWeights, _inv_tau, apply_A, logdet_A
-from .transforms import yj_dlogdy_dgamma, yj_forward
+from .spatial import SpatialWeights, _inv_tau, logdet_A
+from .transforms import YJBases
 
 __all__ = [
     "Dataset", "layout_full", "layout_missing",
-    "residual_r", "loglik", "marginal_loglik_t", "log_p_m",
+    "loglik", "marginal_loglik_t", "log_p_m",
     "log_prior", "log_h_full", "log_h_missing",
 ]
 
@@ -47,7 +60,8 @@ class Dataset:
     """Response vector, design matrices, and spatial weights.
 
     Missing responses are encoded as NaN in `y`; X and Xstar must be fully
-    observed and carry a leading intercept column.
+    observed and carry a leading intercept column. `y` is held as a
+    read-only copy, since the per-fit caches below are built from it.
     """
 
     y: np.ndarray
@@ -56,7 +70,8 @@ class Dataset:
     Xstar: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)
+        y.setflags(write=False)
         X = np.asarray(self.X, dtype=float)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
@@ -93,9 +108,23 @@ class Dataset:
         m.setflags(write=False)
         return m
 
-    @property
+    @cached_property
     def n_missing(self) -> int:
         return int(self.missing.sum())
+
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """The complement of `missing`."""
+        obs = ~self.missing
+        obs.setflags(write=False)
+        return obs
+
+    @cached_property
+    def missing_float(self) -> np.ndarray:
+        """`missing` as 0.0/1.0: the indicators m of the missingness model."""
+        m = self.missing.astype(float)
+        m.setflags(write=False)
+        return m
 
     @cached_property
     def unobserved_idx(self) -> np.ndarray:
@@ -115,48 +144,109 @@ class Dataset:
             raise DimensionError(
                 f"y_u has length {y_u.shape[0]}, expected {self.n_missing}")
         out = self.y.copy()
-        out[self.missing] = y_u
+        out[self.unobserved_idx] = y_u
         return out
 
+    @cached_property
+    def yj_observed(self) -> YJBases:
+        """The gamma-free Yeo-Johnson parts of the observed responses."""
+        return YJBases(self.y[self.observed], np.flatnonzero(self.observed))
+
+    @cached_property
+    def _dlogdy_observed(self) -> np.ndarray:
+        """d log(dt/dy)/dgamma at each observed site, 0 at the missing ones."""
+        d = np.zeros(self.n)
+        d[self.yj_observed.sites] = self.yj_observed.dlogdy
+        return d
+
+    @cached_property
+    def _dlogjac(self) -> float:
+        """`_Response.dlogjac` of complete data, once per Dataset."""
+        return float(np.sum(self._dlogdy_observed))
+
+    @cached_property
+    def response(self) -> "_Response":
+        """The complete response with its per-fit terms; see `_Response`."""
+        self.require_complete()
+        return _Response(self)
+
     def with_y(self, y_new: np.ndarray) -> "Dataset":
-        return replace(self, y=np.asarray(y_new, dtype=float))
+        return replace(self, y=y_new)
+
+
+class _Response:
+    """A complete response vector y and the Yeo-Johnson terms of one
+    evaluation at it: the data's own y, or y completed by a draw's y_u.
+
+    The observed sites' gamma-free parts are computed once per Dataset
+    (`Dataset.yj_observed`), so a draw computes only those of its y_u, and
+    only when a YJ kind asks for them. A completed y is checked for NaN
+    here, on every draw.
+    """
+
+    def __init__(self, data: Dataset, y_u: np.ndarray | None = None):
+        self.data = data
+        if y_u is None:
+            self.y_u, self.y = None, data.y
+        else:
+            self.y = data.complete(y_u)
+            self.y_u = np.asarray(y_u, dtype=float)
+            if np.isnan(self.y_u).any():
+                raise DomainError("y_complete has missing entries")
+
+    @cached_property
+    def _parts(self) -> tuple[YJBases, ...]:
+        data = self.data
+        if self.y_u is None:
+            return (data.yj_observed,)
+        return (data.yj_observed, YJBases(self.y_u, data.unobserved_idx))
+
+    def transform(self, gamma: float, dgamma: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """t_gamma(y) and, with dgamma, dt_gamma(y)/dgamma (else None)."""
+        t = np.empty(self.data.n)
+        dt = np.empty(self.data.n) if dgamma else None
+        for part in self._parts:
+            part.forward(gamma, t, dt)
+        return t, dt
+
+    @cached_property
+    def dlogjac(self) -> float:
+        """sum over sites of d log(dt/dy)/dgamma, the YJ log-Jacobian's
+        gamma-derivative; per fit for the data's own y."""
+        data = self.data
+        if self.y_u is None:
+            return data._dlogjac
+        d = data._dlogdy_observed.copy()
+        d[data.unobserved_idx] = self._parts[1].dlogdy
+        return float(np.sum(d))
+
+
+@functools.cache
+def _layout(kind: ModelKind, n_beta: int, n_sites: int, n_psi_x: int = 0,
+            with_psi: bool = False) -> ThetaLayout:
+    """One shared ThetaLayout per shape: a fit asks for it on every draw."""
+    return ThetaLayout(kind=kind, n_beta=n_beta, n_sites=n_sites,
+                       n_psi_x=n_psi_x, with_psi=with_psi)
 
 
 def layout_full(kind: ModelKind, data: Dataset) -> ThetaLayout:
     """Theta layout for the complete-data target (no psi block)."""
-    return ThetaLayout(kind=kind, n_beta=data.n_beta, n_sites=data.n)
+    return _layout(kind, data.n_beta, data.n)
 
 
 def layout_missing(kind: ModelKind, data: Dataset) -> ThetaLayout:
     """Theta layout for the missing-data target, including the psi block."""
     if data.Xstar is None:
         raise DomainError("missing-data target requires Xstar")
-    return ThetaLayout(kind=kind, n_beta=data.n_beta, n_sites=data.n,
-                       n_psi_x=data.Xstar.shape[1], with_psi=True)
-
-
-def residual_r(kind: ModelKind, y_complete: np.ndarray, X: np.ndarray,
-               beta: np.ndarray, gamma: float | None = None) -> np.ndarray:
-    """r = y - X beta, with y first Yeo-Johnson transformed for YJ kinds."""
-    y_complete = np.asarray(y_complete, dtype=float)
-    X = np.asarray(X, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.any(np.isnan(y_complete)):
-        raise DomainError("y_complete has missing entries")
-    if X.shape != (y_complete.shape[0], beta.shape[0]):
-        raise DimensionError("X, y, beta dimensions disagree")
-    if kind.yeo_johnson:
-        if gamma is None:
-            raise DomainError("gamma is required for Yeo-Johnson kinds")
-        return yj_forward(y_complete, gamma) - X @ beta
-    return y_complete - X @ beta
+    return _layout(kind, data.n_beta, data.n, data.Xstar.shape[1], True)
 
 
 def _loglik_terms(kind: ModelKind, data: Dataset, params: ModelParams,
-                  s: np.ndarray | None, y: np.ndarray, marginal: bool = False):
-    """The log-likelihood at the response y, with the terms the gradient
-    reuses: (loglik, r, A r, s A r, r^T M r, the gamma-derivative of the YJ
-    log-Jacobian).
+                  s: np.ndarray | None, resp: _Response,
+                  marginal: bool = False, dgamma: bool = False):
+    """The log-likelihood at the response resp.y, with the terms the
+    gradient reuses: (loglik, r, W r, A r, s A r, r^T M r, dt_gamma/dgamma).
 
     s is the diagonal of Sigma_tau^-1 (1/tau) for the complete-data density
     of Student-t kinds and None otherwise, so log|M| = 2 log det A +
@@ -164,14 +254,21 @@ def _loglik_terms(kind: ModelKind, data: Dataset, params: ModelParams,
     value is the multivariate t left by integrating tau out: scale matrix
     sigma^2 M^-1, nu degrees of freedom. log dt/dy is linear in gamma on
     each branch, so the YJ log-Jacobian sum log dt/dy is (gamma - 1) times
-    its gamma-derivative. Neither s nor y is checked here.
+    its gamma-derivative, `resp.dlogjac`. dt_gamma/dgamma comes from the
+    same powers as t_gamma(y) when dgamma is set and a YJ kind asks; it is
+    None otherwise. Neither s nor the response is checked here.
     """
-    n, W, sigma2 = data.n, data.W, params.sigma2
-    r = residual_r(kind, y, data.X, params.beta, params.gamma)
-    ar = apply_A(W, params.rho, r)
+    n, W, sigma2, rho = data.n, data.W, params.sigma2, params.rho
+    if kind.yeo_johnson:
+        t, dt = resp.transform(params.gamma, dgamma)
+    else:
+        t, dt = resp.y, None
+    r = t - data.X @ params.beta
+    wr = W.matvec(r)
+    ar = r - rho * wr
     s_ar = ar if s is None else s * ar
     quad = float(ar @ s_ar)
-    logdet_m = 2.0 * logdet_A(W, params.rho)
+    logdet_m = 2.0 * logdet_A(W, rho)
     if s is not None:
         logdet_m += float(np.sum(np.log(s)))
     if marginal:
@@ -182,11 +279,14 @@ def _loglik_terms(kind: ModelKind, data: Dataset, params: ModelParams,
     else:
         const, kernel = -0.5 * n * _LOG_2PI, quad / (2.0 * sigma2)
     ll = const - 0.5 * n * np.log(sigma2) + 0.5 * logdet_m - kernel
-    dlogjac = None
     if kind.yeo_johnson:
-        dlogjac = float(np.sum(yj_dlogdy_dgamma(y)))
-        ll += (params.gamma - 1.0) * dlogjac
-    return float(ll), r, ar, s_ar, quad, dlogjac
+        ll += (params.gamma - 1.0) * resp.dlogjac
+    return float(ll), r, wr, ar, s_ar, quad, dt
+
+
+def _check_beta(data: Dataset, params: ModelParams) -> None:
+    if params.beta.shape != (data.n_beta,):
+        raise DimensionError("X, y, beta dimensions disagree")
 
 
 def loglik(kind: ModelKind, data: Dataset, params: ModelParams,
@@ -194,8 +294,9 @@ def loglik(kind: ModelKind, data: Dataset, params: ModelParams,
     """Complete-data log-likelihood, additive constants included."""
     data.require_complete()
     params.require_kind(kind)
+    _check_beta(data, params)
     s = _inv_tau(kind, data.W, tau)
-    return _loglik_terms(kind, data, params, s, data.y)[0]
+    return _loglik_terms(kind, data, params, s, data.response)[0]
 
 
 def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> float:
@@ -209,7 +310,9 @@ def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> fl
         raise DomainError("marginal_loglik_t applies to Student-t kinds only")
     data.require_complete()
     params.require_kind(kind)
-    return _loglik_terms(kind, data, params, None, data.y, marginal=True)[0]
+    _check_beta(data, params)
+    return _loglik_terms(kind, data, params, None, data.response,
+                         marginal=True)[0]
 
 
 def log_p_m(m: np.ndarray, y_complete: np.ndarray, Xstar: np.ndarray,
@@ -232,13 +335,20 @@ def _log_p_m_eta(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.sum(m * eta - np.logaddexp(0.0, eta), axis=-1)
 
 
-def _tau_prior_block(nu: float, tau_z: np.ndarray) -> float:
+def _tau_sum(tau_z: np.ndarray, exp_neg: np.ndarray) -> float:
+    """sum of tau' + e^{-tau'}, given exp_neg = e^{-tau'}: the tau block's
+    share of the nu gradient and of the log prior, computed once per draw
+    for both."""
+    return float(np.sum(tau_z + exp_neg))
+
+
+def _tau_prior_block(nu: float, n: int, tau_sum: float) -> float:
     """Sum of IG(nu/2, nu/2) log densities at tau = e^{tau'} plus the
-    log-Jacobian of the log link, simplified on the unconstrained scale."""
-    n = tau_z.size
+    log-Jacobian of the log link, simplified on the unconstrained scale,
+    from the n sites' `_tau_sum`."""
     half_nu = 0.5 * nu
     return float(n * (half_nu * np.log(half_nu) - lgamma(half_nu))
-                 - half_nu * np.sum(tau_z + np.exp(-tau_z)))
+                 - half_nu * tau_sum)
 
 
 def log_prior(layout: ThetaLayout, theta: np.ndarray, priors: Priors) -> float:
@@ -252,6 +362,17 @@ def log_prior(layout: ThetaLayout, theta: np.ndarray, priors: Priors) -> float:
     if theta.shape != (layout.size,):
         raise DimensionError(f"theta has length {theta.shape[0]}, "
                              f"expected {layout.size}")
+    tau_sum = None
+    if layout.tau is not None:
+        tau_z = theta[layout.tau]
+        tau_sum = _tau_sum(tau_z, np.exp(-tau_z))
+    return _log_prior(layout, theta, priors, tau_sum)
+
+
+def _log_prior(layout: ThetaLayout, theta: np.ndarray, priors: Priors,
+               tau_sum: float | None) -> float:
+    """`log_prior` at a checked theta, with the draw's `_tau_sum` (None
+    without a tau block)."""
     out = -0.5 * float(np.sum(theta[layout.beta] ** 2)) / priors.var_beta
     out -= 0.5 * theta[layout.omega] ** 2 / priors.var_omega
     out -= 0.5 * theta[layout.rho] ** 2 / priors.var_rho
@@ -261,7 +382,7 @@ def log_prior(layout: ThetaLayout, theta: np.ndarray, priors: Priors) -> float:
         out -= 0.5 * theta[layout.gamma] ** 2 / priors.var_gamma
     if layout.tau is not None:
         nu = 3.0 + np.exp(theta[layout.nu])
-        out += _tau_prior_block(nu, theta[layout.tau])
+        out += _tau_prior_block(nu, layout.n_sites, tau_sum)
     if layout.psi is not None:
         out -= 0.5 * float(np.sum(theta[layout.psi] ** 2)) / priors.var_psi
     return float(out)

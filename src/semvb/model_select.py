@@ -97,6 +97,20 @@ def phi_loglik(kind: ModelKind, data: Dataset, row: np.ndarray) -> float:
     return loglik(kind, data, params)
 
 
+def _kind_columns(kind: ModelKind, n_beta: int,
+                  samples: PosteriorSamples) -> np.ndarray:
+    """The draws' phi columns in the kind's order (`phi_names_for`), taken
+    by name; a column the kind needs that the samples lack raises
+    DomainError naming it."""
+    pos = {name: j for j, name in enumerate(samples.phi_names)}
+    names = phi_names_for(kind, n_beta)
+    for name in names:
+        if name not in pos:
+            raise DomainError(f"the samples have no {name} column, which "
+                              f"{kind.value} needs")
+    return samples.phi[:, [pos[name] for name in names]]
+
+
 def per_draw_logliks(kind: ModelKind, data: Dataset,
                      samples: PosteriorSamples) -> np.ndarray:
     """The log-likelihood of every draw, as one array: dic1 and dic2 share it.
@@ -110,20 +124,14 @@ def per_draw_logliks(kind: ModelKind, data: Dataset,
     """
     if samples.y_u is not None and samples.psi is None:
         raise DomainError("scoring a y_u block needs its psi block")
-    pos = {name: j for j, name in enumerate(samples.phi_names)}
-    names = phi_names_for(kind, data.n_beta)
-    for name in names:
-        if name not in pos:
-            raise DomainError(f"the samples have no {name} column, which "
-                              f"{kind.value} needs")
     out = np.empty(samples.n_draws)
-    for i, row in enumerate(samples.phi[:, [pos[name] for name in names]]):
+    for i, row in enumerate(_kind_columns(kind, data.n_beta, samples)):
         if samples.y_u is None:
             out[i] = phi_loglik(kind, data, row)
         else:
             psi, y = samples.psi[i], data.complete(samples.y_u[i])
             out[i] = phi_loglik(kind, data.with_y(y), row) + log_p_m(
-                data.missing, y, data.Xstar,
+                data.missing_float, y, data.Xstar,
                 MissingnessParams(psi_x=psi[:-1], psi_y=float(psi[-1])))
         if not np.isfinite(out[i]):
             raise NumericalError(
@@ -136,10 +144,14 @@ def per_draw_logpriors(kind: ModelKind, priors: Priors,
     """The log prior density of every draw on the constrained scale (the
     links' changes of variable included): phi's, plus the normal prior on
     the missingness coefficients when the samples carry psi. dic2 and dic5
-    take it to choose their plug-in draw."""
+    take it to choose their plug-in draw. The kind's phi columns are taken
+    by name, as `per_draw_logliks` takes them; a missing one raises
+    DomainError naming it."""
+    n_beta = sum(1 for name in samples.phi_names if name.startswith("beta"))
+    names = phi_names_for(kind, n_beta)
     out = np.empty(samples.n_draws)
-    for i, row in enumerate(samples.phi):
-        params = params_from_row(kind, samples.phi_names, row)
+    for i, row in enumerate(_kind_columns(kind, n_beta, samples)):
+        params = params_from_row(kind, names, row)
         v = -0.5 * float(np.sum(params.beta ** 2)) / priors.var_beta
         omega = tr.omega_from_sigma2(params.sigma2)
         v += -0.5 * omega ** 2 / priors.var_omega - omega

@@ -43,13 +43,10 @@ class ModelKind(Enum):
     YJ_SEM_GAU = "yj-sem-gau"
     YJ_SEM_T = "yj-sem-t"
 
-    @property
-    def student_t(self) -> bool:
-        return self in (ModelKind.SEM_T, ModelKind.YJ_SEM_T)
-
-    @property
-    def yeo_johnson(self) -> bool:
-        return self in (ModelKind.YJ_SEM_GAU, ModelKind.YJ_SEM_T)
+    def __init__(self, value: str):
+        # plain attributes, set once per member: the per-draw code reads them
+        self.student_t: bool = value.endswith("-t")
+        self.yeo_johnson: bool = value.startswith("yj-")
 
     @classmethod
     def from_string(cls, name: str) -> "ModelKind":
@@ -139,9 +136,10 @@ class Priors:
 class ThetaLayout:
     """Index layout of the stacked unconstrained parameter vector.
 
-    Built from the model kind and problem dimensions; exposes a slice per
-    block. tau' spans all n sites for Student-t kinds. The psi block
-    (q+1 covariate coefficients plus psi_y) exists iff with_psi.
+    Built from the model kind and problem dimensions; exposes a slice or an
+    index per block as a plain attribute, computed once. tau' spans all n
+    sites for Student-t kinds. The psi block (q+1 covariate coefficients
+    plus psi_y) exists iff with_psi; absent blocks are None.
     """
 
     kind: ModelKind
@@ -150,61 +148,24 @@ class ThetaLayout:
     n_psi_x: int = 0       # q+1 when with_psi, else 0
     with_psi: bool = False
 
-    @property
-    def beta(self) -> slice:
-        return slice(0, self.n_beta)
-
-    @property
-    def omega(self) -> int:
-        return self.n_beta
-
-    @property
-    def rho(self) -> int:
-        return self.n_beta + 1
-
-    @property
-    def nu(self) -> int | None:
-        return self.n_beta + 2 if self.kind.student_t else None
-
-    @property
-    def gamma(self) -> int | None:
-        if not self.kind.yeo_johnson:
-            return None
-        return self.n_beta + 2 + (1 if self.kind.student_t else 0)
-
-    @property
-    def tau(self) -> slice | None:
-        if not self.kind.student_t:
-            return None
-        start = self.n_beta + 3 + (1 if self.kind.yeo_johnson else 0)
-        return slice(start, start + self.n_sites)
-
-    @property
-    def psi(self) -> slice | None:
-        """The whole psi block (psi_x then psi_y), or None without one."""
-        if not self.with_psi:
-            return None
-        start = self._psi_start
-        return slice(start, start + self.n_psi_x + 1)
-
-    @property
-    def psi_y(self) -> int | None:
-        if not self.with_psi:
-            return None
-        return self._psi_start + self.n_psi_x
-
-    @property
-    def _psi_start(self) -> int:
-        start = self.n_beta + 2
-        if self.kind.student_t:
-            start += 1 + self.n_sites
-        if self.kind.yeo_johnson:
-            start += 1
-        return start
-
-    @property
-    def size(self) -> int:
-        return self._psi_start + (self.n_psi_x + 1 if self.with_psi else 0)
+    def __post_init__(self):
+        t, yj = self.kind.student_t, self.kind.yeo_johnson
+        k = self.n_beta
+        tau_start = k + 3 + yj
+        psi_start = k + 2 + (1 + self.n_sites if t else 0) + yj
+        blocks = {
+            "beta": slice(0, k), "omega": k, "rho": k + 1,
+            "nu": k + 2 if t else None,
+            "gamma": k + 2 + t if yj else None,
+            "tau": slice(tau_start, tau_start + self.n_sites) if t else None,
+            # the whole psi block: psi_x then psi_y
+            "psi": (slice(psi_start, psi_start + self.n_psi_x + 1)
+                    if self.with_psi else None),
+            "psi_y": psi_start + self.n_psi_x if self.with_psi else None,
+            "size": psi_start + (self.n_psi_x + 1 if self.with_psi else 0),
+        }
+        for name, value in blocks.items():
+            object.__setattr__(self, name, value)
 
     def names(self) -> list[str]:
         """Coordinate names aligned with the theta vector."""

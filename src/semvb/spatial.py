@@ -75,7 +75,7 @@ from .models import ModelKind
 
 __all__ = [
     "SpatialWeights", "ConditionalGaussian",
-    "build_rook_lattice", "apply_A", "apply_At",
+    "build_rook_lattice", "apply_At",
     "plan_route", "logdet_A", "trace_AinvW", "conditional_gaussian",
 ]
 
@@ -448,15 +448,6 @@ def build_rook_lattice(rows: int, cols: int, row_standardize: bool = True) -> Sp
 def _check_rho(rho: float) -> None:
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1); got {rho!r}")
-
-
-def apply_A(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:
-    """(I - rho W) v without forming A."""
-    _check_rho(rho)
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != W.n:
-        raise DimensionError(f"vector length {v.shape[0]} does not match n = {W.n}")
-    return v - rho * W.matvec(v)
 
 
 def apply_At(W: SpatialWeights, rho: float, v: np.ndarray) -> np.ndarray:

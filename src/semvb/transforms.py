@@ -13,12 +13,15 @@ All YJ functions accept scalars or arrays and broadcast like numpy ufuncs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
     "yj_forward", "yj_inverse", "yj_dy", "yj_dgamma", "yj_dlogdy_dgamma",
+    "YJBases",
     "omega_from_sigma2", "sigma2_from_omega",
     "expit", "rho_link", "rho_unlink", "dtwo_expit",
     "nu_link", "nu_unlink",
@@ -138,6 +141,51 @@ def yj_dlogdy_dgamma(y):
     out = np.where(y >= 0, np.log1p(np.maximum(y, 0.0)),
                    -np.log1p(-np.minimum(y, 0.0)))
     return out if out.ndim else float(out)
+
+
+class YJBases:
+    """The gamma-free parts of t_gamma at a fixed response vector y.
+
+    A fit evaluates the transform of the same responses at a new gamma on
+    every draw. The bases 1 + y (y >= 0) and 1 - y (y < 0), their logs and
+    d log(dt/dy)/dgamma depend on y alone, so they are computed once here;
+    a draw then takes one pair of powers, which gives both t_gamma(y) and
+    dt_gamma(y)/dgamma. Each value is the one `yj_forward` and `yj_dgamma`
+    compute, bit for bit. y holds the responses at `sites` of a longer
+    vector (all of it by default), and the evaluations write there.
+    gamma is not checked: callers pass a validated gamma in (0, 2).
+    """
+
+    def __init__(self, y: np.ndarray, sites: np.ndarray | None = None):
+        y = np.asarray(y, dtype=float)
+        sites = np.arange(y.size) if sites is None else np.asarray(sites)
+        pos = y >= 0
+        self.pos_sites, self.neg_sites = sites[pos], sites[~pos]
+        self.base_pos, self.base_neg = 1.0 + y[pos], 1.0 - y[~pos]
+        self.sites, self.y = sites, y
+
+    @functools.cached_property
+    def logs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.log(self.base_pos), np.log(self.base_neg)
+
+    @functools.cached_property
+    def dlogdy(self) -> np.ndarray:
+        """d log(dt/dy)/dgamma at each entry of y (`yj_dlogdy_dgamma`)."""
+        return yj_dlogdy_dgamma(self.y)
+
+    def forward(self, gamma: float, out: np.ndarray,
+                dout: np.ndarray | None = None) -> None:
+        """Write t_gamma(y) into out at the sites and, given dout,
+        dt_gamma(y)/dgamma into dout, from one pair of powers."""
+        g = float(gamma)
+        c = 2.0 - g
+        p, q = self.base_pos ** g, self.base_neg ** c
+        out[self.pos_sites] = (p - 1.0) / g
+        out[self.neg_sites] = -((q - 1.0) / c)
+        if dout is not None:
+            lp, ln = self.logs
+            dout[self.pos_sites] = (p * (g * lp - 1.0) + 1.0) / g ** 2
+            dout[self.neg_sites] = (c * q * ln - q + 1.0) / c ** 2
 
 
 # ---------------------------------------------------------------------------

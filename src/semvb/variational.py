@@ -11,6 +11,14 @@ Each iteration takes one pass per density: the target returns the gradient
 and the value of log h together, and one Woodbury core of q gives log q and
 its gradient (`gradients._log_q0_and_grad`). The value feeds only the ELBO
 trace.
+
+Per fit, the targets read what depends on the data alone from caches on the
+`Dataset` (see `likelihoods`), and the layout is built once. Per draw, the
+step works on contiguous slices of lambda = (mu, vech(B), d): from row p
+on, B's rows are the tail of vech(B), so the gradient of that tail is
+g[p:] eta^T row by row and the step adds to B[p:] in one slice, with only
+B's top p x p triangle taken by index; ADADELTA builds its new
+accumulators with one scratch vector.
 """
 
 from __future__ import annotations
@@ -96,21 +104,33 @@ class VariationalParams:
     def with_step(self, step: np.ndarray) -> "VariationalParams":
         """Apply an additive step on the flattened parameterization.
 
-        The step writes only B's lower triangle, and the shapes are this
-        lambda's, so of __post_init__'s checks only finiteness is repeated.
+        vech(B) lists B's lower triangle row by row, and from row p on each
+        row is whole, so past its first p (p + 1) / 2 entries (B's top p x p
+        triangle) vech(B) is B[p:] flattened: one slice add. The step writes
+        only B's lower triangle, and the shapes are this lambda's, so of
+        __post_init__'s checks only finiteness is repeated.
         """
-        s = self.s
-        i, j = self.tril()
-        nv = i.size
+        s, p = self.s, self.p
+        nh, nv = _vech_sizes(s, p)
         if step.shape != (2 * s + nv,):
             raise DimensionError("step length does not match lambda")
-        mu, B, d = self.mu + step[:s], self.B.copy(), self.d + step[s + nv:]
-        B[i, j] += step[s:s + nv]
+        mu, d = self.mu + step[:s], self.d + step[s + nv:]
+        B = np.empty_like(self.B)
+        np.add(self.B[p:], step[s + nh:s + nv].reshape(s - p, p), out=B[p:])
+        B[:p] = self.B[:p]
+        hi, hj = _tril_indices(p, p)
+        B[hi, hj] += step[s:s + nh]
         _require_finite(mu, B, d)
         out = object.__new__(VariationalParams)
         for name, value in (("mu", mu), ("B", B), ("d", d)):
             object.__setattr__(out, name, value)
         return out
+
+
+def _vech_sizes(s: int, p: int) -> tuple[int, int]:
+    """(entries of B's top p x p triangle, entries of vech(B)) for s x p B."""
+    nh = p * (p + 1) // 2
+    return nh, nh + (s - p) * p
 
 
 def _require_finite(mu: np.ndarray, B: np.ndarray, d: np.ndarray) -> None:
@@ -134,18 +154,27 @@ def log_q0(lam: VariationalParams, theta: np.ndarray) -> float:
 
 
 def reparam_grads(lam: VariationalParams, eta: np.ndarray, eps: np.ndarray,
-                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ELBO gradients wrt (mu, vech(B), d) from a composed g.
+                  g: np.ndarray) -> np.ndarray:
+    """The ELBO gradient over the flat lambda (mu, vech(B), d) from a
+    composed g, laid out as `VariationalParams.flat`.
 
     g must be the draw's total gradient grad log h(theta) - grad log
     q(theta); the chain rule through theta = mu + B eta + d * eps gives
-    d_mu = g, d_vechB = lower triangle of g eta^T, d_d = g * eps.
+    d_mu = g, d_vechB = lower triangle of g eta^T, d_d = g * eps. Past B's
+    top p x p triangle, vech(B) is B[p:] row by row, where that triangle is
+    the whole of g[p:] eta^T, so no s x p outer product is gathered.
     """
-    if g.shape != (lam.s,) or eps.shape != (lam.s,) or eta.shape != (lam.p,):
+    s, p = lam.s, lam.p
+    if g.shape != (s,) or eps.shape != (s,) or eta.shape != (p,):
         raise DimensionError("gradient or noise dimensions disagree")
-    i, j = lam.tril()
-    d_vech = (np.outer(g, eta))[i, j]
-    return g.copy(), d_vech, g * eps
+    nh, nv = _vech_sizes(s, p)
+    out = np.empty(2 * s + nv)
+    out[:s] = g
+    hi, hj = _tril_indices(p, p)
+    np.multiply(g[hi], eta[hj], out=out[s:s + nh])
+    np.multiply(g[p:, None], eta, out=out[s + nh:s + nv].reshape(s - p, p))
+    np.multiply(g, eps, out=out[s + nv:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,14 +191,27 @@ class AdadeltaState:
 
 def adadelta_step(state: AdadeltaState, grad: np.ndarray
                   ) -> tuple[np.ndarray, AdadeltaState]:
-    """One ADADELTA update; returns (step, new state) for an ascent move."""
+    """One ADADELTA update; returns (step, new state) for an ascent move.
+
+    The given state is left as it is; the new accumulators and the step
+    are built with one scratch vector and no other temporaries.
+    """
     if grad.shape != state.e_grad2.shape:
         raise DimensionError("gradient length does not match the state")
     up, al = _ADADELTA_UPSILON, _ADADELTA_ALPHA
-    e_g2 = up * state.e_grad2 + (1.0 - up) * grad * grad
-    a = np.sqrt((state.e_dx2 + al) / (e_g2 + al))
-    step = a * grad
-    e_dx2 = up * state.e_dx2 + (1.0 - up) * step * step
+    tmp = (1.0 - up) * grad
+    tmp *= grad
+    e_g2 = up * state.e_grad2
+    e_g2 += tmp                    # up E[g^2] + (1 - up) g^2
+    step = state.e_dx2 + al
+    np.add(e_g2, al, out=tmp)
+    step /= tmp
+    np.sqrt(step, out=step)
+    step *= grad                   # sqrt((E[dx^2] + al) / (E[g^2] + al)) g
+    np.multiply(step, 1.0 - up, out=tmp)
+    tmp *= step
+    e_dx2 = up * state.e_dx2
+    e_dx2 += tmp                   # up E[dx^2] + (1 - up) dx^2
     return step, AdadeltaState(e_grad2=e_g2, e_dx2=e_dx2)
 
 
@@ -276,7 +318,7 @@ def _ml_init(data: Dataset) -> tuple[np.ndarray, float, float]:
     missing; binary 20 x 20 weights take 151-156, since only the 49 points
     with |rho| < 1/4 lie in R.
     """
-    obs = ~data.missing
+    obs = data.observed
     if obs.all():
         W, y, X = data.W, data.y, data.X
     else:
@@ -477,13 +519,12 @@ def _sga(lam: VariationalParams, layout: ThetaLayout, config: FitConfig,
                                  iteration=t) from exc
         elbo[t - 1] = log_h - log_q
         g = g_h - g_q
-        bad = np.flatnonzero(~np.isfinite(g))
-        if bad.size:
+        if not np.isfinite(g).all():
+            bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise NumericalError(
-                f"non-finite gradient in coordinate {layout.names()[bad[0]]}",
-                iteration=t, coordinate=int(bad[0]))
-        d_mu, d_vech, d_d = reparam_grads(lam, eta, eps, g)
-        step, state = adadelta_step(state, np.concatenate([d_mu, d_vech, d_d]))
+                f"non-finite gradient in coordinate {layout.names()[bad]}",
+                iteration=t, coordinate=bad)
+        step, state = adadelta_step(state, reparam_grads(lam, eta, eps, g))
         lam = lam.with_step(step)
         if t % config.trace_every == 0:
             trace_rows.append(lam.mu.copy())

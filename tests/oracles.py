@@ -43,6 +43,17 @@ against it bit for bit.
 a whole table as Python objects, kept verbatim: the codec that streams
 tables in fixed-size row chunks is checked against them, byte for byte on
 write and bit for bit on read.
+
+`with_step_fancy`, `reparam_grads_outer`, `adadelta_step_allocating` and
+`sga_loop` are the SGA step as it was before it worked on contiguous
+slices of lambda: a copy of B stepped through a fancy index, the lower
+triangle gathered from an s x p outer product, ADADELTA allocating its
+state anew, and the loop that concatenated the three gradient blocks.
+`ResponseFromScratch` computes a response's Yeo-Johnson terms as the
+package did before they were split into per-fit bases and per-draw powers:
+`yj_forward`, `yj_dgamma` and `yj_dlogdy_dgamma` of the whole completed y
+at every call. All are kept verbatim, and the new pieces and whole fits are
+checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -652,3 +663,125 @@ def parse_whole(path, columns, rows, line: int = 1) -> list[list]:
     cells = list(zip(*body)) if body else [()] * len(names)
     return [parse_column_whole(path, name, t, col, line + 1)
             for (name, t), col in zip(columns, cells)]
+
+
+def with_step_fancy(lam, step):
+    """lam + step on the flat parameterization: a copy of B with its lower
+    triangle stepped through the fancy index of `VariationalParams.tril`."""
+    from semvb.errors import DimensionError
+    from semvb.variational import VariationalParams, _require_finite
+    s = lam.s
+    i, j = lam.tril()
+    nv = i.size
+    if step.shape != (2 * s + nv,):
+        raise DimensionError("step length does not match lambda")
+    mu, B, d = lam.mu + step[:s], lam.B.copy(), lam.d + step[s + nv:]
+    B[i, j] += step[s:s + nv]
+    _require_finite(mu, B, d)
+    out = object.__new__(VariationalParams)
+    for name, value in (("mu", mu), ("B", B), ("d", d)):
+        object.__setattr__(out, name, value)
+    return out
+
+
+def reparam_grads_outer(lam, eta, eps, g):
+    """(d_mu, d_vechB, d_d): d_vechB gathered from the outer product g eta^T."""
+    from semvb.errors import DimensionError
+    if g.shape != (lam.s,) or eps.shape != (lam.s,) or eta.shape != (lam.p,):
+        raise DimensionError("gradient or noise dimensions disagree")
+    i, j = lam.tril()
+    d_vech = (np.outer(g, eta))[i, j]
+    return g.copy(), d_vech, g * eps
+
+
+def adadelta_step_allocating(state, grad):
+    """One ADADELTA update returning (step, a new AdadeltaState)."""
+    from semvb.errors import DimensionError
+    from semvb.variational import (_ADADELTA_ALPHA, _ADADELTA_UPSILON,
+                                   AdadeltaState)
+    if grad.shape != state.e_grad2.shape:
+        raise DimensionError("gradient length does not match the state")
+    up, al = _ADADELTA_UPSILON, _ADADELTA_ALPHA
+    e_g2 = up * state.e_grad2 + (1.0 - up) * grad * grad
+    a = np.sqrt((state.e_dx2 + al) / (e_g2 + al))
+    step = a * grad
+    e_dx2 = up * state.e_dx2 + (1.0 - up) * step * step
+    return step, AdadeltaState(e_grad2=e_g2, e_dx2=e_dx2)
+
+
+def sga_loop(lam, layout, config, rng, target, t_start, acceptance=None):
+    """`variational._sga` on the three pieces above, which it stepped
+    lambda with before they worked on slices."""
+    import time
+
+    from semvb.errors import DomainError, NumericalError, SingularityError
+    from semvb.gradients import _log_q0_and_grad
+    from semvb.variational import AdadeltaState, FitResult, sample_q
+    state = AdadeltaState.zeros(lam.flat().size)
+    trace_rows, trace_iters = [], []
+    elbo = np.empty(config.max_iters)
+    recent_moves: list[float] = []
+    t = 0
+    for t in range(1, config.max_iters + 1):
+        theta, eta, eps = sample_q(lam, rng)
+        try:
+            g_h, log_h = target(theta, t)
+            log_q, g_q = _log_q0_and_grad(lam, theta)
+        except (DomainError, SingularityError) as exc:
+            raise NumericalError(f"target evaluation failed: {exc}",
+                                 iteration=t) from exc
+        elbo[t - 1] = log_h - log_q
+        g = g_h - g_q
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise NumericalError(
+                f"non-finite gradient in coordinate {layout.names()[bad[0]]}",
+                iteration=t, coordinate=int(bad[0]))
+        d_mu, d_vech, d_d = reparam_grads_outer(lam, eta, eps, g)
+        step, state = adadelta_step_allocating(
+            state, np.concatenate([d_mu, d_vech, d_d]))
+        lam = with_step_fancy(lam, step)
+        if t % config.trace_every == 0:
+            trace_rows.append(lam.mu.copy())
+            trace_iters.append(t)
+        if config.stop_window > 0:
+            recent_moves.append(float(np.max(np.abs(step[:lam.s]))))
+            if len(recent_moves) > config.stop_window:
+                recent_moves.pop(0)
+            if (len(recent_moves) == config.stop_window
+                    and max(recent_moves) < config.stop_tol):
+                break
+    if t and (not trace_iters or trace_iters[-1] != t):
+        trace_rows.append(lam.mu.copy())
+        trace_iters.append(t)
+    return FitResult(
+        lam=lam, layout=layout,
+        mu_trace=(np.asarray(trace_rows) if trace_rows
+                  else np.empty((0, lam.s))),
+        trace_iters=np.asarray(trace_iters, dtype=int),
+        elbo_trace=elbo[:t], n_iters=t,
+        wall_time=time.perf_counter() - t_start, seed=config.seed,
+        acceptance=(None if acceptance is None
+                    else np.asarray(acceptance, dtype=int).reshape(-1, 4)))
+
+
+class ResponseFromScratch:
+    """`likelihoods._Response` with its Yeo-Johnson terms computed from the
+    whole completed y at every call by `yj_forward`, `yj_dgamma` and
+    `yj_dlogdy_dgamma`, and its NaN check on the whole y."""
+
+    def __init__(self, data, y_u=None):
+        from semvb.errors import DomainError
+        self.y = data.y if y_u is None else data.complete(y_u)
+        if np.any(np.isnan(self.y)):
+            raise DomainError("y_complete has missing entries")
+
+    def transform(self, gamma, dgamma=False):
+        from semvb.transforms import yj_dgamma, yj_forward
+        return (yj_forward(self.y, gamma),
+                yj_dgamma(self.y, gamma) if dgamma else None)
+
+    @property
+    def dlogjac(self):
+        from semvb.transforms import yj_dlogdy_dgamma
+        return float(np.sum(yj_dlogdy_dgamma(self.y)))

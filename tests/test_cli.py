@@ -1023,6 +1023,28 @@ class TestImports:
             watched=("scipy", *_FIT_MODULES))
         assert loaded == []
 
+    def test_fit_and_summarize_load_no_numpy_ma(self, tmp_path):
+        # np.quantile imports numpy.ma through np.unique; the summary's
+        # quantiles are numpy's linear method without that call
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        main(["amputate", "--data", str(sim / "dataset.csv"),
+              "--seed", "5", "--out-dir", str(tmp_path / "amp")])
+        weights = ["--weights", str(sim / "weights.csv")]
+        fit = tmp_path / "fit"
+        after = _modules_after_each([
+            ["fit", "--data", str(sim / "dataset.csv"), *weights,
+             "--kind", "yj-sem-gau", "--max-iters", "2", "--n-draws", "5",
+             "--out-dir", str(fit)],
+            ["fit", "--data", str(tmp_path / "amp" / "amputated.csv"),
+             *weights, "--kind", "yj-sem-gau", "--method", "hvb",
+             "--max-iters", "2", "--n-draws", "5",
+             "--out-dir", str(tmp_path / "hvb")],
+            ["summarize", "--samples", str(fit / "samples.csv"),
+             "--out-dir", str(tmp_path / "sum")]],
+            watched=("numpy.ma",))
+        assert after == [[], [], []]
+
     def test_hvb_fit_loads_no_scipy(self, tmp_path):
         # the MH conditionals are banded Cholesky factors from scipy's LAPACK
         # wrapper, loaded by file; their band maps and the initial fit's

@@ -1,0 +1,203 @@
+"""Each fit's set-up against the oracles of the code it replaced.
+
+The SGA step works on contiguous slices of lambda, the Yeo-Johnson terms
+of a response come from bases computed once per Dataset, and the MH sweep
+reads the observed residual from those bases. Each piece, and whole vb and
+hvb fits built on them, must give the replaced code's values bit for bit
+(`oracles.with_step_fancy`, `reparam_grads_outer`,
+`adadelta_step_allocating`, `sga_loop`, `ResponseFromScratch` and
+`step_by_step_sweep`).
+"""
+
+import numpy as np
+import pytest
+
+from semvb import gradients, hvb
+from semvb import variational as vb
+from semvb.errors import DomainError
+from semvb.likelihoods import Dataset, _Response, layout_full
+from semvb.models import ModelKind
+
+import oracles
+from util import ALL_KINDS, random_instance
+
+
+def random_lam(size: int, seed: int, p: int = 4) -> vb.VariationalParams:
+    rng = np.random.default_rng(seed)
+    return vb.VariationalParams(mu=rng.standard_normal(size),
+                                B=np.tril(rng.standard_normal((size, p))),
+                                d=rng.uniform(0.1, 1.0, size=size))
+
+
+def assert_same_lam(got, want):
+    for name in ("mu", "B", "d"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def kind_lam(kind, seed):
+    inst = random_instance(kind, seed, lattice=(5, 6))
+    return random_lam(layout_full(kind, inst["data"]).size, seed)
+
+
+class TestSgaStep:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_with_step(self, kind):
+        lam = kind_lam(kind, 1)
+        rng = np.random.default_rng(2)
+        for scale in (1e-3, 1.0, 1e3):
+            step = scale * rng.standard_normal(lam.flat().size)
+            got = lam.with_step(step)
+            assert_same_lam(got, oracles.with_step_fancy(lam, step))
+            assert not np.triu(got.B, 1).any()
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_reparam_grads(self, kind, p):
+        inst = random_instance(kind, 3, lattice=(5, 6))
+        lam = random_lam(layout_full(kind, inst["data"]).size, 3, p=p)
+        rng = np.random.default_rng(4)
+        g, eps = rng.standard_normal((2, lam.s))
+        eta = rng.standard_normal(p)
+        want = np.concatenate(oracles.reparam_grads_outer(lam, eta, eps, g))
+        assert np.array_equal(vb.reparam_grads(lam, eta, eps, g), want)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_adadelta_step(self, kind):
+        size = kind_lam(kind, 5).flat().size
+        rng = np.random.default_rng(6)
+        state = vb.AdadeltaState.zeros(size)
+        ref = vb.AdadeltaState.zeros(size)
+        for scale in (1.0, 1e-4, 1e4, 0.0, 1.0):
+            grad = scale * rng.standard_normal(size)
+            before = state.e_grad2.copy(), state.e_dx2.copy()
+            old = state
+            step, state = vb.adadelta_step(state, grad)
+            assert np.array_equal(old.e_grad2, before[0])
+            assert np.array_equal(old.e_dx2, before[1])
+            want, ref = oracles.adadelta_step_allocating(ref, grad)
+            assert np.array_equal(step, want)
+            assert np.array_equal(state.e_grad2, ref.e_grad2)
+            assert np.array_equal(state.e_dx2, ref.e_dx2)
+
+
+def assert_same_terms(resp, ref, gamma):
+    t, dt = resp.transform(gamma, dgamma=True)
+    want_t, want_dt = ref.transform(gamma, dgamma=True)
+    assert np.array_equal(resp.y, ref.y)
+    assert np.array_equal(t, want_t) and np.array_equal(dt, want_dt)
+    assert np.array_equal(resp.transform(gamma)[0], want_t)
+    assert resp.transform(gamma)[1] is None
+    assert resp.dlogjac == ref.dlogjac
+
+
+GAMMAS = [1e-3, 0.37, 1.0, 1.0000001, 1.63, 2.0 - 1e-12]
+
+
+class TestYeoJohnsonTerms:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_complete_response(self, kind):
+        data = random_instance(kind, 7, lattice=(6, 6))["data"]
+        y = data.y.copy()
+        y[:4] = [0.0, -0.0, 1e-300, -1e-300]   # both signs of zero
+        data = data.with_y(y)
+        for gamma in GAMMAS:
+            assert_same_terms(data.response, oracles.ResponseFromScratch(data),
+                              gamma)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_completed_response(self, kind):
+        inst = random_instance(kind, 8, lattice=(6, 6), missing_frac=0.4)
+        data = inst["data"]
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            y_u = rng.normal(0.0, 2.0, size=data.n_missing)
+            y_u[:2] = [0.0, -0.0]
+            for gamma in GAMMAS:
+                assert_same_terms(_Response(data, y_u),
+                                  oracles.ResponseFromScratch(data, y_u),
+                                  gamma)
+
+    def test_nan_in_completed_response_is_refused(self):
+        kind = ModelKind.YJ_SEM_T
+        inst = random_instance(kind, 10, missing_frac=0.3)
+        y_u = inst["y_u"].copy()
+        y_u[-1] = np.nan
+        with pytest.raises(DomainError, match="missing entries"):
+            gradients.grad_log_h_missing(kind, inst["data"], inst["theta"],
+                                         y_u, inst["priors"])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_targets(self, kind, monkeypatch):
+        full = random_instance(kind, 11, lattice=(6, 6))
+        miss = random_instance(kind, 12, lattice=(6, 6), missing_frac=0.3)
+        y_u = miss["y_u"] + 0.5
+
+        def both():
+            return (gradients.grad_log_h_full(kind, full["data"],
+                                              full["theta"], full["priors"]),
+                    gradients.grad_log_h_missing(kind, miss["data"],
+                                                 miss["theta"], y_u,
+                                                 miss["priors"]))
+
+        got = both()
+        scratch_terms(monkeypatch)
+        want = both()
+        for (g, h), (g_ref, h_ref) in zip(got, want):
+            assert np.array_equal(g, g_ref) and h == h_ref
+
+
+def scratch_terms(monkeypatch):
+    """Route both targets through ResponseFromScratch."""
+    monkeypatch.setattr(gradients, "_Response", oracles.ResponseFromScratch)
+    monkeypatch.setattr(Dataset, "response", property(
+        lambda data: oracles.ResponseFromScratch(data)))
+
+
+def replaced_fit(monkeypatch):
+    """Run fits on the replaced code: the old SGA loop and step, the YJ
+    terms from scratch, and the MH sweep one step at a time."""
+    scratch_terms(monkeypatch)
+    monkeypatch.setattr(vb, "_sga", oracles.sga_loop)
+    monkeypatch.setattr(hvb, "_sga", oracles.sga_loop)
+    monkeypatch.setattr(hvb, "_mh_sweep", oracles.step_by_step_sweep)
+
+
+def assert_same_fit(got, want):
+    assert_same_lam(got.lam, want.lam)
+    assert np.array_equal(got.elbo_trace, want.elbo_trace)
+    assert np.array_equal(got.mu_trace, want.mu_trace)
+    if want.acceptance is not None:
+        assert np.array_equal(got.acceptance, want.acceptance)
+
+
+class TestFits:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_vb_fit(self, kind, monkeypatch):
+        inst = random_instance(kind, 13, lattice=(6, 6))
+        config = vb.FitConfig(max_iters=50, seed=14, trace_every=7)
+
+        def fit():
+            data = inst["data"].with_y(inst["data"].y)   # fresh caches
+            return vb.vb_fit(kind, data, inst["priors"], config)
+
+        got = fit()
+        replaced_fit(monkeypatch)
+        assert_same_fit(got, fit())
+
+    @pytest.mark.parametrize("kernel", ["nob", "allb"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_hvb_fit(self, kind, kernel, monkeypatch):
+        inst = random_instance(kind, 15, lattice=(6, 6), missing_frac=0.35)
+        config = hvb.HvbConfig(max_iters=50, seed=16, trace_every=9,
+                               kernel=kernel, block_fraction=0.3,
+                               warm_start=kernel == "allb")
+
+        def fit():
+            data = inst["data"].with_y(inst["data"].y)
+            return hvb.hvb_fit(kind, data, inst["priors"], config)
+
+        got = fit()
+        assert np.any((got.acceptance[:, 2] > 0)
+                      & (got.acceptance[:, 2] < config.n1))
+        replaced_fit(monkeypatch)
+        assert_same_fit(got, fit())

@@ -638,6 +638,29 @@ class TestChunks:
                 _assert_same(chunked, _outcome(read, p))
 
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_numeric_table_matches_csv_text(self, tmp_path, monkeypatch,
+                                            chunk):
+        # float and int cells skip csv; the text is csv's, edge values too
+        monkeypatch.setattr(io, "_CHUNK_CELLS", chunk)
+        floats = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320,
+                           -5e-324, 1.7976931348623157e308, 0.1, -2.5e-7,
+                           1e16, 123456789.125, 3.0, -1.0])
+        ints = np.array([0, -1, 2**63 - 1, -2**63, 7, 10**15, -42, 1, 2, 3,
+                         4, 5, 6, 8])
+        mixed = np.column_stack([floats[::-1], -floats])
+        columns = [("f", float), ("i", int), ("a", float), ("b", float)]
+        for m in ROW_COUNTS:
+            k = np.arange(m) % floats.size
+            data = [floats[k], ints[k], mixed[k]]
+            io._write_table(tmp_path / "fast.csv", columns, data, head="#h\n")
+            oracles.write_table_whole(
+                tmp_path / "csv.csv", columns,
+                [floats[k], ints[k], mixed[k, 0], mixed[k, 1]], head="#h\n")
+            assert filecmp.cmp(tmp_path / "fast.csv", tmp_path / "csv.csv",
+                               shallow=False), m
+
+
 class TestMemory:
     """A draws table of many chunks is streamed: reading it holds the result
     and about one copy of it, and writing it holds no copy at all."""
@@ -686,6 +709,24 @@ class TestSummary:
         for j, (name, mean, q025, q975) in enumerate(rows):
             assert mean == means[j]
             assert q025 == lo[j] and q975 == hi[j]
+
+    def test_quantiles_are_numpys_bit_for_bit(self):
+        # ties, signed zeros, infinities and a NaN column, at every small
+        # draw count and two large ones
+        rng = np.random.default_rng(5)
+        q = np.array([0.025, 0.975])
+        for n in [*range(1, 65), 1000, 10000]:
+            draws = np.column_stack([
+                rng.normal(size=n),
+                rng.choice([-1.5, -0.0, 0.0, 2.0], size=n),
+                rng.choice([-0.0, 0.0], size=n),
+                rng.choice([-np.inf, 0.5, np.inf], size=n),
+                np.where(np.arange(n) == n // 2, np.nan, rng.normal(size=n)),
+                np.full(n, 3.25)])
+            with np.errstate(invalid="ignore"):
+                want = np.quantile(draws, q, axis=0)
+                got = io._quantiles(draws, q)
+            assert got.tobytes() == want.tobytes(), n
 
     def test_roundtrip(self, tmp_path):
         draws = np.arange(12, dtype=float).reshape(4, 3)

@@ -36,6 +36,15 @@ class TestDataset:
         with pytest.raises(DomainError):
             d.require_complete()
 
+    def test_y_is_a_read_only_copy(self):
+        # the YJ caches are built from y, so y must not change under them
+        y = np.array([0.5, np.nan, -1.0])
+        d = lk.Dataset(y=y, X=np.ones((3, 1)), W=empty_W(3))
+        y[0] = 9.0
+        assert d.y[0] == 0.5
+        with pytest.raises(ValueError):
+            d.y[0] = 2.0
+
     def test_intercept_required(self):
         with pytest.raises(DomainError):
             lk.Dataset(y=[0.0], X=[[2.0]], W=empty_W(1))
@@ -62,11 +71,19 @@ class TestDataset:
             assert len(lk.layout_full(kind, full).names()) == size
 
 
+def terms(kind, y, X, beta, gamma=None, W=None, rho=0.0):
+    """`_loglik_terms` at the data's own y: (loglik, r, W r, A r, ...)."""
+    data = lk.Dataset(y=y, X=X, W=empty_W(len(y)) if W is None else W)
+    params = ModelParams(beta=beta, sigma2=1.0, rho=rho,
+                         nu=5.0 if kind.student_t else None, gamma=gamma)
+    return lk._loglik_terms(kind, data, params, None, data.response)
+
+
 class TestResidual:
     def test_zero_beta_identity(self):
         y = np.array([0.3, -1.0, 2.0])
         X = np.column_stack([np.ones(3), np.arange(3.0)])
-        r = lk.residual_r(ModelKind.SEM_GAU, y, X, np.zeros(2))
+        r = terms(ModelKind.SEM_GAU, y, X, np.zeros(2))[1]
         np.testing.assert_array_equal(r, y)
 
     def test_gamma_one_matches_identity(self):
@@ -74,21 +91,34 @@ class TestResidual:
         y = rng.standard_normal(5)
         X = np.column_stack([np.ones(5), rng.standard_normal(5)])
         beta = np.array([0.5, -1.2])
-        a = lk.residual_r(ModelKind.SEM_GAU, y, X, beta)
-        b = lk.residual_r(ModelKind.YJ_SEM_GAU, y, X, beta, gamma=1.0)
+        a = terms(ModelKind.SEM_GAU, y, X, beta)[1]
+        b = terms(ModelKind.YJ_SEM_GAU, y, X, beta, gamma=1.0)[1]
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_hand_case_composes_forward_transform(self):
         y = np.array([1.0, -0.5, 0.0])
         X = np.ones((3, 1))
         beta = np.array([0.25])
-        got = lk.residual_r(ModelKind.YJ_SEM_T, y, X, beta, gamma=0.5)
+        got = terms(ModelKind.YJ_SEM_T, y, X, beta, gamma=0.5)[1]
         np.testing.assert_allclose(got, yj_forward(y, 0.5) - 0.25, atol=1e-14)
 
+    def test_a_r_matches_dense(self):
+        rng = np.random.default_rng(0)
+        W = build_rook_lattice(4, 5)
+        y = rng.standard_normal(20)
+        X = np.column_stack([np.ones(20), rng.standard_normal(20)])
+        beta = np.array([0.3, -0.7])
+        _, r, _, ar, *_ = terms(ModelKind.SEM_GAU, y, X, beta, W=W, rho=0.6)
+        A = np.eye(20) - 0.6 * csr(W).toarray()
+        np.testing.assert_allclose(r, y - X @ beta, atol=1e-14)
+        np.testing.assert_allclose(ar, A @ r, atol=1e-12)
+
     def test_missing_entries_rejected(self):
+        data = lk.Dataset(y=[np.nan], X=np.ones((1, 1)), W=empty_W(1))
         with pytest.raises(DomainError):
-            lk.residual_r(ModelKind.SEM_GAU, np.array([np.nan]),
-                          np.ones((1, 1)), np.zeros(1))
+            data.response
+        with pytest.raises(DomainError):
+            lk._Response(data, np.array([np.nan]))
 
 
 class TestLoglik:

@@ -161,6 +161,30 @@ class TestPerDrawLogliks:
         with pytest.raises(DomainError, match="no rho column"):
             per_draw_logliks(ModelKind.SEM_GAU, inst["data"], no_rho)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_logpriors_refuse_a_missing_kind_column(self, kind):
+        inst = random_instance(kind, seed=3)
+        s = jittered_samples(inst, kind, 3, seed=1)
+        # without beta0 the betas that remain are counted, and beta0 is
+        # the first of them that is missing
+        for missing in ["beta0"] + [name for name in s.phi_names
+                                    if not name.startswith("beta")]:
+            keep = [j for j, name in enumerate(s.phi_names)
+                    if name != missing]
+            short = PosteriorSamples(phi=s.phi[:, keep],
+                                     phi_names=[s.phi_names[j] for j in keep])
+            with pytest.raises(DomainError, match=f"no {missing} column"):
+                per_draw_logpriors(kind, Priors(), short)
+
+    def test_logpriors_read_columns_by_name(self):
+        inst = random_instance(ModelKind.YJ_SEM_T, seed=4)
+        s = jittered_samples(inst, ModelKind.YJ_SEM_T, 3, seed=2)
+        reversed_ = PosteriorSamples(phi=s.phi[:, ::-1],
+                                     phi_names=s.phi_names[::-1])
+        np.testing.assert_array_equal(
+            per_draw_logpriors(ModelKind.YJ_SEM_T, Priors(), reversed_),
+            per_draw_logpriors(ModelKind.YJ_SEM_T, Priors(), s))
+
 
 class TestDic1:
     def test_point_mass(self):

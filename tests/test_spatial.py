@@ -161,13 +161,12 @@ class TestApplyA:
         dense = csr(W).toarray()
         v = rng.standard_normal(20)
         A = np.eye(20) - 0.6 * dense
-        np.testing.assert_allclose(spatial.apply_A(W, 0.6, v), A @ v, atol=1e-12)
         np.testing.assert_allclose(spatial.apply_At(W, 0.6, v), A.T @ v, atol=1e-12)
 
     def test_rho_domain(self):
         W = two_node_raw()
         with pytest.raises(DomainError):
-            spatial.apply_A(W, 1.0, np.zeros(2))
+            spatial.apply_At(W, 1.0, np.zeros(2))
         for c in (1.0, -1.0 + 1e-30j):
             with pytest.raises(DomainError):
                 spatial.a_matrix(W, c)
@@ -175,7 +174,7 @@ class TestApplyA:
     def test_length_mismatch(self):
         W = two_node_raw()
         with pytest.raises(DimensionError):
-            spatial.apply_A(W, 0.3, np.zeros(3))
+            spatial.apply_At(W, 0.3, np.zeros(3))
 
 
 def loglik_at(kind, W, rho, y, tau=None, sigma2=1.0):
