@@ -445,7 +445,7 @@ def read_samples(path) -> tuple[PosteriorSamples, np.ndarray | None]:
 def write_lambda(path, lam: VariationalParams) -> None:
     """Rows part,i,j,value for mu (j empty), B lower triangle, and d."""
     s = lam.s
-    ti, tj = lam.tril()
+    ti, tj = np.tril_indices(s, 0, lam.p)
     _write_table(path, _LAMBDA, [
         ["mu"] * s + ["B"] * ti.size + ["d"] * s,
         [*range(s), *ti.tolist(), *range(s)],

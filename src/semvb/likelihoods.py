@@ -160,11 +160,6 @@ class Dataset:
         return d
 
     @cached_property
-    def _dlogjac(self) -> float:
-        """`_Response.dlogjac` of complete data, once per Dataset."""
-        return float(np.sum(self._dlogdy_observed))
-
-    @cached_property
     def response(self) -> "_Response":
         """The complete response with its per-fit terms; see `_Response`."""
         self.require_complete()
@@ -214,11 +209,10 @@ class _Response:
     def dlogjac(self) -> float:
         """sum over sites of d log(dt/dy)/dgamma, the YJ log-Jacobian's
         gamma-derivative; per fit for the data's own y."""
-        data = self.data
-        if self.y_u is None:
-            return data._dlogjac
-        d = data._dlogdy_observed.copy()
-        d[data.unobserved_idx] = self._parts[1].dlogdy
+        d = self.data._dlogdy_observed
+        if self.y_u is not None:
+            d = d.copy()
+            d[self.data.unobserved_idx] = self._parts[1].dlogdy
         return float(np.sum(d))
 
 

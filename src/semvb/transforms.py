@@ -67,10 +67,10 @@ def yj_forward(y, gamma):
     pos, y_pos, y_neg = _sides(y)
     out = np.empty_like(y)
     out[pos] = ((1.0 + y_pos) ** g - 1.0) / g
-    # 2 - g > 0 whenever a negative y passed _check_gamma; a NaN maps to 0
-    # at g = 2, where no branch holds it
+    # 2 - g > 0 whenever a negative y passed _check_gamma, so at g = 2
+    # this side holds only NaN, which stays NaN
     out[~pos] = (-(((1.0 - y_neg) ** (2.0 - g) - 1.0) / (2.0 - g))
-                 if g < 2.0 else 0.0)
+                 if g < 2.0 else np.nan)
     return out if out.ndim else float(out)
 
 
@@ -85,11 +85,10 @@ def yj_inverse(z, gamma):
     g = float(gamma)
     pos, z_pos, z_neg = _sides(z)
     out = np.empty_like(z)
-    # both bases are at least 1 for g in (0, 2], so the powers are real
-    if g < 2.0:
-        out[~pos] = 1.0 - (-(2.0 - g) * z_neg + 1.0) ** (1.0 / (2.0 - g))
-    else:
-        out[~pos] = 0.0
+    # both bases are at least 1 for g in (0, 2], so the powers are real;
+    # at g = 2 the negative side holds only NaN, as in yj_forward
+    out[~pos] = (1.0 - (-(2.0 - g) * z_neg + 1.0) ** (1.0 / (2.0 - g))
+                 if g < 2.0 else np.nan)
     out[pos] = (z_pos * g + 1.0) ** (1.0 / g) - 1.0
     return out if out.ndim else float(out)
 
@@ -125,8 +124,8 @@ def yj_dgamma(y, gamma):
         u = 1.0 - np.minimum(y, 0.0)
         uc = u ** c
         neg = (c * uc * np.log(u) - uc + 1.0) / c ** 2
-    else:
-        neg = np.zeros_like(y)
+    else:   # only NaN reaches this side at g = 2, as in yj_forward
+        neg = np.full_like(y, np.nan)
     out = np.where(y >= 0, pos, neg)
     return out if out.ndim else float(out)
 

@@ -14,16 +14,14 @@ trace.
 
 Per fit, the targets read what depends on the data alone from caches on the
 `Dataset` (see `likelihoods`), and the layout is built once. Per draw, the
-step works on contiguous slices of lambda = (mu, vech(B), d): from row p
-on, B's rows are the tail of vech(B), so the gradient of that tail is
-g[p:] eta^T row by row and the step adds to B[p:] in one slice, with only
-B's top p x p triangle taken by index; ADADELTA builds its new
-accumulators with one scratch vector.
+step works on lambda = (mu, B, d) in its stored shape, B whole and row by
+row: ADADELTA acts on each entry on its own, and the gradient of B's strict
+upper triangle is +0.0, so B's step there is +0.0 and B stays
+lower-triangular. vech(B) exists only in `lambda.csv` (`io.write_lambda`).
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -32,11 +30,11 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericalError, SingularityError
 from .gradients import _log_q0_and_grad, grad_log_h_full
 from .likelihoods import Dataset, layout_full, layout_missing
-from .models import ModelKind, Priors, ThetaLayout, link_inverse
+from .models import (MissingnessParams, ModelKind, ModelParams, Priors,
+                     ThetaLayout, link_forward, link_inverse)
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .simulate import draw_inverse_gamma
 from .spatial import logdet_A, plan_route
-from .transforms import gamma_link, omega_from_sigma2, rho_link
 
 __all__ = [
     "VariationalParams", "AdadeltaState", "FitConfig", "FitResult",
@@ -46,14 +44,6 @@ __all__ = [
 
 _ADADELTA_ALPHA, _ADADELTA_UPSILON = 1e-6, 0.95  # ADADELTA offset and decay
 _GAMMA_INIT = 1.001  # just off the identity transform at gamma = 1
-
-
-@functools.cache
-def _tril_indices(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.tril_indices(s, 0, p), built once per shape and shared read-only."""
-    i, j = np.tril_indices(s, 0, p)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
 
 
 @dataclass(frozen=True)
@@ -92,45 +82,32 @@ class VariationalParams:
         """Dense B B^T + D^2 (tests and summaries; O(s^2) memory)."""
         return self.B @ self.B.T + np.diag(self.d * self.d)
 
-    def tril(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only row and column indices of B's lower triangle."""
-        return _tril_indices(self.s, self.p)
-
     def flat(self) -> np.ndarray:
-        """Stack (mu, vech(B), d) into the lambda vector ADADELTA steps."""
-        i, j = self.tril()
-        return np.concatenate([self.mu, self.B[i, j], self.d])
+        """Stack (mu, B row by row, d) into the lambda vector ADADELTA steps.
+
+        B enters whole, its strict upper triangle included; see
+        `reparam_grads`, which keeps that triangle's gradient at +0.0.
+        """
+        return np.concatenate([self.mu, self.B.ravel(), self.d])
 
     def with_step(self, step: np.ndarray) -> "VariationalParams":
-        """Apply an additive step on the flattened parameterization.
+        """Add a step laid out as `flat`: three slice adds.
 
-        vech(B) lists B's lower triangle row by row, and from row p on each
-        row is whole, so past its first p (p + 1) / 2 entries (B's top p x p
-        triangle) vech(B) is B[p:] flattened: one slice add. The step writes
-        only B's lower triangle, and the shapes are this lambda's, so of
+        The step must be +0.0 on B's strict upper triangle, as every
+        ADADELTA step from a `reparam_grads` gradient is, for B to stay
+        lower-triangular; the shapes are this lambda's, so of
         __post_init__'s checks only finiteness is repeated.
         """
         s, p = self.s, self.p
-        nh, nv = _vech_sizes(s, p)
-        if step.shape != (2 * s + nv,):
+        if step.shape != ((p + 2) * s,):
             raise DimensionError("step length does not match lambda")
-        mu, d = self.mu + step[:s], self.d + step[s + nv:]
-        B = np.empty_like(self.B)
-        np.add(self.B[p:], step[s + nh:s + nv].reshape(s - p, p), out=B[p:])
-        B[:p] = self.B[:p]
-        hi, hj = _tril_indices(p, p)
-        B[hi, hj] += step[s:s + nh]
+        mu, d = self.mu + step[:s], self.d + step[-s:]
+        B = self.B + step[s:-s].reshape(s, p)
         _require_finite(mu, B, d)
         out = object.__new__(VariationalParams)
         for name, value in (("mu", mu), ("B", B), ("d", d)):
             object.__setattr__(out, name, value)
         return out
-
-
-def _vech_sizes(s: int, p: int) -> tuple[int, int]:
-    """(entries of B's top p x p triangle, entries of vech(B)) for s x p B."""
-    nh = p * (p + 1) // 2
-    return nh, nh + (s - p) * p
 
 
 def _require_finite(mu: np.ndarray, B: np.ndarray, d: np.ndarray) -> None:
@@ -155,25 +132,25 @@ def log_q0(lam: VariationalParams, theta: np.ndarray) -> float:
 
 def reparam_grads(lam: VariationalParams, eta: np.ndarray, eps: np.ndarray,
                   g: np.ndarray) -> np.ndarray:
-    """The ELBO gradient over the flat lambda (mu, vech(B), d) from a
-    composed g, laid out as `VariationalParams.flat`.
+    """The ELBO gradient over the flat lambda (mu, B, d) from a composed g,
+    laid out as `VariationalParams.flat`.
 
     g must be the draw's total gradient grad log h(theta) - grad log
     q(theta); the chain rule through theta = mu + B eta + d * eps gives
-    d_mu = g, d_vechB = lower triangle of g eta^T, d_d = g * eps. Past B's
-    top p x p triangle, vech(B) is B[p:] row by row, where that triangle is
-    the whole of g[p:] eta^T, so no s x p outer product is gathered.
+    d_mu = g, d_B = g eta^T on B's lower triangle, d_d = g * eps. B's
+    strict upper triangle, which lies in its top p rows, gets +0.0, so
+    ADADELTA's step there is +0.0 too.
     """
     s, p = lam.s, lam.p
     if g.shape != (s,) or eps.shape != (s,) or eta.shape != (p,):
         raise DimensionError("gradient or noise dimensions disagree")
-    nh, nv = _vech_sizes(s, p)
-    out = np.empty(2 * s + nv)
+    out = np.empty((p + 2) * s)
     out[:s] = g
-    hi, hj = _tril_indices(p, p)
-    np.multiply(g[hi], eta[hj], out=out[s:s + nh])
-    np.multiply(g[p:, None], eta, out=out[s + nh:s + nv].reshape(s - p, p))
-    np.multiply(g, eps, out=out[s + nv:])
+    d_B = out[s:-s].reshape(s, p)
+    np.multiply(g[:, None], eta, out=d_B)
+    for k in range(p - 1):
+        d_B[k, k + 1:] = 0.0
+    np.multiply(g, eps, out=out[-s:])
     return out
 
 
@@ -233,6 +210,10 @@ class FitConfig:
             raise DomainError("max_iters must be nonnegative")
         if self.trace_every < 1:
             raise DomainError("trace_every must be at least 1")
+        if self.stop_window < 0:
+            raise DomainError("stop_window must be nonnegative")
+        if not self.stop_tol >= 0.0:
+            raise DomainError("stop_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -461,10 +442,10 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
                 with_psi: bool = False) -> VariationalParams:
     """Initial variational parameters.
 
-    mu's beta, omega', rho' blocks come from the profile-likelihood fit;
-    nu starts at 4, gamma just off 1, tau' at log of inverse-gamma(2, 2)
-    draws, psi entries at 0.1. All of B's lower triangle and all of d start
-    at 0.01.
+    mu is `link_forward` of the profile-likelihood fit's beta, sigma2 and
+    rho, with nu = 4, gamma just off 1, tau from inverse-gamma(2, 2) draws
+    and every psi entry at 0.1. All of B's lower triangle and all of d
+    start at 0.01.
     """
     if np.linalg.matrix_rank(data.X) < data.n_beta:
         raise DomainError("design matrix is rank-deficient")
@@ -472,24 +453,18 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
     layout = (layout_missing(kind, data) if with_psi
               else layout_full(kind, data))
     beta, sigma2, rho = _ml_init(data)
-    mu = np.zeros(layout.size)
-    mu[layout.beta] = beta
-    mu[layout.omega] = omega_from_sigma2(sigma2)
-    mu[layout.rho] = rho_link(rho)
-    if kind.student_t:
-        mu[layout.nu] = 0.0   # nu = 4
-        mu[layout.tau] = np.log(draw_inverse_gamma(2.0, 2.0, rng,
-                                                   size=layout.n_sites))
-    if kind.yeo_johnson:
-        mu[layout.gamma] = gamma_link(_GAMMA_INIT)
-    if with_psi:
-        mu[layout.psi] = 0.1
+    params = ModelParams(beta=beta, sigma2=sigma2, rho=rho,
+                         nu=4.0 if kind.student_t else None,
+                         gamma=_GAMMA_INIT if kind.yeo_johnson else None)
+    tau = (draw_inverse_gamma(2.0, 2.0, rng, size=layout.n_sites)
+           if kind.student_t else None)
+    psi = (MissingnessParams(psi_x=np.full(layout.n_psi_x, 0.1), psi_y=0.1)
+           if with_psi else None)
+    mu = link_forward(kind, layout, params, tau, psi)
     s, p = layout.size, config.n_factors
     if p > s:
         raise DomainError(f"n_factors = {p} exceeds parameter count {s}")
-    B = np.zeros((s, p))
-    i, j = _tril_indices(s, p)
-    B[i, j] = 0.01
+    B = np.tril(np.full((s, p), 0.01))
     return VariationalParams(mu=mu, B=B, d=np.full(s, 0.01))
 
 

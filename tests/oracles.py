@@ -46,9 +46,11 @@ write and bit for bit on read.
 
 `with_step_fancy`, `reparam_grads_outer`, `adadelta_step_allocating` and
 `sga_loop` are the SGA step as it was before it worked on contiguous
-slices of lambda: a copy of B stepped through a fancy index, the lower
-triangle gathered from an s x p outer product, ADADELTA allocating its
-state anew, and the loop that concatenated the three gradient blocks.
+slices of lambda, on lambda = (mu, vech(B), d): a copy of B stepped through
+a fancy index, the lower triangle gathered from an s x p outer product,
+ADADELTA allocating its state anew, and the loop that concatenated the
+three gradient blocks. They size vech(B) with `np.tril_indices`, which the
+package keeps only for `lambda.csv`.
 `ResponseFromScratch` computes a response's Yeo-Johnson terms as the
 package did before they were split into per-fit bases and per-draw powers:
 `yj_forward`, `yj_dgamma` and `yj_dlogdy_dgamma` of the whole completed y
@@ -666,12 +668,12 @@ def parse_whole(path, columns, rows, line: int = 1) -> list[list]:
 
 
 def with_step_fancy(lam, step):
-    """lam + step on the flat parameterization: a copy of B with its lower
-    triangle stepped through the fancy index of `VariationalParams.tril`."""
+    """lam + step on (mu, vech(B), d): a copy of B with its lower triangle
+    stepped through the fancy index of `np.tril_indices`."""
     from semvb.errors import DimensionError
     from semvb.variational import VariationalParams, _require_finite
     s = lam.s
-    i, j = lam.tril()
+    i, j = np.tril_indices(s, 0, lam.p)
     nv = i.size
     if step.shape != (2 * s + nv,):
         raise DimensionError("step length does not match lambda")
@@ -689,7 +691,7 @@ def reparam_grads_outer(lam, eta, eps, g):
     from semvb.errors import DimensionError
     if g.shape != (lam.s,) or eps.shape != (lam.s,) or eta.shape != (lam.p,):
         raise DimensionError("gradient or noise dimensions disagree")
-    i, j = lam.tril()
+    i, j = np.tril_indices(lam.s, 0, lam.p)
     d_vech = (np.outer(g, eta))[i, j]
     return g.copy(), d_vech, g * eps
 
@@ -717,7 +719,8 @@ def sga_loop(lam, layout, config, rng, target, t_start, acceptance=None):
     from semvb.errors import DomainError, NumericalError, SingularityError
     from semvb.gradients import _log_q0_and_grad
     from semvb.variational import AdadeltaState, FitResult, sample_q
-    state = AdadeltaState.zeros(lam.flat().size)
+    state = AdadeltaState.zeros(
+        2 * lam.s + np.tril_indices(lam.s, 0, lam.p)[0].size)
     trace_rows, trace_iters = [], []
     elbo = np.empty(config.max_iters)
     recent_moves: list[float] = []

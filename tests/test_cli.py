@@ -848,6 +848,21 @@ class TestExitCodes:
         for cmd in ("simulate", "amputate", "fit", "dic", "summarize"):
             assert cmd in out
 
+    @pytest.mark.parametrize("flag, value", [("--stop-window", "-1"),
+                                             ("--stop-tol", "-0.5")])
+    def test_negative_plateau_rule(self, tmp_path, capsys, flag, value):
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        rc = main(["fit", "--data", str(sim / "dataset.csv"),
+                   "--weights", str(sim / "weights.csv"), "--max-iters", "2",
+                   "--n-draws", "2", flag, value, "--out-dir", str(out)])
+        assert rc == 3
+        assert (f"{flag[2:].replace('-', '_')} must be nonnegative"
+                in capsys.readouterr().err)
+        assert not (out / "trace.csv").exists()
+
     def test_missing_input_file(self, tmp_path):
         rc = main(["fit", "--data", str(tmp_path / "no.csv"),
                    "--weights", str(tmp_path / "no2.csv"),

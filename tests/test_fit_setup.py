@@ -1,6 +1,8 @@
 """Each fit's set-up against the oracles of the code it replaced.
 
-The SGA step works on contiguous slices of lambda, the Yeo-Johnson terms
+The SGA step works on lambda = (mu, B, d) in its stored shape, the
+oracles on (mu, vech(B), d): the two agree at B's lower triangle, and B's
+strict upper triangle stays +0.0. The Yeo-Johnson terms
 of a response come from bases computed once per Dataset, and the MH sweep
 reads the observed residual from those bases. Each piece, and whole vb and
 hvb fits built on them, must give the replaced code's values bit for bit
@@ -39,16 +41,41 @@ def kind_lam(kind, seed):
     return random_lam(layout_full(kind, inst["data"]).size, seed)
 
 
+def assert_upper_positive_zero(B):
+    """B's strict upper triangle is +0.0, bit for bit."""
+    upper = B[np.triu_indices(B.shape[0], 1, B.shape[1])]
+    assert not upper.any() and not np.signbit(upper).any()
+
+
+def vech_layout(lam, flat):
+    """A vector laid out as `VariationalParams.flat`, at (mu, vech(B), d)."""
+    s = lam.s
+    i, j = np.tril_indices(s, 0, lam.p)
+    return np.concatenate([flat[:s], flat[s:-s].reshape(s, lam.p)[i, j],
+                           flat[-s:]])
+
+
+def flat_layout(lam, vech):
+    """A (mu, vech(B), d) vector laid out as `VariationalParams.flat`, with
+    +0.0 on B's strict upper triangle."""
+    s = lam.s
+    i, j = np.tril_indices(s, 0, lam.p)
+    B = np.zeros((s, lam.p))
+    B[i, j] = vech[s:s + i.size]
+    return np.concatenate([vech[:s], B.ravel(), vech[s + i.size:]])
+
+
 class TestSgaStep:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_with_step(self, kind):
         lam = kind_lam(kind, 1)
         rng = np.random.default_rng(2)
+        size = 2 * lam.s + np.tril_indices(lam.s, 0, lam.p)[0].size
         for scale in (1e-3, 1.0, 1e3):
-            step = scale * rng.standard_normal(lam.flat().size)
-            got = lam.with_step(step)
+            step = scale * rng.standard_normal(size)
+            got = lam.with_step(flat_layout(lam, step))
             assert_same_lam(got, oracles.with_step_fancy(lam, step))
-            assert not np.triu(got.B, 1).any()
+            assert_upper_positive_zero(got.B)
 
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -58,8 +85,10 @@ class TestSgaStep:
         rng = np.random.default_rng(4)
         g, eps = rng.standard_normal((2, lam.s))
         eta = rng.standard_normal(p)
+        got = vb.reparam_grads(lam, eta, eps, g)
         want = np.concatenate(oracles.reparam_grads_outer(lam, eta, eps, g))
-        assert np.array_equal(vb.reparam_grads(lam, eta, eps, g), want)
+        assert np.array_equal(vech_layout(lam, got), want)
+        assert_upper_positive_zero(got[lam.s:-lam.s].reshape(lam.s, p))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_adadelta_step(self, kind):
@@ -201,3 +230,20 @@ class TestFits:
                       & (got.acceptance[:, 2] < config.n1))
         replaced_fit(monkeypatch)
         assert_same_fit(got, fit())
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("method", ["vb", "hvb"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_b_upper_triangle_stays_positive_zero(self, kind, method, p):
+        if method == "vb":
+            inst = random_instance(kind, 17, lattice=(6, 6))
+            res = vb.vb_fit(kind, inst["data"], inst["priors"],
+                            vb.FitConfig(n_factors=p, max_iters=30, seed=18))
+        else:
+            inst = random_instance(kind, 19, lattice=(6, 6),
+                                   missing_frac=0.3)
+            res = hvb.hvb_fit(kind, inst["data"], inst["priors"],
+                              hvb.HvbConfig(n_factors=p, max_iters=30,
+                                            seed=20, kernel="nob"))
+        assert res.lam.B.shape == (res.lam.s, p)
+        assert_upper_positive_zero(res.lam.B)

@@ -48,6 +48,25 @@ class TestForward:
                 tf.yj_forward(1.0, g)
 
 
+class TestNanInput:
+    # NaN lies on neither branch; at gamma = 2, where the negative branch
+    # is refused, it must stay NaN as at every other gamma
+    @pytest.mark.parametrize("g", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("f", [tf.yj_forward, tf.yj_inverse,
+                                   tf.yj_dgamma])
+    def test_nan_stays_nan(self, f, g):
+        out = f(np.array([np.nan, 1.0]), g)
+        assert np.isnan(out[0]) and out[1] == f(1.0, g)
+        assert np.isnan(f(np.nan, g)) and isinstance(f(np.nan, g), float)
+
+    def test_bases_agree_at_gamma_two(self):
+        out = np.empty(2)
+        with np.errstate(invalid="ignore"):
+            tf.YJBases(np.array([np.nan, 1.0])).forward(2.0, out)
+        np.testing.assert_array_equal(
+            out, tf.yj_forward(np.array([np.nan, 1.0]), 2.0))
+
+
 class TestInverse:
     def test_round_trip_grid(self):
         y = np.linspace(-10, 10, 401)

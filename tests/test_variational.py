@@ -43,15 +43,16 @@ class TestVariationalParams:
         np.testing.assert_array_equal(same.B, lam.B)
         np.testing.assert_array_equal(same.d, lam.d)
 
-    def test_tril_indices_shared_read_only(self):
-        lam = small_lam()
-        i, j = lam.tril()
-        want_i, want_j = np.tril_indices(lam.s, 0, lam.p)
-        np.testing.assert_array_equal(i, want_i)
-        np.testing.assert_array_equal(j, want_j)
-        assert lam.with_step(np.zeros(lam.flat().size)).tril()[0] is i
-        with pytest.raises(ValueError):
-            i[0] = 1
+    def test_flat_lays_out_b_row_by_row(self):
+        lam = small_lam(s=5, p=3)
+        flat = lam.flat()
+        assert flat.shape == ((lam.p + 2) * lam.s,)
+        np.testing.assert_array_equal(
+            flat, np.concatenate([lam.mu, lam.B.ravel(), lam.d]))
+        step = np.arange(flat.size, dtype=float)
+        step[lam.s:-lam.s].reshape(lam.s, lam.p)[np.triu_indices(
+            lam.s, 1, lam.p)] = 0.0
+        np.testing.assert_array_equal(lam.with_step(step).flat(), flat + step)
 
     def test_step_to_nonfinite_rejected(self):
         lam = small_lam()
@@ -63,11 +64,19 @@ class TestVariationalParams:
                 lam.with_step(bad)
 
     def test_step_keeps_mask(self):
-        lam = small_lam()
+        # every ADADELTA step from a reparam_grads gradient is +0.0 on B's
+        # strict upper triangle, so B keeps its +0.0 entries there
+        lam = small_lam(s=5, p=3)
         rng = np.random.default_rng(1)
-        stepped = lam.with_step(rng.standard_normal(lam.flat().size))
-        i, j = np.triu_indices(lam.s, 1, lam.p)
-        np.testing.assert_array_equal(stepped.B[i, j], 0.0)
+        state = vb.AdadeltaState.zeros(lam.flat().size)
+        for _ in range(5):
+            g, eps = rng.standard_normal((2, lam.s))
+            step, state = vb.adadelta_step(state, vb.reparam_grads(
+                lam, rng.standard_normal(lam.p), eps, g))
+            lam = lam.with_step(step)
+        upper = lam.B[np.triu_indices(lam.s, 1, lam.p)]
+        np.testing.assert_array_equal(upper, 0.0)
+        assert not np.signbit(upper).any()
 
 
 class TestSampleQ:
@@ -104,17 +113,18 @@ class TestSampleQ:
 
 
 def split_grads(lam, flat):
-    """(d_mu, d_vech, d_d) from the flat lambda gradient of reparam_grads."""
+    """(d_mu, d_B, d_d) from the flat lambda gradient of reparam_grads."""
     assert flat.shape == lam.flat().shape
-    return np.split(flat, [lam.s, flat.size - lam.s])
+    d_mu, d_B, d_d = np.split(flat, [lam.s, flat.size - lam.s])
+    return d_mu, d_B.reshape(lam.s, lam.p), d_d
 
 
 class TestReparamGrads:
     def test_zero_gradient(self):
         lam = small_lam()
-        d_mu, d_vech, d_d = split_grads(lam, vb.reparam_grads(
+        d_mu, d_B, d_d = split_grads(lam, vb.reparam_grads(
             lam, np.zeros(lam.p), np.zeros(lam.s), np.zeros(lam.s)))
-        assert not d_mu.any() and not d_vech.any() and not d_d.any()
+        assert not d_mu.any() and not d_B.any() and not d_d.any()
 
     def test_hand_case_s3_p1(self):
         lam = vb.VariationalParams(mu=np.zeros(3), B=np.ones((3, 1)),
@@ -122,17 +132,20 @@ class TestReparamGrads:
         g = np.array([1.0, -2.0, 3.0])
         eta = np.array([0.5])
         eps = np.array([1.0, 0.0, -1.0])
-        d_mu, d_vech, d_d = split_grads(lam, vb.reparam_grads(lam, eta, eps,
-                                                              g))
+        d_mu, d_B, d_d = split_grads(lam, vb.reparam_grads(lam, eta, eps, g))
         np.testing.assert_array_equal(d_mu, g)
-        np.testing.assert_array_equal(d_vech, g * 0.5)
+        np.testing.assert_array_equal(d_B[:, 0], g * 0.5)
         np.testing.assert_array_equal(d_d, g * eps)
 
     def test_vech_length(self):
+        # the gradient reaches exactly vech(B)'s 5 * 3 - 3 * 2 / 2 entries;
+        # the rest of B's block is +0.0
         lam = small_lam(s=5, p=3)
-        _, d_vech, _ = split_grads(lam, vb.reparam_grads(
-            lam, np.ones(3), np.ones(5), np.ones(5)))
-        assert d_vech.size == 5 * 3 - 3 * 2 // 2
+        _, d_B, _ = split_grads(lam, vb.reparam_grads(
+            lam, np.ones(3), np.ones(5), -np.ones(5)))
+        np.testing.assert_array_equal(d_B != 0.0, np.tri(5, 3, dtype=bool))
+        assert not np.signbit(d_B[np.triu_indices(5, 1, 3)]).any()
+        assert np.count_nonzero(d_B) == 5 * 3 - 3 * 2 // 2
 
     def test_unbiased_mu_gradient_quadratic_target(self):
         # synthetic quadratic log h makes the exact ELBO mu-gradient
@@ -183,7 +196,7 @@ class TestInitLambda:
     def test_b_and_d_filled(self):
         inst = random_instance(ModelKind.YJ_SEM_T, seed=0)
         lam = vb.init_lambda(ModelKind.YJ_SEM_T, inst["data"], vb.FitConfig())
-        i, j = lam.tril()
+        i, j = np.tril_indices(lam.s, 0, lam.p)
         assert np.all(lam.B[i, j] == 0.01)
         assert np.all(lam.d == 0.01)
         iu, ju = np.triu_indices(lam.s, 1, lam.p)
@@ -444,6 +457,20 @@ class TestMlInit:
         monkeypatch.setattr(vb, "logdet_A", singular)
         with pytest.raises(NumericalError):
             vb._ml_init(sem_data(ModelKind.SEM_GAU, 6, 0.3, 8))
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("n_factors", 0), ("max_iters", -1), ("trace_every", 0),
+        ("stop_window", -1), ("stop_window", -3), ("stop_tol", -1.0),
+        ("stop_tol", -1e-300), ("stop_tol", np.nan)])
+    def test_refuses_out_of_range(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            vb.FitConfig(**{field: value})
+
+    def test_accepts_zero_plateau_rule(self):
+        cfg = vb.FitConfig(stop_window=0, stop_tol=0.0)
+        assert (cfg.stop_window, cfg.stop_tol) == (0, 0.0)
 
 
 class TestVbFit:
