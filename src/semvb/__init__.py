@@ -43,7 +43,6 @@ _EXPORTS = {
     "VariationalParams": "variational",
     "draw_posterior": "variational",
     "vb_fit": "variational",
-    "BlockScheme": "hvb",
     "HvbConfig": "hvb",
     "draw_posterior_missing": "hvb",
     "hvb_fit": "hvb",

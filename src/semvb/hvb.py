@@ -10,19 +10,22 @@ sites, so a step's ratio is taken over the sites it updates.
 
 Both inner kernels are one engine, `_mh_sweep`: n1 sweeps of steps over
 blocks of unobserved sites. The blocked kernel, which keeps acceptance
-rates workable when many responses are missing, has several blocks; the
-whole-vector kernel is the one-block case. The engine draws every step's
-random numbers before the first step, in step order. It factors each
-block's conditional precision once per chain, at the drawn parameters, by a
-banded Cholesky in the block's site order, from a band map that `spatial`
-caches per block; no sparse matrix is built per chain. One banded solve
-then gives all of the block's noise vectors. A block's mean offset changes
-only after another block moves, so the block's proposals are drawn,
-transformed and scored as one batch for every step at which its offset
-holds: the whole chain for one block (the independence-sampler scheme of
-Jacob, Robert & Smith 2011), one step at a time for several. Only the
-re-conditioning, the accept/reject decisions and their bookkeeping run step
-by step; a block's missingness log-pmf is replaced only when it accepts.
+rates workable when many responses are missing, has several blocks: the
+ascending unobserved sites cut into ceil(1/block_fraction) contiguous
+chunks, a tuple of index arrays that `HvbConfig.block_scheme` builds once
+per fit and every chain of the fit reuses. The whole-vector kernel is the
+one-block case. The engine draws every step's random numbers before the
+first step, in step order. It factors each block's conditional precision
+once per chain, at the drawn parameters, by a banded Cholesky in the
+block's site order, from a band map that `spatial` caches per block; no
+sparse matrix is built per chain. One banded solve then gives all of the
+block's noise vectors. A block's mean offset changes only after another
+block moves, so the block's proposals are drawn, transformed and scored as
+one batch for every step at which its offset holds: the whole chain for
+one block (the independence-sampler scheme of Jacob, Robert & Smith 2011),
+one step at a time for several. Only the re-conditioning, the
+accept/reject decisions and their bookkeeping run step by step; a block's
+missingness log-pmf is replaced only when it accepts.
 
 Per fit, a chain reads the observed responses' Yeo-Johnson bases and the
 0/1 missingness mask from their caches on the `Dataset`, so the observed
@@ -45,61 +48,14 @@ from .models import ModelKind, ModelParams, Priors, link_inverse
 from .model_select import PosteriorSamples, phi_names_for, phi_row
 from .spatial import ConditionalGaussian, conditional_gaussian, plan_route
 from .transforms import yj_forward, yj_inverse
-from .variational import (FitConfig, FitResult, VariationalParams, _sga,
-                          init_lambda, sample_q)
+from .variational import (FitConfig, FitResult, VariationalParams,
+                          _fit_layout, _sga, init_lambda, sample_q)
 
-__all__ = ["BlockScheme", "HvbConfig", "mcmc_nob", "mcmc_allb", "hvb_fit",
+__all__ = ["HvbConfig", "mcmc_nob", "mcmc_allb", "hvb_fit",
            "draw_posterior_missing"]
 
 # Unobserved-block size above which the blocked kernel is the default.
 _NOB_MAX_NU = 500
-
-
-@dataclass(frozen=True)
-class BlockScheme:
-    """Ordered disjoint nonempty index blocks over the unobserved sites."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=np.int64) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
-        for b in blocks:
-            if b.size == 0:
-                raise DomainError("blocks must be nonempty")
-            if np.any(np.diff(b) <= 0):
-                raise DomainError("block indices must be strictly ascending")
-            ids = set(int(i) for i in b)
-            if seen & ids:
-                raise DomainError("blocks must be disjoint")
-            seen |= ids
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @classmethod
-    def from_fraction(cls, unobserved_idx: np.ndarray,
-                      block_fraction: float) -> "BlockScheme":
-        """Slice the ascending unobserved indices into ceil(1/fraction)
-        contiguous chunks of near-equal size."""
-        if not 0.0 < block_fraction <= 1.0:
-            raise DomainError("block_fraction must lie in (0, 1]")
-        idx = np.asarray(unobserved_idx, dtype=np.int64)
-        if idx.size == 0:
-            return cls(blocks=())
-        k = math.ceil(1.0 / block_fraction)
-        chunks = [c for c in np.array_split(idx, min(k, idx.size))
-                  if c.size]
-        return cls(blocks=tuple(chunks))
-
-    def validate_covering(self, unobserved_idx: np.ndarray) -> None:
-        flat = (np.concatenate(self.blocks) if self.blocks
-                else np.empty(0, dtype=np.int64))
-        if not np.array_equal(np.sort(flat),
-                              np.asarray(unobserved_idx, dtype=np.int64)):
-            raise DomainError("blocks do not partition the unobserved sites")
 
 
 @dataclass(frozen=True)
@@ -108,8 +64,10 @@ class HvbConfig(FitConfig):
 
     n1 inner MH steps run per outer iteration; the kernel is the whole-vector
     one for small unobserved blocks and the blocked sweep otherwise unless
-    chosen explicitly. warm_start keeps the previous iteration's imputation
-    as the chain start instead of redrawing from the conditional.
+    chosen explicitly. The blocked kernel's blocks are block_fraction's
+    contiguous chunks of the unobserved sites (`block_scheme`), fixed for a
+    fit. warm_start keeps the previous iteration's imputation as the chain
+    start instead of redrawing from the conditional.
     """
 
     n1: int = 10
@@ -131,13 +89,15 @@ class HvbConfig(FitConfig):
             return self.kernel
         return "nob" if n_unobserved <= _NOB_MAX_NU else "allb"
 
-    def block_scheme(self, data: Dataset) -> BlockScheme | None:
-        """The blocks of the resolved kernel over data's unobserved sites;
-        None for the whole-vector kernel."""
+    def block_scheme(self, data: Dataset) -> tuple[np.ndarray, ...] | None:
+        """The blocks of the resolved kernel, built once per fit: None for
+        the whole-vector kernel, else the ascending unobserved sites split
+        into ceil(1/block_fraction) contiguous chunks of near-equal size,
+        or one per site when there are fewer sites, and none without any."""
         if self.resolve_kernel(data.n_missing) == "nob":
             return None
-        return BlockScheme.from_fraction(data.unobserved_idx,
-                                         self.block_fraction)
+        k = min(math.ceil(1.0 / self.block_fraction), data.n_missing)
+        return tuple(np.array_split(data.unobserved_idx, k)) if k else ()
 
 
 def _ystar(kind: ModelKind, y: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -275,31 +235,38 @@ def mcmc_nob(kind: ModelKind, data: Dataset, theta: np.ndarray,
 
 
 def mcmc_allb(kind: ModelKind, data: Dataset, theta: np.ndarray,
-              blocks: BlockScheme, y_u_init: np.ndarray | None, n1: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+              blocks: tuple[np.ndarray, ...], y_u_init: np.ndarray | None,
+              n1: int, rng: np.random.Generator
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Blocked MH pass: n1 sweeps, each updating the blocks in order.
 
-    Block proposals condition on the observed responses and the current
-    values of every other block. The acceptance ratio is that of the full
-    missingness likelihood of the completed vectors, computed over the
-    block's sites, where the two vectors differ. Each block's factor is
-    built once per call and its mean offset refreshed only after another
-    block has moved. Returns the final imputation and per-block acceptance
-    counts.
+    blocks are nonempty index arrays whose concatenation is
+    data.unobserved_idx, as `HvbConfig.block_scheme` builds them; any other
+    tuple raises DomainError. Block proposals condition on the observed
+    responses and the current values of every other block. The acceptance
+    ratio is that of the full missingness likelihood of the completed
+    vectors, computed over the block's sites, where the two vectors differ.
+    Each block's factor is built once per call and its mean offset
+    refreshed only after another block has moved. Returns the final
+    imputation and per-block acceptance counts.
     """
-    blocks.validate_covering(data.unobserved_idx)
-    return _mh_sweep(kind, data, theta, blocks.blocks, y_u_init, n1, rng)
+    if (not blocks or min(b.size for b in blocks) == 0 or not np.array_equal(
+            np.concatenate(blocks), data.unobserved_idx)):
+        raise DomainError("blocks must split the unobserved sites, in "
+                          "order, into nonempty chunks")
+    return _mh_sweep(kind, data, theta, blocks, y_u_init, n1, rng)
 
 
 def _impute(kind: ModelKind, data: Dataset, theta: np.ndarray,
-            scheme: BlockScheme | None, y_u_init: np.ndarray | None, n1: int,
+            blocks: tuple[np.ndarray, ...] | None,
+            y_u_init: np.ndarray | None, n1: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One MH pass by mcmc_nob (scheme None) or mcmc_allb; returns the
+    """One MH pass by mcmc_nob (blocks None) or mcmc_allb; returns the
     imputation and the accept counts per block."""
-    if scheme is None:
+    if blocks is None:
         y_u, accepts = mcmc_nob(kind, data, theta, y_u_init, n1, rng)
         return y_u, np.array([accepts])
-    return mcmc_allb(kind, data, theta, scheme, y_u_init, n1, rng)
+    return mcmc_allb(kind, data, theta, blocks, y_u_init, n1, rng)
 
 
 def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
@@ -314,11 +281,11 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
     proposals).
     """
     t_start = time.perf_counter()
-    layout = layout_missing(kind, data)
+    layout = _fit_layout(kind, data, config, with_psi=True)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     plan_route(data.W, config.max_iters, config.max_iters)
     lam = init_lambda(kind, data, config, rng=rng, with_psi=True)
-    scheme = config.block_scheme(data)
+    blocks = config.block_scheme(data)
     acc_rows: list[tuple[int, int, int, int]] = []
     y_u = np.empty(0)   # the last imputation: a warm start's chain start
 
@@ -326,7 +293,7 @@ def hvb_fit(kind: ModelKind, data: Dataset, priors: Priors,
         nonlocal y_u
         if data.n_missing:
             init = y_u if config.warm_start and t > 1 else None
-            y_u, accs = _impute(kind, data, theta, scheme, init, config.n1,
+            y_u, accs = _impute(kind, data, theta, blocks, init, config.n1,
                                 rng)
             acc_rows.extend((t, j, int(a), config.n1)
                             for j, a in enumerate(accs))
@@ -350,7 +317,7 @@ def draw_posterior_missing(kind: ModelKind, data: Dataset,
     if lam.s != layout.size:
         raise DimensionError("lambda size does not match the layout")
     config = HvbConfig() if config is None else config
-    scheme = config.block_scheme(data)
+    blocks = config.block_scheme(data)
     names = phi_names_for(kind, layout.n_beta)
     phi = np.empty((n_draws, len(names)))
     psi_rows = np.empty((n_draws, layout.n_psi_x + 1))
@@ -359,7 +326,7 @@ def draw_posterior_missing(kind: ModelKind, data: Dataset,
         theta, _, _ = sample_q(lam, rng)
         params, _, psi = link_inverse(kind, layout, theta)
         if data.n_missing:
-            y_u_rows[i], _ = _impute(kind, data, theta, scheme, None,
+            y_u_rows[i], _ = _impute(kind, data, theta, blocks, None,
                                      config.n1, rng)
         phi[i] = phi_row(params)
         psi_rows[i] = psi.stacked

@@ -25,9 +25,11 @@ responses that do not depend on gamma (`Dataset.yj_observed`: the bases
 1 + y and 1 - y with their logs, and d log(dt/dy)/dgamma, summed once for
 complete data). Per draw, a `_Response` holds the complete response (the
 data's own, or one completed by the draw's y_u, whose parts and NaN check
-are the draw's); one pair of powers then gives t_gamma(y) and its
-gamma-derivative, and the rest of `_loglik_terms` (residual, W r, A r,
-log det A, the quadratic form) is per draw. The prior's tau block shares
+are the draw's; `loglik` and `marginal_loglik_t` take that y_u, so DIC5
+and `log_h_missing` build no new Dataset per draw); one pair of powers
+then gives t_gamma(y) and its gamma-derivative, and the rest of
+`_loglik_terms` (residual, W r, A r, log det A, the quadratic form) is per
+draw. The prior's tau block shares
 the draw's sum of tau' + e^{-tau'} with the nu gradient.
 """
 
@@ -284,17 +286,21 @@ def _check_beta(data: Dataset, params: ModelParams) -> None:
 
 
 def loglik(kind: ModelKind, data: Dataset, params: ModelParams,
-           tau: np.ndarray | None = None) -> float:
-    """Complete-data log-likelihood, additive constants included."""
-    data.require_complete()
+           tau: np.ndarray | None = None,
+           y_u: np.ndarray | None = None) -> float:
+    """Complete-data log-likelihood, additive constants included, at data's
+    response, completed by y_u when given."""
+    resp = data.response if y_u is None else _Response(data, y_u)
     params.require_kind(kind)
     _check_beta(data, params)
     s = _inv_tau(kind, data.W, tau)
-    return _loglik_terms(kind, data, params, s, data.response)[0]
+    return _loglik_terms(kind, data, params, s, resp)[0]
 
 
-def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> float:
-    """Closed-form multivariate-t log density used on the DIC path.
+def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams,
+                      y_u: np.ndarray | None = None) -> float:
+    """Closed-form multivariate-t log density used on the DIC path, at
+    data's response, completed by y_u when given.
 
     Mean X beta (on the transformed scale for YJ kinds), scale matrix
     sigma^2 (A^T A)^-1, nu degrees of freedom; the YJ variant adds the
@@ -302,11 +308,10 @@ def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams) -> fl
     """
     if not kind.student_t:
         raise DomainError("marginal_loglik_t applies to Student-t kinds only")
-    data.require_complete()
+    resp = data.response if y_u is None else _Response(data, y_u)
     params.require_kind(kind)
     _check_beta(data, params)
-    return _loglik_terms(kind, data, params, None, data.response,
-                         marginal=True)[0]
+    return _loglik_terms(kind, data, params, None, resp, marginal=True)[0]
 
 
 def log_p_m(m: np.ndarray, y_complete: np.ndarray, Xstar: np.ndarray,
@@ -398,7 +403,6 @@ def log_h_missing(kind: ModelKind, data: Dataset, theta: np.ndarray,
     """
     layout = layout_missing(kind, data)
     params, tau, psi = link_inverse(kind, layout, theta)
-    y = data.complete(y_u)
-    return (loglik(kind, data.with_y(y), params, tau)
-            + log_p_m(data.missing, y, data.Xstar, psi)
+    return (loglik(kind, data, params, tau, y_u)
+            + log_p_m(data.missing, data.complete(y_u), data.Xstar, psi)
             + log_prior(layout, theta, priors))

@@ -87,14 +87,15 @@ class PosteriorSamples:
         return self.phi.shape[0]
 
 
-def phi_loglik(kind: ModelKind, data: Dataset, row: np.ndarray) -> float:
+def phi_loglik(kind: ModelKind, data: Dataset, row: np.ndarray,
+               y_u: np.ndarray | None = None) -> float:
     """log p(y | phi) at one constrained phi row: the scale-mixture-
     marginalized multivariate-t form for Student-t kinds, the Gaussian form
-    otherwise."""
+    otherwise. y is data's response, completed by y_u when given."""
     params = params_from_row(kind, phi_names_for(kind, data.n_beta), row)
     if kind.student_t:
-        return marginal_loglik_t(kind, data, params)
-    return loglik(kind, data, params)
+        return marginal_loglik_t(kind, data, params, y_u)
+    return loglik(kind, data, params, None, y_u)
 
 
 def _kind_columns(kind: ModelKind, n_beta: int,
@@ -129,8 +130,9 @@ def per_draw_logliks(kind: ModelKind, data: Dataset,
         if samples.y_u is None:
             out[i] = phi_loglik(kind, data, row)
         else:
-            psi, y = samples.psi[i], data.complete(samples.y_u[i])
-            out[i] = phi_loglik(kind, data.with_y(y), row) + log_p_m(
+            psi, y_u = samples.psi[i], samples.y_u[i]
+            y = data.complete(y_u)   # a y_u of the wrong length is not scored
+            out[i] = phi_loglik(kind, data, row, y_u) + log_p_m(
                 data.missing_float, y, data.Xstar,
                 MissingnessParams(psi_x=psi[:-1], psi_y=float(psi[-1])))
         if not np.isfinite(out[i]):

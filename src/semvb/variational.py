@@ -437,6 +437,19 @@ def _concave_bound(xs: np.ndarray, fs: np.ndarray, x: np.ndarray
     return out
 
 
+def _fit_layout(kind: ModelKind, data: Dataset, config: FitConfig,
+                with_psi: bool = False) -> ThetaLayout:
+    """The fit's theta layout (with the psi block for a hybrid fit), after
+    refusing more factors than parameters: the one check of n_factors
+    against s, which each fit makes before any set-up."""
+    layout = (layout_missing(kind, data) if with_psi
+              else layout_full(kind, data))
+    if config.n_factors > layout.size:
+        raise DomainError(f"n_factors = {config.n_factors} exceeds "
+                          f"parameter count {layout.size}")
+    return layout
+
+
 def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
                 rng: np.random.Generator | None = None,
                 with_psi: bool = False) -> VariationalParams:
@@ -449,9 +462,8 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
     """
     if np.linalg.matrix_rank(data.X) < data.n_beta:
         raise DomainError("design matrix is rank-deficient")
+    layout = _fit_layout(kind, data, config, with_psi)
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    layout = (layout_missing(kind, data) if with_psi
-              else layout_full(kind, data))
     beta, sigma2, rho = _ml_init(data)
     params = ModelParams(beta=beta, sigma2=sigma2, rho=rho,
                          nu=4.0 if kind.student_t else None,
@@ -461,11 +473,8 @@ def init_lambda(kind: ModelKind, data: Dataset, config: FitConfig,
     psi = (MissingnessParams(psi_x=np.full(layout.n_psi_x, 0.1), psi_y=0.1)
            if with_psi else None)
     mu = link_forward(kind, layout, params, tau, psi)
-    s, p = layout.size, config.n_factors
-    if p > s:
-        raise DomainError(f"n_factors = {p} exceeds parameter count {s}")
-    B = np.tril(np.full((s, p), 0.01))
-    return VariationalParams(mu=mu, B=B, d=np.full(s, 0.01))
+    B = np.tril(np.full((layout.size, config.n_factors), 0.01))
+    return VariationalParams(mu=mu, B=B, d=np.full(layout.size, 0.01))
 
 
 def _sga(lam: VariationalParams, layout: ThetaLayout, config: FitConfig,
@@ -530,7 +539,7 @@ def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
     """Stochastic-gradient VB on complete data: the SGA loop on log h_full."""
     t_start = time.perf_counter()
     data.require_complete()
-    layout = layout_full(kind, data)
+    layout = _fit_layout(kind, data, config)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     # before the rho grid, which then reuses a spectrum it asks for
     plan_route(data.W, config.max_iters, config.max_iters)

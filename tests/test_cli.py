@@ -163,6 +163,28 @@ class TestFit:
         assert "n_draws must be at least 1" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("method", ["vb", "hvb"])
+    def test_rejects_too_many_factors_before_set_up(self, tmp_path, capsys,
+                                                    monkeypatch, method):
+        from semvb import hvb, variational
+        sim = tmp_path / "sim"
+        run_simulate(sim)
+        data = None
+        if method == "hvb":
+            main(["amputate", "--data", str(sim / "dataset.csv"),
+                  "--seed", "5", "--out-dir", str(tmp_path / "amp")])
+            data = tmp_path / "amp" / "amputated.csv"
+        routed = []
+        for module in (variational, hvb):
+            monkeypatch.setattr(module, "plan_route",
+                                lambda *args: routed.append(args))
+        out = tmp_path / "fit"
+        assert main(self.fit_args(sim, out, method=method, data=data,
+                                  extra=("--n-factors", "100000"))) == 3
+        assert "n_factors = 100000 exceeds" in capsys.readouterr().err
+        assert routed == []
+        assert not (out / "trace.csv").exists()
+
     def test_hvb_artifacts(self, tmp_path):
         sim = tmp_path / "sim"
         run_simulate(sim)

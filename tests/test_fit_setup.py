@@ -17,7 +17,7 @@ import pytest
 from semvb import gradients, hvb
 from semvb import variational as vb
 from semvb.errors import DomainError
-from semvb.likelihoods import Dataset, _Response, layout_full
+from semvb.likelihoods import Dataset, _Response, layout_full, layout_missing
 from semvb.models import ModelKind
 
 import oracles
@@ -247,3 +247,51 @@ class TestFits:
                                             seed=20, kernel="nob"))
         assert res.lam.B.shape == (res.lam.s, p)
         assert_upper_positive_zero(res.lam.B)
+
+
+def count_set_up(monkeypatch) -> list:
+    """Record each call of plan_route, as vb_fit and hvb_fit bind it, and of
+    the rho-grid initialization."""
+    calls = []
+    for module, name in ((vb, "plan_route"), (hvb, "plan_route"),
+                         (vb, "_ml_init")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestFactorCount:
+    @pytest.mark.parametrize("method", ["vb", "hvb", "init_lambda"])
+    def test_refused_before_any_set_up(self, method, monkeypatch):
+        inst = random_instance(ModelKind.SEM_T, 23, lattice=(5, 5),
+                               missing_frac=0.0 if method == "vb" else 0.3)
+        data = inst["data"]
+        layout = (layout_full(ModelKind.SEM_T, data) if method == "vb"
+                  else layout_missing(ModelKind.SEM_T, data))
+        calls = count_set_up(monkeypatch)
+        config = hvb.HvbConfig(n_factors=layout.size + 1, max_iters=3)
+        with pytest.raises(DomainError, match="exceeds parameter count"):
+            if method == "vb":
+                vb.vb_fit(ModelKind.SEM_T, data, inst["priors"], config)
+            elif method == "hvb":
+                hvb.hvb_fit(ModelKind.SEM_T, data, inst["priors"], config)
+            else:
+                vb.init_lambda(ModelKind.SEM_T, data, config,
+                               with_psi=True)
+        assert calls == []
+        # one factor per parameter is allowed
+        config = hvb.HvbConfig(n_factors=layout.size, max_iters=1)
+        if method == "init_lambda":
+            lam = vb.init_lambda(ModelKind.SEM_T, data, config,
+                                 with_psi=True)
+        else:
+            fit = vb.vb_fit if method == "vb" else hvb.hvb_fit
+            lam = fit(ModelKind.SEM_T, data, inst["priors"], config).lam
+        assert lam.p == lam.s == layout.size
+        assert "_ml_init" in calls
+

@@ -29,40 +29,44 @@ def theta_for(inst, psi_zero=False):
                         tau=inst["tau"], psi=psi)
 
 
+def allb_blocks(data, fraction):
+    """The blocked kernel's blocks over data at block_fraction fraction."""
+    return hvb.HvbConfig(kernel="allb",
+                         block_fraction=fraction).block_scheme(data)
+
+
+def with_missing(sites, n=25):
+    """A 5 x 5 sem-gau dataset whose responses are missing at sites."""
+    y = np.arange(n, dtype=float)
+    y[sites] = np.nan
+    X = np.ones((n, 1))
+    return Dataset(y=y, X=X, W=build_rook_lattice(5, 5), Xstar=X)
+
+
 class TestBlockScheme:
     def test_from_fraction_chunking(self):
         idx = np.arange(0, 20, 2)
-        scheme = hvb.BlockScheme.from_fraction(idx, 0.25)
-        assert scheme.n_blocks == 4
-        sizes = [b.size for b in scheme.blocks]
-        assert sizes == [3, 3, 2, 2]
-        scheme.validate_covering(idx)
+        blocks = allb_blocks(with_missing(idx), 0.25)
+        assert isinstance(blocks, tuple)
+        assert [b.size for b in blocks] == [3, 3, 2, 2]
+        assert all(b.dtype == np.int64 for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), idx)
 
     def test_single_block(self):
-        scheme = hvb.BlockScheme.from_fraction(np.array([1, 4, 7]), 1.0)
-        assert scheme.n_blocks == 1
+        blocks = allb_blocks(with_missing([1, 4, 7]), 1.0)
+        assert len(blocks) == 1
+        np.testing.assert_array_equal(blocks[0], [1, 4, 7])
 
     def test_more_blocks_than_sites(self):
-        scheme = hvb.BlockScheme.from_fraction(np.array([3, 5]), 0.1)
-        assert scheme.n_blocks == 2
+        blocks = allb_blocks(with_missing([3, 5]), 0.1)
+        assert [b.tolist() for b in blocks] == [[3], [5]]
 
     def test_empty_unobserved(self):
-        assert hvb.BlockScheme.from_fraction(np.array([]), 0.5).n_blocks == 0
+        assert allb_blocks(with_missing([]), 0.5) == ()
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            hvb.BlockScheme(blocks=(np.array([1, 1]),))
-        with pytest.raises(DomainError):
-            hvb.BlockScheme(blocks=(np.array([1, 2]), np.array([2, 3])))
-        with pytest.raises(DomainError):
-            hvb.BlockScheme(blocks=(np.array([], dtype=int),))
-        with pytest.raises(DomainError):
-            hvb.BlockScheme.from_fraction(np.array([1]), 0.0)
-
-    def test_covering_check(self):
-        scheme = hvb.BlockScheme(blocks=(np.array([1, 2]),))
-        with pytest.raises(DomainError):
-            scheme.validate_covering(np.array([1, 2, 5]))
+            hvb.HvbConfig(block_fraction=0.0)
 
 
 class TestHvbConfig:
@@ -87,11 +91,10 @@ class TestHvbConfig:
         monkeypatch.setattr(hvb, "_NOB_MAX_NU", data.n_missing)
         assert cfg.block_scheme(data) is None
         monkeypatch.setattr(hvb, "_NOB_MAX_NU", data.n_missing - 1)
-        scheme = cfg.block_scheme(data)
-        want = hvb.BlockScheme.from_fraction(data.unobserved_idx,
-                                             0.5)
-        assert scheme.n_blocks == want.n_blocks == 2
-        for got, block in zip(scheme.blocks, want.blocks):
+        blocks = cfg.block_scheme(data)
+        want = np.array_split(data.unobserved_idx, 2)
+        assert len(blocks) == 2
+        for got, block in zip(blocks, want):
             np.testing.assert_array_equal(got, block)
 
 
@@ -354,11 +357,10 @@ class TestMcmcAllb:
                                missing_frac=0.25)
         data = inst["data"]
         theta = theta_for(inst)
-        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
-                                               1.0)
+        blocks = allb_blocks(data, 1.0)
         a, acc_a = hvb.mcmc_nob(ModelKind.YJ_SEM_GAU, data, theta, None, 8,
                                 np.random.default_rng(4))
-        b, acc_b = hvb.mcmc_allb(ModelKind.YJ_SEM_GAU, data, theta, scheme,
+        b, acc_b = hvb.mcmc_allb(ModelKind.YJ_SEM_GAU, data, theta, blocks,
                                  None, 8, np.random.default_rng(4))
         np.testing.assert_array_equal(a, b)
         assert acc_a == acc_b[0]
@@ -368,11 +370,11 @@ class TestMcmcAllb:
         data = inst["data"]
         obs, u_idx = np.flatnonzero(~data.missing), data.unobserved_idx
         theta = theta_for(inst, psi_zero=True)
-        scheme = hvb.BlockScheme.from_fraction(u_idx, 0.5)
-        assert scheme.n_blocks == 2
+        blocks = allb_blocks(data, 0.5)
+        assert len(blocks) == 2
         rng = np.random.default_rng(5)
         draws = np.stack([
-            hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta, scheme, None, 2,
+            hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta, blocks, None, 2,
                           rng)[0]
             for _ in range(2500)])
         params = inst["params"]
@@ -386,11 +388,10 @@ class TestMcmcAllb:
     def test_acceptance_counts_bounded(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=11, missing_frac=0.4)
         data = inst["data"]
-        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
-                                               0.34)
+        blocks = allb_blocks(data, 0.34)
         _, accs = hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta_for(inst),
-                                scheme, None, 6, np.random.default_rng(6))
-        assert accs.shape == (scheme.n_blocks,)
+                                blocks, None, 6, np.random.default_rng(6))
+        assert accs.shape == (len(blocks),)
         assert np.all((accs >= 0) & (accs <= 6))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -404,16 +405,16 @@ class TestMcmcAllb:
         u_idx = data.unobserved_idx
         theta = theta_for(inst, psi_zero=True)
         params, tau, _ = link_inverse(kind, inst["layout"], theta)
-        scheme = hvb.BlockScheme.from_fraction(u_idx, 0.34)
-        assert scheme.n_blocks == 3
+        blocks = allb_blocks(data, 0.34)
+        assert len(blocks) == 3
         y_u_init = inst["y_u"] + 0.25
-        got, accs = hvb.mcmc_allb(kind, data, theta, scheme, y_u_init, 2,
+        got, accs = hvb.mcmc_allb(kind, data, theta, blocks, y_u_init, 2,
                                   np.random.default_rng(14))
 
         rng = np.random.default_rng(14)
         want = y_u_init.copy()
         for _ in range(2):
-            for block in scheme.blocks:
+            for block in blocks:
                 prop = propose_yu(kind, data, params, tau, block,
                                   data.complete(want), rng)
                 rng.uniform()
@@ -434,15 +435,14 @@ class TestMcmcAllb:
         theta = theta_for(inst)
         # a steep psi_y keeps some block's acceptance rate away from 0 and 1
         theta[inst["layout"].psi_y] = 1.5
-        scheme = (hvb.BlockScheme(blocks=tuple(u_idx[:, None]))
-                  if fraction is None
-                  else hvb.BlockScheme.from_fraction(u_idx, fraction))
+        blocks = (tuple(u_idx[:, None]) if fraction is None
+                  else allb_blocks(data, fraction))
         init = inst["y_u"] + 0.25 if warm else None
         rng = np.random.default_rng(22)
-        got, accs = hvb.mcmc_allb(kind, data, theta, scheme, init, 12, rng)
+        got, accs = hvb.mcmc_allb(kind, data, theta, blocks, init, 12, rng)
         ref = np.random.default_rng(22)
         want, want_accs = step_by_step_sweep(kind, data, theta,
-                                             scheme.blocks, init, 12, ref)
+                                             blocks, init, 12, ref)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(accs, want_accs)
         assert np.any((accs > 0) & (accs < 12))
@@ -455,8 +455,8 @@ class TestMcmcAllb:
         data = inst["data"]
         theta = theta_for(inst)
         init = inst["y_u"] if warm else None
-        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx, 0.34)
-        assert scheme.n_blocks == 3
+        blocks = allb_blocks(data, 0.34)
+        assert len(blocks) == 3
         factored = []
         real = spatial._pbtrf
 
@@ -470,15 +470,14 @@ class TestMcmcAllb:
         hvb.mcmc_nob(ModelKind.SEM_T, data, theta, init, 4, rng)
         assert len(factored) == 1
         factored.clear()
-        hvb.mcmc_allb(ModelKind.SEM_T, data, theta, scheme, init, 4, rng)
-        assert len(factored) == scheme.n_blocks + (not warm)
+        hvb.mcmc_allb(ModelKind.SEM_T, data, theta, blocks, init, 4, rng)
+        assert len(factored) == len(blocks) + (not warm)
 
     def test_block_plans_built_once_per_block(self, monkeypatch):
         inst = random_instance(ModelKind.SEM_T, seed=19, lattice=(5, 5),
                                missing_frac=0.4)
         data = inst["data"]
-        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
-                                               0.34)
+        blocks = allb_blocks(data, 0.34)
         built = []
         make = spatial._build_block_plan
 
@@ -489,20 +488,30 @@ class TestMcmcAllb:
         monkeypatch.setattr(spatial, "_build_block_plan", counted)
         rng = np.random.default_rng(20)
         for _ in range(3):
-            hvb.mcmc_allb(ModelKind.SEM_T, data, theta_for(inst), scheme,
+            hvb.mcmc_allb(ModelKind.SEM_T, data, theta_for(inst), blocks,
                           None, 2, rng)
         # each block, plus the whole unobserved set for the chain start
         want = [data.unobserved_idx.tobytes()]
-        want += [b.tobytes() for b in scheme.blocks]
+        want += [b.tobytes() for b in blocks]
         assert sorted(built) == sorted(want)
 
     def test_blocks_must_cover(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=12, missing_frac=0.25)
-        bad = hvb.BlockScheme(
-            blocks=(inst["data"].unobserved_idx[:1],))
-        with pytest.raises(DomainError):
-            hvb.mcmc_allb(ModelKind.SEM_GAU, inst["data"], theta_for(inst),
-                          bad, None, 1, np.random.default_rng(0))
+        data = inst["data"]
+        u_idx = data.unobserved_idx
+        assert u_idx.size >= 4
+        bad = {
+            "not covering": (u_idx[:1],),
+            "no blocks": (),
+            "empty block": (u_idx[:2], u_idx[:0], u_idx[2:]),
+            "overlapping": (u_idx[:3], u_idx[2:]),
+            "out of site order": (u_idx[2:], u_idx[:2]),
+        }
+        for name, blocks in bad.items():
+            with pytest.raises(DomainError):
+                hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta_for(inst),
+                              blocks, None, 1, np.random.default_rng(0))
+                pytest.fail(f"{name} blocks were accepted")
 
 
 class TestBlockRatio:
@@ -539,8 +548,7 @@ class TestBlockRatio:
         inst = random_instance(ModelKind.YJ_SEM_GAU, seed=17, lattice=(5, 5),
                                missing_frac=0.3)
         data = inst["data"]
-        scheme = hvb.BlockScheme.from_fraction(data.unobserved_idx,
-                                               0.5)
+        blocks = allb_blocks(data, 0.5)
         real = hvb.yj_inverse
 
         def with_inf(z, gamma):
@@ -553,12 +561,12 @@ class TestBlockRatio:
         rng = np.random.default_rng(18)
         # psi = 0 would accept any finite proposal
         y_u, accs = hvb.mcmc_allb(ModelKind.YJ_SEM_GAU, data,
-                                  theta_for(inst, psi_zero=True), scheme,
+                                  theta_for(inst, psi_zero=True), blocks,
                                   init, 1, rng)
         np.testing.assert_array_equal(y_u, init)
         np.testing.assert_array_equal(accs, [0, 0])
         ref = np.random.default_rng(18)
-        for block in scheme.blocks:
+        for block in blocks:
             ref.standard_normal(block.size)
             ref.uniform()
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -641,6 +649,28 @@ class TestHvbFit:
         res = hvb.hvb_fit(ModelKind.SEM_GAU, inst["data"], Priors(), cfg)
         assert res.acceptance.shape == (10, 4)
         assert set(res.acceptance[:, 1]) == {0, 1}
+
+    def test_allb_blocks_built_once_per_fit(self, monkeypatch):
+        inst = random_instance(ModelKind.SEM_GAU, seed=15, missing_frac=0.4)
+        built, passed = [], []
+        real_scheme, real_allb = hvb.HvbConfig.block_scheme, hvb.mcmc_allb
+
+        def scheme(self, data):
+            built.append(real_scheme(self, data))
+            return built[-1]
+
+        def allb(kind, data, theta, blocks, *args):
+            passed.append(blocks)
+            return real_allb(kind, data, theta, blocks, *args)
+
+        monkeypatch.setattr(hvb.HvbConfig, "block_scheme", scheme)
+        monkeypatch.setattr(hvb, "mcmc_allb", allb)
+        cfg = hvb.HvbConfig(max_iters=5, seed=1, n1=2, kernel="allb",
+                            block_fraction=0.5)
+        hvb.hvb_fit(ModelKind.SEM_GAU, inst["data"], Priors(), cfg)
+        assert len(built) == 1 and len(built[0]) == 2
+        assert len(passed) == 5
+        assert all(blocks is built[0] for blocks in passed)
 
     def test_no_missing_degenerates(self):
         inst = random_instance(ModelKind.SEM_GAU, seed=16, missing_frac=0.0)
