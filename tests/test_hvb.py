@@ -68,6 +68,20 @@ class TestBlockScheme:
         with pytest.raises(DomainError):
             hvb.HvbConfig(block_fraction=0.0)
 
+    def test_covering_check(self):
+        data = with_missing([1, 2, 5])
+        layout = layout_missing(ModelKind.SEM_GAU, data)
+        params = ModelParams(beta=np.array([1.0]), sigma2=0.5, rho=0.3)
+        psi = MissingnessParams(psi_x=np.array([0.2]), psi_y=0.4)
+        theta = link_forward(ModelKind.SEM_GAU, layout, params, psi=psi)
+        with pytest.raises(DomainError):
+            hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta, (np.array([1, 2]),),
+                          None, 1, np.random.default_rng(0))
+        y_u, accs = hvb.mcmc_allb(ModelKind.SEM_GAU, data, theta,
+                                  (np.array([1, 2]), np.array([5])), None, 1,
+                                  np.random.default_rng(0))
+        assert y_u.shape == (3,) and accs.shape == (2,)
+
 
 class TestHvbConfig:
     def test_validation(self):
