@@ -40,13 +40,25 @@ def _switch(text: str) -> bool:
     return bool(int(text))
 
 
+def _int_at_least(low: int, name: str):
+    """The type of an integer option of at least low, which argparse's
+    usage errors call name."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise ValueError(f"{text} is below {low}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
 # (key, default, type, choices, commands, help), in config.reference order.
 # An empty default leaves the option unset (None). In config.reference the
 # help of a one-command option is prefixed with that command's name.
 _OPTIONS = (
-    ("seed", "0", int, None, _EVERY, "master RNG seed used by every command"),
+    ("seed", "0", _int_at_least(0, "nonnegative int"), None, _EVERY,
+     "master RNG seed used by every command"),
     ("out_dir", ".", str, None, _EVERY, "directory artifacts are written into"),
-    ("threads", "", int, None, _EVERY,
+    ("threads", "", _int_at_least(1, "positive int"), None, _EVERY,
      "BLAS/OpenMP thread cap; empty leaves the default"),
     ("kind", "yj-sem-gau", str, _KINDS, ("simulate", "fit"),
      "model kind: " + " | ".join(_KINDS)),
@@ -121,8 +133,7 @@ def _pin_threads(argv: list[str]) -> argparse.Namespace:
     args = _build_parser().parse_args(argv)
     _resolve(args)
     if args.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, str(args.threads)))
     return args
 
 
@@ -272,19 +283,17 @@ def cmd_fit(args) -> int:
     if args.method == "vb":
         result = vb_fit(kind, data, Priors(), config, rng=rng)
         samples = draw_posterior(result.lam, result.layout, args.n_draws, rng)
-        unobserved_idx = None
     else:
         result = hvb_fit(kind, data, Priors(), config, rng=rng)
         samples = draw_posterior_missing(kind, data, result.lam, args.n_draws,
                                          rng, config=config)
-        unobserved_idx = data.unobserved_idx
 
     _write(args, "trace.csv", io.write_trace, result.trace_iters,
            result.mu_trace, result.layout.names())
     _write(args, "lambda.csv", io.write_lambda, result.lam)
-    _write(args, "samples.csv", io.write_samples, samples, unobserved_idx)
-    _write(args, "summary.csv", io.write_summary,
-           *io.samples_table(samples, unobserved_idx))
+    # the y_u columns, which only hvb draws have, are the unobserved sites
+    _write(args, "samples.csv", io.write_samples, samples, data.unobserved_idx)
+    _write(args, "summary.csv", io.write_summary, samples, data.unobserved_idx)
     if result.acceptance is not None:
         _write(args, "acceptance.csv", io.write_acceptance, result.acceptance)
     manifest = {
@@ -369,9 +378,8 @@ def cmd_dic(args) -> int:
 def cmd_summarize(args) -> int:
     from . import io
 
-    samples, unobserved_idx = io.read_samples(args.samples)
     _write(args, "summary.csv", io.write_summary,
-           *io.samples_table(samples, unobserved_idx))
+           *io.read_samples(args.samples))
     return 0
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,11 +45,11 @@ from .errors import DimensionError, DomainError
 from .gradients import grad_log_h_missing
 from .likelihoods import Dataset, _log_p_m_eta, layout_missing, log_p_m
 from .models import ModelKind, ModelParams, Priors, link_inverse
-from .model_select import PosteriorSamples, phi_names_for, phi_row
+from .model_select import PosteriorSamples
 from .spatial import ConditionalGaussian, conditional_gaussian, plan_route
 from .transforms import yj_forward, yj_inverse
 from .variational import (FitConfig, FitResult, VariationalParams,
-                          _fit_layout, _sga, init_lambda, sample_q)
+                          _fit_layout, _sga, draw_posterior, init_lambda)
 
 __all__ = ["HvbConfig", "mcmc_nob", "mcmc_allb", "hvb_fit",
            "draw_posterior_missing"]
@@ -309,26 +309,21 @@ def draw_posterior_missing(kind: ModelKind, data: Dataset,
                            ) -> PosteriorSamples:
     """Posterior draws of (phi, psi) plus one y_u imputation per draw.
 
-    Each parameter draw runs a fresh config.n1-step MH chain, with config's
-    kernel, started from the conditional, so the y_u rows are draws given
-    that parameter sample. config defaults to HvbConfig().
+    Each parameter draw of `draw_posterior` runs a fresh config.n1-step MH
+    chain, with config's kernel, started from the conditional, so the y_u
+    rows are draws given that parameter sample. config defaults to
+    HvbConfig().
     """
     layout = layout_missing(kind, data)
     if lam.s != layout.size:
         raise DimensionError("lambda size does not match the layout")
     config = HvbConfig() if config is None else config
     blocks = config.block_scheme(data)
-    names = phi_names_for(kind, layout.n_beta)
-    phi = np.empty((n_draws, len(names)))
-    psi_rows = np.empty((n_draws, layout.n_psi_x + 1))
-    y_u_rows = np.empty((n_draws, data.n_missing))
-    for i in range(n_draws):
-        theta, _, _ = sample_q(lam, rng)
-        params, _, psi = link_inverse(kind, layout, theta)
-        if data.n_missing:
-            y_u_rows[i], _ = _impute(kind, data, theta, blocks, None,
-                                     config.n1, rng)
-        phi[i] = phi_row(params)
-        psi_rows[i] = psi.stacked
-    return PosteriorSamples(phi=phi, phi_names=names, psi=psi_rows,
-                            y_u=y_u_rows)
+    y_u = np.empty((n_draws, data.n_missing))
+
+    def impute(i, theta):
+        y_u[i], _ = _impute(kind, data, theta, blocks, None, config.n1, rng)
+
+    return replace(draw_posterior(lam, layout, n_draws, rng,
+                                  impute if data.n_missing else None),
+                   y_u=y_u)

@@ -40,8 +40,7 @@ __all__ = [
     "write_dataset", "read_dataset", "write_weights", "read_weights",
     "write_trace", "read_trace", "write_acceptance", "read_acceptance",
     "write_dic_report", "read_dic_report", "write_sidecar", "read_sidecar",
-    "write_manifest", "read_keyvalues", "samples_table", "write_samples",
-    "read_samples",
+    "write_manifest", "read_keyvalues", "write_samples", "read_samples",
     "write_lambda", "read_lambda", "write_summary", "read_summary",
 ]
 
@@ -399,15 +398,6 @@ def _samples_blocks(samples: PosteriorSamples,
     return header, blocks
 
 
-def samples_table(samples: PosteriorSamples,
-                  unobserved_idx: np.ndarray | None = None
-                  ) -> tuple[list[str], np.ndarray]:
-    """Column names and the draws as columns phi | psi | y_u, one row per
-    draw; unobserved_idx names the y_u columns yu_<site>."""
-    header, blocks = _samples_blocks(samples, unobserved_idx)
-    return header, np.hstack(blocks)
-
-
 def write_samples(path, samples: PosteriorSamples,
                   unobserved_idx: np.ndarray | None = None) -> None:
     """Posterior draws, one row per draw; y_u columns keyed by site index.
@@ -487,15 +477,27 @@ def read_lambda(path) -> VariationalParams:
     return VariationalParams(mu=np.asarray(mu), B=B, d=np.asarray(d))
 
 
-def write_summary(path, names: list[str], draws: np.ndarray) -> None:
-    """Rows param,mean,q025,q975 from column-aligned posterior draws."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if draws.shape[1] != len(names):
-        raise DataFormatError("summary names do not match draw columns")
-    if draws.shape[0] == 0:
+def write_summary(path, samples: PosteriorSamples,
+                  unobserved_idx: np.ndarray | None = None) -> None:
+    """Rows param,mean,q025,q975, one per column of `write_samples`.
+
+    Each block is summarized in chunks of whole columns of at most
+    _CHUNK_CELLS cells, so no draws table and no copy of a whole block is
+    built. A mean is its column's running sum over the count: the order in
+    which numpy sums the columns of a wide table, where mean(axis=0) of a
+    lone column would sum pairwise.
+    """
+    header, blocks = _samples_blocks(samples, unobserved_idx)
+    if (n := samples.n_draws) == 0:
         raise DataFormatError("a summary needs at least one draw")
-    lo, hi = _quantiles(draws, np.array([0.025, 0.975]))
-    _write_table(path, _SUMMARY, [names, draws.mean(axis=0), lo, hi])
+    step = max(1, _CHUNK_CELLS // n)
+    q = np.array([0.025, 0.975])
+    # for each chunk c of each block, rows mean, q025, q975
+    stats = [np.vstack([np.cumsum(c, axis=0)[-1] / n, _quantiles(c, q)])
+             for block in blocks for a in range(0, block.shape[1], step)
+             for c in [block[:, a:a + step]]]
+    _write_table(path, _SUMMARY,
+                 [header, *np.hstack([np.empty((3, 0)), *stats])])
 
 
 def _quantiles(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -511,13 +513,12 @@ def _quantiles(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     n = draws.shape[0]
     virtual = (n - 1) * q
-    prev = np.floor(virtual)
+    prev = np.floor(virtual).astype(np.intp)
     after = prev + 1
     top = virtual >= n - 1
     prev[top] = after[top] = -1
-    prev, after = prev.astype(np.intp), after.astype(np.intp)
-    arr = draws.copy()
-    arr.partition(sorted({0, -1, *prev.tolist(), *after.tolist()}), axis=0)
+    arr = np.partition(draws, sorted({0, -1, *prev.tolist(), *after.tolist()}),
+                       axis=0)
     a, b = arr[prev], arr[after]
     t = (virtual - prev).reshape(-1, 1)
     diff = b - a

@@ -82,19 +82,16 @@ class Dataset:
         n = self.W.n
         if y.ndim != 1 or y.shape[0] != n:
             raise DimensionError("y length must match the weight matrix")
-        if X.ndim != 2 or X.shape[0] != n:
-            raise DimensionError("X must have one row per site")
-        if not np.all(np.isfinite(X)):
-            raise DomainError("X must be fully observed")
-        if not np.all(X[:, 0] == 1.0):
-            raise DomainError("X must carry a leading intercept column")
-        if self.Xstar is not None:
-            if self.Xstar.ndim != 2 or self.Xstar.shape[0] != n:
-                raise DimensionError("Xstar must have one row per site")
-            if not np.all(np.isfinite(self.Xstar)):
-                raise DomainError("Xstar must be fully observed")
-            if not np.all(self.Xstar[:, 0] == 1.0):
-                raise DomainError("Xstar must carry a leading intercept column")
+        for name, M in (("X", X), ("Xstar", self.Xstar)):
+            if M is None:
+                continue
+            if M.ndim != 2 or M.shape[0] != n:
+                raise DimensionError(f"{name} must have one row per site")
+            if not np.all(np.isfinite(M)):
+                raise DomainError(f"{name} must be fully observed")
+            if not np.all(M[:, 0] == 1.0):
+                raise DomainError(
+                    f"{name} must carry a leading intercept column")
 
     @property
     def n(self) -> int:

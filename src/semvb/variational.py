@@ -208,6 +208,8 @@ class FitConfig:
             raise DomainError("n_factors must be at least 1")
         if self.max_iters < 0:
             raise DomainError("max_iters must be nonnegative")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.trace_every < 1:
             raise DomainError("trace_every must be at least 1")
         if self.stop_window < 0:
@@ -552,11 +554,13 @@ def vb_fit(kind: ModelKind, data: Dataset, priors: Priors, config: FitConfig,
 
 
 def draw_posterior(lam: VariationalParams, layout: ThetaLayout, n_draws: int,
-                   rng: np.random.Generator) -> PosteriorSamples:
+                   rng: np.random.Generator, step=None) -> PosteriorSamples:
     """n_draws from q_lambda mapped to the constrained scale.
 
     Returns phi rows (beta, sigma2, rho[, nu][, gamma]) and, when the layout
-    carries a missingness block, psi rows.
+    carries a missingness block, psi rows. step(i, theta), when given, runs
+    right after draw i is taken, before the next: the hybrid draws impute
+    y_u there, so that each chain reads the RNG after its own theta.
     """
     kind = layout.kind
     names = phi_names_for(kind, layout.n_beta)
@@ -566,6 +570,8 @@ def draw_posterior(lam: VariationalParams, layout: ThetaLayout, n_draws: int,
     for i in range(n_draws):
         theta, _, _ = sample_q(lam, rng)
         params, _, psi_i = link_inverse(kind, layout, theta)
+        if step is not None:
+            step(i, theta)
         phi[i] = phi_row(params)
         if psi is not None:
             psi[i] = psi_i.stacked

@@ -56,6 +56,14 @@ package did before they were split into per-fit bases and per-draw powers:
 `yj_forward`, `yj_dgamma` and `yj_dlogdy_dgamma` of the whole completed y
 at every call. All are kept verbatim, and the new pieces and whole fits are
 checked against them bit for bit.
+
+`write_summary_joined` is `io.write_summary` as it was when it summarized
+one table of the draws joined as phi | psi | y_u, and
+`draw_posterior_missing_loop` is `hvb.draw_posterior_missing` as it was
+with a draw loop of its own. Both are kept verbatim: the summary taken
+block by block and chunk by chunk is checked against the first byte for
+byte, and the hybrid draws through `variational.draw_posterior`'s one loop
+against the second bit for bit.
 """
 
 from __future__ import annotations
@@ -788,3 +796,51 @@ class ResponseFromScratch:
     def dlogjac(self):
         from semvb.transforms import yj_dlogdy_dgamma
         return float(np.sum(yj_dlogdy_dgamma(self.y)))
+
+
+def write_summary_joined(path, samples, unobserved_idx=None) -> None:
+    """`io.write_summary` as it was when it summarized the draws joined into
+    one table phi | psi | y_u (the removed `io.samples_table`)."""
+    from semvb import io
+    from semvb.errors import DataFormatError
+
+    header, blocks = io._samples_blocks(samples, unobserved_idx)
+    names, draws = header, np.hstack(blocks)
+    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    if draws.shape[1] != len(names):
+        raise DataFormatError("summary names do not match draw columns")
+    if draws.shape[0] == 0:
+        raise DataFormatError("a summary needs at least one draw")
+    lo, hi = io._quantiles(draws, np.array([0.025, 0.975]))
+    io._write_table(path, io._SUMMARY, [names, draws.mean(axis=0), lo, hi])
+
+
+def draw_posterior_missing_loop(kind, data, lam, n_draws, rng, config=None):
+    """`hvb.draw_posterior_missing` as it was with its own draw loop, beside
+    `variational.draw_posterior`'s."""
+    from semvb.errors import DimensionError
+    from semvb.hvb import HvbConfig, _impute
+    from semvb.likelihoods import layout_missing
+    from semvb.model_select import PosteriorSamples, phi_names_for, phi_row
+    from semvb.models import link_inverse
+    from semvb.variational import sample_q
+
+    layout = layout_missing(kind, data)
+    if lam.s != layout.size:
+        raise DimensionError("lambda size does not match the layout")
+    config = HvbConfig() if config is None else config
+    blocks = config.block_scheme(data)
+    names = phi_names_for(kind, layout.n_beta)
+    phi = np.empty((n_draws, len(names)))
+    psi_rows = np.empty((n_draws, layout.n_psi_x + 1))
+    y_u_rows = np.empty((n_draws, data.n_missing))
+    for i in range(n_draws):
+        theta, _, _ = sample_q(lam, rng)
+        params, _, psi = link_inverse(kind, layout, theta)
+        if data.n_missing:
+            y_u_rows[i], _ = _impute(kind, data, theta, blocks, None,
+                                     config.n1, rng)
+        phi[i] = phi_row(params)
+        psi_rows[i] = psi.stacked
+    return PosteriorSamples(phi=phi, phi_names=names, psi=psi_rows,
+                            y_u=y_u_rows)

@@ -570,6 +570,39 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("key, flag, config, code", [
+        ("seed", ["--seed=-1"], None, 2), ("seed", ["--seed", "-1"], None, 2),
+        ("threads", ["--threads", "0"], None, 2),
+        ("threads", ["--threads=-1"], None, 2),
+        ("seed", [], "seed=-1", 3), ("threads", [], "threads=0", 3),
+        ("threads", [], "threads=-1", 3)])
+    def test_bad_seed_and_threads_refused_before_numpy(self, tmp_path, key,
+                                                       flag, config, code):
+        # a usage error (2) for a flag, a config error (3) for a config
+        # value; no traceback, no thread cap exported, and numpy never loads
+        args = ["simulate", "--lattice-rows", "3", "--lattice-cols", "3",
+                "--out-dir", str(tmp_path / "out"), *flag]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        env = _src_env()
+        for var in cli._THREAD_VARS:
+            env.pop(var, None)
+        run = ("import os, sys\n"
+               "from semvb import cli\n"
+               "rc = cli.main(sys.argv[1:])\n"
+               "print('numpy' in sys.modules, "
+               "os.environ.get('OMP_NUM_THREADS'))\n"
+               "sys.exit(rc)\n")
+        proc = subprocess.run([sys.executable, "-c", run, *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.split() == ["False", "None"]
+        assert "Traceback" not in proc.stderr
+        assert key in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestDic:
     def make_fits(self, tmp_path):
         sim = tmp_path / "sim"

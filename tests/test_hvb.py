@@ -13,7 +13,8 @@ from semvb.spatial import build_rook_lattice, conditional_gaussian
 from semvb.transforms import yj_forward
 from semvb.variational import FitConfig, VariationalParams, init_lambda
 
-from oracles import (csr, dense_M, discrete_mh_transition, draw_conditional,
+from oracles import (csr, dense_M, discrete_mh_transition,
+                     draw_conditional, draw_posterior_missing_loop,
                      mh_accept_ratio, propose_yu, schur_conditional, sem_cov,
                      step_by_step_sweep)
 from util import ALL_KINDS, random_instance
@@ -773,3 +774,32 @@ class TestDrawPosteriorMissing:
         assert s.psi.shape == (1, 3)
         assert s.y_u.shape == (1, data.n_missing)
         assert s.phi_names[-2:] == ("nu", "gamma")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kernel", ["nob", "allb"])
+    @pytest.mark.parametrize("case", ["missing", "none-missing",
+                                      "zero-draws"])
+    def test_matches_own_draw_loop(self, kind, kernel, case):
+        # variational.draw_posterior's loop with the chain as its per-draw
+        # step: the same draws and the same RNG stream as hvb's own loop
+        inst = random_instance(kind, seed=23, lattice=(5, 5),
+                               missing_frac=0.4)
+        data = inst["data"]
+        if case == "none-missing":
+            data = Dataset(y=inst["y_full"], X=data.X, W=data.W,
+                           Xstar=data.Xstar)
+        lam = init_lambda(kind, data, FitConfig(),
+                          rng=np.random.default_rng(1), with_psi=True)
+        n_draws = 0 if case == "zero-draws" else 6
+        config = hvb.HvbConfig(n1=3, kernel=kernel, block_fraction=0.3)
+        rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+        new = hvb.draw_posterior_missing(kind, data, lam, n_draws, rng_new,
+                                         config=config)
+        old = draw_posterior_missing_loop(kind, data, lam, n_draws, rng_old,
+                                          config=config)
+        assert new.phi_names == old.phi_names
+        for block in ("phi", "psi", "y_u"):
+            a, b = getattr(new, block), getattr(old, block)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), block
+        assert new.y_u.shape == (n_draws, data.n_missing)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state

@@ -541,9 +541,15 @@ def _artifact(name, m, rng):
                                 B=rng.normal(size=(s, 1)),
                                 d=rng.normal(size=s))
         return lambda p: io.write_lambda(p, lam), io.read_lambda
-    names = [f"p{k}" for k in range(m)]
-    draws = rng.normal(size=(5, m))
-    return lambda p: io.write_summary(p, names, draws), io.read_summary
+    # m rows: m // 3 psi and m // 3 y_u columns after the phi columns
+    k = m // 3
+    samples = PosteriorSamples(
+        phi=rng.normal(size=(5, m - 2 * k)),
+        phi_names=[f"p{j}" for j in range(m - 2 * k)],
+        psi=rng.normal(size=(5, k)) if k else None,
+        y_u=rng.normal(size=(5, k)) if k else None)
+    return (lambda p: io.write_summary(p, samples, np.arange(k) * 3),
+            io.read_summary)
 
 
 ARTIFACTS = ["dataset", "dataset-y", "weights", "trace", "acceptance", "dic",
@@ -696,16 +702,51 @@ class TestMemory:
                 np.testing.assert_array_equal(getattr(loaded, block),
                                               getattr(samples, block))
 
+    def test_summary_holds_no_copy_of_the_draws(self, tmp_path):
+        # 10 000 draws of the miss625 layout: the joined table and the copy
+        # its quantiles sorted peaked at twice the 25 MB of draws
+        rng = np.random.default_rng(0)
+        n_draws, n_yu = 10_000, 300
+        samples = PosteriorSamples(
+            phi=rng.normal(size=(n_draws, 9)),
+            phi_names=[f"p{j}" for j in range(9)],
+            psi=rng.normal(size=(n_draws, 4)),
+            y_u=rng.normal(size=(n_draws, n_yu)))
+        tracemalloc.start()
+        try:
+            io.write_summary(tmp_path / "summary.csv", samples,
+                             np.arange(n_yu))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def summary_samples(n_draws, n_psi, n_yu, seed=0):
+    """Draws of four phi columns, n_psi psi and n_yu y_u columns (None for
+    none) on scales from 1e-3 to 1e3, and the y_u columns' sites."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=4 + n_psi + n_yu)
+    draws = rng.normal(size=(n_draws, scale.size)) * scale + 0.1
+    psi, y_u = draws[:, 4:4 + n_psi], draws[:, 4 + n_psi:]
+    samples = PosteriorSamples(
+        phi=draws[:, :4], phi_names=("beta0", "beta1", "sigma2", "rho"),
+        psi=psi if n_psi else None, y_u=y_u if n_yu else None)
+    return samples, np.arange(n_yu) * 2 + 1 if n_yu else None
+
 
 class TestSummary:
     def test_quantiles_match_numpy(self, tmp_path):
-        rng = np.random.default_rng(11)
-        draws = rng.normal(size=(500, 2))
+        samples, sites = summary_samples(500, 2, 3, seed=11)
+        draws = np.hstack([samples.phi, samples.psi, samples.y_u])
         p = tmp_path / "s.csv"
-        io.write_summary(p, ["a", "b"], draws)
+        io.write_summary(p, samples, sites)
         rows = io.read_summary(p)
         lo, hi = np.quantile(draws, [0.025, 0.975], axis=0)
         means = draws.mean(axis=0)
+        assert [row[0] for row in rows] == [
+            "beta0", "beta1", "sigma2", "rho", "psi0", "psi_y",
+            "yu_1", "yu_3", "yu_5"]
         for j, (name, mean, q025, q975) in enumerate(rows):
             assert mean == means[j]
             assert q025 == lo[j] and q975 == hi[j]
@@ -728,11 +769,49 @@ class TestSummary:
                 got = io._quantiles(draws, q)
             assert got.tobytes() == want.tobytes(), n
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, io._CHUNK_CELLS])
+    @pytest.mark.parametrize("n_psi,n_yu", [(0, 0), (3, 0), (3, 1),
+                                            (3, 300)])
+    @pytest.mark.parametrize("n_draws", [1, 2, 1000, 10_000])
+    def test_matches_joined_table(self, tmp_path, monkeypatch, chunk,
+                                  n_psi, n_yu, n_draws):
+        # the joined table's means summed each column row by row, where a
+        # lone column's mean(axis=0) sums pairwise: a one-column y_u block
+        # and one-column chunks must keep its bytes
+        monkeypatch.setattr(io, "_CHUNK_CELLS", chunk)
+        samples, sites = summary_samples(n_draws, n_psi, n_yu, seed=n_draws)
+        io.write_summary(tmp_path / "blocks.csv", samples, sites)
+        oracles.write_summary_joined(tmp_path / "joined.csv", samples, sites)
+        assert filecmp.cmp(tmp_path / "blocks.csv", tmp_path / "joined.csv",
+                           shallow=False)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_non_finite_columns_match_joined_table(self, tmp_path,
+                                                   monkeypatch, chunk):
+        monkeypatch.setattr(io, "_CHUNK_CELLS", chunk)
+        samples, sites = summary_samples(40, 3, 4, seed=3)
+        phi, psi, y_u = samples.phi.copy(), samples.psi, samples.y_u.copy()
+        phi[5, 1] = np.nan
+        phi[:, 3] = np.inf
+        y_u[7, 0], y_u[9, 2] = np.inf, -np.inf
+        y_u[:, 3] = -np.inf
+        samples = PosteriorSamples(phi=phi, phi_names=samples.phi_names,
+                                   psi=psi, y_u=y_u)
+        with np.errstate(invalid="ignore"):
+            io.write_summary(tmp_path / "blocks.csv", samples, sites)
+            oracles.write_summary_joined(tmp_path / "joined.csv", samples,
+                                         sites)
+        assert filecmp.cmp(tmp_path / "blocks.csv", tmp_path / "joined.csv",
+                           shallow=False)
+        rows = io.read_summary(tmp_path / "blocks.csv")
+        assert np.isnan(rows[1][1]) and rows[3][1] == np.inf
+
     def test_roundtrip(self, tmp_path):
-        draws = np.arange(12, dtype=float).reshape(4, 3)
-        names = ["u", "v", "w"]
+        samples = PosteriorSamples(
+            phi=np.arange(12, dtype=float).reshape(4, 3),
+            phi_names=["u", "v", "w"])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        io.write_summary(a, names, draws)
+        io.write_summary(a, samples)
         rows = io.read_summary(a)
         with open(b, "w", newline="") as f:
             import csv
@@ -742,12 +821,17 @@ class TestSummary:
                 w.writerow([row[0]] + [repr(v) for v in row[1:]])
         assert filecmp.cmp(a, b, shallow=False)
 
-    def test_name_count_mismatch(self, tmp_path):
+    def test_yu_requires_site_indices(self, tmp_path):
+        samples, sites = summary_samples(5, 2, 3)
         with pytest.raises(DataFormatError):
-            io.write_summary(tmp_path / "s.csv", ["a"], np.ones((3, 2)))
+            io.write_summary(tmp_path / "s.csv", samples)
+        with pytest.raises(DataFormatError):
+            io.write_summary(tmp_path / "s.csv", samples, sites[:2])
+        assert not (tmp_path / "s.csv").exists()
 
     def test_zero_draws_rejected_before_writing(self, tmp_path):
         p = tmp_path / "s.csv"
-        with pytest.raises(DataFormatError):
-            io.write_summary(p, ["a", "b"], np.empty((0, 2)))
+        samples, sites = summary_samples(0, 2, 3)
+        with pytest.raises(DataFormatError, match="at least one draw"):
+            io.write_summary(p, samples, sites)
         assert not p.exists()

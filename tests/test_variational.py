@@ -463,7 +463,7 @@ class TestFitConfig:
     @pytest.mark.parametrize("field, value", [
         ("n_factors", 0), ("max_iters", -1), ("trace_every", 0),
         ("stop_window", -1), ("stop_window", -3), ("stop_tol", -1.0),
-        ("stop_tol", -1e-300), ("stop_tol", np.nan)])
+        ("stop_tol", -1e-300), ("stop_tol", np.nan), ("seed", -1)])
     def test_refuses_out_of_range(self, field, value):
         with pytest.raises(DomainError, match=field):
             vb.FitConfig(**{field: value})

@@ -5,7 +5,8 @@
 A_SRC and B_SRC are checkouts of the repository. For each seed and each workload of `bench/run.py`, every
 stage, set-up probe and gate fit that `bench/run.stage_args` lists is run
 as its own `python3 -m semvb.cli` process, once on each tree, in a fresh
-directory per tree. The two directories are then compared file by file, in
+directory per tree. After them, `semvb summarize` reads each pipeline fit's
+`samples.csv` and writes `<fit>.summarize/summary.csv`. The two directories are then compared file by file, in
 sorted order, and the first file that differs (or exists on one side only)
 is named. Exit status 0 means every artifact matched, 1 that one differed,
 2 that a stage failed. The outputs are kept, and their directory printed,
@@ -54,6 +55,16 @@ def run_stages(src: Path, jobs, top: Path) -> bool:
     return True
 
 
+def summarize_stages(stages, seed: int):
+    """A `summarize` stage for each fit stage, reading its samples.csv."""
+    return [(f"{fit}.summarize",
+             ["summarize", "--seed", str(seed), "--threads", "1",
+              "--samples", f"{stage}/samples.csv",
+              "--out-dir", f"{fit}.summarize"])
+            for stage, args in stages if args[0] == "fit"
+            for fit in [stage.rsplit(".", 1)[0]]]
+
+
 def first_difference(a: Path, b: Path) -> str | None:
     """The first relative path, in sorted order, whose bytes differ."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -71,16 +82,16 @@ def compare(trees: dict[str, Path], seeds: list[int], work: Path) -> int:
     for seed in seeds:
         for name, fits in run.WORKLOADS.items():
             stages, probes, gates = run.stage_args(fits, seed)
+            jobs = stages + probes + gates + summarize_stages(stages, seed)
             case = f"{name}-seed{seed}"
             for side, src in trees.items():
-                if not run_stages(src, stages + probes + gates,
-                                  work / side / case):
+                if not run_stages(src, jobs, work / side / case):
                     return 2
             diff = first_difference(work / "A" / case, work / "B" / case)
             if diff is not None:
                 print(f"{case}: {diff} differs")
                 return 1
-            n = len(stages) + len(probes) + len(gates)
+            n = len(jobs)
             print(f"{case}: {n} stages, every file the same")
     return 0
 
