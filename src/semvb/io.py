@@ -1,9 +1,9 @@
 """CSV and key=value serialization for the pipeline artifacts.
 
 Writers emit canonical text: shortest round-tripping float representations,
-LF line endings, weight entries sorted by coordinate. Identical inputs
-therefore produce byte-identical files, and write -> read -> write is a
-fixed point. The readers import the class they build when they run, so a
+LF line endings, weight entries as W stores them, sorted by coordinate.
+Identical inputs therefore produce byte-identical files, and
+write -> read -> write is a fixed point. The readers import the class they build when they run, so a
 command that reads and writes datasets only loads numpy. The key=value
 reader and writer come from `keyvalues`, which needs no numpy.
 
@@ -293,25 +293,36 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 
 
 def write_weights(path, W: SpatialWeights) -> None:
-    """Coordinate triples i,j,w sorted by (i, j), preceded by a size line."""
-    order = np.lexsort((W.cols, W.rows))
-    _write_table(path, _WEIGHTS,
-                 [W.rows[order], W.cols[order], W.weights[order]],
+    """W's canonical coordinate triples i,j,w, sorted by (i, j) with
+    duplicates summed, preceded by a size line."""
+    _write_table(path, _WEIGHTS, [W.rows, W.cols, W.weights],
                  head=f"# n={W.n} row_standardized={int(W.row_standardized)}\n")
 
 
 def read_weights(path) -> SpatialWeights:
+    """The W of a file that `write_weights` wrote. Its size line holds n and
+    optionally row_standardized, 0 or 1; any other key, or a key given
+    twice, raises DataFormatError."""
     from .spatial import SpatialWeights
 
     rows = _read_rows(path)
     text = ",".join(next(rows))
-    fields = dict(part.split("=", 1) for part in text.lstrip("# ").split()
-                  if "=" in part)
+    pairs = [part.partition("=")[::2] for part in text.lstrip("# ").split()]
+    fields = dict(pairs)
     if not text.startswith("#") or "n" not in fields:
         raise DataFormatError(f"{path}: missing '# n=...' size line")
+    keys = [key for key, _ in pairs]
+    bad = [key for key in keys
+           if key not in ("n", "row_standardized") or keys.count(key) > 1]
+    if bad:
+        raise DataFormatError(f"{path}: size line key {bad[0]!r} is unknown "
+                              f"or repeated")
     n, standardized = _parse_column(
         path, "size line", int,
         [fields["n"], fields.get("row_standardized", "0")], None).tolist()
+    if standardized not in (0, 1):
+        raise DataFormatError(f"{path}: size line row_standardized="
+                              f"{standardized} is not 0 or 1")
     ii, jj, ww = _parse(path, _WEIGHTS, rows, line=2)
     return SpatialWeights(n=n, rows=ii, cols=jj, weights=ww,
                           row_standardized=bool(standardized))

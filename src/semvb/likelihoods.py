@@ -301,7 +301,11 @@ def marginal_loglik_t(kind: ModelKind, data: Dataset, params: ModelParams,
 
     Mean X beta (on the transformed scale for YJ kinds), scale matrix
     sigma^2 (A^T A)^-1, nu degrees of freedom; the YJ variant adds the
-    transform's log-Jacobian.
+    transform's log-Jacobian. This is the marginal of a model with one tau
+    shared by all sites. `simulate`, the SGA target and the tau prior use
+    one tau per site, whose marginal would be a product of n univariate t
+    densities; which of the two the paper's DIC scores is an open question,
+    tracked in ROADMAP.md.
     """
     if not kind.student_t:
         raise DomainError("marginal_loglik_t applies to Student-t kinds only")

@@ -46,16 +46,14 @@ def phi_row(params: ModelParams) -> np.ndarray:
     return np.array(row)
 
 
-def params_from_row(kind: ModelKind, names: tuple[str, ...],
-                    row: np.ndarray) -> ModelParams:
-    """Build ModelParams from one constrained sample row."""
-    pos = {name: i for i, name in enumerate(names)}
-    n_beta = sum(1 for n in names if n.startswith("beta"))
-    beta = np.array([row[pos[f"beta{j}"]] for j in range(n_beta)])
-    return ModelParams(
-        beta=beta, sigma2=float(row[pos["sigma2"]]), rho=float(row[pos["rho"]]),
-        nu=float(row[pos["nu"]]) if kind.student_t else None,
-        gamma=float(row[pos["gamma"]]) if kind.yeo_johnson else None)
+def params_from_row(kind: ModelKind, row: np.ndarray) -> ModelParams:
+    """ModelParams from one constrained sample row in the kind's order
+    (`phi_names_for`), read by position; the inverse of phi_row."""
+    k = len(row) - 2 - kind.student_t - kind.yeo_johnson
+    sigma2, rho, *tail = map(float, row[k:])
+    return ModelParams(beta=np.array(row[:k], dtype=float), sigma2=sigma2,
+                       rho=rho, nu=tail[0] if kind.student_t else None,
+                       gamma=tail[-1] if kind.yeo_johnson else None)
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,12 @@ class PosteriorSamples:
 
 def phi_loglik(kind: ModelKind, data: Dataset, row: np.ndarray,
                y_u: np.ndarray | None = None) -> float:
-    """log p(y | phi) at one constrained phi row: the scale-mixture-
-    marginalized multivariate-t form for Student-t kinds, the Gaussian form
-    otherwise. y is data's response, completed by y_u when given."""
-    params = params_from_row(kind, phi_names_for(kind, data.n_beta), row)
+    """log p(y | phi) at one constrained phi row in the kind's order: the
+    scale-mixture-marginalized multivariate-t form for Student-t kinds, the
+    Gaussian form otherwise. y is data's response, completed by y_u when
+    given. The t form (`marginal_loglik_t`) integrates out one tau shared
+    by all sites, while the fitted model has one tau per site."""
+    params = params_from_row(kind, row)
     if kind.student_t:
         return marginal_loglik_t(kind, data, params, y_u)
     return loglik(kind, data, params, None, y_u)
@@ -150,10 +150,9 @@ def per_draw_logpriors(kind: ModelKind, priors: Priors,
     by name, as `per_draw_logliks` takes them; a missing one raises
     DomainError naming it."""
     n_beta = sum(1 for name in samples.phi_names if name.startswith("beta"))
-    names = phi_names_for(kind, n_beta)
     out = np.empty(samples.n_draws)
     for i, row in enumerate(_kind_columns(kind, n_beta, samples)):
-        params = params_from_row(kind, names, row)
+        params = params_from_row(kind, row)
         v = -0.5 * float(np.sum(params.beta ** 2)) / priors.var_beta
         omega = tr.omega_from_sigma2(params.sigma2)
         v += -0.5 * omega ** 2 / priors.var_omega - omega

@@ -51,8 +51,9 @@ iterations and `semvb dic` its posterior draws, so a long fit takes the
 spectrum and a probe, a short fit or a short DIC run the factorizations.
 The cap bounds only the dense eigenvalues of W without a symmetrizer.
 
-W is stored once, as the sorted triples `_entries`. Products with W and
-W^T, the block plans, the symmetrizer, the dense eigen route, the RCM
+W is stored once, as its canonical triples: the `rows`, `cols` and
+`weights` fields of `SpatialWeights`, in scipy's CSR order. Products with W
+and W^T, the block plans, the symmetrizer, the dense eigen route, the RCM
 ordering of `sym_band` and the CSC arrays of the sparse LU (`a_matrix`) run
 on numpy. No stage imports the scipy package: scipy supplies only two compiled
 extensions, which `_scipy_extension` loads by file on first use. The band
@@ -174,8 +175,13 @@ def _tbtrs(ab, b, **kwargs):
 class SpatialWeights:
     """Sparse n x n spatial weight matrix with zero diagonal.
 
-    Entries are stored in coordinate form; `row_standardized` asserts that
-    every nonempty row sums to one.
+    The input triples are checked, then stored once, in canonical form:
+    sorted by (row, col), with duplicate triples summed once in their input
+    order and stored zeros kept, as scipy's CSR form holds them. So the
+    fields do not echo the input order, and any order of the same triples
+    stores the same bytes wherever the sums cannot depend on it (at most
+    two triples per coordinate, or exact sums). `row_standardized` asserts
+    that every nonempty row sums to one.
     """
 
     n: int
@@ -185,51 +191,44 @@ class SpatialWeights:
     row_standardized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.int64))
-        object.__setattr__(self, "cols", np.asarray(self.cols, dtype=np.int64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        w = np.asarray(self.weights, dtype=float)
         if self.n < 1:
             raise DimensionError("n must be at least 1")
-        if not (self.rows.shape == self.cols.shape == self.weights.shape):
-            raise DimensionError("rows, cols, weights must have equal length")
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= self.n:
+        if not (rows.ndim == 1 and rows.shape == cols.shape == w.shape):
+            raise DimensionError("rows, cols, weights must be 1-D and of equal length")
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= self.n:
                 raise DimensionError("row index out of range")
-            if self.cols.min() < 0 or self.cols.max() >= self.n:
+            if cols.min() < 0 or cols.max() >= self.n:
                 raise DimensionError("col index out of range")
-        if np.any(self.rows == self.cols):
+        if np.any(rows == cols):
             raise DomainError("diagonal entries are not allowed in W")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.all(np.isfinite(w)):
             raise DomainError("weights must be finite")
-        if np.any(self.weights < 0):
+        if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
+        key = rows * self.n + cols
+        order = np.argsort(key, kind="stable")
+        key, w = key[order], w[order]
+        first = np.concatenate([[True], key[1:] != key[:-1]])
+        if not first.all():
+            w = np.bincount(np.cumsum(first) - 1, weights=w)
+            key = key[first]
+        object.__setattr__(self, "rows", key // self.n)
+        object.__setattr__(self, "cols", key % self.n)
+        object.__setattr__(self, "weights", w)
         if self.row_standardized:
-            sums = np.bincount(self.rows, weights=self.weights, minlength=self.n)
+            sums = np.bincount(self.rows, weights=w, minlength=self.n)
             nonempty = np.bincount(self.rows, minlength=self.n) > 0
             if np.any(np.abs(sums[nonempty] - 1.0) > 1e-12):
                 raise DomainError("row_standardized is set but some row sum deviates from 1")
 
     @cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, weights) of the stored entries, as in scipy's CSR form.
-
-        They are sorted by (row, col) with duplicate triples summed once, in
-        their input order, and stored zeros are kept.
-        """
-        key = self.rows * self.n + self.cols
-        order = np.argsort(key, kind="stable")
-        key, w = key[order], self.weights[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        if not first.all():
-            w = np.bincount(np.cumsum(first) - 1, weights=w)
-            key = key[first]
-        return key // self.n, key % self.n, w
-
-    @cached_property
     def _reverse(self) -> np.ndarray:
-        """W_ji for each entry (i, j) of `_entries`; 0 where none is stored."""
-        rows, cols, w = self._entries
+        """W_ji for each stored entry (i, j); 0 where none is stored."""
+        rows, cols, w = self.rows, self.cols, self.weights
         if not w.size:
             return w
         key = rows * self.n + cols
@@ -249,9 +248,8 @@ class SpatialWeights:
         entries, then every stored entry is checked to a relative _SYM_TOL.
         """
         n = self.n
-        rows, cols, w = self._entries
-        pos = w > 0
-        i, j, w = rows[pos], cols[pos], w[pos]
+        pos = self.weights > 0
+        i, j, w = self.rows[pos], self.cols[pos], self.weights[pos]
         if not i.size:
             return np.ones(n)
         w_rev = self._reverse[pos]
@@ -297,9 +295,8 @@ class SpatialWeights:
             return lam
         if self.n > _EIGEN_MAX_N:
             return None
-        rows, cols, w = self._entries
         dense = np.zeros((self.n, self.n))
-        dense[rows, cols] = w
+        dense[self.rows, self.cols] = self.weights
         return np.linalg.eigvals(dense)
 
     @cached_property
@@ -313,10 +310,9 @@ class SpatialWeights:
         """
         if self.symmetrizer is None:
             return None
-        rows, cols, w = self._entries
-        data = np.sqrt(w * self._reverse)  # S_ij, exactly symmetric
+        data = np.sqrt(self.weights * self._reverse)  # S_ij, exactly symmetric
         keep = data > 0
-        rows, cols, data = rows[keep], cols[keep], data[keep]
+        rows, cols, data = self.rows[keep], self.cols[keep], data[keep]
         at = _slots(self.n, _reverse_cuthill_mckee(self.n, rows, cols))
         a, c = at[rows], at[cols]
         low = a > c
@@ -342,18 +338,16 @@ class SpatialWeights:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """W v for v of shape (n,) or (n, p), bit for bit scipy's CSR product."""
-        rows, cols, w = self._entries
-        return _sum_terms(self.n, rows, w, cols, v)
+        return _sum_terms(self.n, self.rows, self.weights, self.cols, v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """W^T v for v of shape (n,) or (n, p), bit for bit scipy's CSR W^T v."""
-        rows, cols, w = self._entries
-        return _sum_terms(self.n, cols, w, rows, v)
+        return _sum_terms(self.n, self.cols, self.weights, self.rows, v)
 
     def restrict(self, sites: np.ndarray) -> "SpatialWeights":
         """The entries between the ascending `sites`, stored zeros included,
         re-indexed to 0..k-1 and not marked row-standardized."""
-        rows, cols, w = self._entries
+        rows, cols, w = self.rows, self.cols, self.weights
         slot = _slots(self.n, sites)
         inner = (slot[rows] >= 0) & (slot[cols] >= 0)
         return SpatialWeights(n=len(sites), rows=slot[rows[inner]],
@@ -419,24 +413,17 @@ def build_rook_lattice(rows: int, cols: int, row_standardize: bool = True) -> Sp
     """Rook-neighbourhood weights on a rows x cols lattice.
 
     Cell (i, j) neighbours its up/down/left/right cells; weights are 1, or
-    1/degree when row-standardized. Site index is i*cols + j.
+    1/degree when row-standardized. Site index is i*cols + j. The pairs are
+    built in any order: the constructor sorts them.
     """
     if rows < 1 or cols < 1:
         raise DimensionError("lattice dimensions must be at least 1x1")
     n = rows * cols
-    src, dst = [], []
-    for i in range(rows):
-        for j in range(cols):
-            site = i * cols + j
-            if j + 1 < cols:
-                src += [site, site + 1]
-                dst += [site + 1, site]
-            if i + 1 < rows:
-                below = site + cols
-                src += [site, below]
-                dst += [below, site]
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    site = np.arange(n).reshape(rows, cols)
+    # each site with its right neighbour, then with the one below it
+    a = np.concatenate([site[:, :-1].ravel(), site[:-1].ravel()])
+    b = np.concatenate([site[:, 1:].ravel(), site[1:].ravel()])
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     w = np.ones(src.size)
     if row_standardize and src.size:
         degree = np.bincount(src, minlength=n).astype(float)
@@ -469,12 +456,11 @@ def a_matrix(W: SpatialWeights, c: complex
     """
     _check_rho(c.real)
     n = W.n
-    rows, cols, w = W._entries
-    off = 0.0 - c * w
+    off = 0.0 - c * W.weights
     keep = off != 0
     diag = np.arange(n)
-    rows = np.concatenate([diag, rows[keep]])
-    cols = np.concatenate([diag, cols[keep]])
+    rows = np.concatenate([diag, W.rows[keep]])
+    cols = np.concatenate([diag, W.cols[keep]])
     data = np.concatenate([np.ones(n, off.dtype), off[keep]])
     order = np.argsort(cols * n + rows)
     indptr = np.zeros(n + 1, dtype=np.intc)
@@ -700,7 +686,7 @@ class _BlockPlan:
 def _build_block_plan(W: SpatialWeights, block: np.ndarray) -> _BlockPlan:
     n, k = W.n, block.size
     at = _slots(n, block)
-    rows, cols, w = W._entries
+    rows, cols, w = W.rows, W.cols, W.weights
     # E_u^T S E_u: s at the diagonal. Entry e of the map puts
     # val[e] * x[col[e]] at M_uu[lo_a[e], lo_c[e]], lo_a >= lo_c
     lo_a, lo_c = [np.arange(k)], [np.arange(k)]

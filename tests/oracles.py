@@ -57,6 +57,16 @@ package did before they were split into per-fit bases and per-draw powers:
 at every call. All are kept verbatim, and the new pieces and whole fits are
 checked against them bit for bit.
 
+`rook_lattice_loop` is `spatial.build_rook_lattice` as it was, with a
+Python loop over the sites, and `params_from_row_by_name` is
+`model_select.params_from_row` as it was, reading a sample row by column
+name. Both are kept verbatim: the lattice built by index arithmetic is
+checked against the first byte for byte, and the positional row reader
+against the second, which also keeps the DIC oracles independent of it.
+`csr_of_triples` is scipy's CSR form of triples in any order, so that the
+products of a W built from unsorted, duplicated triples are checked against
+the triples as given rather than W's own canonical ones.
+
 `write_summary_joined` is `io.write_summary` as it was when it summarized
 one table of the draws joined as phi | psi | y_u, and
 `draw_posterior_missing_loop` is `hvb.draw_posterior_missing` as it was
@@ -73,17 +83,50 @@ import numpy as np
 
 def csr(W):
     """scipy's CSR form of W's triples: duplicates summed, stored zeros kept."""
+    return csr_of_triples(W.n, W.rows, W.cols, W.weights)
+
+
+def csr_of_triples(n, rows, cols, weights):
+    """scipy's CSR form of n x n triples in any order: duplicates summed in
+    their input order, stored zeros kept."""
     import scipy.sparse as sp
-    return sp.coo_matrix((W.weights, (W.rows, W.cols)),
-                         shape=(W.n, W.n)).tocsr()
+    return sp.coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def rook_lattice_loop(rows: int, cols: int, row_standardize: bool = True):
+    """`spatial.build_rook_lattice` as it was, with its per-site loop: each
+    site's pairs with its right neighbour and the one below, in site order."""
+    from semvb.errors import DimensionError
+    from semvb.spatial import SpatialWeights
+    if rows < 1 or cols < 1:
+        raise DimensionError("lattice dimensions must be at least 1x1")
+    n = rows * cols
+    src, dst = [], []
+    for i in range(rows):
+        for j in range(cols):
+            site = i * cols + j
+            if j + 1 < cols:
+                src += [site, site + 1]
+                dst += [site + 1, site]
+            if i + 1 < rows:
+                below = site + cols
+                src += [site, below]
+                dst += [below, site]
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = np.ones(src.size)
+    if row_standardize and src.size:
+        degree = np.bincount(src, minlength=n).astype(float)
+        w = 1.0 / degree[src]
+    return SpatialWeights(n=n, rows=src, cols=dst, weights=w,
+                          row_standardized=bool(row_standardize and src.size))
 
 
 def eigenvalues_eigvalsh(W):
     """`SpatialWeights.eigenvalues` as it was for W with a symmetrizer:
     numpy's `eigvalsh` of a dense S with S_ij = sqrt(W_ij W_ji)."""
-    rows, cols, w = W._entries
     dense = np.zeros((W.n, W.n))
-    dense[rows, cols] = np.sqrt(w * W._reverse)
+    dense[W.rows, W.cols] = np.sqrt(W.weights * W._reverse)
     return np.linalg.eigvalsh(dense)
 
 
@@ -94,8 +137,8 @@ def sym_band_scipy(W):
         return None
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    rows, cols, w = W._entries
-    data = np.sqrt(w * W._reverse)
+    rows, cols = W.rows, W.cols
+    data = np.sqrt(W.weights * W._reverse)
     keep = data > 0
     s = sp.csr_matrix((data[keep], (rows[keep], cols[keep])),
                       shape=(W.n, W.n))
@@ -114,8 +157,8 @@ def a_matrix_scipy(W, c):
     import scipy.sparse as sp
     from semvb.spatial import _check_rho
     _check_rho(c.real)
-    rows, cols, w = W._entries
-    off = 0.0 - c * w
+    rows, cols = W.rows, W.cols
+    off = 0.0 - c * W.weights
     keep = off != 0
     diag = np.arange(W.n)
     data = np.concatenate([np.ones(W.n, off.dtype), off[keep]])
@@ -422,15 +465,28 @@ def dic5_two_pass(samples, joint_loglik_fn, prior_fn=None) -> float:
         else lambda i: prior_fn(samples.phi[i], samples.psi[i]))
 
 
+def params_from_row_by_name(kind, names, row):
+    """`model_select.params_from_row` as it was, reading each parameter of
+    one constrained sample row by its name in `names`."""
+    from semvb.models import ModelParams
+    pos = {name: i for i, name in enumerate(names)}
+    n_beta = sum(1 for n in names if n.startswith("beta"))
+    beta = np.array([row[pos[f"beta{j}"]] for j in range(n_beta)])
+    return ModelParams(
+        beta=beta, sigma2=float(row[pos["sigma2"]]), rho=float(row[pos["rho"]]),
+        nu=float(row[pos["nu"]]) if kind.student_t else None,
+        gamma=float(row[pos["gamma"]]) if kind.yeo_johnson else None)
+
+
 def phi_loglik_fn(kind, data):
     """Per-draw log-likelihood for DIC1/DIC2: the scale-mixture-marginalized
     multivariate-t form for Student-t kinds, the Gaussian form otherwise."""
     from semvb.likelihoods import loglik, marginal_loglik_t
-    from semvb.model_select import params_from_row, phi_names_for
+    from semvb.model_select import phi_names_for
     names = phi_names_for(kind, data.n_beta)
 
     def fn(row: np.ndarray) -> float:
-        params = params_from_row(kind, names, row)
+        params = params_from_row_by_name(kind, names, row)
         if kind.student_t:
             return marginal_loglik_t(kind, data, params)
         return loglik(kind, data, params)
@@ -441,11 +497,11 @@ def phi_loglik_fn(kind, data):
 def phi_logprior_fn(kind, n_beta: int, priors):
     """Log prior density of the constrained phi (links changed-of-variable)."""
     from semvb import transforms as tr
-    from semvb.model_select import params_from_row, phi_names_for
+    from semvb.model_select import phi_names_for
     names = phi_names_for(kind, n_beta)
 
     def fn(row: np.ndarray) -> float:
-        params = params_from_row(kind, names, row)
+        params = params_from_row_by_name(kind, names, row)
         out = -0.5 * float(np.sum(params.beta ** 2)) / priors.var_beta
         omega = tr.omega_from_sigma2(params.sigma2)
         out += -0.5 * omega ** 2 / priors.var_omega - omega

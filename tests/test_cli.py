@@ -837,7 +837,10 @@ class TestExitCodes:
         assert not (tmp_path / "dataset.csv").exists()
 
     @pytest.mark.parametrize("head", ["# n=abc row_standardized=1",
-                                      "# n=20 row_standardized=yes"])
+                                      "# n=20 row_standardized=yes",
+                                      "# n=20 row_standardized=7",
+                                      "# n=20 row_standardized=-1",
+                                      "# n=20 rowstandardized=1"])
     def test_bad_weights_size_line(self, tmp_path, capsys, head):
         sim = tmp_path / "sim"
         run_simulate(sim)

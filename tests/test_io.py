@@ -145,6 +145,25 @@ class TestWeights:
         lines = p.read_text().splitlines()
         assert lines[2:] == ["0,1,1.0", "1,0,1.0", "2,1,1.0"]
 
+    def test_duplicated_triples_written_summed(self, tmp_path):
+        # unsorted input with a coordinate given three times, a stored zero
+        # and a zero that only the sum makes
+        W = SpatialWeights(n=4, rows=np.array([3, 0, 2, 0, 1, 0, 1]),
+                           cols=np.array([2, 1, 3, 1, 0, 1, 0]),
+                           weights=np.array([0.5, 0.1, 0.0, 0.2, 0.0, 0.3,
+                                             0.0]))
+        W2 = roundtrip_bytes(
+            tmp_path,
+            lambda p: io.write_weights(p, W),
+            io.read_weights,
+            io.write_weights)
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert lines == ["# n=4 row_standardized=0", "i,j,w",
+                         f"0,1,{(0.1 + 0.2) + 0.3!r}", "1,0,0.0", "2,3,0.0",
+                         "3,2,0.5"]
+        for name in ("rows", "cols", "weights"):
+            assert getattr(W2, name).tobytes() == getattr(W, name).tobytes()
+
     def test_missing_size_line(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("i,j,w\n0,1,1.0\n")
@@ -164,6 +183,35 @@ class TestWeights:
         p.write_text(f"{head}\ni,j,w\n0,1,1.0\n")
         with pytest.raises(DataFormatError, match="w.csv: bad"):
             io.read_weights(p)
+
+    @pytest.mark.parametrize("value", ["7", "-1", "2"])
+    def test_row_standardized_must_be_0_or_1(self, tmp_path, value):
+        p = tmp_path / "w.csv"
+        p.write_text(f"# n=2 row_standardized={value}\ni,j,w\n0,1,1.0\n")
+        with pytest.raises(DataFormatError,
+                           match=f"w.csv: .*row_standardized={value} is not"):
+            io.read_weights(p)
+
+    @pytest.mark.parametrize("head, key", [
+        ("# n=2 rowstandardized=1", "rowstandardized"),
+        ("# n=2 row_standardized=1 extra", "extra"),
+        ("# size=2 n=2", "size"),
+        ("# n=2 n=3", "n"),
+        ("# n=2 row_standardized=0 row_standardized=1", "row_standardized")])
+    def test_unknown_or_repeated_size_line_key(self, tmp_path, head, key):
+        p = tmp_path / "w.csv"
+        p.write_text(f"{head}\ni,j,w\n0,1,1.0\n1,0,0.5\n")
+        with pytest.raises(DataFormatError,
+                           match=f"w.csv: size line key '{key}' is unknown"):
+            io.read_weights(p)
+
+    @pytest.mark.parametrize("head", ["# n=2", "# n=2 row_standardized=0",
+                                      "#n=2  row_standardized=1"])
+    def test_size_line_forms_read(self, tmp_path, head):
+        p = tmp_path / "w.csv"
+        p.write_text(f"{head}\ni,j,w\n0,1,1.0\n1,0,1.0\n")
+        W = io.read_weights(p)
+        assert W.n == 2 and W.row_standardized == head.endswith("=1")
 
 
 class TestTrace:

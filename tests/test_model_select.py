@@ -13,8 +13,8 @@ from semvb.model_select import (PosteriorSamples, dic1, dic2, dic5,
                                 phi_names_for)
 
 from oracles import (dic1_two_pass, dic2_two_pass, dic5_two_pass,
-                     joint_loglik_fn, joint_logprior_fn, phi_loglik_fn,
-                     phi_logprior_fn)
+                     joint_loglik_fn, joint_logprior_fn,
+                     params_from_row_by_name, phi_loglik_fn, phi_logprior_fn)
 from util import random_instance
 
 KINDS = [ModelKind.SEM_GAU, ModelKind.SEM_T, ModelKind.YJ_SEM_GAU,
@@ -77,11 +77,27 @@ class TestContainers:
         assert phi_names_for(ModelKind.YJ_SEM_T, 1)[-2:] == ("nu", "gamma")
 
     def test_params_from_row(self):
-        names = phi_names_for(ModelKind.YJ_SEM_T, 2)
         row = np.array([1.0, -1.0, 0.5, 0.3, 4.5, 1.2])
-        p = params_from_row(ModelKind.YJ_SEM_T, names, row)
+        p = params_from_row(ModelKind.YJ_SEM_T, row)
         np.testing.assert_array_equal(p.beta, [1.0, -1.0])
         assert (p.sigma2, p.rho, p.nu, p.gamma) == (0.5, 0.3, 4.5, 1.2)
+        assert type(p.sigma2) is float and p.beta.base is not row
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_beta", [1, 3])
+    def test_params_from_row_by_position(self, kind, n_beta):
+        # the positional reader inverts phi_row and agrees with the
+        # name-based reader on the kind's own column order
+        rng = np.random.default_rng(n_beta)
+        row = np.concatenate([rng.standard_normal(n_beta), [0.7, 0.4],
+                              [5.5] * kind.student_t,
+                              [0.9] * kind.yeo_johnson])
+        p = params_from_row(kind, row)
+        assert model_select.phi_row(p).tobytes() == row.tobytes()
+        q = params_from_row_by_name(kind, phi_names_for(kind, n_beta), row)
+        assert p.beta.tobytes() == q.beta.tobytes()
+        assert (p.sigma2, p.rho, p.nu, p.gamma) == (q.sigma2, q.rho, q.nu,
+                                                     q.gamma)
 
     def test_row_alignment_enforced(self):
         with pytest.raises(DimensionError):

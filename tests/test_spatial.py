@@ -9,8 +9,11 @@ from semvb.likelihoods import Dataset, loglik
 from semvb.models import ModelKind, ModelParams
 from semvb import spatial
 
-from oracles import (csr, dense_M, eigenvalues_eigvalsh, fd_derivative,
-                     lu_route_splu, perm_sign_csgraph, schur_conditional,
+from hypothesis import given, settings, strategies as st
+
+from oracles import (csr, csr_of_triples, dense_M, eigenvalues_eigvalsh,
+                     fd_derivative, lu_route_splu, perm_sign_csgraph,
+                     rook_lattice_loop, schur_conditional,
                      simulate_sem_spsolve, sym_band_scipy)
 from util import with_spectrum
 
@@ -46,6 +49,17 @@ class TestRookLattice:
         with pytest.raises(DimensionError):
             spatial.build_rook_lattice(0, 5)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 5),
+                                       (46, 46)])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_matches_per_site_loop(self, shape, standardize):
+        W = spatial.build_rook_lattice(*shape, row_standardize=standardize)
+        ref = rook_lattice_loop(*shape, row_standardize=standardize)
+        assert (W.n, W.row_standardized) == (ref.n, ref.row_standardized)
+        for name in ("rows", "cols", "weights"):
+            got, want = getattr(W, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestWeightsValidation:
     def test_diagonal_rejected(self):
@@ -71,14 +85,63 @@ class TestWeightsValidation:
             spatial.SpatialWeights(n=2, rows=[0, 1], cols=[1, 0],
                                    weights=[1.0, bad])
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 4)])
+    def test_triples_must_be_1d(self, shape):
+        rows = np.array([0, 1, 1, 2]).reshape(shape)
+        cols = np.array([1, 0, 2, 1]).reshape(shape)
+        with pytest.raises(DimensionError, match="1-D"):
+            spatial.SpatialWeights(n=3, rows=rows, cols=cols,
+                                   weights=np.ones(shape))
 
-def weighted_nonsymmetric() -> spatial.SpatialWeights:
-    """Random weights on random pairs; sites 40-44 have no entries."""
+
+class TestCanonicalTriples:
+    def test_sorted_and_summed_in_input_order(self):
+        W = spatial.SpatialWeights(n=3, rows=[2, 0, 1, 0, 0],
+                                   cols=[1, 2, 0, 2, 2],
+                                   weights=[0.5, 0.1, 0.0, 0.2, 0.3])
+        np.testing.assert_array_equal(W.rows, [0, 1, 2])
+        np.testing.assert_array_equal(W.cols, [2, 0, 1])
+        # the stored zero is kept, and 0.1, 0.2, 0.3 are summed in order
+        assert W.weights.tolist() == [(0.1 + 0.2) + 0.3, 0.0, 0.5]
+        assert W.rows.dtype == W.cols.dtype == np.int64
+
+    # Weights are multiples of 1/8, so that any order of summing duplicates
+    # gives the same sums; zero weights are stored zeros, and the 4 sites
+    # make duplicate coordinates common.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 16)), max_size=30),
+           st.randoms(use_true_random=False))
+    def test_any_order_stores_the_same_bytes(self, triples, random):
+        triples = [(i, j, k / 8) for i, j, k in triples if i != j]
+        shuffled = random.sample(triples, len(triples))
+        Ws = [spatial.SpatialWeights(
+            n=4, rows=np.array([t[0] for t in ts], dtype=np.int64),
+            cols=np.array([t[1] for t in ts], dtype=np.int64),
+            weights=np.array([t[2] for t in ts], dtype=float))
+            for ts in (triples, shuffled)]
+        for name in ("rows", "cols", "weights"):
+            assert getattr(Ws[0], name).tobytes() == getattr(Ws[1], name).tobytes()
+        dense = np.zeros((4, 4))
+        for i, j, w in triples:
+            dense[i, j] += w
+        assert Ws[0].weights.tolist() == dense[Ws[0].rows, Ws[0].cols].tolist()
+        # one entry per distinct coordinate, zero sums included
+        assert (list(zip(Ws[0].rows.tolist(), Ws[0].cols.tolist()))
+                == sorted({(i, j) for i, j, _ in triples}))
+
+
+def weighted_nonsymmetric_triples():
+    """Random weights on random pairs, some repeated; sites 40-44 have no
+    entries. (n, rows, cols, weights) as given to the constructor."""
     rng = np.random.default_rng(5)
     r, c = rng.integers(0, 40, (2, 200))
     keep = r != c
-    return spatial.SpatialWeights(n=45, rows=r[keep], cols=c[keep],
-                                  weights=rng.uniform(0.1, 2.0, keep.sum()))
+    return 45, r[keep], c[keep], rng.uniform(0.1, 2.0, keep.sum())
+
+
+def weighted_nonsymmetric() -> spatial.SpatialWeights:
+    return spatial.SpatialWeights(*weighted_nonsymmetric_triples())
 
 
 def lattice_with_stored_zeros() -> spatial.SpatialWeights:
@@ -88,15 +151,21 @@ def lattice_with_stored_zeros() -> spatial.SpatialWeights:
     return spatial.SpatialWeights(n=W.n, rows=W.rows, cols=W.cols, weights=w)
 
 
-def lattice_with_duplicates() -> spatial.SpatialWeights:
-    """Every entry of a 6 x 5 lattice split over two triples, unsorted."""
+def duplicate_triples():
+    """Every entry of a 6 x 5 lattice split over three triples, unsorted:
+    (n, rows, cols, weights) as given to the constructor. With three parts
+    the order in which they are summed changes some sums' last bits."""
     W = spatial.build_rook_lattice(6, 5)
-    part = np.random.default_rng(2).uniform(0.0, 1.0, W.weights.size)
-    order = np.random.default_rng(3).permutation(2 * W.weights.size)
-    return spatial.SpatialWeights(
-        n=W.n, rows=np.tile(W.rows, 2)[order], cols=np.tile(W.cols, 2)[order],
-        weights=np.concatenate([part * W.weights,
-                                (1.0 - part) * W.weights])[order])
+    cut = np.sort(np.random.default_rng(2).uniform(
+        0.0, 1.0, (2, W.weights.size)), axis=0)
+    parts = np.concatenate([cut[0], cut[1] - cut[0], 1.0 - cut[1]])
+    order = np.random.default_rng(3).permutation(3 * W.weights.size)
+    return (W.n, np.tile(W.rows, 3)[order], np.tile(W.cols, 3)[order],
+            (parts * np.tile(W.weights, 3))[order])
+
+
+def lattice_with_duplicates() -> spatial.SpatialWeights:
+    return spatial.SpatialWeights(*duplicate_triples())
 
 
 PRODUCT_CASES = {
@@ -105,6 +174,17 @@ PRODUCT_CASES = {
     "stored zeros": lattice_with_stored_zeros,
     "duplicate triples": lattice_with_duplicates,
 }
+# the cases built from triples that are not in canonical form
+INPUT_TRIPLES = {
+    "weighted non-symmetric, empty rows": weighted_nonsymmetric_triples,
+    "duplicate triples": duplicate_triples,
+}
+
+
+def scipy_reference(name, W):
+    """scipy's CSR form of the triples the case gave the constructor."""
+    triples = INPUT_TRIPLES.get(name)
+    return csr(W) if triples is None else csr_of_triples(*triples())
 
 
 class TestProducts:
@@ -112,9 +192,10 @@ class TestProducts:
     @pytest.mark.parametrize("shape", [(), (6,)])
     def test_bit_for_bit_scipy(self, name, shape):
         W = PRODUCT_CASES[name]()
+        ref = scipy_reference(name, W)
         v = np.random.default_rng(1).standard_normal((W.n, *shape))
-        assert W.matvec(v).tobytes() == (csr(W) @ v).tobytes()
-        assert W.rmatvec(v).tobytes() == (csr(W).T.tocsr() @ v).tobytes()
+        assert W.matvec(v).tobytes() == (ref @ v).tobytes()
+        assert W.rmatvec(v).tobytes() == (ref.T.tocsr() @ v).tobytes()
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
     @pytest.mark.parametrize("c", [0.6, -0.95, 0.0, 0.3 + 1e-30j, 1e-30j])
@@ -122,7 +203,8 @@ class TestProducts:
         import scipy.sparse as sp
         W = PRODUCT_CASES[name]()
         arrays = spatial.a_matrix(W, c)
-        want = (sp.identity(W.n, format="csr") - c * csr(W)).tocsc()
+        want = (sp.identity(W.n, format="csr")
+                - c * scipy_reference(name, W)).tocsc()
         for got, ref in zip(arrays, (want.data, want.indices, want.indptr)):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -130,13 +212,12 @@ class TestProducts:
     def test_restrict_is_csr_submatrix(self, name):
         W = PRODUCT_CASES[name]()
         keep = np.flatnonzero(np.random.default_rng(6).random(W.n) < 0.6)
-        sub = csr(W)[keep][:, keep].tocoo()
+        sub = scipy_reference(name, W)[keep][:, keep].tocoo()
         R = W.restrict(keep)
-        rows, cols, w = R._entries
         assert R.n == keep.size and not R.row_standardized
-        np.testing.assert_array_equal(rows, sub.row)
-        np.testing.assert_array_equal(cols, sub.col)
-        assert w.tobytes() == sub.data.tobytes()
+        np.testing.assert_array_equal(R.rows, sub.row)
+        np.testing.assert_array_equal(R.cols, sub.col)
+        assert R.weights.tobytes() == sub.data.tobytes()
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
     def test_block_band_is_csr_product(self, name):

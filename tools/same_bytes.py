@@ -6,11 +6,16 @@ A_SRC and B_SRC are checkouts of the repository. For each seed and each workload
 stage, set-up probe and gate fit that `bench/run.stage_args` lists is run
 as its own `python3 -m semvb.cli` process, once on each tree, in a fresh
 directory per tree. After them, `semvb summarize` reads each pipeline fit's
-`samples.csv` and writes `<fit>.summarize/summary.csv`. The two directories are then compared file by file, in
-sorted order, and the first file that differs (or exists on one side only)
-is named. Exit status 0 means every artifact matched, 1 that one differed,
-2 that a stage failed. The outputs are kept, and their directory printed,
-unless every artifact matched.
+`samples.csv` and writes `<fit>.summarize/summary.csv`. Then, so that the
+order of W's triples is shown not to reach an artifact, each `weights.csv`
+that a probe reads is copied with its triple rows in reverse order
+(`reversed/<dataset>.simulate/weights.csv`, next to the repeat directory),
+and every probe runs again on that copy into `<fit>.probe.reversed`. The
+two directories are then compared file by file, in sorted order, and the
+first file that differs (or exists on one side only) is named. Exit
+status 0 means every artifact matched, 1 that one differed, 2 that a stage
+failed. The outputs are kept, and their directory printed, unless every
+artifact matched.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ def run_stages(src: Path, jobs, top: Path) -> bool:
     stages write inside rep, probes and gates next to it. False, with the
     failing stage's stderr printed, if one exits non-zero."""
     rep = top / "rep"
-    rep.mkdir(parents=True)
+    rep.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     for stage, args in jobs:
         proc = subprocess.run([sys.executable, "-m", "semvb.cli", *args],
@@ -65,6 +70,32 @@ def summarize_stages(stages, seed: int):
             for fit in [stage.rsplit(".", 1)[0]]]
 
 
+def reversed_probes(probes):
+    """Each probe again, on a copy of its weights file with the triples in
+    reverse order: ({weights file: its copy}, the jobs), with paths
+    relative to the repeat directory."""
+    copies, jobs = {}, []
+    for stage, args in probes:
+        args = list(args)
+        at = args.index("--weights") + 1
+        copy = copies.setdefault(args[at], f"../reversed/{args[at]}")
+        args[at] = copy
+        out = args.index("--out-dir") + 1
+        args[out] += ".reversed"
+        jobs.append((f"{stage}.reversed", args))
+    return copies, jobs
+
+
+def write_reversed(rep: Path, copies) -> None:
+    """Write each copy: the size line and the header of its weights file,
+    then the file's triple rows in reverse order."""
+    for source, copy in copies.items():
+        lines = (rep / source).read_bytes().splitlines(keepends=True)
+        target = rep / copy
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(b"".join(lines[:2] + lines[:1:-1]))
+
+
 def first_difference(a: Path, b: Path) -> str | None:
     """The first relative path, in sorted order, whose bytes differ."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -83,16 +114,21 @@ def compare(trees: dict[str, Path], seeds: list[int], work: Path) -> int:
         for name, fits in run.WORKLOADS.items():
             stages, probes, gates = run.stage_args(fits, seed)
             jobs = stages + probes + gates + summarize_stages(stages, seed)
+            copies, again = reversed_probes(probes)
             case = f"{name}-seed{seed}"
             for side, src in trees.items():
-                if not run_stages(src, jobs, work / side / case):
+                top = work / side / case
+                if not run_stages(src, jobs, top):
+                    return 2
+                write_reversed(top / "rep", copies)
+                if not run_stages(src, again, top):
                     return 2
             diff = first_difference(work / "A" / case, work / "B" / case)
             if diff is not None:
                 print(f"{case}: {diff} differs")
                 return 1
-            n = len(jobs)
-            print(f"{case}: {n} stages, every file the same")
+            print(f"{case}: {len(jobs)} stages and {len(again)} probes on "
+                  f"reversed weights, every file the same")
     return 0
 
 
